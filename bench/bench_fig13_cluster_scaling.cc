@@ -112,14 +112,14 @@ ScenarioResult RunScenario(std::size_t instances, unsigned clone_workers) {
   if (mover.ok()) {
     fabric.Settle();
     (void)fabric.fault_injector().Arm("fabric/link", FaultSpec::NthHit(1));
-    auto failed = fabric.Migrate(*mover, 0, 3);
+    auto failed = fabric.Migrate(*mover, 0, kHosts - 1);
     const Domain* back = fabric.host(0).hypervisor().FindDomain(*mover);
     out.rollback_ok = !failed.ok() && back != nullptr &&
                       back->state == DomainState::kRunning &&
                       CheckHypervisorInvariants(fabric.host(0).hypervisor()).empty() &&
-                      CheckHypervisorInvariants(fabric.host(3).hypervisor()).empty();
+                      CheckHypervisorInvariants(fabric.host(kHosts - 1).hypervisor()).empty();
     fabric.fault_injector().DisarmAll();
-    auto moved = fabric.Migrate(*mover, 0, 3);
+    auto moved = fabric.Migrate(*mover, 0, kHosts - 1);
     out.rollback_ok = out.rollback_ok && moved.ok();
     fabric.Settle();
   }

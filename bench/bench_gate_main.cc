@@ -7,6 +7,9 @@
 //              [--sim-only] [--require-all]
 //              [--wall-tolerance=F] [--sim-tolerance=F]
 //   bench_gate --record=PATH --current=PATH [...]   # (re)write the baseline
+//
+// Exit codes: 0 pass, 1 regression or schema drift, 2 usage, I/O or parse
+// error — so a missing baseline can never pass for a regression verdict.
 
 #include <cstdio>
 #include <cstdlib>
@@ -86,7 +89,7 @@ int Run(int argc, char** argv) {
   std::vector<JsonValue> currents(current_paths.size());
   for (std::size_t i = 0; i < current_paths.size(); ++i) {
     if (!LoadJson(current_paths[i], &currents[i])) {
-      return 1;
+      return 2;
     }
   }
 
@@ -100,7 +103,7 @@ int Run(int argc, char** argv) {
     std::FILE* f = std::fopen(record_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "bench_gate: cannot write %s\n", record_path.c_str());
-      return 1;
+      return 2;
     }
     std::fwrite(doc.data(), 1, doc.size(), f);
     std::fclose(f);
@@ -111,7 +114,7 @@ int Run(int argc, char** argv) {
 
   JsonValue baseline;
   if (!LoadJson(baseline_path, &baseline)) {
-    return 1;
+    return 2;
   }
   GateReport report = GateCompare(baseline, currents, opt);
   report.Print(stdout);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-regression gate: runs the gate's bench fleet in --json mode and
 # compares the documents against scripts/bench_baseline.json with
-# build/bench/bench_gate. Exits non-zero on regression or schema drift.
+# build/bench/bench_gate. Exits 1 on regression or schema drift, 2 when a
+# document cannot be read or parsed.
 #
 # Usage: scripts/bench_gate.sh [--build-dir=DIR] [--sim-only] [--record]
 #                              [--selftest]
@@ -13,7 +14,8 @@
 #                run. Do this after an intentional perf or schema change,
 #                on an otherwise idle machine.
 #   --selftest   prove the gate bites: rerun the wall benches under a 4x
-#                NEPHELE_BENCH_HANDICAP and require the comparison to FAIL.
+#                NEPHELE_BENCH_HANDICAP and require a regression verdict
+#                (exit 1); an unreadable baseline fails the selftest.
 #
 # Wall metrics are retried up to 3 times before the gate's verdict stands,
 # so a single noisy run on a loaded machine does not fail the build.
@@ -73,8 +75,11 @@ case "${MODE}" in
     # A 4x synthetic slowdown on every wall metric must trip the 1.75x band
     # regardless of machine noise. A gate that passes here is not a gate.
     NEPHELE_BENCH_HANDICAP=4.0 run_wall_benches
-    if "${BENCH}/bench_gate" --baseline="${BASELINE}" "${CURRENTS_WALL[@]}"; then
-      echo "bench gate SELFTEST FAILED: a 4x handicap did not trip the gate" >&2
+    verdict=0
+    "${BENCH}/bench_gate" --baseline="${BASELINE}" "${CURRENTS_WALL[@]}" || verdict=$?
+    if [[ "${verdict}" != 1 ]]; then
+      echo "bench gate SELFTEST FAILED: a 4x handicap gave exit ${verdict}, not a" \
+           "regression verdict (exit 1)" >&2
       exit 1
     fi
     echo "bench gate selftest passed: 4x handicap tripped the gate as required"

@@ -124,9 +124,9 @@ class CloneEngine {
   // Manual-mode pump: runs up to `batches` prefetcher batches, round-robin
   // over streaming children in ascending DomId order. Returns the number of
   // pages materialised. Stalled batches (armed "lazy/stream" fault) count
-  // against `batches` but stream nothing. The DST executor and the hvfuzz
-  // harness drive streams exclusively through this (auto_stream=false) so
-  // mid-stream windows between ops are deterministic.
+  // against `batches` but stream nothing. The simulation-test harness
+  // (src/dst) drives streams exclusively through this (auto_stream=false)
+  // so mid-stream windows between ops are deterministic.
   std::size_t StreamPump(std::size_t batches = 1);
 
   // ---------------------------------------------------------------------

@@ -68,7 +68,7 @@ struct LazyCloneConfig {
   SimDuration stream_interval = SimDuration::Micros(250);
   // When false the background prefetcher never runs on its own: pages
   // materialise only via demand faults, explicit StreamPump() calls, or
-  // FinishStreaming(). The DST executor and the hvfuzz harness use manual
+  // FinishStreaming(). The simulation-test harness (src/dst) uses manual
   // mode to open deterministic mid-stream windows between ops.
   bool auto_stream = true;
   // Cap on the number of recently-touched parent pages seeded into the hot

@@ -34,7 +34,7 @@
 
 namespace nephele {
 
-// Where the cluster scheduler places the next child (DESIGN.md §16).
+// Where the cluster scheduler places the next child (DESIGN.md §15).
 enum class PlacementPolicy : int {
   kPack = 0,        // fill the lowest-indexed host until memory pressure
   kSpread = 1,      // least active children first (load balancing)

@@ -56,7 +56,7 @@ class ReferenceModel {
     std::array<std::uint8_t, kCells> cells{};
   };
 
-  // --- Transitions (executor calls these only for ops the system accepted). ---
+  // --- Transitions (the harness calls these only for ops the system accepted). ---
   void Launch(DomId dom);
   // First-stage success of a whole batch: parent-side pte flips and clone
   // accounting. Applies even when children later abort in stage 2.
@@ -72,7 +72,7 @@ class ReferenceModel {
   void MigrateIn(std::size_t stream, DomId new_dom);
   void DeviceIo(DomId dom, std::uint32_t key, std::string value);
 
-  // --- Predictions the executor checks before trusting a system status. ---
+  // --- Predictions the harness checks before trusting a system status. ---
   bool CanReset(DomId dom) const;
   bool CanMigrateOut(DomId dom) const;
   // Clone admission control (cloning enabled + max_clones headroom).

@@ -1,7 +1,9 @@
 #include "src/dst/scenario.h"
 
-#include <charconv>
+#include <algorithm>
 #include <sstream>
+
+#include "src/dst/reference_model.h"
 
 namespace nephele {
 
@@ -16,14 +18,6 @@ constexpr const char* kOpNames[] = {
 bool SpecEquals(const FaultSpec& a, const FaultSpec& b) {
   return a.policy == b.policy && a.nth == b.nth && a.probability == b.probability &&
          a.seed == b.seed && a.code == b.code;
-}
-
-Status ParseU64(std::string_view text, std::uint64_t& out) {
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return ErrInvalidArgument("bad integer: " + std::string(text));
-  }
-  return Status::Ok();
 }
 
 Status ParseDouble(std::string_view text, double& out) {
@@ -136,8 +130,7 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
       if (!(fields >> value)) {
         return fail("missing value for " + head);
       }
-      std::uint64_t v = 0;
-      NEPHELE_RETURN_IF_ERROR(ParseU64(value, v));
+      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(value));
       if (head == "seed") {
         scenario.seed = v;
       } else {
@@ -146,18 +139,12 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
       continue;
     }
 
-    Op op;
-    bool known = false;
-    for (std::size_t k = 0; k < std::size(kOpNames); ++k) {
-      if (head == kOpNames[k]) {
-        op.kind = static_cast<OpKind>(k);
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    const auto* name = std::find(std::begin(kOpNames), std::end(kOpNames), head);
+    if (name == std::end(kOpNames)) {
       return fail("unknown op '" + head + "'");
     }
+    Op op;
+    op.kind = static_cast<OpKind>(name - std::begin(kOpNames));
 
     // kArmFault defaults to an nth=1 spec so `arm point=x` alone is valid.
     double probability = -1.0;
@@ -172,7 +159,6 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
       }
       std::string key = operand.substr(0, eq);
       std::string value = operand.substr(eq + 1);
-      std::uint64_t v = 0;
       if (key == "point") {
         op.point = value;
         continue;
@@ -181,7 +167,7 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
         NEPHELE_RETURN_IF_ERROR(ParseDouble(value, probability));
         continue;
       }
-      NEPHELE_RETURN_IF_ERROR(ParseU64(value, v));
+      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(value));
       if (key == "dom") {
         op.dom = static_cast<std::uint32_t>(v);
       } else if (key == "n") {
@@ -216,6 +202,249 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
     scenario.ops.push_back(std::move(op));
   }
   return scenario;
+}
+
+namespace {
+
+// Fault points worth arming in generated scenarios: the clone, reset and
+// xenstore paths the oracle exercises. Probability faults are avoided here —
+// NthHit specs keep the injected error at a tape-chosen hit, so a shrunk
+// scenario still fires it.
+constexpr const char* kFaultMenu[] = {
+    "clone/stage1/create_domain",
+    "clone/stage1/memory",
+    "clone/stage1/share",
+    "clone/stage1/page_tables",
+    "clone/stage1/grants",
+    "clone/stage1/evtchns",
+    "clone/reset",
+    "xencloned/stage2",
+    "hypervisor/frame_alloc",
+    "hypervisor/cow_resolve",
+    "xenstore/xs_clone",
+    "sched/admit",
+    "sched/dispatch",
+    "sched/park",
+    "lazy/stream",
+    "lazy/demand_fault",
+};
+
+// The walk's op distribution. Writes dominate (they drive COW churn, the
+// richest invariant surface); structural ops are rarer so scenarios keep a
+// small, shrinkable domain population.
+constexpr Weighted<OpKind> kWeights[] = {
+    {OpKind::kLaunchGuest, 3}, {OpKind::kCloneBatch, 6}, {OpKind::kCowWrite, 10},
+    {OpKind::kCloneReset, 4},  {OpKind::kDestroy, 2},    {OpKind::kMigrateOut, 1},
+    {OpKind::kMigrateIn, 1},   {OpKind::kArmFault, 2},   {OpKind::kDisarmFaults, 2},
+    {OpKind::kDeviceIo, 4},    {OpKind::kAdvanceTime, 2}, {OpKind::kSchedAcquire, 4},
+    {OpKind::kSchedRelease, 3}, {OpKind::kCloneLazy, 5},  {OpKind::kTouchUnmapped, 6},
+};
+
+}  // namespace
+
+Scenario DstVocabulary::FromBytes(std::uint64_t seed, const std::vector<std::uint8_t>& bytes) {
+  ByteTape t(seed, 0x6e657068656c65ULL /* "nephele" */, bytes);
+  Scenario scenario;
+  scenario.seed = seed;
+
+  const std::size_t num_ops = 8 + t.Below(25);
+  // Approximate live count, only used to bias the walk (the harness
+  // re-resolves indices modulo the actual live set).
+  std::uint32_t live = 0;
+  bool armed = false;
+
+  // Every scenario opens with a root guest so early ops have a target.
+  Op boot;
+  boot.kind = OpKind::kLaunchGuest;
+  scenario.ops.push_back(boot);
+  ++live;
+
+  while (scenario.ops.size() < num_ops) {
+    Op op;
+    op.kind = t.Pick(kWeights);
+    switch (op.kind) {
+      case OpKind::kLaunchGuest:
+        ++live;
+        break;
+      case OpKind::kCloneBatch:
+        op.dom = t.Below(live != 0 ? live : 1);
+        op.n = 1 + t.Below(4);
+        op.workers = t.Below(5);  // 0 = keep current thread count
+        live += op.n;
+        break;
+      case OpKind::kCowWrite:
+        op.dom = t.Below(live != 0 ? live : 1);
+        op.slot = t.Below(ReferenceModel::kCells);
+        op.value = 1 + t.Below(255);
+        break;
+      case OpKind::kCloneReset:
+      case OpKind::kDestroy:
+      case OpKind::kMigrateOut:
+        op.dom = t.Below(live != 0 ? live : 1);
+        if (op.kind != OpKind::kCloneReset && live > 0) {
+          --live;
+        }
+        break;
+      case OpKind::kMigrateIn:
+        op.slot = t.Byte();
+        ++live;
+        break;
+      case OpKind::kArmFault:
+        op.point = kFaultMenu[t.Below(std::size(kFaultMenu))];
+        op.spec = FaultSpec::NthHit(1 + t.Below(20));
+        armed = true;
+        break;
+      case OpKind::kDisarmFaults:
+        if (!armed) {
+          continue;  // pointless op; spend the byte, emit nothing
+        }
+        armed = false;
+        break;
+      case OpKind::kDeviceIo:
+        op.dom = t.Below(live != 0 ? live : 1);
+        op.slot = t.Below(8);
+        op.value = t.Byte();
+        break;
+      case OpKind::kAdvanceTime:
+        op.amount = static_cast<std::uint64_t>(1 + t.Byte()) * 1000;
+        break;
+      case OpKind::kSchedAcquire:
+        op.dom = t.Below(live != 0 ? live : 1);
+        op.n = 1 + t.Below(2);
+        live += op.n;  // approximate: grants may come warm or be rejected
+        break;
+      case OpKind::kSchedRelease:
+        op.slot = t.Byte();
+        break;
+      case OpKind::kCloneLazy:
+        op.dom = t.Below(live != 0 ? live : 1);
+        op.n = 1 + t.Below(4);
+        op.workers = t.Below(5);  // 0 = keep current thread count
+        op.slot = t.Below(ReferenceModel::kTrackedPages);  // hot-page hint
+        live += op.n;
+        break;
+      case OpKind::kTouchUnmapped:
+        op.dom = t.Below(live != 0 ? live : 1);
+        op.slot = t.Below(ReferenceModel::kTrackedPages);
+        op.value = 1 + t.Below(255);
+        break;
+    }
+    scenario.ops.push_back(std::move(op));
+  }
+
+  // Leave no fault armed at scenario end: the teardown phase asserts exact
+  // frame conservation, which injected destroy failures would void.
+  if (armed) {
+    Op disarm;
+    disarm.kind = OpKind::kDisarmFaults;
+    scenario.ops.push_back(disarm);
+  }
+  return scenario;
+}
+
+std::vector<Op> DstVocabulary::SimplerVariants(const Op& op) {
+  std::vector<Op> variants;
+  auto push = [&](Op v) {
+    if (!(v == op)) {
+      variants.push_back(std::move(v));
+    }
+  };
+  Op v = op;
+  switch (op.kind) {
+    case OpKind::kCloneBatch:
+      v.n = 1;
+      push(v);
+      v = op;
+      v.workers = 0;
+      push(v);
+      v = op;
+      v.dom = 0;
+      push(v);
+      break;
+    case OpKind::kCowWrite:
+      v.value = 1;
+      push(v);
+      v = op;
+      v.slot = 0;
+      push(v);
+      v = op;
+      v.dom = 0;
+      push(v);
+      break;
+    case OpKind::kCloneReset:
+    case OpKind::kDestroy:
+    case OpKind::kMigrateOut:
+      v.dom = 0;
+      push(v);
+      break;
+    case OpKind::kMigrateIn:
+    case OpKind::kDeviceIo:
+      v.slot = 0;
+      push(v);
+      v = op;
+      v.value = std::min<std::uint32_t>(op.value, 1);
+      push(v);
+      break;
+    case OpKind::kArmFault:
+      if (op.spec.policy == FaultSpec::Policy::kNthHit && op.spec.nth > 1) {
+        v.spec = FaultSpec::NthHit(1);
+        push(v);
+      }
+      break;
+    case OpKind::kAdvanceTime:
+      v.amount = 1;
+      push(v);
+      break;
+    case OpKind::kSchedAcquire:
+      v.n = 1;
+      push(v);
+      v = op;
+      v.dom = 0;
+      push(v);
+      break;
+    case OpKind::kSchedRelease:
+      v.slot = 0;
+      push(v);
+      break;
+    case OpKind::kCloneLazy:
+      v.n = 1;
+      push(v);
+      v = op;
+      v.workers = 0;
+      push(v);
+      v = op;
+      v.dom = 0;
+      push(v);
+      v = op;
+      v.slot = 0;
+      push(v);
+      // The eager clone is the strictly simpler mechanism: if the failure
+      // does not need post-copy streaming, drop it.
+      v = op;
+      v.kind = OpKind::kCloneBatch;
+      v.slot = 0;
+      push(v);
+      break;
+    case OpKind::kTouchUnmapped:
+      v.slot = 0;
+      push(v);
+      v = op;
+      v.value = 1;
+      push(v);
+      v = op;
+      v.dom = 0;
+      push(v);
+      // A plain tracked-cell write is simpler than hunting for a deferred
+      // page: keep it if the failure doesn't need the demand-fault path.
+      v = op;
+      v.kind = OpKind::kCowWrite;
+      push(v);
+      break;
+    case OpKind::kLaunchGuest:
+    case OpKind::kDisarmFaults:
+      break;
+  }
+  return variants;
 }
 
 }  // namespace nephele

@@ -1,4 +1,5 @@
-// Deterministic simulation testing (DST): serializable scenarios.
+// The scenario vocabulary: deterministic simulation testing (DST) of
+// well-formed op streams against a reference model.
 //
 // A Scenario is a seeded, typed op sequence — the complete input of one
 // simulation run. Ops never name concrete DomIds: they address domains by
@@ -7,6 +8,23 @@
 // The text encoding (one op per line, `key=value` operands) is what the
 // corpus under tests/dst_corpus/ stores and what a failure report prints, so
 // any oracle violation is replayable from a dozen lines of text.
+//
+// RunScenario executes one on the harness core (src/dst/harness.h), with a
+// CloneScheduler wired in and the ReferenceModel updated in lock step. Its
+// oracle layers, after the core's hypervisor layers:
+//
+//   live-set    hypervisor domain table == model domain set
+//   topology    parent edges, clone accounting, pause state, p2m geometry,
+//               per-page pte writability vs the model's COW mirror
+//   cells       every tracked heap cell of every live domain reads exactly
+//               the byte the model predicts (COW isolation)
+//   xenstore    the /data mirror each domain carries (inherited on clone,
+//               dropped on destroy) matches, via side-effect-free peeks
+//   counters    expected deltas of the clone/reset/destroy counter set
+//   op-status   an op the model says must succeed (or fail) did not
+//
+// Decision tapes decode to scenarios through a weighted-op random walk
+// (DstVocabulary::FromBytes); the shared Fuzzer and Shrink drive it.
 
 #ifndef SRC_DST_SCENARIO_H_
 #define SRC_DST_SCENARIO_H_
@@ -16,6 +34,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/dst/harness.h"
 #include "src/fault/fault.h"
 
 namespace nephele {
@@ -46,7 +65,7 @@ const char* OpKindName(OpKind kind);
 
 struct Op {
   OpKind kind = OpKind::kLaunchGuest;
-  // Domain index into the executor's creation-ordered live list (mod size).
+  // Domain index into the harness's creation-ordered live list (mod size).
   std::uint32_t dom = 0;
   // kCloneBatch: children per batch.
   std::uint32_t n = 1;
@@ -81,6 +100,23 @@ struct Scenario {
   // Strict parser: unknown op names, unknown keys or malformed values fail
   // loudly so corpus rot is caught, not silently skipped.
   static Result<Scenario> FromText(const std::string& text);
+};
+
+RunResult RunScenario(const Scenario& scenario, const RunOptions& options = {});
+
+// The scenario vocabulary as the shared Fuzzer and Shrink see it.
+struct DstVocabulary {
+  using Op = nephele::Op;
+  using Input = Scenario;
+
+  // Pure tape decoder: the tape drives a weighted-op random walk.
+  static Scenario FromBytes(std::uint64_t seed, const std::vector<std::uint8_t>& bytes);
+  static RunResult Run(const Scenario& scenario, const RunOptions& options) {
+    return RunScenario(scenario, options);
+  }
+  // Operand reductions the shrinker tries per op (batch size to 1, worker
+  // override off, values to 1, lazy clone to eager, ...).
+  static std::vector<Op> SimplerVariants(const Op& op);
 };
 
 }  // namespace nephele

@@ -263,15 +263,23 @@ Result<DomId> GuestManager::MigrateTo(GuestManager& target, DomId dom) {
   MiniStack stack_snapshot(nullptr);
   stack_snapshot.CopyStateFrom(it->second.ctx->net());
   GuestArena arena_snapshot(it->second.ctx->arena());
-  NEPHELE_ASSIGN_OR_RETURN(MigrationStream stream, system_.toolstack().MigrateOut(dom));
+  // The source stays paused but intact until the target has accepted the
+  // stream; a refused immigration resumes it as if nothing happened.
+  Toolstack& source = system_.toolstack();
+  NEPHELE_ASSIGN_OR_RETURN(MigrationStream stream, source.BeginMigrateOut(dom));
+  auto new_dom = target.system_.toolstack().MigrateIn(stream);
+  if (!new_dom.ok()) {
+    source.AbortMigrateOut(dom);
+    return new_dom.status();
+  }
+  NEPHELE_RETURN_IF_ERROR(source.CompleteMigrateOut(dom));
   guests_.erase(dom);
 
-  NEPHELE_ASSIGN_OR_RETURN(DomId new_dom, target.system_.toolstack().MigrateIn(stream));
   GuestInstance instance;
   instance.app = std::move(app);
-  instance.ctx = target.BuildContext(new_dom, stream.config, /*parent_ctx=*/nullptr);
-  auto [git, inserted] = target.guests_.emplace(new_dom, std::move(instance));
-  target.WireDelivery(new_dom, git->second);
+  instance.ctx = target.BuildContext(*new_dom, stream.config, /*parent_ctx=*/nullptr);
+  auto [git, inserted] = target.guests_.emplace(*new_dom, std::move(instance));
+  target.WireDelivery(*new_dom, git->second);
   git->second.ctx->net().CopyStateFrom(stack_snapshot);
   git->second.ctx->arena().AdoptAllocationsFrom(arena_snapshot);
   return new_dom;

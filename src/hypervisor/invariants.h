@@ -1,7 +1,8 @@
 // Hypervisor state invariants: the single reusable oracle consulted by the
-// DST executor, the hostile-guest fuzz harness (src/hvfuzz) and the gtest
-// suites (tests/frame_invariants.h). Each check walks live hypervisor state
-// and returns "" when the invariant holds, else a human-readable violation.
+// simulation-test harness core (src/dst/harness.h), for both its op
+// vocabularies, and by the gtest suites (tests/frame_invariants.h). Each
+// check walks live hypervisor state and returns "" when the invariant holds,
+// else a human-readable violation.
 //
 //   frames   free + allocated == total; every allocated frame is referenced
 //            by exactly the mappings the frame table thinks it has (shared

@@ -54,7 +54,7 @@ struct PlacementQuery {
 };
 using PlacementFn = std::function<std::size_t(const PlacementQuery&)>;
 
-// The built-in policies (DESIGN.md §16). All of them serve from a host with
+// The built-in policies (DESIGN.md §15). All of them serve from a host with
 // warm children first; they differ in where cold clones land.
 PlacementFn MakePlacementFn(PlacementPolicy policy);
 

@@ -112,7 +112,7 @@ class CloneScheduler : public CloneObserver {
 
   // Drops `dom` from every pool and in-flight map without touching the
   // domain. For callers that destroy domains behind the scheduler's back
-  // (the DST executor's destroy op and teardown).
+  // (the DST scenario harness's destroy op and teardown).
   void Forget(DomId dom);
 
   // Teardown: destroys every parked child and fails every queued request

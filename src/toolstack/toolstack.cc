@@ -555,12 +555,6 @@ Status Toolstack::AbortMigrateOut(DomId dom) {
   return Status::Ok();
 }
 
-Result<MigrationStream> Toolstack::MigrateOut(DomId dom) {
-  NEPHELE_ASSIGN_OR_RETURN(MigrationStream stream, BeginMigrateOut(dom));
-  NEPHELE_RETURN_IF_ERROR(CompleteMigrateOut(dom));
-  return stream;
-}
-
 Result<MigrationStream> Toolstack::SnapshotDomain(DomId dom) {
   Domain* d = hv_.FindDomain(dom);
   if (d == nullptr) {

@@ -79,7 +79,7 @@ class Toolstack {
   // what the guest dirtied meanwhile (`between_rounds` lets callers drive
   // guest activity between rounds, standing in for concurrently running
   // vCPUs); the final stop-and-copy round happens paused — its duration is
-  // the downtime. Same family restriction as MigrateOut.
+  // the downtime. Same family restriction as BeginMigrateOut.
   struct LiveMigrationStats {
     unsigned precopy_rounds = 0;
     std::size_t pages_shipped = 0;
@@ -89,20 +89,15 @@ class Toolstack {
                                          std::function<void()> between_rounds,
                                          LiveMigrationStats* stats);
 
-  // xl migrate: stop-and-copy emigration. Serializes the guest's pages in
-  // p2m order and destroys the source domain. Refused with a typed
+  // xl migrate: stop-and-copy emigration in two phases, the RWTH-OS
+  // migration-framework shape the ClusterFabric drives. Begin pauses the
+  // source and serializes its pages in p2m order but leaves the domain
+  // intact so a failed transfer can roll back. Exactly one of Complete
+  // (destroys the source — the copy landed) or Abort (resumes the source as
+  // if nothing happened) must follow. Begin is refused with a typed
   // kFailedPrecondition naming the blocking relatives for domains with
   // living family relations — migrating a clone "would break the page
-  // sharing potential" (Sec. 8). Equivalent to BeginMigrateOut +
-  // CompleteMigrateOut back to back.
-  Result<MigrationStream> MigrateOut(DomId dom);
-
-  // First-class two-phase emigration, the RWTH-OS migration-framework shape
-  // the ClusterFabric drives: Begin pauses the source and serializes its
-  // pages (same checks, costs and stream as MigrateOut) but leaves the
-  // domain intact so a failed transfer can roll back. Exactly one of
-  // Complete (destroys the source — the copy landed) or Abort (resumes the
-  // source as if nothing happened) must follow.
+  // sharing potential" (Sec. 8).
   Result<MigrationStream> BeginMigrateOut(DomId dom);
   Status CompleteMigrateOut(DomId dom);
   Status AbortMigrateOut(DomId dom);

@@ -1,4 +1,4 @@
-// Fabric-level coverage: the Host/ClusterFabric redesign (DESIGN.md §16).
+// Fabric-level coverage: the Host/ClusterFabric redesign (DESIGN.md §15).
 // Image replication to peers, first-class cross-host migration with typed
 // errors and clean rollback under link faults/partitions (frame conservation
 // asserted on both hosts via src/hypervisor/invariants.h), cross-host

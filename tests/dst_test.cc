@@ -1,23 +1,18 @@
 // The deterministic-simulation-testing suite (label: dst).
 //
-// Drives src/dst end to end: corpus replay, coverage-guided generation with
-// the full oracle after every op, digest determinism across reruns and
-// worker-thread counts, and the seeded-bug catch + shrink loop that proves
-// the harness can actually find and minimise a defect.
+// Drives the scenario vocabulary of src/dst end to end: the shared harness
+// suite (tests/harness_suite.h — corpus replay, coverage-guided generation
+// with the full oracle after every op, digest determinism across reruns and
+// worker-thread counts), plus the scenario codec, the reference model and
+// the seeded-bug catch + shrink loop that proves the harness can actually
+// find and minimise a defect.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "src/core/system.h"
-#include "src/dst/executor.h"
-#include "src/dst/generator.h"
 #include "src/dst/reference_model.h"
 #include "src/dst/scenario.h"
-#include "src/dst/shrinker.h"
+#include "tests/harness_suite.h"
 
 namespace nephele {
 namespace {
@@ -25,6 +20,14 @@ namespace {
 #ifndef NEPHELE_DST_CORPUS_DIR
 #define NEPHELE_DST_CORPUS_DIR "tests/dst_corpus"
 #endif
+
+struct DstSuite : DstVocabulary {
+  static constexpr const char* kCorpusDir = NEPHELE_DST_CORPUS_DIR;
+  static constexpr const char* kCorpusExt = ".scn";
+  static Result<Scenario> Parse(const std::string& text) { return Scenario::FromText(text); }
+  static std::string ToText(const Scenario& scenario) { return scenario.ToText(); }
+  static int Rounds() { return 200; }
+};
 
 Scenario MustParse(const std::string& text) {
   auto parsed = Scenario::FromText(text);
@@ -134,11 +137,11 @@ TEST(DstScenarioTest, ParserRejectsMalformedInput) {
 
 TEST(DstScenarioTest, TapeDecodingIsPure) {
   std::vector<std::uint8_t> tape = {7, 13, 255, 0, 42, 99, 1, 2, 3};
-  Scenario a = ScenarioFromTape(123, tape);
-  Scenario b = ScenarioFromTape(123, tape);
+  Scenario a = DstVocabulary::FromBytes(123, tape);
+  Scenario b = DstVocabulary::FromBytes(123, tape);
   EXPECT_EQ(a, b);
   // A different seed re-derives the fallback stream: scenarios diverge.
-  Scenario c = ScenarioFromTape(124, tape);
+  Scenario c = DstVocabulary::FromBytes(124, tape);
   EXPECT_FALSE(a == c);
 }
 
@@ -181,84 +184,22 @@ TEST(DstModelTest, DestroyReparentsToGrandparent) {
 }
 
 // ---------------------------------------------------------------------------
-// Corpus replay.
+// The shared harness suite: corpus replay, >= 200 generated scenarios under
+// the oracle, and digest determinism across reruns and worker counts.
 // ---------------------------------------------------------------------------
 
-std::vector<std::filesystem::path> CorpusFiles() {
-  std::vector<std::filesystem::path> files;
-  const std::filesystem::path dir(NEPHELE_DST_CORPUS_DIR);
-  if (std::filesystem::exists(dir)) {
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (entry.path().extension() == ".scn") {
-        files.push_back(entry.path());
-      }
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
+TEST(DstCorpusTest, EveryStoredScenarioReplaysGreen) { CorpusReplaysOracleClean<DstSuite>(); }
+
+TEST(DstCorpusTest, DigestsAreByteIdenticalAcrossRerunsAndWorkers) {
+  CorpusDigestsAreStable<DstSuite>();
 }
-
-TEST(DstCorpusTest, EveryStoredScenarioReplaysGreen) {
-  const auto files = CorpusFiles();
-  ASSERT_FALSE(files.empty()) << "no corpus at " << NEPHELE_DST_CORPUS_DIR;
-  for (const auto& path : files) {
-    std::ifstream in(path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    Scenario scenario = MustParse(text.str());
-    RunResult result = RunScenario(scenario);
-    EXPECT_TRUE(result.ok()) << path.filename() << " failed " << result.fail_kind << " at op "
-                             << result.fail_op << ": " << result.message;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Coverage-guided generation: the oracle holds over >= 200 fresh scenarios.
-// ---------------------------------------------------------------------------
 
 TEST(DstGenerationTest, TwoHundredGeneratedScenariosSatisfyTheOracle) {
-  constexpr std::uint64_t kSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
-  constexpr int kPerSeed = 25;  // 8 * 25 = 200 scenarios
-  std::size_t total = 0;
-  for (std::uint64_t seed : kSeeds) {
-    ScenarioGenerator gen(seed);
-    for (int i = 0; i < kPerSeed; ++i) {
-      Scenario scenario = gen.Next();
-      RunResult result = RunScenario(scenario);
-      ASSERT_TRUE(result.ok()) << "seed " << seed << " scenario " << i << " failed "
-                               << result.fail_kind << " at op " << result.fail_op << ": "
-                               << result.message << "\n"
-                               << scenario.ToText();
-      gen.Report(result);
-      ++total;
-    }
-    EXPECT_GT(gen.edges_covered(), 0u);
-  }
-  EXPECT_GE(total, 200u);
+  GeneratedInputsSatisfyTheOracle<DstSuite>();
 }
 
 TEST(DstGenerationTest, DigestsAreIdenticalAcrossRerunsAndWorkerCounts) {
-  constexpr std::uint64_t kSeeds[] = {7, 1001, 424242};
-  for (std::uint64_t seed : kSeeds) {
-    ScenarioGenerator gen(seed);
-    for (int i = 0; i < 4; ++i) {
-      Scenario scenario = gen.Next();
-      RunOptions serial;
-      serial.force_workers = 1;
-      RunResult first = RunScenario(scenario, serial);
-      RunResult again = RunScenario(scenario, serial);
-      ASSERT_TRUE(first.ok()) << first.fail_kind << ": " << first.message;
-      EXPECT_EQ(first.digest, again.digest) << "rerun diverged\n" << scenario.ToText();
-
-      RunOptions wide;
-      wide.force_workers = 4;
-      RunResult parallel = RunScenario(scenario, wide);
-      EXPECT_EQ(first.digest, parallel.digest)
-          << "worker count changed observable behaviour\n"
-          << scenario.ToText();
-      gen.Report(first);
-    }
-  }
+  GeneratedDigestsAreStable<DstSuite>();
 }
 
 // ---------------------------------------------------------------------------
@@ -271,8 +212,8 @@ TEST(DstGenerationTest, DigestsAreIdenticalAcrossRerunsAndWorkerCounts) {
 // memory.
 RunOptions SeededBugOptions() {
   RunOptions options;
-  options.after_op = [](NepheleSystem& sys, const Op& op, std::size_t) {
-    if (op.kind != OpKind::kAdvanceTime) {
+  options.after_op = [](NepheleSystem& sys, std::string_view op, std::size_t) {
+    if (op != OpKindName(OpKind::kAdvanceTime)) {
       return;
     }
     const auto ids = sys.hypervisor().DomainIds();
@@ -281,7 +222,7 @@ RunOptions SeededBugOptions() {
         continue;
       }
       const GuestMemoryLayout layout = ComputeGuestLayout(
-          DstGuestConfig(), sys.hypervisor().config().min_domain_pages);
+          HarnessGuestConfig("dst"), sys.hypervisor().config().min_domain_pages);
       const std::uint8_t rogue = 0x5a;
       (void)sys.hypervisor().WriteGuestPage(*it, static_cast<Gfn>(layout.heap_first_gfn), 0,
                                             &rogue, 1);
@@ -323,16 +264,16 @@ TEST(DstShrinkTest, SeededBugIsCaughtAndShrunkToAMinimalReproducer) {
   // Caught at the first advance op, not at the end of the run.
   EXPECT_EQ(failure.fail_op, 2u);
 
-  ShrinkOutcome shrunk = ShrinkScenario(scenario, failure, options);
+  auto shrunk = Shrink<DstVocabulary>(scenario, failure, options);
   EXPECT_FALSE(shrunk.result.ok());
   EXPECT_EQ(shrunk.result.fail_kind, failure.fail_kind);
-  EXPECT_LE(shrunk.scenario.ops.size(), 12u);
+  EXPECT_LE(shrunk.input.ops.size(), 12u);
   // The true minimum: one guest plus the op that triggers the rogue write.
-  EXPECT_EQ(shrunk.scenario.ops.size(), 2u)
+  EXPECT_EQ(shrunk.input.ops.size(), 2u)
       << "not fully minimised:\n"
-      << shrunk.scenario.ToText();
+      << shrunk.input.ToText();
   // The minimised scenario still fails when replayed from its text form.
-  Scenario reparsed = MustParse(shrunk.scenario.ToText());
+  Scenario reparsed = MustParse(shrunk.input.ToText());
   RunResult replay = RunScenario(reparsed, options);
   EXPECT_FALSE(replay.ok());
   EXPECT_EQ(replay.fail_kind, failure.fail_kind);

@@ -3,7 +3,7 @@
 // concurrency stress suite after every perturbation of a system. The real
 // checks — frame conservation and refcount-vs-mapping agreement, p2m
 // ownership, grant bookkeeping, evtchn connectivity — live in the library so
-// the DST executor and the hvfuzz harness run the identical oracle.
+// both vocabularies of the simulation-test harness run the identical oracle.
 
 #ifndef TESTS_FRAME_INVARIANTS_H_
 #define TESTS_FRAME_INVARIANTS_H_

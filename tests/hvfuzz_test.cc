@@ -1,19 +1,15 @@
-// Hostile-guest fuzzing suite (scripts/check.sh leg 7: `ctest -L hvfuzz`).
+// Hostile-guest fuzzing suite (label: hvfuzz).
 //
-// Three jobs: (1) replay the shrunk crash corpus (tests/hvfuzz_corpus) and
-// require every tape oracle-clean and byte-deterministic across clone worker
-// counts; (2) run fresh coverage-guided rounds through the AflEngine —
-// NEPHELE_HVFUZZ_ROUNDS overrides the default 200 (0 skips, CI sanitizer
-// legs use a short round); (3) prove the oracle + shrinker pipeline works by
-// seeding deliberate invariant bugs behind the model's back and requiring
-// each to be caught and auto-shrunk to a minimal tape.
+// Drives the hostile-tape vocabulary of src/dst: the shared harness suite
+// (tests/harness_suite.h) replays the shrunk crash corpus
+// (tests/hvfuzz_corpus), requires every tape oracle-clean and
+// byte-deterministic across clone worker counts, and runs fresh
+// coverage-guided rounds — NEPHELE_HVFUZZ_ROUNDS overrides the default 200
+// (0 skips). On top, the tape codec and decoder, and the proof that the
+// oracle + shrinker pipeline works: deliberate invariant bugs seeded behind
+// the model's back must be caught and auto-shrunk to a minimal tape.
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,12 +17,22 @@
 
 #include "src/core/system.h"
 #include "src/dst/ddmin.h"
-#include "src/hvfuzz/fuzzer.h"
-#include "src/hvfuzz/harness.h"
-#include "src/hvfuzz/tape.h"
+#include "src/dst/tape.h"
+#include "tests/harness_suite.h"
 
 namespace nephele {
 namespace {
+
+struct HvSuite : HvVocabulary {
+  static constexpr const char* kCorpusDir = NEPHELE_HVFUZZ_CORPUS_DIR;
+  static constexpr const char* kCorpusExt = ".tape";
+  static Result<HvTape> Parse(const std::string& text) { return ParseTape(text); }
+  static std::string ToText(const HvTape& tape) { return TapeToText(tape); }
+  static int Rounds() {
+    const char* env = std::getenv("NEPHELE_HVFUZZ_ROUNDS");
+    return env == nullptr || *env == '\0' ? 200 : std::atoi(env);
+  }
+};
 
 // --- Tape format. ---
 
@@ -66,122 +72,31 @@ TEST(HvTapeTest, ParserRejectsMalformedInput) {
 
 TEST(HvTapeTest, DecoderIsTotalAndPure) {
   std::vector<std::uint8_t> bytes = {0x00, 0xFF, 0x13, 0x7A, 0x42};
-  HvTape a = TapeFromBytes(7, bytes);
-  HvTape b = TapeFromBytes(7, bytes);
+  HvTape a = HvVocabulary::FromBytes(7, bytes);
+  HvTape b = HvVocabulary::FromBytes(7, bytes);
   EXPECT_EQ(a, b);
   ASSERT_FALSE(a.ops.empty());
   EXPECT_EQ(a.ops[0].kind, HvOpKind::kLaunch);
 
   // Any byte string decodes; empty relies purely on the fallback stream.
-  HvTape empty1 = TapeFromBytes(3, {});
-  HvTape empty2 = TapeFromBytes(3, {});
+  HvTape empty1 = HvVocabulary::FromBytes(3, {});
+  HvTape empty2 = HvVocabulary::FromBytes(3, {});
   EXPECT_EQ(empty1, empty2);
   EXPECT_GE(empty1.ops.size(), 6u);
 }
 
-// --- Corpus replay. ---
+// --- The shared harness suite. ---
 
-std::vector<std::pair<std::string, HvTape>> LoadCorpus() {
-  std::vector<std::pair<std::string, HvTape>> corpus;
-  const std::filesystem::path dir(NEPHELE_HVFUZZ_CORPUS_DIR);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".tape") {
-      continue;
-    }
-    std::ifstream in(entry.path());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto tape = ParseTape(buf.str());
-    EXPECT_TRUE(tape.ok()) << entry.path() << ": " << tape.status().ToString();
-    if (tape.ok()) {
-      corpus.emplace_back(entry.path().filename().string(), *std::move(tape));
-    }
-  }
-  std::sort(corpus.begin(), corpus.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return corpus;
-}
-
-TEST(HvFuzzCorpusTest, EveryTapeReplaysOracleClean) {
-  auto corpus = LoadCorpus();
-  EXPECT_GE(corpus.size(), 8u) << "shrunk crash corpus went missing";
-  for (const auto& [name, tape] : corpus) {
-    HvRunResult r = RunTape(tape);
-    EXPECT_TRUE(r.ok()) << name << " failed oracle '" << r.fail_kind << "' at op "
-                        << r.fail_op << ": " << r.message << "\ndigest:\n"
-                        << r.digest;
-    EXPECT_EQ(r.ops_executed, tape.ops.size()) << name;
-  }
-}
+TEST(HvFuzzCorpusTest, EveryTapeReplaysOracleClean) { CorpusReplaysOracleClean<HvSuite>(); }
 
 TEST(HvFuzzCorpusTest, DigestsAreByteIdenticalAcrossRerunsAndWorkers) {
-  for (const auto& [name, tape] : LoadCorpus()) {
-    HvRunOptions one;
-    one.force_workers = 1;
-    HvRunOptions four;
-    four.force_workers = 4;
-    const std::string d1 = RunTape(tape, one).digest;
-    const std::string d1_again = RunTape(tape, one).digest;
-    const std::string d4 = RunTape(tape, four).digest;
-    EXPECT_EQ(d1, d1_again) << name << ": rerun diverged";
-    EXPECT_EQ(d1, d4) << name << ": worker count leaked into the digest";
-  }
+  CorpusDigestsAreStable<HvSuite>();
 }
 
-// --- Fresh coverage-guided rounds. ---
-
-int FuzzRounds() {
-  const char* env = std::getenv("NEPHELE_HVFUZZ_ROUNDS");
-  if (env == nullptr || *env == '\0') {
-    return 200;
-  }
-  return std::atoi(env);
-}
-
-TEST(HvFuzzRoundsTest, SeededRoundsStayOracleClean) {
-  const int rounds = FuzzRounds();
-  if (rounds <= 0) {
-    GTEST_SKIP() << "NEPHELE_HVFUZZ_ROUNDS=0";
-  }
-  constexpr std::uint64_t kSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
-  const int per_seed = (rounds + 7) / 8;
-  std::size_t executed = 0;
-  for (std::uint64_t seed : kSeeds) {
-    HvFuzzer fuzzer(seed);
-    for (int i = 0; i < per_seed; ++i) {
-      HvTape tape = fuzzer.Next();
-      HvRunResult r = RunTape(tape);
-      fuzzer.Report(r);
-      ++executed;
-      if (!r.ok()) {
-        // A real finding: shrink it and print the minimal tape so it can be
-        // fixed and pinned into tests/hvfuzz_corpus/.
-        HvShrinkOutcome shrunk = ShrinkHvTape(tape, r);
-        FAIL() << "seed " << seed << " round " << i << " violated oracle '"
-               << r.fail_kind << "' at op " << r.fail_op << ": " << r.message
-               << "\nminimal tape (" << shrunk.tape.ops.size() << " ops, "
-               << shrunk.runs << " shrink runs):\n"
-               << TapeToText(shrunk.tape) << "\ndigest:\n" << shrunk.result.digest;
-      }
-    }
-    EXPECT_GT(fuzzer.engine().edges_covered(), 0u);
-    EXPECT_EQ(fuzzer.engine().executions(), static_cast<std::uint64_t>(per_seed));
-    EXPECT_EQ(fuzzer.engine().crashes(), 0u);
-  }
-  EXPECT_GE(executed, static_cast<std::size_t>(rounds));
-}
+TEST(HvFuzzRoundsTest, SeededRoundsStayOracleClean) { GeneratedInputsSatisfyTheOracle<HvSuite>(); }
 
 TEST(HvFuzzRoundsTest, GeneratedTapesAreWorkerCountInvariant) {
-  // A deeper spot-check than the corpus: freshly generated tapes (which hit
-  // multi-child clone batches more often) at 1 vs 4 staging workers.
-  for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    HvTape tape = TapeFromBytes(seed, {});
-    HvRunOptions one;
-    one.force_workers = 1;
-    HvRunOptions four;
-    four.force_workers = 4;
-    EXPECT_EQ(RunTape(tape, one).digest, RunTape(tape, four).digest) << "seed " << seed;
-  }
+  GeneratedDigestsAreStable<HvSuite>();
 }
 
 // --- Seeded invariant bugs: the oracle must catch, the shrinker minimise. ---
@@ -202,37 +117,37 @@ HvTape ThreeOpTape() {
 TEST(HvFuzzSeededBugTest, CowIsolationBugIsCaughtAndShrinksToMinimalTape) {
   // Poison tracked cell 0 of every guest behind the model's back: the cells
   // oracle must flag it on the first settled op with a live guest.
-  HvRunOptions opts;
-  opts.after_op = [](NepheleSystem& sys, const HvOp&, std::size_t) {
+  RunOptions opts;
+  opts.after_op = [](NepheleSystem& sys, std::string_view, std::size_t) {
     for (DomId id : sys.hypervisor().DomainIds()) {
       if (id == kDom0) {
         continue;
       }
-      const std::size_t heap0 =
-          ComputeGuestLayout(HvGuestConfig(), sys.hypervisor().config().min_domain_pages)
-              .heap_first_gfn;
+      const std::size_t heap0 = ComputeGuestLayout(HarnessGuestConfig("hvfuzz"),
+                                                   sys.hypervisor().config().min_domain_pages)
+                                    .heap_first_gfn;
       const std::uint8_t evil = 0x5A;
-      // Cell 0 lives at (heap_first_gfn, offset 17) — see harness.cc.
+      // Cell 0 lives at (heap_first_gfn, offset 17) — see tape_harness.cc.
       (void)sys.hypervisor().WriteGuestPage(id, static_cast<Gfn>(heap0), 17, &evil, 1);
       break;
     }
   };
   HvTape tape = ThreeOpTape();
-  HvRunResult r = RunTape(tape, opts);
+  RunResult r = RunTape(tape, opts);
   ASSERT_EQ(r.fail_kind, "cells") << r.message;
 
-  HvShrinkOutcome shrunk = ShrinkHvTape(tape, r, opts);
-  EXPECT_LE(shrunk.tape.ops.size(), 3u);
+  auto shrunk = Shrink<HvVocabulary>(tape, r, opts);
+  EXPECT_LE(shrunk.input.ops.size(), 3u);
   EXPECT_EQ(shrunk.result.fail_kind, "cells");
   // The failure needs nothing beyond booting one guest.
-  ASSERT_EQ(shrunk.tape.ops.size(), 1u);
-  EXPECT_EQ(shrunk.tape.ops[0].kind, HvOpKind::kLaunch);
+  ASSERT_EQ(shrunk.input.ops.size(), 1u);
+  EXPECT_EQ(shrunk.input.ops[0].kind, HvOpKind::kLaunch);
 }
 
 TEST(HvFuzzSeededBugTest, FrameRefcountBugIsCaughtAndShrinks) {
   // Drop a reference the p2m still holds: frame conservation must fail.
-  HvRunOptions opts;
-  opts.after_op = [](NepheleSystem& sys, const HvOp&, std::size_t) {
+  RunOptions opts;
+  opts.after_op = [](NepheleSystem& sys, std::string_view, std::size_t) {
     for (DomId id : sys.hypervisor().DomainIds()) {
       if (id == kDom0) {
         continue;
@@ -246,11 +161,11 @@ TEST(HvFuzzSeededBugTest, FrameRefcountBugIsCaughtAndShrinks) {
     }
   };
   HvTape tape = ThreeOpTape();
-  HvRunResult r = RunTape(tape, opts);
+  RunResult r = RunTape(tape, opts);
   ASSERT_EQ(r.fail_kind, "frames") << r.message;
 
-  HvShrinkOutcome shrunk = ShrinkHvTape(tape, r, opts);
-  EXPECT_LE(shrunk.tape.ops.size(), 3u);
+  auto shrunk = Shrink<HvVocabulary>(tape, r, opts);
+  EXPECT_LE(shrunk.input.ops.size(), 3u);
   EXPECT_EQ(shrunk.result.fail_kind, "frames");
 }
 

@@ -141,6 +141,34 @@ TEST_F(MigrationTest, SourcePoolFullyReclaimed) {
   EXPECT_EQ(source_.hypervisor().FreePoolFrames(), free_before);
 }
 
+TEST_F(MigrationTest, RefusedImmigrationLeavesTheSourceRunning) {
+  DomainConfig cfg = Guest("redis-stays");
+  cfg.memory_mb = 16;
+  auto dom = src_guests_.Launch(cfg, std::make_unique<RedisApp>(RedisConfig{}));
+  ASSERT_TRUE(dom.ok());
+  source_.Settle();
+  ASSERT_TRUE(dynamic_cast<RedisApp*>(src_guests_.AppOf(*dom))
+                  ->Set(*src_guests_.ContextOf(*dom), "city", "rome")
+                  .ok());
+  const std::size_t free_before = source_.hypervisor().FreePoolFrames();
+
+  // The target runs out of frames while rebuilding the guest's memory.
+  ASSERT_TRUE(target_.fault_injector().Arm("hypervisor/frame_alloc", FaultSpec::NthHit(1)).ok());
+  EXPECT_FALSE(src_guests_.MigrateTo(dst_guests_, *dom).ok());
+  target_.fault_injector().DisarmAll();
+  source_.Settle();
+
+  // The guest never left: still running, app state intact, pool untouched.
+  ASSERT_TRUE(src_guests_.Alive(*dom));
+  const Domain* d = source_.hypervisor().FindDomain(*dom);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->state, DomainState::kRunning);
+  auto* redis = dynamic_cast<RedisApp*>(src_guests_.AppOf(*dom));
+  ASSERT_NE(redis, nullptr);
+  EXPECT_EQ(*redis->Get("city"), "rome");
+  EXPECT_EQ(source_.hypervisor().FreePoolFrames(), free_before);
+}
+
 TEST_F(MigrationTest, UnknownGuestRejected) {
   EXPECT_EQ(src_guests_.MigrateTo(dst_guests_, 404).status().code(), StatusCode::kNotFound);
 }

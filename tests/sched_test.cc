@@ -5,13 +5,13 @@
 #include <vector>
 
 #include "src/core/system.h"
-#include "src/dst/executor.h"
 #include "src/dst/scenario.h"
 #include "src/fault/fault.h"
 #include "src/obs/tsdb/alarm.h"
 #include "src/obs/tsdb/tsdb.h"
 #include "src/sched/feedback.h"
 #include "src/sched/scheduler.h"
+#include "tests/harness_suite.h"
 
 namespace nephele {
 namespace {
@@ -403,19 +403,7 @@ TEST_F(SchedTest, DigestIdenticalAcrossWorkerCounts) {
       "sched_acquire dom=0 n=3\n";
   auto scenario = Scenario::FromText(text);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-
-  RunOptions one;
-  one.force_workers = 1;
-  RunOptions four;
-  four.force_workers = 4;
-  RunResult a = RunScenario(*scenario, one);
-  RunResult b = RunScenario(*scenario, one);
-  RunResult c = RunScenario(*scenario, four);
-  ASSERT_TRUE(a.ok()) << a.fail_kind << ": " << a.message;
-  ASSERT_TRUE(b.ok()) << b.fail_kind << ": " << b.message;
-  ASSERT_TRUE(c.ok()) << c.fail_kind << ": " << c.message;
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.digest, c.digest);
+  ExpectStableDigest<DstVocabulary>(*scenario, text);
 }
 
 }  // namespace
