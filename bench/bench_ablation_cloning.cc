@@ -43,14 +43,15 @@ void AblationXsClone(int n) {
     auto dom = guests.Launch(Vm("p", static_cast<std::uint32_t>(n) + 1),
                              std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
     system.Settle();
-    std::uint64_t req0 = system.xenstore().stats().requests;
+    std::uint64_t req0 = system.metrics().CounterValue("xenstore/requests/total");
     SimTime t0 = system.Now();
     for (int i = 0; i < n; ++i) {
       (void)guests.ContextOf(*dom)->Fork(1, nullptr);
       system.Settle();
     }
     double ms = (system.Now() - t0).ToMillis() / n;
-    double reqs = static_cast<double>(system.xenstore().stats().requests - req0) / n;
+    double reqs =
+        static_cast<double>(system.metrics().CounterValue("xenstore/requests/total") - req0) / n;
     std::printf("# %-11s: %6.2f ms/clone, %5.1f xenstore requests/clone\n",
                 use_xs_clone ? "xs_clone" : "deep_copy", ms, reqs);
   }
@@ -66,7 +67,7 @@ void AblationCache() {
     (void)guests.ContextOf(*dom)->Fork(1, nullptr);
     system.Settle();
     std::printf("# clone %d userspace ops: %.3f ms (%s)\n", i + 1,
-                system.xencloned().stats().last_second_stage.ToMillis(),
+                system.xencloned().last_second_stage().ToMillis(),
                 i == 0 ? "cache miss" : "cache hit");
   }
 }
@@ -74,9 +75,6 @@ void AblationCache() {
 void AblationNameCheck(int n) {
   std::printf("\n# --- Ablation C: xl name-uniqueness scan (boot time, ms) ---\n");
   std::printf("#\tinstances\tno_check\twith_check\n");
-  for (bool check : {false, true}) {
-    (void)check;
-  }
   NepheleSystem no_check(Pool());
   GuestManager g1(no_check);
   NepheleSystem with_check(Pool());
@@ -111,7 +109,9 @@ void AblationAccessLog(int n) {
       system.Settle();
     }
     std::printf("# access log %-3s: %llu rotations over %d boots\n", logging ? "on" : "off",
-                static_cast<unsigned long long>(system.xenstore().stats().log_rotations), n);
+                static_cast<unsigned long long>(
+                    system.metrics().CounterValue("xenstore/log/rotations")),
+                n);
   }
 }
 

@@ -68,13 +68,13 @@ Sample MeasureOne(std::size_t alloc_mb) {
     (void)guests.ContextOf(*dom)->Fork(1, nullptr);
     system.Settle();
     s.clone1_ms = (system.Now() - t0).ToMillis();
-    s.userspace1_ms = system.xencloned().stats().last_second_stage.ToMillis();
+    s.userspace1_ms = system.xencloned().last_second_stage().ToMillis();
 
     SimTime t1 = system.Now();
     (void)guests.ContextOf(*dom)->Fork(1, nullptr);
     system.Settle();
     s.clone2_ms = (system.Now() - t1).ToMillis();
-    s.userspace2_ms = system.xencloned().stats().last_second_stage.ToMillis();
+    s.userspace2_ms = system.xencloned().last_second_stage().ToMillis();
   }
   return s;
 }

@@ -53,22 +53,19 @@ UnikraftSample MeasureUnikraft(std::size_t keys) {
   GuestContext* ctx = guests.ContextOf(*dom);
 
   // First save right after initialization: marks memory COW (not reported).
-  bool saved = false;
-  redis->set_on_saved([&](DomId) { saved = true; });
   (void)redis->Save(*ctx);
   system.Settle();
 
   // Mass insertion, then the measured save.
   (void)redis->MassInsert(*ctx, keys);
-  saved = false;
   SimTime save_start = system.Now();
   (void)redis->Save(*ctx);
   system.Settle();
   // The fork duration is the parent's blocked time: CLONEOP call until the
   // hypervisor unpauses it after second-stage completion.
-  out.clone_ms = (system.clone_engine().stats().last_parent_resume - save_start).ToMillis();
+  out.clone_ms = (system.clone_engine().last_parent_resume() - save_start).ToMillis();
   out.save_ms = (system.Now() - save_start).ToMillis();
-  out.userspace_ms = system.xencloned().stats().last_second_stage.ToMillis();
+  out.userspace_ms = system.xencloned().last_second_stage().ToMillis();
   return out;
 }
 

@@ -51,7 +51,10 @@ BENCHMARK(BM_CowShareResolve);
 
 void BM_XenstoreWrite(benchmark::State& state) {
   EventLoop loop;
-  XenstoreDaemon xs(loop, DefaultCostModel());
+  MetricsRegistry metrics;
+  TraceRecorder trace(loop);
+  FaultInjector faults(metrics);
+  XenstoreDaemon xs(loop, DefaultCostModel(), {metrics, trace, faults});
   std::uint64_t i = 0;
   for (auto _ : state) {
     (void)xs.Write("/bench/key" + std::to_string(i++ % 512), "value");
@@ -61,7 +64,10 @@ BENCHMARK(BM_XenstoreWrite);
 
 void BM_XsCloneDirectory(benchmark::State& state) {
   EventLoop loop;
-  XenstoreDaemon xs(loop, DefaultCostModel());
+  MetricsRegistry metrics;
+  TraceRecorder trace(loop);
+  FaultInjector faults(metrics);
+  XenstoreDaemon xs(loop, DefaultCostModel(), {metrics, trace, faults});
   for (int i = 0; i < 30; ++i) {
     (void)xs.Write("/local/domain/1/k" + std::to_string(i), std::to_string(i));
   }
@@ -78,7 +84,11 @@ BENCHMARK(BM_XsCloneDirectory);
 
 void BM_EvtchnSendDeliver(benchmark::State& state) {
   EventLoop loop;
-  Hypervisor hv(loop, DefaultCostModel(), HypervisorConfig{.pool_frames = 64});
+  MetricsRegistry metrics;
+  TraceRecorder trace(loop);
+  FaultInjector faults(metrics);
+  Hypervisor hv(loop, DefaultCostModel(), HypervisorConfig{.pool_frames = 64},
+                {metrics, trace, faults});
   auto a = hv.CreateDomain("a", 1);
   auto b = hv.CreateDomain("b", 1);
   (void)hv.UnpauseDomain(*a);

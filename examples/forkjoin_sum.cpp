@@ -52,6 +52,7 @@ int main() {
               (system.Now() - t0).ToMillis());
   std::printf("workers exited; guests alive: %zu; COW pages copied in family: %llu\n",
               guests.NumGuests(),
-              static_cast<unsigned long long>(system.hypervisor().total_cow_faults()));
+              static_cast<unsigned long long>(
+                  system.metrics().CounterValue("hypervisor/cow/faults")));
   return total == raw->ExpectedSum() && reported == fj.workers ? 0 : 2;
 }

@@ -143,8 +143,10 @@ class XlShell {
     std::printf("shared frames: %zu (%zu MiB saved by COW)\n", hv.frames().shared_frames(),
                 hv.frames().frames_saved_by_sharing() * kPageSize / kMiB);
     std::printf("cow faults: %llu, clones: %llu, xenstore entries: %zu\n",
-                static_cast<unsigned long long>(hv.total_cow_faults()),
-                static_cast<unsigned long long>(system_.clone_engine().stats().clones),
+                static_cast<unsigned long long>(
+                    system_.metrics().CounterValue("hypervisor/cow/faults")),
+                static_cast<unsigned long long>(
+                    system_.metrics().CounterValue("clone/clones_total")),
                 system_.xenstore().NumEntries());
   }
 

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Full verification in four legs: the test suite under the plain build,
+# Full verification in five legs: the test suite under the plain build,
 # under ASan+UBSan and under TSan (three separate build trees, so switching
 # sanitizers never forces a reconfigure of your main build), then the full
-# perf-regression gate on the plain tree. Every ctest label (dst, hvfuzz,
-# sched, lazy, load, cluster, ...) runs inside the first three legs; only the
-# gate's wall-clock comparison with retries lives outside ctest.
+# perf-regression gate on the plain tree, then one short traced run of each
+# repo-benchmark workload (perfbench/, built in build-perfbench/). Every
+# ctest label (dst, hvfuzz, sched, lazy, load, cluster, ...) runs inside the
+# first three legs; only the gate's wall-clock comparison with retries and
+# the benchmark runs live outside ctest. Each benchmark run checks its own
+# invariants and the determinism of its registry digest (reruns, traced vs
+# untraced, 1 vs 4 clone workers), so an API or metric-name change in src/
+# fails here instead of first in the benchmark pipeline.
 #
 # The sanitizer legs get a short hostile-guest fuzz round
 # (NEPHELE_HVFUZZ_ROUNDS=40): the fuzzer's malformed-argument storms are
@@ -41,4 +46,11 @@ NEPHELE_HVFUZZ_ROUNDS=40 run_leg tsan build-tsan -DNEPHELE_TSAN=ON
 echo "==== [bench] scripts/bench_gate.sh ===="
 scripts/bench_gate.sh --build-dir=build
 
-echo "==== all four legs passed ===="
+# Leg 5: the repo benchmark, one second per workload with per-layer tracing.
+for workload in clone-storm request-mix cluster-spread; do
+  echo "==== [perfbench] ${workload} ===="
+  CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+    --workload "${workload}" --seed 1 --seconds 1 --trace 1 >/dev/null
+done
+
+echo "==== all five legs passed ===="

@@ -11,41 +11,37 @@ namespace nephele {
 CloneEngine::CloneEngine(Hypervisor& hv, const SystemServices& services)
     : hv_(hv),
       ring_(256),
-      own_metrics_(services.metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(services.metrics != nullptr ? services.metrics : own_metrics_.get()),
       trace_(services.trace),
-      m_clones_(metrics_->GetCounter("clone/clones_total")),
-      m_batches_(metrics_->GetCounter("clone/batches_total")),
-      m_pages_shared_(metrics_->GetCounter("clone/stage1/pages_shared")),
-      m_pages_shared_first_(metrics_->GetCounter("clone/stage1/pages_shared_first")),
-      m_pages_shared_again_(metrics_->GetCounter("clone/stage1/pages_shared_again")),
-      m_pages_private_copied_(metrics_->GetCounter("clone/stage1/pages_private_copied")),
-      m_pages_idc_shared_(metrics_->GetCounter("clone/stage1/pages_idc_shared")),
-      m_resets_(metrics_->GetCounter("clone/reset/count")),
-      m_reset_pages_restored_(metrics_->GetCounter("clone/reset/pages_restored")),
-      m_explicit_cow_pages_(metrics_->GetCounter("clone/cow/explicit_pages")),
-      m_ring_backpressure_(metrics_->GetCounter("clone/ring/backpressure")),
-      m_rolled_back_(metrics_->GetCounter("clone/rolled_back")),
-      m_lazy_clones_(metrics_->GetCounter("clone/lazy/clones")),
-      m_lazy_deferred_pages_(metrics_->GetCounter("clone/lazy/deferred_pages")),
-      m_streamed_pages_(metrics_->GetCounter("clone/streamed_pages")),
-      m_lazy_stream_batches_(metrics_->GetCounter("clone/lazy/stream_batches")),
-      m_lazy_stream_stalls_(metrics_->GetCounter("clone/lazy/stream_stalls")),
-      m_lazy_demand_faults_(metrics_->GetCounter("clone/lazy/demand_faults")),
-      g_lazy_pending_pages_(metrics_->GetGauge("clone/lazy_pending_pages")),
-      m_stage1_ns_(metrics_->GetHistogram("clone/stage1/duration_ns")),
-      m_stage2_ns_(metrics_->GetHistogram("clone/stage2/duration_ns")) {
-  if (services.faults != nullptr) {
-    f_stage1_create_ = services.faults->GetPoint("clone/stage1/create_domain");
-    f_stage1_memory_ = services.faults->GetPoint("clone/stage1/memory");
-    f_stage1_share_ = services.faults->GetPoint("clone/stage1/share");
-    f_stage1_page_tables_ = services.faults->GetPoint("clone/stage1/page_tables");
-    f_stage1_grants_ = services.faults->GetPoint("clone/stage1/grants");
-    f_stage1_evtchns_ = services.faults->GetPoint("clone/stage1/evtchns");
-    f_reset_ = services.faults->GetPoint("clone/reset");
-    f_lazy_stream_ = services.faults->GetPoint("lazy/stream");
-    f_lazy_demand_ = services.faults->GetPoint("lazy/demand_fault");
-  }
+      m_clones_(services.metrics.GetCounter("clone/clones_total")),
+      m_batches_(services.metrics.GetCounter("clone/batches_total")),
+      m_pages_shared_(services.metrics.GetCounter("clone/stage1/pages_shared")),
+      m_pages_shared_first_(services.metrics.GetCounter("clone/stage1/pages_shared_first")),
+      m_pages_shared_again_(services.metrics.GetCounter("clone/stage1/pages_shared_again")),
+      m_pages_private_copied_(services.metrics.GetCounter("clone/stage1/pages_private_copied")),
+      m_pages_idc_shared_(services.metrics.GetCounter("clone/stage1/pages_idc_shared")),
+      m_resets_(services.metrics.GetCounter("clone/reset/count")),
+      m_reset_pages_restored_(services.metrics.GetCounter("clone/reset/pages_restored")),
+      m_explicit_cow_pages_(services.metrics.GetCounter("clone/cow/explicit_pages")),
+      m_ring_backpressure_(services.metrics.GetCounter("clone/ring/backpressure")),
+      m_rolled_back_(services.metrics.GetCounter("clone/rolled_back")),
+      m_lazy_clones_(services.metrics.GetCounter("clone/lazy/clones")),
+      m_lazy_deferred_pages_(services.metrics.GetCounter("clone/lazy/deferred_pages")),
+      m_streamed_pages_(services.metrics.GetCounter("clone/streamed_pages")),
+      m_lazy_stream_batches_(services.metrics.GetCounter("clone/lazy/stream_batches")),
+      m_lazy_stream_stalls_(services.metrics.GetCounter("clone/lazy/stream_stalls")),
+      m_lazy_demand_faults_(services.metrics.GetCounter("clone/lazy/demand_faults")),
+      g_lazy_pending_pages_(services.metrics.GetGauge("clone/lazy_pending_pages")),
+      m_stage1_ns_(services.metrics.GetHistogram("clone/stage1/duration_ns")),
+      m_stage2_ns_(services.metrics.GetHistogram("clone/stage2/duration_ns")),
+      f_stage1_create_(*services.faults.GetPoint("clone/stage1/create_domain")),
+      f_stage1_memory_(*services.faults.GetPoint("clone/stage1/memory")),
+      f_stage1_share_(*services.faults.GetPoint("clone/stage1/share")),
+      f_stage1_page_tables_(*services.faults.GetPoint("clone/stage1/page_tables")),
+      f_stage1_grants_(*services.faults.GetPoint("clone/stage1/grants")),
+      f_stage1_evtchns_(*services.faults.GetPoint("clone/stage1/evtchns")),
+      f_reset_(*services.faults.GetPoint("clone/reset")),
+      f_lazy_stream_(*services.faults.GetPoint("lazy/stream")),
+      f_lazy_demand_(*services.faults.GetPoint("lazy/demand_fault")) {
   // Sampled at export time: the sum of every streaming child's deferred
   // ledger. Reaching 0 is how dashboards (and the stream-stall alarm rule)
   // see a batch finish arriving.
@@ -144,12 +140,10 @@ void CloneEngine::MaterializePage(Domain& parent, Domain& child, Gfn gfn) {
   if (frames.IsShared(pe.mfn)) {
     (void)frames.ShareAgain(pe.mfn);
     hv_.loop().AdvanceBy(costs.page_share_again);
-    ++stats_.pages_shared_again;
     m_pages_shared_again_.Increment();
   } else {
     (void)frames.ShareFirst(pe.mfn);
     hv_.loop().AdvanceBy(costs.page_share_first);
-    ++stats_.pages_shared_first;
     m_pages_shared_first_.Increment();
   }
   m_pages_shared_.Increment();
@@ -177,7 +171,7 @@ Status CloneEngine::RunStreamBatch(DomId child_id, std::size_t* out_pages) {
     streaming_.erase(it);
     return Status::Ok();
   }
-  Status batch_status = PokeFault(f_lazy_stream_);
+  Status batch_status = f_lazy_stream_.Poke();
   if (!batch_status.ok()) {
     // A stall, not a death: nothing was streamed, the child stays streaming
     // and the next batch (tick, pump or FinishStreaming retry) resumes.
@@ -196,7 +190,6 @@ Status CloneEngine::RunStreamBatch(DomId child_id, std::size_t* out_pages) {
     }
     MaterializePage(*parent, *child, gfn);
     ++done;
-    ++stats_.pages_streamed;
     m_streamed_pages_.Increment();
   }
   if (out_pages != nullptr) {
@@ -256,10 +249,9 @@ Status CloneEngine::OnLazyTouch(DomId dom, Gfn gfn) {
     Domain* parent = hv_.FindDomain(it->second.parent);
     if (child != nullptr && parent != nullptr && gfn < child->p2m.size() &&
         child->p2m[gfn].mfn == kInvalidMfn) {
-      NEPHELE_RETURN_IF_ERROR(PokeFault(f_lazy_demand_));
+      NEPHELE_RETURN_IF_ERROR(f_lazy_demand_.Poke());
       hv_.loop().AdvanceBy(hv_.costs().lazy_demand_fault_fixed);
       MaterializePage(*parent, *child, gfn);
-      ++stats_.lazy_demand_faults;
       m_lazy_demand_faults_.Increment();
       if (child->lazy_deferred_pages == 0) {
         streaming_.erase(it);
@@ -287,10 +279,9 @@ Status CloneEngine::OnLazyTouch(DomId dom, Gfn gfn) {
       ++sit;
       continue;
     }
-    NEPHELE_RETURN_IF_ERROR(PokeFault(f_lazy_demand_));
+    NEPHELE_RETURN_IF_ERROR(f_lazy_demand_.Poke());
     hv_.loop().AdvanceBy(hv_.costs().lazy_demand_fault_fixed);
     MaterializePage(*parent, *child, gfn);
-    ++stats_.lazy_demand_faults;
     m_lazy_demand_faults_.Increment();
     if (child->lazy_deferred_pages == 0) {
       sit = streaming_.erase(sit);
@@ -324,7 +315,6 @@ void CloneEngine::OnDomainDestroy(DomId dom) {
           continue;
         }
         MaterializePage(*parent, *child, gfn);
-        ++stats_.pages_streamed;
         m_streamed_pages_.Increment();
       }
     }
@@ -344,7 +334,7 @@ void CloneEngine::CloneVcpus(const Domain& parent, Domain& child) {
 Status CloneEngine::PlanChildCommon(Domain& parent, ChildPlan& cp) {
   cp.lane += hv_.costs().clone_stage1_fixed;
   // struct domain initialisation by copy+edit of the parent's (Sec. 5).
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_create_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_create_.Poke());
   NEPHELE_ASSIGN_OR_RETURN(DomId child_id,
                            hv_.CreateDomain(/*name=*/"", static_cast<int>(parent.vcpus.size())));
   // From here on the child exists: record it before anything can fail so the
@@ -373,7 +363,7 @@ Status CloneEngine::PlanChildCommon(Domain& parent, ChildPlan& cp) {
 Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& cp) {
   NEPHELE_RETURN_IF_ERROR(PlanChildCommon(parent, cp));
   batch.first_child = cp.id;
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_memory_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_memory_.Poke());
   const CostModel& costs = hv_.costs();
   FrameTable& frames = hv_.frames();
 
@@ -392,11 +382,10 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
                                                   : costs.private_page_rewrite);
       cp.lane += cost;
       batch.private_cost += cost;
-      ++stats_.pages_private_copied;
       m_pages_private_copied_.Increment();
       continue;
     }
-    NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_share_));
+    NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
     // first_shared first: it already records every frame a previous child's
     // plan turned shared, so the locked read only runs for frames shared
     // before this batch. IsSharedSync (not IsShared) because staging of the
@@ -410,7 +399,6 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
       if (!already_shared) {
         batch.first_shared.insert(pe.mfn);
       }
-      ++stats_.pages_idc_shared;
       m_pages_idc_shared_.Increment();
       ++batch.idc_pages;
       continue;
@@ -419,12 +407,10 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
     // read-only and will be COWed on the next write by either side.
     if (already_shared) {
       cp.lane += costs.page_share_again;
-      ++stats_.pages_shared_again;
       m_pages_shared_again_.Increment();
     } else {
       cp.lane += costs.page_share_first;
       batch.first_shared.insert(pe.mfn);
-      ++stats_.pages_shared_first;
       m_pages_shared_first_.Increment();
     }
     m_pages_shared_.Increment();
@@ -459,18 +445,15 @@ void CloneEngine::AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDurat
       }
     }
   }
-  stats_.pages_private_copied += priv;
   m_pages_private_copied_.Increment(priv);
-  stats_.pages_idc_shared += idc;
   m_pages_idc_shared_.Increment(idc);
-  stats_.pages_shared_again += regular;
   m_pages_shared_again_.Increment(regular);
   m_pages_shared_.Increment(regular);
 }
 
 Status CloneEngine::PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& cp) {
   NEPHELE_RETURN_IF_ERROR(PlanChildCommon(parent, cp));
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_memory_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_memory_.Poke());
   const CostModel& costs = hv_.costs();
 
   // The first child shared every non-private page, so every share of this
@@ -482,12 +465,10 @@ Status CloneEngine::PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& c
   cp.private_mfns.reserve(batch.private_gfns.size());
   Gfn next = 0;
   for (Gfn pgfn : batch.private_gfns) {
-    if (f_stage1_share_ != nullptr) {
-      FaultPoint::BulkPoke bulk = f_stage1_share_->PokeMany(pgfn - next);
-      if (!bulk.status.ok()) {
-        AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
-        return bulk.status;
-      }
+    FaultPoint::BulkPoke bulk = f_stage1_share_.PokeMany(pgfn - next);
+    if (!bulk.status.ok()) {
+      AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
+      return bulk.status;
     }
     auto mfn = hv_.StageGuestFrame(cp.id);
     if (!mfn.ok()) {
@@ -497,20 +478,15 @@ Status CloneEngine::PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& c
     cp.private_mfns.push_back(*mfn);
     next = pgfn + 1;
   }
-  if (f_stage1_share_ != nullptr) {
-    FaultPoint::BulkPoke bulk =
-        f_stage1_share_->PokeMany(static_cast<Gfn>(parent.p2m.size()) - next);
-    if (!bulk.status.ok()) {
-      AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
-      return bulk.status;
-    }
+  FaultPoint::BulkPoke bulk =
+      f_stage1_share_.PokeMany(static_cast<Gfn>(parent.p2m.size()) - next);
+  if (!bulk.status.ok()) {
+    AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
+    return bulk.status;
   }
 
-  stats_.pages_private_copied += batch.private_gfns.size();
   m_pages_private_copied_.Increment(batch.private_gfns.size());
-  stats_.pages_idc_shared += batch.idc_pages;
   m_pages_idc_shared_.Increment(batch.idc_pages);
-  stats_.pages_shared_again += batch.regular_pages;
   m_pages_shared_again_.Increment(batch.regular_pages);
   m_pages_shared_.Increment(batch.regular_pages);
   cp.lane += batch.private_cost +
@@ -524,7 +500,7 @@ Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& c
   if (first) {
     batch.first_child = cp.id;
   }
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_memory_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_memory_.Poke());
   const CostModel& costs = hv_.costs();
   FrameTable& frames = hv_.frames();
 
@@ -545,7 +521,6 @@ Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& c
         batch.private_cost += cost;
       }
       cp.lane += cost;
-      ++stats_.pages_private_copied;
       m_pages_private_copied_.Increment();
       continue;
     }
@@ -562,11 +537,10 @@ Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& c
         batch.writable_flips.push_back(gfn);
         pe.writable = false;
       }
-      ++stats_.pages_deferred;
       m_lazy_deferred_pages_.Increment();
       continue;
     }
-    NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_share_));
+    NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
     // first_shared first: it already records every frame a previous child's
     // plan turned shared, so the locked read only runs for frames shared
     // before this batch. IsSharedSync (not IsShared) because staging of the
@@ -578,7 +552,6 @@ Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& c
       if (!already_shared) {
         batch.first_shared.insert(pe.mfn);
       }
-      ++stats_.pages_idc_shared;
       m_pages_idc_shared_.Increment();
       if (first) {
         ++batch.idc_pages;
@@ -587,12 +560,10 @@ Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& c
     }
     if (already_shared) {
       cp.lane += costs.page_share_again;
-      ++stats_.pages_shared_again;
       m_pages_shared_again_.Increment();
     } else {
       cp.lane += costs.page_share_first;
       batch.first_shared.insert(pe.mfn);
-      ++stats_.pages_shared_first;
       m_pages_shared_first_.Increment();
     }
     m_pages_shared_.Increment();
@@ -614,7 +585,7 @@ Status CloneEngine::PlanTables(Domain& parent, ChildPlan& cp) {
   // Sec. 4.1). Frames land on the child's page_table_frames/p2m_frames
   // lists and are returned by DestroyDomain, so a mid-build failure needs
   // no undo bookkeeping of its own.
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_page_tables_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_page_tables_.Poke());
   std::size_t pt_pages = PageTablePagesFor(parent.p2m.size());
   for (std::size_t i = 0; i < pt_pages; ++i) {
     NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
@@ -630,10 +601,10 @@ Status CloneEngine::PlanTables(Domain& parent, ChildPlan& cp) {
     child.p2m_frames.push_back(mfn);
     cp.lane += costs.frame_alloc;
   }
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_grants_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_grants_.Poke());
   cp.lane +=
       costs.grant_entry_clone * static_cast<double>(parent.grants.active_entries());
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_evtchns_));
+  NEPHELE_RETURN_IF_ERROR(f_stage1_evtchns_.Poke());
   cp.lane += costs.evtchn_clone * static_cast<double>(parent.evtchns.active_ports());
   return Status::Ok();
 }
@@ -803,7 +774,7 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
     obs->OnCloneStart(parent_id, num_clones);
   }
   const SimTime stage1_start = hv_.loop().Now();
-  TraceSpan span = trace_ != nullptr ? trace_->BeginSpan("clone/stage1") : TraceSpan();
+  TraceSpan span = trace_.BeginSpan("clone/stage1");
   span.AddArg("parent", static_cast<std::int64_t>(parent_id));
   span.AddArg("num_clones", static_cast<std::int64_t>(num_clones));
 
@@ -864,7 +835,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
     // parent, so a failed CLONEOP is side-effect free (the hypercall either
     // produces num_clones runnable children or none).
     RollbackBatch(*parent, batch, plans);
-    ++stats_.rollbacks;
     m_rolled_back_.Increment();
     parent->blocked_in_clone = false;
     (void)hv_.UnpauseDomain(parent_id);
@@ -893,7 +863,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
                                  parent->p2m[parent->start_info_gfn].mfn,
                                  cp.child->p2m[parent->start_info_gfn].mfn});
     (void)hv_.RaiseVirq(kDom0, Virq::kCloned);
-    ++stats_.clones;
     m_clones_.Increment();
   }
   // Register the lazy streams: each child owes batch.deferred_gfns, and the
@@ -901,7 +870,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   // with nothing deferred (tiny guest, everything hot) is already complete.
   if (batch.lazy) {
     for (const ChildPlan& cp : plans) {
-      ++stats_.lazy_clones;
       m_lazy_clones_.Increment();
       if (!batch.deferred_gfns.empty()) {
         streaming_.emplace(cp.id, StreamState{parent_id, batch.deferred_gfns, 0});
@@ -928,7 +896,6 @@ Status CloneEngine::CloneAborted(DomId child) {
   }
   DomId parent_id = it->second.parent;
   pending_children_.erase(it);
-  ++stats_.rollbacks;
   m_rolled_back_.Increment();
 
   for (CloneObserver* obs : observers_) {
@@ -945,7 +912,7 @@ Status CloneEngine::CloneAborted(DomId child) {
     if (parent != nullptr) {
       parent->blocked_in_clone = false;
       (void)hv_.UnpauseDomain(parent_id);
-      stats_.last_parent_resume = hv_.loop().Now();
+      last_parent_resume_ = hv_.loop().Now();
       FireResume(parent_id, /*is_child=*/false);
     }
   }
@@ -981,7 +948,7 @@ Status CloneEngine::CloneCompletion(DomId child) {
     if (parent != nullptr) {
       parent->blocked_in_clone = false;
       (void)hv_.UnpauseDomain(parent_id);
-      stats_.last_parent_resume = hv_.loop().Now();
+      last_parent_resume_ = hv_.loop().Now();
       FireResume(parent_id, /*is_child=*/false);
     }
   }
@@ -1014,7 +981,6 @@ Status CloneEngine::CloneCow(DomId caller, DomId dom, Gfn gfn, std::size_t count
   }
   for (std::size_t i = 0; i < count; ++i) {
     NEPHELE_RETURN_IF_ERROR(hv_.ForceCowResolve(dom, gfn + static_cast<Gfn>(i)));
-    ++stats_.explicit_cow_pages;
     m_explicit_cow_pages_.Increment();
   }
   return Status::Ok();
@@ -1051,7 +1017,7 @@ Result<std::size_t> CloneEngine::CloneReset(DomId caller, DomId child_id) {
   for (DomId c : streaming_children) {
     NEPHELE_RETURN_IF_ERROR(FinishStreaming(c));
   }
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_reset_));
+  NEPHELE_RETURN_IF_ERROR(f_reset_.Poke());
   FrameTable& frames = hv_.frames();
   hv_.loop().AdvanceBy(hv_.costs().clone_reset_fixed);
 
@@ -1084,13 +1050,10 @@ Result<std::size_t> CloneEngine::CloneReset(DomId caller, DomId child_id) {
   }
   if (!page_status.ok()) {
     dirty.erase(dirty.begin(), dirty.begin() + static_cast<std::ptrdiff_t>(restored));
-    stats_.reset_pages_restored += restored;
     m_reset_pages_restored_.Increment(restored);
     return page_status;
   }
   dirty.clear();
-  ++stats_.resets;
-  stats_.reset_pages_restored += restored;
   m_resets_.Increment();
   m_reset_pages_restored_.Increment(restored);
   return restored;

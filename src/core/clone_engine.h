@@ -7,7 +7,7 @@
 //   plan    (simulation thread, serial)  — validation, fault pokes, frame
 //           allocations off the free list, parent-side mutations (COW pte
 //           flips, clone accounting), per-child virtual-time lane math and
-//           every metrics/stats update. Everything that can fail fails here.
+//           every metrics update. Everything that can fail fails here.
 //   stage   (worker pool, parallel)      — per-child heavy lifting against
 //           pre-allocated frames: private page copies, COW share refcounts
 //           (FrameTable::StageShareAll), p2m construction, grant/event-
@@ -47,11 +47,7 @@ namespace nephele {
 
 class CloneEngine {
  public:
-  // Every service in `services` may be null: the engine then records into a
-  // private registry (standalone constructions in tests keep working), skips
-  // tracing, and never arms its stage-1 fault points. NepheleSystem passes
-  // services() so the whole stack exports through one registry.
-  explicit CloneEngine(Hypervisor& hv, const SystemServices& services = {});
+  CloneEngine(Hypervisor& hv, const SystemServices& services);
 
   // ---------------------------------------------------------------------
   // CLONEOP subcommands.
@@ -150,11 +146,12 @@ class CloneEngine {
   void SetWorkerThreads(unsigned n);
   unsigned worker_threads() const { return worker_threads_; }
 
-  const CloneStats& stats() const { return stats_; }
-
-  // Registry this engine records into (its own fallback unless one was
-  // injected).
-  MetricsRegistry& metrics() { return *metrics_; }
+  // Virtual time at which the last blocked parent was unpaused, set
+  // synchronously when its last child completed or aborted the second
+  // stage. Benches measure the guest-visible fork() duration with it; the
+  // clone/fork_to_resume histogram ends in a posted OnResume instead, which
+  // can run at a later instant.
+  SimTime last_parent_resume() const { return last_parent_resume_; }
 
  private:
   // Per-child output of the plan phase: everything a worker needs to stage
@@ -291,11 +288,9 @@ class CloneEngine {
 
   Hypervisor& hv_;
   CloneNotificationRing ring_;
-  CloneStats stats_;
+  SimTime last_parent_resume_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
 
   Counter& m_clones_;
   Counter& m_batches_;
@@ -319,16 +314,15 @@ class CloneEngine {
   Histogram& m_stage1_ns_;
   Histogram& m_stage2_ns_;
 
-  // Stage-1 fault points (null when no injector was passed).
-  FaultPoint* f_stage1_create_ = nullptr;
-  FaultPoint* f_stage1_memory_ = nullptr;
-  FaultPoint* f_stage1_share_ = nullptr;
-  FaultPoint* f_stage1_page_tables_ = nullptr;
-  FaultPoint* f_stage1_grants_ = nullptr;
-  FaultPoint* f_stage1_evtchns_ = nullptr;
-  FaultPoint* f_reset_ = nullptr;
-  FaultPoint* f_lazy_stream_ = nullptr;
-  FaultPoint* f_lazy_demand_ = nullptr;
+  FaultPoint& f_stage1_create_;
+  FaultPoint& f_stage1_memory_;
+  FaultPoint& f_stage1_share_;
+  FaultPoint& f_stage1_page_tables_;
+  FaultPoint& f_stage1_grants_;
+  FaultPoint& f_stage1_evtchns_;
+  FaultPoint& f_reset_;
+  FaultPoint& f_lazy_stream_;
+  FaultPoint& f_lazy_demand_;
 
   unsigned worker_threads_ = 1;
   std::unique_ptr<WorkerPool> pool_;  // created lazily; null while serial

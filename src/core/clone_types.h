@@ -220,30 +220,6 @@ class CloneNotificationRing {
   std::uint64_t dropped_ = 0;
 };
 
-// Statistics of the clone first stage, for tests and benches.
-struct CloneStats {
-  // Virtual time at which the last blocked parent was unpaused (set
-  // synchronously in clone_completion; benches use it to measure the
-  // guest-visible fork() duration).
-  SimTime last_parent_resume;
-  std::uint64_t clones = 0;
-  std::uint64_t pages_shared_first = 0;
-  std::uint64_t pages_shared_again = 0;
-  std::uint64_t pages_private_copied = 0;
-  std::uint64_t pages_idc_shared = 0;
-  std::uint64_t resets = 0;
-  std::uint64_t reset_pages_restored = 0;
-  std::uint64_t explicit_cow_pages = 0;
-  // Lazy (post-copy) cloning.
-  std::uint64_t lazy_clones = 0;
-  std::uint64_t pages_deferred = 0;
-  std::uint64_t pages_streamed = 0;
-  std::uint64_t lazy_demand_faults = 0;
-  // Rollback events: failed first-stage batches unwound plus second-stage
-  // aborts reported by xencloned.
-  std::uint64_t rollbacks = 0;
-};
-
 }  // namespace nephele
 
 #endif  // SRC_CORE_CLONE_TYPES_H_

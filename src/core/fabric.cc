@@ -31,7 +31,7 @@ ClusterFabric::ClusterFabric(ClusterConfig config)
           "host" + std::to_string(s) + "->host" + std::to_string(d);
       links_.emplace(std::make_pair(s, d),
                      std::make_unique<FabricLink>(loop_, std::move(name), config_.link,
-                                                  &metrics_, &faults_));
+                                                  SystemServices{metrics_, trace_, faults_}));
     }
   }
 }

@@ -115,7 +115,7 @@ class ClusterFabric {
   EventLoop loop_;
   MetricsRegistry metrics_;
   TraceRecorder trace_{loop_};
-  FaultInjector faults_{&metrics_};
+  FaultInjector faults_{metrics_};
   FaultPoint* f_migrate_;
   std::vector<std::unique_ptr<Host>> hosts_;
   // Directed full mesh, keyed (src, dst).

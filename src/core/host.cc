@@ -8,9 +8,9 @@ Host::Host(EventLoop& loop, SystemConfig config, std::size_t index)
       loop_(loop),
       index_(index),
       metrics_prefix_("host" + std::to_string(index) + "/") {
-  hv_ = std::make_unique<Hypervisor>(loop_, costs_, config_.hypervisor, &metrics_, &faults_);
-  xs_ = std::make_unique<XenstoreDaemon>(loop_, costs_, &metrics_, &faults_);
-  devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs_, &faults_);
+  hv_ = std::make_unique<Hypervisor>(loop_, costs_, config_.hypervisor, services());
+  xs_ = std::make_unique<XenstoreDaemon>(loop_, costs_, services());
+  devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs_, services());
   toolstack_ = std::make_unique<Toolstack>(*hv_, *xs_, *devices_, loop_, costs_, services());
   engine_ = std::make_unique<CloneEngine>(*hv_, services());
   engine_->SetWorkerThreads(config_.clone_worker_threads);

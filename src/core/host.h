@@ -101,7 +101,7 @@ class Host {
 
   // The service bundle (metrics + trace + faults) components constructed on
   // top of this host (GuestManager, CloneScheduler, ...) should receive.
-  SystemServices services() { return SystemServices{&metrics_, &trace_, &faults_}; }
+  SystemServices services() { return SystemServices{metrics_, trace_, faults_}; }
 
   // The effective configuration. Runtime setters below keep it current, so
   // this is always what the host is actually running with.
@@ -127,7 +127,7 @@ class Host {
   std::string metrics_prefix_;
   MetricsRegistry metrics_;  // constructed before every subsystem using it
   TraceRecorder trace_{loop_};
-  FaultInjector faults_{&metrics_};
+  FaultInjector faults_{metrics_};
   std::unique_ptr<Hypervisor> hv_;
   std::unique_ptr<XenstoreDaemon> xs_;
   std::unique_ptr<DeviceManager> devices_;

@@ -15,19 +15,14 @@ Xencloned::Xencloned(Hypervisor& hv, CloneEngine& engine, XenstoreDaemon& xs,
       toolstack_(toolstack),
       loop_(loop),
       costs_(costs),
-      own_metrics_(services.metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(services.metrics != nullptr ? services.metrics : own_metrics_.get()),
       trace_(services.trace),
-      m_clones_completed_(metrics_->GetCounter("xencloned/clones_completed")),
-      m_clones_aborted_(metrics_->GetCounter("xencloned/clones_aborted")),
-      m_cache_hits_(metrics_->GetCounter("xencloned/cache_hits")),
-      m_cache_misses_(metrics_->GetCounter("xencloned/cache_misses")),
-      m_deep_copy_writes_(metrics_->GetCounter("xencloned/deep_copy_writes")),
-      m_stage2_ns_(metrics_->GetHistogram("xencloned/stage2/duration_ns")) {
-  if (services.faults != nullptr) {
-    f_stage2_ = services.faults->GetPoint("xencloned/stage2");
-  }
-}
+      m_clones_completed_(services.metrics.GetCounter("xencloned/clones_completed")),
+      m_clones_aborted_(services.metrics.GetCounter("xencloned/clones_aborted")),
+      m_cache_hits_(services.metrics.GetCounter("xencloned/cache_hits")),
+      m_cache_misses_(services.metrics.GetCounter("xencloned/cache_misses")),
+      m_deep_copy_writes_(services.metrics.GetCounter("xencloned/deep_copy_writes")),
+      m_stage2_ns_(services.metrics.GetHistogram("xencloned/stage2/duration_ns")),
+      f_stage2_(*services.faults.GetPoint("xencloned/stage2")) {}
 
 Status Xencloned::Start() {
   // Bind VIRQ_CLONED and install the Dom0 upcall; the daemon then enables
@@ -51,11 +46,9 @@ void Xencloned::DrainNotifications() {
 const DomainConfig& Xencloned::ParentConfig(DomId parent) {
   ParentInfoCache& cache = parent_cache_[parent];
   if (cache.valid) {
-    ++stats_.cache_hits;
     m_cache_hits_.Increment();
     return cache.config;
   }
-  ++stats_.cache_misses;
   m_cache_misses_.Increment();
   // First clone of this parent: read its Xenstore information and keep it
   // cached to speed up future invocations (Sec. 6.2).
@@ -110,7 +103,6 @@ Status Xencloned::DeepCopyXenstoreEntries(DomId /*parent*/, DomId child,
     if (!status.ok()) {
       return;
     }
-    ++stats_.deep_copy_writes;
     m_deep_copy_writes_.Increment();
   };
   write(dp + "/name", parent_name);
@@ -178,11 +170,11 @@ void Xencloned::HandleNotification(const CloneNotification& n) {
 
 Status Xencloned::RunSecondStage(const CloneNotification& n) {
   SimTime stage_start = loop_.Now();
-  TraceSpan span = trace_ != nullptr ? trace_->BeginSpan("clone/stage2") : TraceSpan();
+  TraceSpan span = trace_.BeginSpan("clone/stage2");
   span.AddArg("parent", static_cast<std::int64_t>(n.parent));
   span.AddArg("child", static_cast<std::int64_t>(n.child));
   loop_.AdvanceBy(costs_.xencloned_fixed);
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage2_));
+  NEPHELE_RETURN_IF_ERROR(f_stage2_.Poke());
   const DomainConfig& parent_cfg = ParentConfig(n.parent);
 
   // Step 2.1: introduce the child (carrying the parent id) and clone the
@@ -250,10 +242,9 @@ Status Xencloned::RunSecondStage(const CloneNotification& n) {
   if (child_cfg.start_clones_paused) {
     (void)hv_.PauseDomain(n.child);
   }
-  ++stats_.clones_completed;
   m_clones_completed_.Increment();
-  stats_.last_second_stage = loop_.Now() - stage_start;
-  m_stage2_ns_.Observe(stats_.last_second_stage.ns());
+  last_second_stage_ = loop_.Now() - stage_start;
+  m_stage2_ns_.Observe(last_second_stage_.ns());
   if (!wait_for_udev) {
     // Step 2.4: nothing left in userspace; report completion now.
     (void)engine_.CloneCompletion(n.child);
@@ -289,7 +280,6 @@ void Xencloned::AbortSecondStage(const CloneNotification& n, const Status& why) 
   if (xs_.DomainKnown(n.child)) {
     (void)xs_.ReleaseDomain(n.child);
   }
-  ++stats_.clones_aborted;
   m_clones_aborted_.Increment();
   // Retire the pending slot first so the parent is unblocked even if the
   // destroy below were to fail.

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/base/result.h"
@@ -25,28 +24,11 @@
 
 namespace nephele {
 
-struct XenclonedStats {
-  std::uint64_t clones_completed = 0;
-  // Second stages that failed midway and were unwound (child destroyed,
-  // Xenstore subtrees removed, parent unblocked).
-  std::uint64_t clones_aborted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t deep_copy_writes = 0;
-  // Userspace (second-stage) duration of the most recent clone, excluding
-  // asynchronous udev completion — the "userspace operations" series of
-  // Figs. 6 and 8.
-  SimDuration last_second_stage;
-};
-
 class Xencloned {
  public:
-  // Every service in `services` may be null: the daemon then records into a
-  // private registry, skips tracing (standalone constructions keep working),
-  // and never arms the xencloned/stage2 fault point.
   Xencloned(Hypervisor& hv, CloneEngine& engine, XenstoreDaemon& xs, DeviceManager& devices,
             Toolstack& toolstack, EventLoop& loop, const CostModel& costs,
-            const SystemServices& services = {});
+            const SystemServices& services);
 
   // Binds VIRQ_CLONED, submits the notification ring and enables cloning
   // globally — the daemon's startup sequence.
@@ -60,7 +42,10 @@ class Xencloned {
   // wiring); completes the userspace part of device setup.
   void HandleUdev(const UdevEvent& event);
 
-  const XenclonedStats& stats() const { return stats_; }
+  // Userspace (second-stage) duration of the most recent clone, excluding
+  // asynchronous udev completion — the "userspace operations" series of
+  // Figs. 6 and 8.
+  SimDuration last_second_stage() const { return last_second_stage_; }
 
   // Drains any pending notifications immediately (normally driven by
   // VIRQ_CLONED through the event loop).
@@ -96,21 +81,19 @@ class Xencloned {
   EventLoop& loop_;
   const CostModel& costs_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
   Counter& m_clones_completed_;
   Counter& m_clones_aborted_;
   Counter& m_cache_hits_;
   Counter& m_cache_misses_;
   Counter& m_deep_copy_writes_;
   Histogram& m_stage2_ns_;
-  FaultPoint* f_stage2_ = nullptr;
+  FaultPoint& f_stage2_;
 
   bool use_xs_clone_ = true;
   std::map<DomId, ParentInfoCache> parent_cache_;
   std::uint64_t clone_name_counter_ = 0;
-  XenclonedStats stats_;
+  SimDuration last_second_stage_;
 };
 
 }  // namespace nephele

@@ -3,7 +3,7 @@
 namespace nephele {
 
 DeviceManager::DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop,
-                             const CostModel& costs, FaultInjector* faults)
+                             const CostModel& costs, const SystemServices& services)
     : hv_(hv),
       xs_(xs),
       loop_(loop),
@@ -13,12 +13,10 @@ DeviceManager::DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop
       p9_(loop, costs, hostfs_),
       vbd_(loop, costs) {
   netback_.set_udev_emitter([this](const UdevEvent& event) { DispatchUdev(event); });
-  if (faults != nullptr) {
-    console_.SetCloneFaultPoint(faults->GetPoint("devices/console_clone"));
-    netback_.SetCloneFaultPoint(faults->GetPoint("devices/net_clone"));
-    p9_.SetCloneFaultPoint(faults->GetPoint("devices/p9_clone"));
-    vbd_.SetCloneFaultPoint(faults->GetPoint("devices/vbd_clone"));
-  }
+  console_.SetCloneFaultPoint(services.faults.GetPoint("devices/console_clone"));
+  netback_.SetCloneFaultPoint(services.faults.GetPoint("devices/net_clone"));
+  p9_.SetCloneFaultPoint(services.faults.GetPoint("devices/p9_clone"));
+  vbd_.SetCloneFaultPoint(services.faults.GetPoint("devices/vbd_clone"));
 }
 
 void DeviceManager::DispatchUdev(const UdevEvent& event) {

@@ -22,9 +22,8 @@ namespace nephele {
 
 class DeviceManager {
  public:
-  // `faults` may be null — device clone fault points are then never armed.
   DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop, const CostModel& costs,
-                FaultInjector* faults = nullptr);
+                const SystemServices& services);
 
   ConsoleBackend& console() { return console_; }
   NetBackend& netback() { return netback_; }

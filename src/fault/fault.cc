@@ -46,9 +46,7 @@ Status FaultPoint::Poke() {
   }
   fired_once_ = true;
   ++injected_;
-  if (injected_metric_ != nullptr) {
-    injected_metric_->Increment();
-  }
+  injected_metric_.Increment();
   return Status(spec_.code, spec_.message + " at " + name_);
 }
 
@@ -85,17 +83,14 @@ void FaultPoint::Disarm() {
   fired_once_ = false;
 }
 
-FaultInjector::FaultInjector(MetricsRegistry* metrics)
-    : own_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(metrics == nullptr ? own_metrics_.get() : metrics),
-      injected_counter_(metrics_->GetCounter("fault/injected")) {}
+FaultInjector::FaultInjector(MetricsRegistry& metrics)
+    : injected_counter_(metrics.GetCounter("fault/injected")) {}
 
 FaultPoint* FaultInjector::GetPoint(std::string_view name) {
   auto it = points_.find(name);
   if (it == points_.end()) {
-    it = points_.emplace(std::string(name), std::make_unique<FaultPoint>(std::string(name)))
-             .first;
-    it->second->injected_metric_ = &injected_counter_;
+    auto point = std::make_unique<FaultPoint>(std::string(name), injected_counter_);
+    it = points_.emplace(std::string(name), std::move(point)).first;
   }
   return it->second.get();
 }

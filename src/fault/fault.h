@@ -51,7 +51,9 @@ struct FaultSpec {
 // valid for its lifetime; subsystems cache them at construction.
 class FaultPoint {
  public:
-  explicit FaultPoint(std::string name) : name_(std::move(name)) {}
+  // `injected` is the registry-wide "fault/injected" counter.
+  FaultPoint(std::string name, Counter& injected)
+      : name_(std::move(name)), injected_metric_(injected) {}
 
   FaultPoint(const FaultPoint&) = delete;
   FaultPoint& operator=(const FaultPoint&) = delete;
@@ -94,7 +96,7 @@ class FaultPoint {
 
   std::uint64_t hits_ = 0;
   std::uint64_t injected_ = 0;
-  Counter* injected_metric_ = nullptr;  // registry-wide "fault/injected"
+  Counter& injected_metric_;
 };
 
 // A reusable per-run fault plan: a set of (point name, spec) pairs applied
@@ -113,12 +115,10 @@ struct FaultPlan {
 };
 
 // Registry of fault points. Single-threaded, like the rest of the
-// simulation. `metrics` may be null (tests constructing subsystems in
-// isolation); the injector then keeps its own private registry so handle
-// wiring stays unconditional.
+// simulation. Injections are counted in `metrics` as "fault/injected".
 class FaultInjector {
  public:
-  explicit FaultInjector(MetricsRegistry* metrics = nullptr);
+  explicit FaultInjector(MetricsRegistry& metrics);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -153,12 +153,11 @@ class FaultInjector {
 
  private:
   std::map<std::string, std::unique_ptr<FaultPoint>, std::less<>> points_;
-  std::unique_ptr<MetricsRegistry> own_metrics_;
-  MetricsRegistry* metrics_;
   Counter& injected_counter_;
 };
 
-// Null-safe guard for subsystems whose injector is optional.
+// Null-safe guard for the device backends (VbdBackend, P9BackendRegistry)
+// that tests also build without a DeviceManager, and so without a point.
 inline Status PokeFault(FaultPoint* point) {
   return point == nullptr ? Status::Ok() : point->Poke();
 }

@@ -9,43 +9,40 @@
 namespace nephele {
 
 Hypervisor::Hypervisor(EventLoop& loop, const CostModel& costs, HypervisorConfig config,
-                       MetricsRegistry* metrics, FaultInjector* faults)
+                       const SystemServices& services)
     : loop_(loop),
       costs_(costs),
       config_(config),
       frames_(config.pool_frames),
-      own_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(metrics != nullptr ? metrics : own_metrics_.get()),
-      m_hypercalls_(metrics_->GetCounter("hypervisor/hypercalls")),
-      m_cow_faults_(metrics_->GetCounter("hypervisor/cow/faults")),
-      m_cow_pages_copied_(metrics_->GetCounter("hypervisor/cow/pages_copied")),
-      m_grant_accesses_(metrics_->GetCounter("hypervisor/grant/accesses")),
-      m_grant_end_accesses_(metrics_->GetCounter("hypervisor/grant/end_accesses")),
-      m_grant_maps_(metrics_->GetCounter("hypervisor/grant/maps")),
-      m_grant_unmaps_(metrics_->GetCounter("hypervisor/grant/unmaps")),
-      m_domains_created_(metrics_->GetCounter("hypervisor/domains/created")),
-      m_domains_destroyed_(metrics_->GetCounter("hypervisor/domains/destroyed")) {
-  if (faults != nullptr) {
-    f_frame_alloc_ = faults->GetPoint("hypervisor/frame_alloc");
-    f_cow_resolve_ = faults->GetPoint("hypervisor/cow_resolve");
-    f_grant_access_ = faults->GetPoint("hypervisor/grant_access");
-    f_evtchn_alloc_ = faults->GetPoint("hypervisor/evtchn_alloc");
-  }
+      m_hypercalls_(services.metrics.GetCounter("hypervisor/hypercalls")),
+      m_cow_faults_(services.metrics.GetCounter("hypervisor/cow/faults")),
+      m_cow_pages_copied_(services.metrics.GetCounter("hypervisor/cow/pages_copied")),
+      m_grant_accesses_(services.metrics.GetCounter("hypervisor/grant/accesses")),
+      m_grant_end_accesses_(services.metrics.GetCounter("hypervisor/grant/end_accesses")),
+      m_grant_maps_(services.metrics.GetCounter("hypervisor/grant/maps")),
+      m_grant_unmaps_(services.metrics.GetCounter("hypervisor/grant/unmaps")),
+      m_domains_created_(services.metrics.GetCounter("hypervisor/domains/created")),
+      m_domains_destroyed_(services.metrics.GetCounter("hypervisor/domains/destroyed")),
+      f_frame_alloc_(*services.faults.GetPoint("hypervisor/frame_alloc")),
+      f_cow_resolve_(*services.faults.GetPoint("hypervisor/cow_resolve")),
+      f_grant_access_(*services.faults.GetPoint("hypervisor/grant_access")),
+      f_evtchn_alloc_(*services.faults.GetPoint("hypervisor/evtchn_alloc")) {
+  MetricsRegistry& metrics = services.metrics;
   // Pool occupancy gauges sample the frame table live at export time, so no
   // hot-path updates are needed anywhere in the allocator.
-  metrics_->GetGauge("hypervisor/frames/free").SetProvider([this] {
+  metrics.GetGauge("hypervisor/frames/free").SetProvider([this] {
     return static_cast<std::int64_t>(frames_.free_frames());
   });
-  metrics_->GetGauge("hypervisor/frames/allocated").SetProvider([this] {
+  metrics.GetGauge("hypervisor/frames/allocated").SetProvider([this] {
     return static_cast<std::int64_t>(frames_.allocated_frames());
   });
-  metrics_->GetGauge("hypervisor/frames/shared").SetProvider([this] {
+  metrics.GetGauge("hypervisor/frames/shared").SetProvider([this] {
     return static_cast<std::int64_t>(frames_.shared_frames());
   });
-  metrics_->GetGauge("hypervisor/frames/saved_by_sharing").SetProvider([this] {
+  metrics.GetGauge("hypervisor/frames/saved_by_sharing").SetProvider([this] {
     return static_cast<std::int64_t>(frames_.frames_saved_by_sharing());
   });
-  metrics_->GetGauge("hypervisor/domains/live").SetProvider([this] {
+  metrics.GetGauge("hypervisor/domains/live").SetProvider([this] {
     return static_cast<std::int64_t>(domains_.size());
   });
   // Dom0 exists from boot; its memory lives outside the guest pool (the
@@ -300,7 +297,7 @@ std::vector<DomId> Hypervisor::DomainIds() const {
 }
 
 Result<Mfn> Hypervisor::AllocFrameFor(DomId dom) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_frame_alloc_));
+  NEPHELE_RETURN_IF_ERROR(f_frame_alloc_.Poke());
   auto mfn = frames_.Alloc(dom);
   if (mfn.ok()) {
     loop_.AdvanceBy(costs_.frame_alloc);
@@ -398,7 +395,7 @@ Status Hypervisor::ResolveCowForWrite(Domain& d, Gfn gfn) {
     return ErrFailedPrecondition("write to not-present page with no lazy engine");
   }
   // COW fault (Sec. 4.1 / 5.2).
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_cow_resolve_));
+  NEPHELE_RETURN_IF_ERROR(f_cow_resolve_.Poke());
   loop_.AdvanceBy(costs_.cow_fault_fixed);
   NEPHELE_ASSIGN_OR_RETURN(auto res, frames_.ResolveCowWrite(entry.mfn, d.id));
   if (res.copied) {
@@ -408,7 +405,6 @@ Status Hypervisor::ResolveCowForWrite(Domain& d, Gfn gfn) {
   entry.mfn = res.mfn;
   entry.writable = true;
   ++d.cow_faults;
-  ++total_cow_faults_;
   m_cow_faults_.Increment();
   if (res.copied) {
     m_cow_pages_copied_.Increment();
@@ -457,7 +453,6 @@ Status Hypervisor::ForceCowResolve(DomId dom, Gfn gfn) {
   entry.mfn = res.mfn;
   entry.writable = true;
   ++d->cow_faults;
-  ++total_cow_faults_;
   m_cow_faults_.Increment();
   if (res.copied) {
     m_cow_pages_copied_.Increment();
@@ -577,7 +572,7 @@ Result<GrantRef> Hypervisor::GrantAccess(DomId granter, DomId grantee, Gfn gfn, 
       return ErrFailedPrecondition("grant of not-present page");
     }
   }
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_grant_access_));
+  NEPHELE_RETURN_IF_ERROR(f_grant_access_.Poke());
   auto ref = g->grants.GrantAccess(grantee, gfn, readonly);
   if (ref.ok()) {
     m_grant_accesses_.Increment();
@@ -641,7 +636,7 @@ Result<EvtchnPort> Hypervisor::EvtchnAllocUnbound(DomId dom, DomId remote) {
   if (d == nullptr) {
     return ErrNotFound("no such domain");
   }
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_evtchn_alloc_));
+  NEPHELE_RETURN_IF_ERROR(f_evtchn_alloc_.Poke());
   return d->evtchns.AllocUnbound(remote);
 }
 

@@ -22,6 +22,7 @@
 #include "src/hypervisor/frame_table.h"
 #include "src/hypervisor/types.h"
 #include "src/obs/metrics.h"
+#include "src/obs/services.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_loop.h"
 
@@ -39,12 +40,8 @@ struct HypervisorConfig {
 
 class Hypervisor {
  public:
-  // `metrics` may be null: the hypervisor then records into a private
-  // registry so standalone constructions stay valid. NepheleSystem injects
-  // its shared registry.
-  // `faults` may also be null — fault points are then never armed.
-  Hypervisor(EventLoop& loop, const CostModel& costs, HypervisorConfig config = {},
-             MetricsRegistry* metrics = nullptr, FaultInjector* faults = nullptr);
+  Hypervisor(EventLoop& loop, const CostModel& costs, HypervisorConfig config,
+             const SystemServices& services);
 
   Hypervisor(const Hypervisor&) = delete;
   Hypervisor& operator=(const Hypervisor&) = delete;
@@ -101,7 +98,7 @@ class Hypervisor {
   // lane, not on the loop. Fault injection and pool exhaustion behave
   // exactly like AllocGuestFrame.
   Result<Mfn> StageGuestFrame(DomId dom) {
-    NEPHELE_RETURN_IF_ERROR(PokeFault(f_frame_alloc_));
+    NEPHELE_RETURN_IF_ERROR(f_frame_alloc_.Poke());
     return frames_.Alloc(dom);
   }
 
@@ -167,14 +164,10 @@ class Hypervisor {
   // frames are charged to nobody once in dom_cow, matching Xen accounting).
   std::size_t DomainOwnedFrames(DomId dom) const;
 
-  std::uint64_t total_cow_faults() const { return total_cow_faults_; }
-  std::uint64_t hypercall_count() const { return hypercall_count_; }
-
   // Charges one hypercall trap cost; public so higher layers (toolstack,
   // guest runtime) account their hypercalls uniformly.
   void ChargeHypercall() {
     loop_.AdvanceBy(costs_.hypercall);
-    ++hypercall_count_;
     m_hypercalls_.Increment();
   }
 
@@ -199,10 +192,6 @@ class Hypervisor {
     domain_destroy_hook_ = std::move(hook);
   }
 
-  // Registry this hypervisor records into (its own fallback unless one was
-  // injected).
-  MetricsRegistry& metrics() { return *metrics_; }
-
  private:
   Result<Mfn> AllocFrameFor(DomId dom);
   Status ResolveCowForWrite(Domain& d, Gfn gfn);
@@ -225,8 +214,6 @@ class Hypervisor {
   HypervisorConfig config_;
   FrameTable frames_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
   Counter& m_hypercalls_;
   Counter& m_cow_faults_;
   Counter& m_cow_pages_copied_;
@@ -236,11 +223,10 @@ class Hypervisor {
   Counter& m_grant_unmaps_;
   Counter& m_domains_created_;
   Counter& m_domains_destroyed_;
-  // Null when no injector was wired; Poke'd through the null-safe helper.
-  FaultPoint* f_frame_alloc_ = nullptr;
-  FaultPoint* f_cow_resolve_ = nullptr;
-  FaultPoint* f_grant_access_ = nullptr;
-  FaultPoint* f_evtchn_alloc_ = nullptr;
+  FaultPoint& f_frame_alloc_;
+  FaultPoint& f_cow_resolve_;
+  FaultPoint& f_grant_access_;
+  FaultPoint& f_evtchn_alloc_;
   CowFaultHook cow_fault_hook_;
   LazyTouchHook lazy_touch_hook_;
   DomainDestroyHook domain_destroy_hook_;
@@ -249,9 +235,6 @@ class Hypervisor {
   std::map<DomId, EvtchnHandler> evtchn_handlers_;
   DomId next_domid_ = 1;  // 0 is Dom0
   bool cloning_globally_enabled_ = false;
-
-  std::uint64_t total_cow_faults_ = 0;
-  std::uint64_t hypercall_count_ = 0;
 };
 
 }  // namespace nephele

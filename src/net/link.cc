@@ -3,17 +3,14 @@
 namespace nephele {
 
 FabricLink::FabricLink(EventLoop& loop, std::string name, LinkConfig config,
-                       MetricsRegistry* metrics, FaultInjector* faults)
-    : loop_(loop), name_(std::move(name)), config_(config) {
-  if (metrics != nullptr) {
-    c_bytes_ = &metrics->GetCounter("fabric/link_tx_bytes");
-    c_packets_ = &metrics->GetCounter("fabric/link_tx_packets");
-    c_down_drops_ = &metrics->GetCounter("fabric/link_down_drops");
-  }
-  if (faults != nullptr) {
-    f_link_ = faults->GetPoint("fabric/link");
-  }
-}
+                       const SystemServices& services)
+    : loop_(loop),
+      name_(std::move(name)),
+      config_(config),
+      c_bytes_(services.metrics.GetCounter("fabric/link_tx_bytes")),
+      c_packets_(services.metrics.GetCounter("fabric/link_tx_packets")),
+      c_down_drops_(services.metrics.GetCounter("fabric/link_down_drops")),
+      f_link_(*services.faults.GetPoint("fabric/link")) {}
 
 std::size_t FabricLink::PacketCount(std::size_t payload_bytes) const {
   const std::size_t mtu = config_.mtu_bytes == 0 ? 1500 : config_.mtu_bytes;
@@ -28,32 +25,20 @@ std::size_t FabricLink::WireBytes(std::size_t payload_bytes) const {
 
 Status FabricLink::Transfer(std::size_t payload_bytes) {
   if (down_) {
-    if (c_down_drops_ != nullptr) {
-      c_down_drops_->Increment();
-    }
+    c_down_drops_.Increment();
     return ErrUnavailable("link " + name_ + " is down");
   }
-  if (f_link_ != nullptr) {
-    if (Status s = f_link_->Poke(); !s.ok()) {
-      if (c_down_drops_ != nullptr) {
-        c_down_drops_->Increment();
-      }
-      return s;
-    }
+  if (Status s = f_link_.Poke(); !s.ok()) {
+    c_down_drops_.Increment();
+    return s;
   }
   const std::size_t wire = WireBytes(payload_bytes);
   const std::size_t packets = PacketCount(payload_bytes);
   const double gbps = config_.bandwidth_gbps <= 0.0 ? 10.0 : config_.bandwidth_gbps;
   const double serialize_ns = static_cast<double>(wire) * 8.0 / gbps;  // bits / (Gbps) = ns
   loop_.AdvanceBy(config_.latency + SimDuration::Nanos(static_cast<std::int64_t>(serialize_ns)));
-  ++transfers_;
-  bytes_sent_ += wire;
-  if (c_bytes_ != nullptr) {
-    c_bytes_->Increment(wire);
-  }
-  if (c_packets_ != nullptr) {
-    c_packets_->Increment(packets);
-  }
+  c_bytes_.Increment(wire);
+  c_packets_.Increment(packets);
   return Status::Ok();
 }
 

@@ -20,6 +20,7 @@
 #include "src/fault/fault.h"
 #include "src/net/packet.h"
 #include "src/obs/metrics.h"
+#include "src/obs/services.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/time.h"
 
@@ -36,10 +37,8 @@ struct LinkConfig {
 
 class FabricLink {
  public:
-  // `metrics` and `faults` may be null (standalone constructions): the link
-  // then skips counting and never injects.
   FabricLink(EventLoop& loop, std::string name, LinkConfig config,
-             MetricsRegistry* metrics = nullptr, FaultInjector* faults = nullptr);
+             const SystemServices& services);
 
   FabricLink(const FabricLink&) = delete;
   FabricLink& operator=(const FabricLink&) = delete;
@@ -62,20 +61,15 @@ class FabricLink {
   std::size_t WireBytes(std::size_t payload_bytes) const;
   std::size_t PacketCount(std::size_t payload_bytes) const;
 
-  std::uint64_t transfers() const { return transfers_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-
  private:
   EventLoop& loop_;
   std::string name_;
   LinkConfig config_;
-  Counter* c_bytes_ = nullptr;
-  Counter* c_packets_ = nullptr;
-  Counter* c_down_drops_ = nullptr;
-  FaultPoint* f_link_ = nullptr;
+  Counter& c_bytes_;
+  Counter& c_packets_;
+  Counter& c_down_drops_;
+  FaultPoint& f_link_;
   bool down_ = false;
-  std::uint64_t transfers_ = 0;
-  std::uint64_t bytes_sent_ = 0;
 };
 
 }  // namespace nephele

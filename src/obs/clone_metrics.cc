@@ -4,16 +4,12 @@ namespace nephele {
 
 CloneMetricsObserver::CloneMetricsObserver(MetricsRegistry& metrics, EventLoop& loop)
     : loop_(loop),
-      batches_(metrics.GetCounter("clone/batches")),
       completions_(metrics.GetCounter("clone/completions")),
       child_resumes_(metrics.GetCounter("clone/resume/child_total")),
       parent_resumes_(metrics.GetCounter("clone/resume/parent_total")),
-      cow_faults_(metrics.GetCounter("cow/faults")),
-      cow_pages_copied_(metrics.GetCounter("cow/pages_copied")),
       fork_to_resume_ns_(metrics.GetHistogram("clone/fork_to_resume/duration_ns")) {}
 
 void CloneMetricsObserver::OnCloneStart(DomId parent, unsigned /*num_clones*/) {
-  batches_.Increment();
   // A parent can only have one batch in flight (it is paused until the batch
   // completes), so a plain map entry suffices.
   batch_start_[parent] = loop_.Now();
@@ -33,13 +29,6 @@ void CloneMetricsObserver::OnResume(DomId dom, bool is_child) {
   if (it != batch_start_.end()) {
     fork_to_resume_ns_.Observe((loop_.Now() - it->second).ns());
     batch_start_.erase(it);
-  }
-}
-
-void CloneMetricsObserver::OnCowFault(DomId /*dom*/, Gfn /*gfn*/, bool copied) {
-  cow_faults_.Increment();
-  if (copied) {
-    cow_pages_copied_.Increment();
   }
 }
 

@@ -1,6 +1,8 @@
 // CloneMetricsObserver: the metrics layer's CloneObserver. Turns clone-path
 // events into registry metrics — exactly the way a bench or tracer would
-// subscribe, proving the observer API carries enough information.
+// subscribe, proving the observer API carries enough information. It only
+// records what the engine and hypervisor do not count themselves (batches
+// are clone/batches_total, COW faults hypervisor/cow/*).
 
 #ifndef SRC_OBS_CLONE_METRICS_H_
 #define SRC_OBS_CLONE_METRICS_H_
@@ -20,16 +22,12 @@ class CloneMetricsObserver : public CloneObserver {
   void OnCloneStart(DomId parent, unsigned num_clones) override;
   void OnCloneComplete(DomId parent, DomId child) override;
   void OnResume(DomId dom, bool is_child) override;
-  void OnCowFault(DomId dom, Gfn gfn, bool copied) override;
 
  private:
   EventLoop& loop_;
-  Counter& batches_;
   Counter& completions_;
   Counter& child_resumes_;
   Counter& parent_resumes_;
-  Counter& cow_faults_;
-  Counter& cow_pages_copied_;
   // Guest-visible fork() latency: CLONEOP entry to parent resume.
   Histogram& fork_to_resume_ns_;
   std::map<DomId, SimTime> batch_start_;

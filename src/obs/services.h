@@ -1,14 +1,14 @@
-// SystemServices: the bundle of cross-cutting service handles (metrics,
-// tracing, fault injection) every control-plane component receives at
-// construction. Replaces the old trailing `MetricsRegistry*, TraceRecorder*,
-// FaultInjector*` optional-pointer tails on Toolstack, CloneEngine, Xencloned
-// and CloneScheduler: one struct passed by const-ref, so adding a service
-// never changes a constructor signature again.
+// SystemServices: the bundle of cross-cutting services (metrics, tracing,
+// fault injection) every component of a host receives at construction —
+// the hypervisor, Xenstore, device backends, toolstack, clone engine,
+// xencloned, the clone scheduler and fabric links. One struct passed by
+// const-ref, so adding a service never changes a constructor signature.
 //
-// Every member may be null — components then fall back to a private registry
-// (metrics), skip tracing, or never arm their fault points, exactly as the
-// old null pointer tails behaved. NepheleSystem::services() hands out the
-// fully-populated bundle.
+// Every member is a reference and the bundle has no default: a component
+// always records into the registry, traces into the recorder and registers
+// its fault points with the injector it was given. Host::services() hands
+// out a host's bundle; standalone constructions in tests declare their own
+// registry, recorder and injector.
 
 #ifndef SRC_OBS_SERVICES_H_
 #define SRC_OBS_SERVICES_H_
@@ -20,9 +20,9 @@ class TraceRecorder;
 class FaultInjector;
 
 struct SystemServices {
-  MetricsRegistry* metrics = nullptr;
-  TraceRecorder* trace = nullptr;
-  FaultInjector* faults = nullptr;
+  MetricsRegistry& metrics;
+  TraceRecorder& trace;
+  FaultInjector& faults;
 };
 
 }  // namespace nephele

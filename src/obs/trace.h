@@ -28,8 +28,7 @@ struct TraceEvent {
 class TraceRecorder;
 
 // RAII span: records into the recorder when End() runs (or at destruction).
-// Inert when created from a null recorder, so instrumented code needs no
-// null checks.
+// A default-constructed or moved-from span holds no recorder and is inert.
 class TraceSpan {
  public:
   TraceSpan() = default;

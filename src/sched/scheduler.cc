@@ -7,19 +7,6 @@
 
 namespace nephele {
 
-namespace {
-
-MetricsRegistry* PickRegistry(const SystemServices& services,
-                              std::unique_ptr<MetricsRegistry>& own) {
-  if (services.metrics != nullptr) {
-    return services.metrics;
-  }
-  own = std::make_unique<MetricsRegistry>();
-  return own.get();
-}
-
-}  // namespace
-
 CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack,
                                EventLoop& loop, SchedulerConfig config,
                                const SystemServices& services)
@@ -28,37 +15,35 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
       toolstack_(toolstack),
       loop_(loop),
       config_(config),
-      metrics_(PickRegistry(services, own_metrics_)),
       trace_(services.trace),
-      m_requests_(metrics_->GetCounter("sched/requests_total")),
-      m_warm_hits_(metrics_->GetCounter("sched/warm_hits")),
-      m_warm_misses_(metrics_->GetCounter("sched/warm_misses")),
-      m_batches_(metrics_->GetCounter("sched/batches_dispatched")),
-      m_batch_failures_(metrics_->GetCounter("sched/batch_failures")),
-      m_rejected_(metrics_->GetCounter("sched/rejected_queue_full")),
-      m_timeouts_(metrics_->GetCounter("sched/timeouts")),
-      m_parked_(metrics_->GetCounter("sched/parked_total")),
-      m_evictions_(metrics_->GetCounter("sched/evictions")),
-      m_evictions_pressure_(metrics_->GetCounter("sched/evictions_pressure")),
-      m_reset_fallback_(metrics_->GetCounter("sched/reset_fallback_destroys")),
-      m_stale_drops_(metrics_->GetCounter("sched/stale_pool_drops")),
-      m_feedback_transitions_(metrics_->GetCounter("sched/feedback_transitions")),
-      m_lazy_stream_finishes_(metrics_->GetCounter("sched/lazy_stream_finishes")),
-      m_lazy_streamed_pages_(metrics_->GetCounter("sched/lazy_streamed_pages")),
-      m_batch_size_(metrics_->GetHistogram("sched/batch_size", {1, 2, 4, 8, 16, 32, 64})),
-      m_wait_ns_(metrics_->GetHistogram("sched/wait_ns", Histogram::DefaultLatencyBoundsNs())),
-      m_warm_grant_ns_(
-          metrics_->GetHistogram("sched/warm_grant_ns", Histogram::DefaultLatencyBoundsNs())),
-      g_queue_depth_(metrics_->GetGauge("sched/queue_depth")),
-      g_pool_size_(metrics_->GetGauge("sched/warm_pool_size")),
-      g_eviction_frozen_(metrics_->GetGauge("sched/eviction_frozen")) {
+      m_requests_(services.metrics.GetCounter("sched/requests_total")),
+      m_warm_hits_(services.metrics.GetCounter("sched/warm_hits")),
+      m_warm_misses_(services.metrics.GetCounter("sched/warm_misses")),
+      m_batches_(services.metrics.GetCounter("sched/batches_dispatched")),
+      m_batch_failures_(services.metrics.GetCounter("sched/batch_failures")),
+      m_rejected_(services.metrics.GetCounter("sched/rejected_queue_full")),
+      m_timeouts_(services.metrics.GetCounter("sched/timeouts")),
+      m_parked_(services.metrics.GetCounter("sched/parked_total")),
+      m_evictions_(services.metrics.GetCounter("sched/evictions")),
+      m_evictions_pressure_(services.metrics.GetCounter("sched/evictions_pressure")),
+      m_reset_fallback_(services.metrics.GetCounter("sched/reset_fallback_destroys")),
+      m_stale_drops_(services.metrics.GetCounter("sched/stale_pool_drops")),
+      m_feedback_transitions_(services.metrics.GetCounter("sched/feedback_transitions")),
+      m_lazy_stream_finishes_(services.metrics.GetCounter("sched/lazy_stream_finishes")),
+      m_lazy_streamed_pages_(services.metrics.GetCounter("sched/lazy_streamed_pages")),
+      m_batch_size_(services.metrics.GetHistogram("sched/batch_size", {1, 2, 4, 8, 16, 32, 64})),
+      m_wait_ns_(services.metrics.GetHistogram("sched/wait_ns",
+                                               Histogram::DefaultLatencyBoundsNs())),
+      m_warm_grant_ns_(services.metrics.GetHistogram("sched/warm_grant_ns",
+                                                     Histogram::DefaultLatencyBoundsNs())),
+      g_queue_depth_(services.metrics.GetGauge("sched/queue_depth")),
+      g_pool_size_(services.metrics.GetGauge("sched/warm_pool_size")),
+      g_eviction_frozen_(services.metrics.GetGauge("sched/eviction_frozen")),
+      f_admit_(*services.faults.GetPoint("sched/admit")),
+      f_dispatch_(*services.faults.GetPoint("sched/dispatch")),
+      f_park_(*services.faults.GetPoint("sched/park")) {
   if (config_.max_batch == 0) {
     config_.max_batch = 1;
-  }
-  if (services.faults != nullptr) {
-    f_admit_ = services.faults->GetPoint("sched/admit");
-    f_dispatch_ = services.faults->GetPoint("sched/dispatch");
-    f_park_ = services.faults->GetPoint("sched/park");
   }
   executor_ = [this](const CloneRequest& req) { return engine_.Clone(req); };
   evict_ = [this](DomId dom) {
@@ -123,7 +108,7 @@ Status CloneScheduler::Acquire(const CloneRequest& req, GrantCallback cb) {
     return ErrNotFound("no such parent domain");
   }
   m_requests_.Increment(req.num_children);
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_admit_));
+  NEPHELE_RETURN_IF_ERROR(f_admit_.Poke());
 
   auto& ps = parents_[req.parent];
   // Admission is decided for the whole request before the warm pool is
@@ -246,7 +231,7 @@ void CloneScheduler::Dispatch(DomId parent) {
     --total_queued_;
   }
 
-  Status fault = PokeFault(f_dispatch_);
+  Status fault = f_dispatch_.Poke();
   const Domain* d = fault.ok() ? hv_.FindDomain(parent) : nullptr;
   if (fault.ok() && (d == nullptr || d->start_info_gfn == kInvalidGfn)) {
     fault = ErrNotFound("parent vanished before dispatch");
@@ -270,7 +255,7 @@ void CloneScheduler::Dispatch(DomId parent) {
   req.num_children = n;
   req.lazy = config_.lazy_dispatch;
 
-  TraceSpan span = trace_ != nullptr ? trace_->BeginSpan("sched/dispatch") : TraceSpan();
+  TraceSpan span = trace_.BeginSpan("sched/dispatch");
   span.AddArg("parent", static_cast<std::int64_t>(parent));
   span.AddArg("batch", static_cast<std::int64_t>(n));
 
@@ -360,7 +345,7 @@ Result<ReleaseOutcome> CloneScheduler::Release(DomId child) {
     }
   }
 
-  Status fault = PokeFault(f_park_);
+  Status fault = f_park_.Poke();
   // A half-streamed lazy child finishes its stream before it is scrubbed
   // and parked: a warm hit must hand out a fully-mapped domain, never one
   // that still demand-faults against its parent. (CloneReset would force

@@ -85,7 +85,7 @@ class CloneScheduler : public CloneObserver {
   using EvictFn = std::function<void(DomId)>;
 
   CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack, EventLoop& loop,
-                 SchedulerConfig config = {}, const SystemServices& services = {});
+                 SchedulerConfig config, const SystemServices& services);
   // Convenience wiring: knobs from host.config().sched, services from
   // host.services(). A NepheleSystem converts to its Host implicitly, so
   // `CloneScheduler sched(system)` keeps working.
@@ -190,9 +190,7 @@ class CloneScheduler : public CloneObserver {
   EventLoop& loop_;
   SchedulerConfig config_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
 
   Counter& m_requests_;
   Counter& m_warm_hits_;
@@ -218,9 +216,9 @@ class CloneScheduler : public CloneObserver {
   Gauge& g_pool_size_;
   Gauge& g_eviction_frozen_;
 
-  FaultPoint* f_admit_ = nullptr;
-  FaultPoint* f_dispatch_ = nullptr;
-  FaultPoint* f_park_ = nullptr;
+  FaultPoint& f_admit_;
+  FaultPoint& f_dispatch_;
+  FaultPoint& f_park_;
 
   CloneExecutor executor_;
   EvictFn evict_;

@@ -12,22 +12,18 @@ Toolstack::Toolstack(Hypervisor& hv, XenstoreDaemon& xs, DeviceManager& devices,
       devices_(devices),
       loop_(loop),
       costs_(costs),
-      own_metrics_(services.metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(services.metrics != nullptr ? services.metrics : own_metrics_.get()),
       trace_(services.trace),
-      m_domains_booted_(metrics_->GetCounter("toolstack/domains_booted")),
-      m_domains_restored_(metrics_->GetCounter("toolstack/domains_restored")),
-      m_domains_destroyed_(metrics_->GetCounter("toolstack/domains_destroyed")),
-      m_boot_ns_(metrics_->GetHistogram("toolstack/boot/duration_ns")),
-      m_restore_ns_(metrics_->GetHistogram("toolstack/restore/duration_ns")) {
-  if (services.faults != nullptr) {
-    f_create_domain_ = services.faults->GetPoint("toolstack/create_domain");
-  }
+      m_domains_booted_(services.metrics.GetCounter("toolstack/domains_booted")),
+      m_domains_restored_(services.metrics.GetCounter("toolstack/domains_restored")),
+      m_domains_destroyed_(services.metrics.GetCounter("toolstack/domains_destroyed")),
+      m_boot_ns_(services.metrics.GetHistogram("toolstack/boot/duration_ns")),
+      m_restore_ns_(services.metrics.GetHistogram("toolstack/restore/duration_ns")),
+      f_create_domain_(*services.faults.GetPoint("toolstack/create_domain")) {
   default_switch_ = &builtin_bridge_;
-  metrics_->GetGauge("toolstack/dom0_free_bytes").SetProvider([this] {
+  services.metrics.GetGauge("toolstack/dom0_free_bytes").SetProvider([this] {
     return static_cast<std::int64_t>(Dom0FreeBytes());
   });
-  metrics_->GetGauge("toolstack/domains_running").SetProvider([this] {
+  services.metrics.GetGauge("toolstack/domains_running").SetProvider([this] {
     return static_cast<std::int64_t>(configs_.size());
   });
 }
@@ -236,7 +232,7 @@ Status Toolstack::SetupVbd(DomId dom, const DomainConfig& config, GuestDevices& 
 
 Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
   const SimTime boot_start = loop_.Now();
-  TraceSpan span = trace_ != nullptr ? trace_->BeginSpan("toolstack/boot") : TraceSpan();
+  TraceSpan span = trace_.BeginSpan("toolstack/boot");
   // xl process startup + config parsing.
   loop_.AdvanceBy(costs_.xl_exec_overhead);
 
@@ -251,7 +247,7 @@ Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
     }
   }
 
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_create_domain_));
+  NEPHELE_RETURN_IF_ERROR(f_create_domain_.Poke());
   hv_.ChargeHypercall();
   NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(config.name, config.vcpus));
 
@@ -295,7 +291,6 @@ Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
 
   guest_devices_[dom] = std::move(devices);
   configs_[dom] = config;
-  ++domains_booted_;
   m_domains_booted_.Increment();
 
   hv_.ChargeHypercall();
@@ -394,6 +389,11 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
   if (d->parent != kDomInvalid || !d->children.empty()) {
     return RefuseFamilyMigration(*d);
   }
+  if (pending_emigrations_.count(dom) != 0) {
+    return ErrFailedPrecondition("emigration already in progress for domid " +
+                                 std::to_string(dom));
+  }
+  const bool was_running = d->state == DomainState::kRunning;
 
   MigrationStream stream;
   stream.config = cfg_it->second;
@@ -447,8 +447,10 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
   SimTime down_start = loop_.Now();
   auto last_dirty = hv_.FetchAndResetDirtyLog(dom);
   if (!last_dirty.ok()) {
-    // Failed in the downtime window: resume the source untouched.
-    (void)hv_.UnpauseDomain(dom);
+    // Failed in the downtime window: restore the source's state at entry.
+    if (was_running) {
+      (void)hv_.UnpauseDomain(dom);
+    }
     (void)hv_.SetDirtyLogging(dom, false);
     return last_dirty.status();
   }
@@ -458,7 +460,8 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
   loop_.AdvanceBy(costs_.save_fixed);
   local.downtime = loop_.Now() - down_start;
   (void)hv_.SetDirtyLogging(dom, false);
-  NEPHELE_RETURN_IF_ERROR(DestroyDomain(dom));
+  // Like BeginMigrateOut: the paused source waits for Complete or Abort.
+  pending_emigrations_[dom] = was_running;
   if (stats != nullptr) {
     *stats = local;
   }

@@ -52,11 +52,8 @@ struct MigrationStream {
 
 class Toolstack {
  public:
-  // Every service in `services` may be null: the toolstack then records into
-  // a private registry, skips tracing (standalone constructions keep
-  // working), and never arms the boot fault point.
   Toolstack(Hypervisor& hv, XenstoreDaemon& xs, DeviceManager& devices, EventLoop& loop,
-            const CostModel& costs, const SystemServices& services = {});
+            const CostModel& costs, const SystemServices& services);
 
   // Where new vifs are attached. Defaults to an internal Bridge; the Fig. 4
   // and Fig. 7 setups install a Bond instead.
@@ -79,7 +76,10 @@ class Toolstack {
   // what the guest dirtied meanwhile (`between_rounds` lets callers drive
   // guest activity between rounds, standing in for concurrently running
   // vCPUs); the final stop-and-copy round happens paused — its duration is
-  // the downtime. Same family restriction as BeginMigrateOut.
+  // the downtime. It ends like BeginMigrateOut: the source stays paused and
+  // intact until the caller, once the target's MigrateIn succeeded or
+  // failed, finishes with CompleteMigrateOut or AbortMigrateOut. Same family
+  // restriction and one-emigration-at-a-time rule as BeginMigrateOut.
   struct LiveMigrationStats {
     unsigned precopy_rounds = 0;
     std::size_t pages_shipped = 0;
@@ -162,8 +162,6 @@ class Toolstack {
   MacAddr NextMac() { return 0x00163e000000ULL + next_mac_suffix_++; }
   Ipv4Addr NextIp() { return MakeIpv4(10, 8, 0, 2) + next_ip_suffix_++; }
 
-  std::uint64_t domains_booted() const { return domains_booted_; }
-
  private:
   // Writes the Xenstore records a fresh domain gets (console, store, name,
   // /vm, /libxl and device entries), issuing real requests.
@@ -188,15 +186,13 @@ class Toolstack {
   EventLoop& loop_;
   const CostModel& costs_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
   Counter& m_domains_booted_;
   Counter& m_domains_restored_;
   Counter& m_domains_destroyed_;
   Histogram& m_boot_ns_;
   Histogram& m_restore_ns_;
-  FaultPoint* f_create_domain_ = nullptr;
+  FaultPoint& f_create_domain_;
 
   Bridge builtin_bridge_;
   HostSwitch* default_switch_;
@@ -211,7 +207,6 @@ class Toolstack {
   bool name_check_enabled_ = false;
   std::uint64_t next_mac_suffix_ = 1;
   std::uint32_t next_ip_suffix_ = 0;
-  std::uint64_t domains_booted_ = 0;
 };
 
 }  // namespace nephele

@@ -42,59 +42,54 @@ Status ValidateXsValue(const std::string& value) {
 }  // namespace
 
 XenstoreDaemon::XenstoreDaemon(EventLoop& loop, const CostModel& costs,
-                               MetricsRegistry* metrics, FaultInjector* faults)
+                               const SystemServices& services)
     : loop_(loop),
       costs_(costs),
-      own_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(metrics != nullptr ? metrics : own_metrics_.get()),
-      m_requests_(metrics_->GetCounter("xenstore/requests/total")),
-      m_req_write_(metrics_->GetCounter("xenstore/requests/write")),
-      m_req_read_(metrics_->GetCounter("xenstore/requests/read")),
-      m_req_mkdir_(metrics_->GetCounter("xenstore/requests/mkdir")),
-      m_req_rm_(metrics_->GetCounter("xenstore/requests/rm")),
-      m_req_directory_(metrics_->GetCounter("xenstore/requests/directory")),
-      m_req_txn_start_(metrics_->GetCounter("xenstore/requests/transaction_start")),
-      m_req_txn_end_(metrics_->GetCounter("xenstore/requests/transaction_end")),
-      m_req_watch_(metrics_->GetCounter("xenstore/requests/watch")),
-      m_req_unwatch_(metrics_->GetCounter("xenstore/requests/unwatch")),
-      m_req_introduce_(metrics_->GetCounter("xenstore/requests/introduce")),
-      m_req_release_(metrics_->GetCounter("xenstore/requests/release")),
-      m_req_xs_clone_(metrics_->GetCounter("xenstore/requests/xs_clone")),
-      m_watches_fired_(metrics_->GetCounter("xenstore/watches/fired")),
-      m_log_rotations_(metrics_->GetCounter("xenstore/log/rotations")),
-      m_txn_conflicts_(metrics_->GetCounter("xenstore/txn/conflicts")) {
-  if (faults != nullptr) {
-    f_request_ = faults->GetPoint("xenstore/request");
-    f_txn_commit_ = faults->GetPoint("xenstore/txn_commit");
-    f_xs_clone_ = faults->GetPoint("xenstore/xs_clone");
-  }
-  metrics_->GetGauge("xenstore/entries").SetProvider([this] {
-    return static_cast<std::int64_t>(stats_.entries);
+      m_requests_(services.metrics.GetCounter("xenstore/requests/total")),
+      m_req_write_(services.metrics.GetCounter("xenstore/requests/write")),
+      m_req_read_(services.metrics.GetCounter("xenstore/requests/read")),
+      m_req_mkdir_(services.metrics.GetCounter("xenstore/requests/mkdir")),
+      m_req_rm_(services.metrics.GetCounter("xenstore/requests/rm")),
+      m_req_directory_(services.metrics.GetCounter("xenstore/requests/directory")),
+      m_req_txn_start_(services.metrics.GetCounter("xenstore/requests/transaction_start")),
+      m_req_txn_end_(services.metrics.GetCounter("xenstore/requests/transaction_end")),
+      m_req_watch_(services.metrics.GetCounter("xenstore/requests/watch")),
+      m_req_unwatch_(services.metrics.GetCounter("xenstore/requests/unwatch")),
+      m_req_introduce_(services.metrics.GetCounter("xenstore/requests/introduce")),
+      m_req_release_(services.metrics.GetCounter("xenstore/requests/release")),
+      m_req_xs_clone_(services.metrics.GetCounter("xenstore/requests/xs_clone")),
+      m_watches_fired_(services.metrics.GetCounter("xenstore/watches/fired")),
+      m_log_rotations_(services.metrics.GetCounter("xenstore/log/rotations")),
+      m_txn_conflicts_(services.metrics.GetCounter("xenstore/txn/conflicts")),
+      f_request_(*services.faults.GetPoint("xenstore/request")),
+      f_txn_commit_(*services.faults.GetPoint("xenstore/txn_commit")),
+      f_xs_clone_(*services.faults.GetPoint("xenstore/xs_clone")) {
+  MetricsRegistry& metrics = services.metrics;
+  metrics.GetGauge("xenstore/entries").SetProvider([this] {
+    return static_cast<std::int64_t>(entries_);
   });
-  metrics_->GetGauge("xenstore/approx_bytes").SetProvider([this] {
+  metrics.GetGauge("xenstore/approx_bytes").SetProvider([this] {
     return static_cast<std::int64_t>(approx_bytes_);
   });
-  metrics_->GetGauge("xenstore/watches/active").SetProvider([this] {
+  metrics.GetGauge("xenstore/watches/active").SetProvider([this] {
     return static_cast<std::int64_t>(watches_.size());
   });
-  metrics_->GetGauge("xenstore/transactions/active").SetProvider([this] {
+  metrics.GetGauge("xenstore/transactions/active").SetProvider([this] {
     return static_cast<std::int64_t>(transactions_.size());
   });
 }
 
 Status XenstoreDaemon::ChargeRequest(Counter& op_counter) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_request_));
-  ++stats_.requests;
+  NEPHELE_RETURN_IF_ERROR(f_request_.Poke());
   m_requests_.Increment();
   op_counter.Increment();
   SimDuration cost = costs_.xs_request_base;
   cost += SimDuration::Nanos(costs_.xs_per_entry_scan.ns() *
-                             static_cast<std::int64_t>(stats_.entries));
+                             static_cast<std::int64_t>(entries_));
   if (access_log_enabled_) {
     cost += costs_.xs_log_append;
     if (++requests_since_rotation_ >= costs_.xs_log_rotate_every) {
       requests_since_rotation_ = 0;
-      ++stats_.log_rotations;
       m_log_rotations_.Increment();
       cost += costs_.xs_log_rotate;
     }
@@ -141,7 +136,7 @@ void XenstoreDaemon::InternalWrite(const std::string& path, const std::string& v
   Node* n = LookupOrCreate(path);
   if (!n->has_value) {
     n->has_value = true;
-    ++stats_.entries;
+    ++entries_;
   }
   approx_bytes_ += value.size() > n->value.size() ? value.size() - n->value.size() : 0;
   n->value = value;
@@ -154,7 +149,6 @@ Status XenstoreDaemon::Write(const std::string& path, const std::string& value) 
   NEPHELE_RETURN_IF_ERROR(ValidateXsPath(path));
   NEPHELE_RETURN_IF_ERROR(ValidateXsValue(value));
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_write_));
-  ++stats_.writes;
   InternalWrite(path, value, /*fire_watches=*/true);
   JournalWrite(path);
   return Status::Ok();
@@ -170,7 +164,6 @@ void XenstoreDaemon::JournalWrite(const std::string& path) {
 
 Result<std::string> XenstoreDaemon::Read(const std::string& path) {
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_read_));
-  ++stats_.reads;
   const Node* n = Lookup(path);
   if (n == nullptr || !n->has_value) {
     return ErrNotFound(path);
@@ -181,7 +174,6 @@ Result<std::string> XenstoreDaemon::Read(const std::string& path) {
 Status XenstoreDaemon::Mkdir(const std::string& path) {
   NEPHELE_RETURN_IF_ERROR(ValidateXsPath(path));
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_mkdir_));
-  ++stats_.writes;
   LookupOrCreate(path);
   FireWatches(path);
   return Status::Ok();
@@ -189,7 +181,7 @@ Status XenstoreDaemon::Mkdir(const std::string& path) {
 
 void XenstoreDaemon::CountRemovedSubtree(const Node& node) {
   if (node.has_value) {
-    --stats_.entries;
+    --entries_;
     approx_bytes_ -= std::min(approx_bytes_, node.value.size());
   }
   approx_bytes_ -= std::min(approx_bytes_, kPerNodeBytes);
@@ -201,7 +193,6 @@ void XenstoreDaemon::CountRemovedSubtree(const Node& node) {
 Status XenstoreDaemon::Rm(const std::string& path) {
   NEPHELE_RETURN_IF_ERROR(ValidateXsPath(path));
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_rm_));
-  ++stats_.writes;
   auto comps = SplitXsPath(path);
   if (comps.empty()) {
     return ErrInvalidArgument("cannot remove root");
@@ -225,7 +216,6 @@ Status XenstoreDaemon::Rm(const std::string& path) {
 
 Result<std::vector<std::string>> XenstoreDaemon::Directory(const std::string& path) {
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_directory_));
-  ++stats_.directory_lists;
   const Node* n = Lookup(path);
   if (n == nullptr) {
     return ErrNotFound(path);
@@ -253,7 +243,6 @@ Status XenstoreDaemon::TxnWrite(XsTransactionId txn, const std::string& path,
   NEPHELE_RETURN_IF_ERROR(ValidateXsPath(path));
   NEPHELE_RETURN_IF_ERROR(ValidateXsValue(value));
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_write_));
-  ++stats_.writes;
   auto it = transactions_.find(txn);
   if (it == transactions_.end()) {
     return ErrNotFound("no such transaction");
@@ -264,7 +253,6 @@ Status XenstoreDaemon::TxnWrite(XsTransactionId txn, const std::string& path,
 
 Result<std::string> XenstoreDaemon::TxnRead(XsTransactionId txn, const std::string& path) {
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_read_));
-  ++stats_.reads;
   auto it = transactions_.find(txn);
   if (it == transactions_.end()) {
     return ErrNotFound("no such transaction");
@@ -296,7 +284,7 @@ Status XenstoreDaemon::TransactionEnd(XsTransactionId txn, bool commit) {
   }
   // An injected commit failure behaves exactly like a lost conflict race:
   // the transaction is gone and the caller must restart it.
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_txn_commit_));
+  NEPHELE_RETURN_IF_ERROR(f_txn_commit_.Poke());
   // Conflict detection: any committed write since transaction start that
   // touches one of this transaction's paths aborts it (EAGAIN).
   auto touches = [&](const std::string& path) {
@@ -349,7 +337,6 @@ void XenstoreDaemon::RemoveWatchesOwnedBy(const std::string& owner_tag) {
 void XenstoreDaemon::FireWatches(const std::string& path) {
   for (const auto& w : watches_) {
     if (XsPathHasPrefix(path, w.prefix)) {
-      ++stats_.watches_fired;
       m_watches_fired_.Increment();
       // Watch events are delivered asynchronously over the client socket.
       auto cb = w.callback;
@@ -426,8 +413,7 @@ void XenstoreDaemon::CloneSubtree(const Node& src, const std::string& dst_path, 
 Status XenstoreDaemon::XsClone(DomId parent_domid, DomId child_domid, XsCloneOp op,
                                const std::string& parent_path, const std::string& child_path) {
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_xs_clone_));
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_xs_clone_));
-  ++stats_.xs_clone_requests;
+  NEPHELE_RETURN_IF_ERROR(f_xs_clone_.Poke());
   const Node* src = Lookup(parent_path);
   if (src == nullptr) {
     return ErrNotFound(parent_path);

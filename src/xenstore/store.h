@@ -18,6 +18,7 @@
 #include "src/fault/fault.h"
 #include "src/hypervisor/types.h"
 #include "src/obs/metrics.h"
+#include "src/obs/services.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_loop.h"
 
@@ -40,24 +41,9 @@ inline constexpr XsTransactionId kXsNoTransaction = 0;
 // node, `token` the caller-chosen tag.
 using XsWatchCallback = std::function<void(const std::string& path, const std::string& token)>;
 
-struct XenstoreStats {
-  std::uint64_t requests = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t directory_lists = 0;
-  std::uint64_t watches_fired = 0;
-  std::uint64_t xs_clone_requests = 0;
-  std::uint64_t log_rotations = 0;
-  std::uint64_t entries = 0;  // live nodes with values
-};
-
 class XenstoreDaemon {
  public:
-  // `metrics` may be null: the daemon then records into a private registry
-  // (standalone constructions in tests keep working). `faults` may be null
-  // too — fault points are then never armed.
-  XenstoreDaemon(EventLoop& loop, const CostModel& costs, MetricsRegistry* metrics = nullptr,
-                 FaultInjector* faults = nullptr);
+  XenstoreDaemon(EventLoop& loop, const CostModel& costs, const SystemServices& services);
 
   XenstoreDaemon(const XenstoreDaemon&) = delete;
   XenstoreDaemon& operator=(const XenstoreDaemon&) = delete;
@@ -114,14 +100,13 @@ class XenstoreDaemon {
   // ------------------------------------------------------------------
   // Introspection.
   // ------------------------------------------------------------------
-  const XenstoreStats& stats() const { return stats_; }
   bool Exists(const std::string& path) const;
   // Side-effect-free value lookup: no request charge, no access-log append,
   // no fault pokes. Null when the node is absent or holds no value. This is
   // the DST oracle's window into the store — probing must not perturb the
   // simulation it is checking.
   const std::string* PeekValue(const std::string& path) const;
-  std::size_t NumEntries() const { return stats_.entries; }
+  std::size_t NumEntries() const { return entries_; }
   // Approximate resident memory of the daemon (for Dom0 accounting, Fig. 5).
   std::size_t ApproxMemoryBytes() const { return approx_bytes_; }
 
@@ -170,8 +155,6 @@ class XenstoreDaemon {
   EventLoop& loop_;
   const CostModel& costs_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
   Counter& m_requests_;
   Counter& m_req_write_;
   Counter& m_req_read_;
@@ -188,9 +171,9 @@ class XenstoreDaemon {
   Counter& m_watches_fired_;
   Counter& m_log_rotations_;
   Counter& m_txn_conflicts_;
-  FaultPoint* f_request_ = nullptr;
-  FaultPoint* f_txn_commit_ = nullptr;
-  FaultPoint* f_xs_clone_ = nullptr;
+  FaultPoint& f_request_;
+  FaultPoint& f_txn_commit_;
+  FaultPoint& f_xs_clone_;
 
   Node root_;
   std::vector<WatchEntry> watches_;
@@ -200,7 +183,8 @@ class XenstoreDaemon {
   // Committed-write journal for conflict detection: (version, path).
   std::vector<std::pair<std::uint64_t, std::string>> write_journal_;
   std::uint64_t write_version_ = 0;
-  XenstoreStats stats_;
+  // Live nodes with values: every request pays a scan over them.
+  std::size_t entries_ = 0;
   std::uint64_t requests_since_rotation_ = 0;
   bool access_log_enabled_ = true;
   std::size_t approx_bytes_ = 0;

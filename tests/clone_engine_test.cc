@@ -328,15 +328,16 @@ TEST_F(CloneEngineTest, FirstStageTakesAboutOneMillisecond) {
 
 TEST_F(CloneEngineTest, SecondCloneIsCheaperSharing) {
   DomId parent = BootCloneable();
+  const MetricsRegistry& m = system_.metrics();
   (void)CloneAndSettle(parent);
-  CloneStats after_first = system_.clone_engine().stats();
+  const std::uint64_t first_after_first = m.CounterValue("clone/stage1/pages_shared_first");
+  const std::uint64_t again_after_first = m.CounterValue("clone/stage1/pages_shared_again");
   (void)CloneAndSettle(parent);
-  CloneStats after_second = system_.clone_engine().stats();
   // First clone transferred pages to dom_cow; the second only bumps
   // refcounts (Sec. 6.2 first-vs-second clone gap).
-  EXPECT_GT(after_first.pages_shared_first, 0u);
-  EXPECT_EQ(after_second.pages_shared_first, after_first.pages_shared_first);
-  EXPECT_GT(after_second.pages_shared_again, after_first.pages_shared_again);
+  EXPECT_GT(first_after_first, 0u);
+  EXPECT_EQ(m.CounterValue("clone/stage1/pages_shared_first"), first_after_first);
+  EXPECT_GT(m.CounterValue("clone/stage1/pages_shared_again"), again_after_first);
 }
 
 TEST_F(CloneEngineTest, CloneCowUnsharesExplicitly) {
@@ -348,7 +349,7 @@ TEST_F(CloneEngineTest, CloneCowUnsharesExplicitly) {
   ASSERT_TRUE(system_.clone_engine().CloneCow(kDom0, child, 0, 4).ok());
   EXPECT_NE(system_.hypervisor().FindDomain(child)->p2m[0].mfn, shared_text);
   EXPECT_TRUE(system_.hypervisor().FindDomain(child)->p2m[0].writable);
-  EXPECT_EQ(system_.clone_engine().stats().explicit_cow_pages, 4u);
+  EXPECT_EQ(system_.metrics().CounterValue("clone/cow/explicit_pages"), 4u);
 }
 
 TEST_F(CloneEngineTest, CloneCowPermissionChecked) {

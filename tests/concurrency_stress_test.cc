@@ -128,7 +128,7 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadKeepsInvariantsEveryRound) {
       SCOPED_TRACE("rollback via " + point);
       const std::size_t doms_before = sys.hypervisor().DomainIds().size();
       const std::size_t free_before = sys.hypervisor().FreePoolFrames();
-      const std::uint64_t rollbacks_before = sys.clone_engine().stats().rollbacks;
+      const std::uint64_t rollbacks_before = sys.metrics().CounterValue("clone/rolled_back");
       ASSERT_TRUE(sys.fault_injector().Arm(point, FaultSpec::NthHit(nth)).ok());
       auto failed = sys.clone_engine().Clone({*parent, *parent, StartInfoMfn(sys, *parent), 6});
       sys.fault_injector().DisarmAll();
@@ -136,7 +136,7 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadKeepsInvariantsEveryRound) {
       if (!failed.ok()) {
         EXPECT_EQ(sys.hypervisor().DomainIds().size(), doms_before);
         EXPECT_EQ(sys.hypervisor().FreePoolFrames(), free_before);
-        EXPECT_EQ(sys.clone_engine().stats().rollbacks, rollbacks_before + 1);
+        EXPECT_EQ(sys.metrics().CounterValue("clone/rolled_back"), rollbacks_before + 1);
         EXPECT_FALSE(sys.hypervisor().FindDomain(*parent)->IsPaused());
       } else {
         // The nth hit landed beyond this batch; the clones are real.
@@ -190,7 +190,7 @@ TEST_F(ConcurrencyStressTest, CloneOfCloneGenerationsUnderPool) {
     generation = next;
   }
   // 2 + 4 + 8 descendants of the root.
-  EXPECT_EQ(sys.clone_engine().stats().clones, 14u);
+  EXPECT_EQ(sys.metrics().CounterValue("clone/clones_total"), 14u);
 }
 
 // Back-to-back batches with the thread count reconfigured between them:

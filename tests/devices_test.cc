@@ -7,6 +7,7 @@
 #include "src/devices/p9.h"
 #include "src/devices/ring.h"
 #include "src/net/switch.h"
+#include "src/obs/trace.h"
 #include "src/xenstore/store.h"
 
 namespace nephele {
@@ -52,9 +53,9 @@ TEST(Xenbus, NamesAreStable) {
 class DeviceFixture : public ::testing::Test {
  protected:
   DeviceFixture()
-      : hv_(loop_, costs_, HypervisorConfig{.pool_frames = 16384}),
-        xs_(loop_, costs_),
-        devices_(hv_, xs_, loop_, costs_) {}
+      : hv_(loop_, costs_, HypervisorConfig{.pool_frames = 16384}, services_),
+        xs_(loop_, costs_, services_),
+        devices_(hv_, xs_, loop_, costs_, services_) {}
 
   DomId NewDomain() {
     auto dom = hv_.CreateDomain("d", 1);
@@ -64,6 +65,10 @@ class DeviceFixture : public ::testing::Test {
 
   CostModel costs_;
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  TraceRecorder trace_{loop_};
+  FaultInjector faults_{metrics_};
+  SystemServices services_{metrics_, trace_, faults_};
   Hypervisor hv_;
   XenstoreDaemon xs_;
   DeviceManager devices_;

@@ -7,6 +7,7 @@
 #include "src/core/smp.h"
 #include "src/guest/guest_manager.h"
 #include "src/net/switch.h"
+#include "src/obs/trace.h"
 #include "src/xenstore/store.h"
 
 namespace nephele {
@@ -16,8 +17,11 @@ namespace {
 
 class XsTxnTest : public ::testing::Test {
  protected:
-  XsTxnTest() : xs_(loop_, DefaultCostModel()) {}
+  XsTxnTest() : xs_(loop_, DefaultCostModel(), {metrics_, trace_, faults_}) {}
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  TraceRecorder trace_{loop_};
+  FaultInjector faults_{metrics_};
   XenstoreDaemon xs_;
 };
 
@@ -85,11 +89,11 @@ TEST_F(XsTxnTest, UnknownTransactionRejected) {
 }
 
 TEST_F(XsTxnTest, TransactionsChargeRequests) {
-  std::uint64_t before = xs_.stats().requests;
+  std::uint64_t before = metrics_.CounterValue("xenstore/requests/total");
   auto txn = xs_.TransactionStart();
   (void)xs_.TxnWrite(*txn, "/t/a", "1");
   (void)xs_.TransactionEnd(*txn, true);
-  EXPECT_EQ(xs_.stats().requests, before + 3);
+  EXPECT_EQ(metrics_.CounterValue("xenstore/requests/total"), before + 3);
 }
 
 // --- OVS least-loaded selector ---

@@ -360,7 +360,8 @@ TEST_F(FaultSweepTest, FaultedRunsAreByteDeterministic) {
   // fail at the same early hit for two seeds, so whole-run output is not a
   // reliable discriminator).
   auto pattern_for = [](std::uint64_t seed) {
-    FaultInjector inj;
+    MetricsRegistry metrics;
+    FaultInjector inj(metrics);
     FaultPoint* p = inj.GetPoint("probe");
     EXPECT_TRUE(inj.Arm("probe", FaultSpec::WithProbability(0.5, seed)).ok());
     std::string pattern;

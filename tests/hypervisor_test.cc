@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "src/hypervisor/hypervisor.h"
+#include "src/obs/trace.h"
 
 namespace nephele {
 namespace {
 
 class HypervisorTest : public ::testing::Test {
  protected:
-  HypervisorTest() : hv_(loop_, DefaultCostModel(), SmallConfig()) {}
+  HypervisorTest()
+      : hv_(loop_, DefaultCostModel(), SmallConfig(), {metrics_, trace_, faults_}) {}
 
   static HypervisorConfig SmallConfig() {
     HypervisorConfig cfg;
@@ -16,6 +18,9 @@ class HypervisorTest : public ::testing::Test {
   }
 
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  TraceRecorder trace_{loop_};
+  FaultInjector faults_{metrics_};
   Hypervisor hv_;
 };
 
@@ -246,10 +251,10 @@ TEST_F(HypervisorTest, CloneConfigViaDomctl) {
 }
 
 TEST_F(HypervisorTest, HypercallsAreCounted) {
-  std::uint64_t before = hv_.hypercall_count();
+  std::uint64_t before = metrics_.CounterValue("hypervisor/hypercalls");
   hv_.ChargeHypercall();
   hv_.ChargeHypercall();
-  EXPECT_EQ(hv_.hypercall_count(), before + 2);
+  EXPECT_EQ(metrics_.CounterValue("hypervisor/hypercalls"), before + 2);
 }
 
 }  // namespace

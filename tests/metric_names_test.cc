@@ -78,10 +78,9 @@ TEST(MetricNamesTest, EveryNameIsSubsystemSlashMetric) {
 TEST(MetricNamesTest, EverySubsystemPrefixIsKnown) {
   NepheleSystem sys;
   ExerciseEverything(sys);
-  const std::set<std::string> known = {"alarm",  "clone",      "cow",  "fault",
-                                       "hypervisor", "load",   "req",  "sched",
-                                       "toolstack",  "tsdb",   "xencloned",
-                                       "xenstore"};
+  const std::set<std::string> known = {"alarm",  "clone",     "fault",    "hypervisor",
+                                       "load",   "req",       "sched",    "toolstack",
+                                       "tsdb",   "xencloned", "xenstore"};
   for (const std::string& name : sys.metrics().AllNames()) {
     const std::string prefix = name.substr(0, name.find('/'));
     EXPECT_TRUE(known.count(prefix) == 1)

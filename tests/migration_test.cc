@@ -222,9 +222,50 @@ TEST_F(MigrationTest, LiveMigrationConvergesAndCarriesLatestData) {
 
   auto new_dom = target_.toolstack().MigrateIn(*stream);
   ASSERT_TRUE(new_dom.ok());
+  ASSERT_TRUE(source_.toolstack().CompleteMigrateOut(*dom).ok());
+  EXPECT_EQ(source_.hypervisor().FindDomain(*dom), nullptr);
   std::uint32_t got = 0;
   ASSERT_TRUE(target_.hypervisor().ReadGuestPage(*new_dom, gfn, 0, &got, 4).ok());
   EXPECT_EQ(got, version);  // the LAST version travelled
+}
+
+TEST_F(MigrationTest, LiveMigrationRefusedImmigrationLeavesSourceRunning) {
+  auto dom =
+      src_guests_.Launch(Guest("live-stays"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
+  source_.Settle();
+  GuestMemoryLayout layout = ComputeGuestLayout(Guest("live-stays"), 1024);
+  Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
+  std::uint32_t version = 0;
+  ASSERT_TRUE(source_.hypervisor().WriteGuestPage(*dom, gfn, 0, &version, 4).ok());
+  const std::size_t free_before = source_.hypervisor().FreePoolFrames();
+
+  auto between = [&] {
+    ++version;
+    (void)source_.hypervisor().WriteGuestPage(*dom, gfn, 0, &version, 4);
+  };
+  Toolstack::LiveMigrationStats stats;
+  auto stream = source_.toolstack().MigrateOutLive(*dom, /*max_rounds=*/3, between, &stats);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  // The paused source waits for Complete or Abort; a second emigration is
+  // refused meanwhile.
+  EXPECT_EQ(source_.toolstack().MigrateOutLive(*dom, 3, nullptr, &stats).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The target runs out of frames while rebuilding the guest's memory.
+  ASSERT_TRUE(target_.fault_injector().Arm("hypervisor/frame_alloc", FaultSpec::NthHit(1)).ok());
+  EXPECT_FALSE(target_.toolstack().MigrateIn(*stream).ok());
+  target_.fault_injector().DisarmAll();
+  ASSERT_TRUE(source_.toolstack().AbortMigrateOut(*dom).ok());
+  source_.Settle();
+
+  // The guest never left: running, latest data in place, pool untouched.
+  const Domain* d = source_.hypervisor().FindDomain(*dom);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->state, DomainState::kRunning);
+  std::uint32_t got = 0;
+  ASSERT_TRUE(source_.hypervisor().ReadGuestPage(*dom, gfn, 0, &got, 4).ok());
+  EXPECT_EQ(got, version);
+  EXPECT_EQ(source_.hypervisor().FreePoolFrames(), free_before);
 }
 
 TEST_F(MigrationTest, LiveMigrationRefusesFamilies) {

@@ -314,7 +314,7 @@ TEST_F(ObsIntegrationTest, CloneMetricsObserverAggregatesResumeLatency) {
   DomId parent = BootCloneable(system);
   CloneAndSettle(system, parent, 3);
   const MetricsRegistry& m = system.metrics();
-  EXPECT_EQ(m.CounterValue("clone/batches"), 1u);
+  EXPECT_EQ(m.CounterValue("clone/batches_total"), 1u);
   EXPECT_EQ(m.CounterValue("clone/completions"), 3u);
   EXPECT_EQ(m.CounterValue("clone/resume/child_total"), 3u);
   EXPECT_EQ(m.CounterValue("clone/resume/parent_total"), 1u);

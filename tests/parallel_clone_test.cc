@@ -224,7 +224,7 @@ TEST(ParallelClone, ReconfiguringThreadsBetweenBatchesIsTransparent) {
     sys.Settle();
     ExpectFrameConsistency(sys);
   }
-  EXPECT_EQ(sys.clone_engine().stats().clones, 16u);
+  EXPECT_EQ(sys.metrics().CounterValue("clone/clones_total"), 16u);
 }
 
 }  // namespace

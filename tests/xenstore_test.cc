@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/obs/trace.h"
 #include "src/xenstore/path.h"
 #include "src/xenstore/store.h"
 
@@ -30,8 +31,12 @@ TEST(XsPath, CanonicalPaths) {
 
 class XenstoreTest : public ::testing::Test {
  protected:
-  XenstoreTest() : xs_(loop_, DefaultCostModel()) {}
+  XenstoreTest() : xs_(loop_, DefaultCostModel(), {metrics_, trace_, faults_}) {}
+  std::uint64_t Count(std::string_view name) const { return metrics_.CounterValue(name); }
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  TraceRecorder trace_{loop_};
+  FaultInjector faults_{metrics_};
   XenstoreDaemon xs_;
 };
 
@@ -153,14 +158,17 @@ TEST_F(XenstoreTest, AccessLogRotationChargesSpike) {
   costs.xs_log_rotate_every = 10;
   costs.xs_log_rotate = SimDuration::Millis(100);
   EventLoop loop;
-  XenstoreDaemon xs(loop, costs);
+  MetricsRegistry metrics;
+  TraceRecorder trace(loop);
+  FaultInjector faults(metrics);
+  XenstoreDaemon xs(loop, costs, {metrics, trace, faults});
   for (int i = 0; i < 9; ++i) {
     ASSERT_TRUE(xs.Write("/k" + std::to_string(i), "v").ok());
   }
-  EXPECT_EQ(xs.stats().log_rotations, 0u);
+  EXPECT_EQ(metrics.CounterValue("xenstore/log/rotations"), 0u);
   SimTime before = loop.Now();
   ASSERT_TRUE(xs.Write("/trip", "v").ok());
-  EXPECT_EQ(xs.stats().log_rotations, 1u);
+  EXPECT_EQ(metrics.CounterValue("xenstore/log/rotations"), 1u);
   EXPECT_GT((loop.Now() - before).ToMillis(), 99.0);
 }
 
@@ -168,22 +176,25 @@ TEST_F(XenstoreTest, DisablingAccessLogPreventsRotations) {
   CostModel costs;
   costs.xs_log_rotate_every = 5;
   EventLoop loop;
-  XenstoreDaemon xs(loop, costs);
+  MetricsRegistry metrics;
+  TraceRecorder trace(loop);
+  FaultInjector faults(metrics);
+  XenstoreDaemon xs(loop, costs, {metrics, trace, faults});
   xs.SetAccessLogEnabled(false);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(xs.Write("/k" + std::to_string(i), "v").ok());
   }
-  EXPECT_EQ(xs.stats().log_rotations, 0u);
+  EXPECT_EQ(metrics.CounterValue("xenstore/log/rotations"), 0u);
 }
 
 TEST_F(XenstoreTest, StatsCountRequestKinds) {
   (void)xs_.Write("/a", "1");
   (void)xs_.Read("/a");
   (void)xs_.Directory("/");
-  EXPECT_EQ(xs_.stats().writes, 1u);
-  EXPECT_EQ(xs_.stats().reads, 1u);
-  EXPECT_EQ(xs_.stats().directory_lists, 1u);
-  EXPECT_EQ(xs_.stats().requests, 3u);
+  EXPECT_EQ(Count("xenstore/requests/write"), 1u);
+  EXPECT_EQ(Count("xenstore/requests/read"), 1u);
+  EXPECT_EQ(Count("xenstore/requests/directory"), 1u);
+  EXPECT_EQ(Count("xenstore/requests/total"), 3u);
 }
 
 // --- xs_clone ---
@@ -217,11 +228,11 @@ TEST_F(XsCloneTest, RequiresIntroducedChild) {
 TEST_F(XsCloneTest, ClonesWholeDirectoryAsOneRequest) {
   SeedParentDomain(7);
   ASSERT_TRUE(xs_.IntroduceDomain(8, 7).ok());
-  std::uint64_t before = xs_.stats().requests;
+  std::uint64_t before = Count("xenstore/requests/total");
   ASSERT_TRUE(
       xs_.XsClone(7, 8, XsCloneOp::kDevVif, XsDomainPath(7), XsDomainPath(8)).ok());
-  EXPECT_EQ(xs_.stats().requests, before + 1);  // ONE request, many entries
-  EXPECT_EQ(xs_.stats().xs_clone_requests, 1u);
+  EXPECT_EQ(Count("xenstore/requests/total"), before + 1);  // ONE request, many entries
+  EXPECT_EQ(Count("xenstore/requests/xs_clone"), 1u);
   EXPECT_EQ(*xs_.Read(XsDomainPath(8) + "/name"), "guest");
   EXPECT_EQ(*xs_.Read(XsDomainPath(8) + "/console/ring-ref"), "17");
 }
@@ -282,7 +293,10 @@ class XsCloneEquivalence : public ::testing::TestWithParam<XsCloneOp> {};
 
 TEST_P(XsCloneEquivalence, MatchesRewrittenDeepCopy) {
   EventLoop loop;
-  XenstoreDaemon xs(loop, DefaultCostModel());
+  MetricsRegistry metrics;
+  TraceRecorder trace(loop);
+  FaultInjector faults(metrics);
+  XenstoreDaemon xs(loop, DefaultCostModel(), {metrics, trace, faults});
   const DomId p = 11, c = 12;
   const std::string dp = XsDomainPath(p);
   ASSERT_TRUE(xs.Write(dp + "/domid", std::to_string(p)).ok());
