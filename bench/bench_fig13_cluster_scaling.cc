@@ -14,6 +14,11 @@
 // runs the scenario three times (workers 1, 1 again, 4) and fails hard on
 // any digest mismatch before emitting gate metrics.
 //
+// Every host charges its own virtual clock (src/sim/event_loop.h), so a
+// spread wave clones on all hosts in parallel. The bench reruns the same
+// scenario once on 2 and once on 8 hosts and prints the scenario's virtual
+// time against the host count.
+//
 // Usage: bench_fig13_cluster_scaling [instances]   (default 1024). With
 // --json=PATH the figures land in a BenchJsonWriter document for the
 // perf-regression gate (scripts/bench_gate.sh).
@@ -34,7 +39,7 @@
 namespace nephele {
 namespace {
 
-constexpr std::size_t kHosts = 4;
+constexpr std::size_t kHosts = 4;  // the gated scenario
 constexpr std::size_t kWave = 128;
 
 struct ScenarioResult {
@@ -49,10 +54,10 @@ struct ScenarioResult {
   bool invariants_ok = false;   // every host clean at the end
 };
 
-ScenarioResult RunScenario(std::size_t instances, unsigned clone_workers) {
+ScenarioResult RunScenario(std::size_t hosts, std::size_t instances, unsigned clone_workers) {
   ScenarioResult out;
   ClusterConfig cfg;
-  cfg.hosts = kHosts;
+  cfg.hosts = hosts;
   cfg.placement = PlacementPolicy::kSpread;
   cfg.host.hypervisor.pool_frames = 256 * 1024;  // 1 GiB pool per host
   cfg.host.clone_worker_threads = clone_workers;
@@ -112,14 +117,14 @@ ScenarioResult RunScenario(std::size_t instances, unsigned clone_workers) {
   if (mover.ok()) {
     fabric.Settle();
     (void)fabric.fault_injector().Arm("fabric/link", FaultSpec::NthHit(1));
-    auto failed = fabric.Migrate(*mover, 0, kHosts - 1);
+    auto failed = fabric.Migrate(*mover, 0, hosts - 1);
     const Domain* back = fabric.host(0).hypervisor().FindDomain(*mover);
     out.rollback_ok = !failed.ok() && back != nullptr &&
                       back->state == DomainState::kRunning &&
                       CheckHypervisorInvariants(fabric.host(0).hypervisor()).empty() &&
-                      CheckHypervisorInvariants(fabric.host(kHosts - 1).hypervisor()).empty();
+                      CheckHypervisorInvariants(fabric.host(hosts - 1).hypervisor()).empty();
     fabric.fault_injector().DisarmAll();
-    auto moved = fabric.Migrate(*mover, 0, kHosts - 1);
+    auto moved = fabric.Migrate(*mover, 0, hosts - 1);
     out.rollback_ok = out.rollback_ok && moved.ok();
     fabric.Settle();
   }
@@ -146,9 +151,14 @@ int main(int argc, char** argv) {
   const std::size_t instances = static_cast<std::size_t>(args.Positional("instances"));
   auto wall_start = std::chrono::steady_clock::now();
 
-  ScenarioResult run1 = RunScenario(instances, /*clone_workers=*/1);
-  ScenarioResult rerun = RunScenario(instances, /*clone_workers=*/1);
-  ScenarioResult run4 = RunScenario(instances, /*clone_workers=*/4);
+  ScenarioResult run1 = RunScenario(kHosts, instances, /*clone_workers=*/1);
+  ScenarioResult rerun = RunScenario(kHosts, instances, /*clone_workers=*/1);
+  ScenarioResult run4 = RunScenario(kHosts, instances, /*clone_workers=*/4);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+  ScenarioResult h2 = RunScenario(2, instances, /*clone_workers=*/1);
+  ScenarioResult h8 = RunScenario(8, instances, /*clone_workers=*/1);
 
   const bool rerun_identical = run1.digest == rerun.digest;
   const bool workers_identical = run1.digest == run4.digest;
@@ -159,6 +169,13 @@ int main(int argc, char** argv) {
     table.AddRow({static_cast<double>(i), static_cast<double>(run1.per_host[i])});
   }
   table.Print();
+
+  SeriesTable scaling("Figure 13: scenario virtual time vs hosts (spread)",
+                      {"hosts", "scenario_sim_ms"});
+  scaling.AddRow({2, h2.sim_ms});
+  scaling.AddRow({static_cast<double>(kHosts), run1.sim_ms});
+  scaling.AddRow({8, h8.sim_ms});
+  scaling.Print();
 
   PrintSummary("instances requested", static_cast<double>(instances));
   PrintSummary("instances granted", static_cast<double>(run1.granted));
@@ -171,22 +188,24 @@ int main(int argc, char** argv) {
   PrintSummary("digest identical across reruns", rerun_identical ? 1.0 : 0.0);
   PrintSummary("digest identical, workers 1 vs 4", workers_identical ? 1.0 : 0.0);
 
-  if (!rerun_identical || !workers_identical || !run1.rollback_ok || !run1.invariants_ok) {
-    std::fprintf(stderr,
-                 "FAIL: rerun_identical=%d workers_identical=%d rollback_ok=%d "
-                 "invariants_ok=%d\n",
-                 rerun_identical, workers_identical, run1.rollback_ok, run1.invariants_ok);
+  PrintSummary("host speedup, 8 vs 2 hosts", h2.sim_ms / h8.sim_ms, "x");
+
+  if (!rerun_identical || !workers_identical) {
+    std::fprintf(stderr, "FAIL: rerun_identical=%d workers_identical=%d\n", rerun_identical,
+                 workers_identical);
     return 1;
   }
-  if (run1.granted < instances) {
-    std::fprintf(stderr, "FAIL: only %zu of %zu instances granted\n", run1.granted, instances);
-    return 1;
+  for (const ScenarioResult* run : {&run1, &h2, &h8}) {
+    if (!run->rollback_ok || !run->invariants_ok || run->granted < instances) {
+      std::fprintf(stderr,
+                   "FAIL on %zu hosts: rollback_ok=%d invariants_ok=%d granted %zu of %zu\n",
+                   run->per_host.size(), run->rollback_ok, run->invariants_ok, run->granted,
+                   instances);
+      return 1;
+    }
   }
 
   if (!args.json_path().empty()) {
-    double wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
     BenchJsonWriter json("fig13");
     json.Add("instances_granted", static_cast<double>(run1.granted), "count",
              MetricDir::kHigherIsBetter, MetricKind::kSim);
@@ -197,6 +216,10 @@ int main(int argc, char** argv) {
     json.Add("fabric_tx_bytes", static_cast<double>(run1.link_tx_bytes), "B",
              MetricDir::kLowerIsBetter, MetricKind::kSim);
     json.Add("scenario_sim_ms", run1.sim_ms, "ms", MetricDir::kLowerIsBetter, MetricKind::kSim);
+    json.Add("scenario_sim_ms_h2", h2.sim_ms, "ms", MetricDir::kLowerIsBetter, MetricKind::kSim);
+    json.Add("scenario_sim_ms_h8", h8.sim_ms, "ms", MetricDir::kLowerIsBetter, MetricKind::kSim);
+    json.Add("host_speedup_h8_vs_h2", h2.sim_ms / h8.sim_ms, "x", MetricDir::kHigherIsBetter,
+             MetricKind::kSim);
     json.Add("host_wall_ms", wall_ms, "ms", MetricDir::kLowerIsBetter, MetricKind::kWall);
     return json.WriteFile(args.json_path()) ? 0 : 1;
   }

@@ -29,8 +29,10 @@ ClusterFabric::ClusterFabric(ClusterConfig config)
       }
       std::string name =
           "host" + std::to_string(s) + "->host" + std::to_string(d);
+      // A transfer occupies the sender: it charges the source host's lane.
       links_.emplace(std::make_pair(s, d),
-                     std::make_unique<FabricLink>(loop_, std::move(name), config_.link,
+                     std::make_unique<FabricLink>(hosts_[s]->loop(), std::move(name),
+                                                  config_.link,
                                                   SystemServices{metrics_, trace_, faults_}));
     }
   }
@@ -77,18 +79,30 @@ Result<DomId> ClusterFabric::Migrate(DomId dom, std::size_t src_host, std::size_
   const SimTime start = loop_.Now();
   m_migrations_.Increment();
   Host& src = *hosts_[src_host];
-  Host& dst = *hosts_[dst_host];
+  src.loop().AdvanceTo(start);
+  Result<DomId> moved = MigrateOnLanes(dom, src_host, dst_host);
+  // Every chain, rollbacks included, ends on the source lane.
+  loop_.AdvanceTo(src.Now());
+  if (!moved.ok()) {
+    m_migrations_failed_.Increment();
+    return moved;
+  }
+  h_migration_ns_.Observe((loop_.Now() - start).ns());
+  return moved;
+}
 
+Result<DomId> ClusterFabric::MigrateOnLanes(DomId dom, std::size_t src_host,
+                                            std::size_t dst_host) {
+  Host& src = *hosts_[src_host];
+  Host& dst = *hosts_[dst_host];
   auto stream = src.toolstack().BeginMigrateOut(dom);
   if (!stream.ok()) {
-    m_migrations_failed_.Increment();
     return stream.status();
   }
   // From here until CompleteMigrateOut the source sits paused with its
   // state intact: every failure rolls it back to running.
   auto roll_back = [&](Status why) -> Result<DomId> {
     src.toolstack().AbortMigrateOut(dom);
-    m_migrations_failed_.Increment();
     return why;
   };
   if (Status s = link(src_host, dst_host).Transfer(StreamPayloadBytes(*stream)); !s.ok()) {
@@ -97,16 +111,14 @@ Result<DomId> ClusterFabric::Migrate(DomId dom, std::size_t src_host, std::size_
   if (Status s = f_migrate_->Poke(); !s.ok()) {
     return roll_back(s);
   }
+  dst.loop().AdvanceTo(src.Now());
   auto in = dst.toolstack().MigrateIn(*stream);
+  src.loop().AdvanceTo(dst.Now());
   if (!in.ok()) {
     return roll_back(in.status());
   }
   // Point of no return: the copy runs on the destination; retire the source.
-  if (Status s = src.toolstack().CompleteMigrateOut(dom); !s.ok()) {
-    m_migrations_failed_.Increment();
-    return s;
-  }
-  h_migration_ns_.Observe((loop_.Now() - start).ns());
+  NEPHELE_RETURN_IF_ERROR(src.toolstack().CompleteMigrateOut(dom));
   return in;
 }
 
@@ -120,16 +132,25 @@ Result<DomId> ClusterFabric::ReplicateParent(DomId dom, std::size_t src_host,
   }
   const SimTime start = loop_.Now();
   m_replications_.Increment();
-  auto stream = hosts_[src_host]->toolstack().SnapshotDomain(dom);
-  if (!stream.ok()) {
+  Host& src = *hosts_[src_host];
+  Host& dst = *hosts_[dst_host];
+  src.loop().AdvanceTo(start);
+  auto fail = [&](Status why) -> Result<DomId> {
+    loop_.AdvanceTo(src.Now());
     m_replications_failed_.Increment();
-    return stream.status();
+    return why;
+  };
+  auto stream = src.toolstack().SnapshotDomain(dom);
+  if (!stream.ok()) {
+    return fail(stream.status());
   }
   if (Status s = link(src_host, dst_host).Transfer(StreamPayloadBytes(*stream)); !s.ok()) {
-    m_replications_failed_.Increment();
-    return s;
+    return fail(s);
   }
-  auto in = hosts_[dst_host]->toolstack().MigrateIn(*stream);
+  dst.loop().AdvanceTo(src.Now());
+  auto in = dst.toolstack().MigrateIn(*stream);
+  // The chain ends on the destination, which booted (or refused) the copy.
+  loop_.AdvanceTo(dst.Now());
   if (!in.ok()) {
     m_replications_failed_.Increment();
     return in.status();

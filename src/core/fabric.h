@@ -1,11 +1,20 @@
-// ClusterFabric: N Hosts under one discrete-event loop, connected by a
-// simulated network of latency/bandwidth-costed links (src/net/link.h).
-// This is the cross-host layer the paper's Sec. 8 leaves open: emigration
-// becomes a first-class, typed fabric operation — Migrate(dom, src, dst)
-// ships a stop-and-copy stream over the inter-host link and rolls the
-// source back cleanly on any link or immigration failure — and parent
-// images replicate to peers so cross-host clone placement (ClusterScheduler,
+// ClusterFabric: N Hosts connected by a simulated network of
+// latency/bandwidth-costed links (src/net/link.h). This is the cross-host
+// layer the paper's Sec. 8 leaves open: emigration becomes a first-class,
+// typed fabric operation — Migrate(dom, src, dst) ships a stop-and-copy
+// stream over the inter-host link and rolls the source back cleanly on any
+// link or immigration failure — and parent images replicate to peers so
+// cross-host clone placement (ClusterScheduler,
 // src/sched/cluster_scheduler.h) can satisfy an Acquire on any host.
+//
+// Time: the fabric's loop() is the *fabric lane* of one event-loop group,
+// and every host runs on its own lane of that group (src/sim/event_loop.h),
+// so hosts clone in parallel virtual time. Migrate and ReplicateParent are
+// explicit hand-off chains: the source lane catches up with the fabric,
+// runs Begin/Snapshot and pays the link transfer; the destination catches
+// up with the source and runs MigrateIn; the source catches up with the
+// destination for Complete/Abort; the fabric lane finally catches up with
+// the chain's last step. On idle hosts that costs exactly the serial sum.
 //
 // Observability: each host keeps its own registry with unchanged metric
 // names; the fabric adds its own registry (fabric/..., cluster/...) and
@@ -103,13 +112,16 @@ class ClusterFabric {
   // unprefixed, each host's metrics under "hostN/...".
   std::string ExportClusterMetricsJson() const;
 
-  // Runs the shared event loop until idle.
+  // Runs every lane's events until idle; all lanes then read one time.
   void Settle() { loop_.Run(); }
   SimTime Now() const { return loop_.Now(); }
 
  private:
   // Payload bytes a migration/replication stream occupies on the wire.
   static std::size_t StreamPayloadBytes(const MigrationStream& stream);
+  // Migrate's Begin -> stream -> MigrateIn -> Complete/Abort chain, each
+  // step on the lane of the host it runs on; ends on the source lane.
+  Result<DomId> MigrateOnLanes(DomId dom, std::size_t src_host, std::size_t dst_host);
 
   ClusterConfig config_;
   EventLoop loop_;

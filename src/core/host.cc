@@ -2,10 +2,10 @@
 
 namespace nephele {
 
-Host::Host(EventLoop& loop, SystemConfig config, std::size_t index)
+Host::Host(EventLoop& peer, SystemConfig config, std::size_t index)
     : config_(std::move(config)),
       costs_(config_.costs),
-      loop_(loop),
+      loop_(peer),
       index_(index),
       metrics_prefix_("host" + std::to_string(index) + "/") {
   hv_ = std::make_unique<Hypervisor>(loop_, costs_, config_.hypervisor, services());

@@ -1,11 +1,18 @@
 // Host: one fully-wired virtualization host — hypervisor, Xenstore, device
-// backends, toolstack, clone engine and xencloned — running on a shared
-// discrete-event loop owned by the ClusterFabric (src/core/fabric.h). Every
-// host keeps its own MetricsRegistry, TraceRecorder and FaultInjector, so a
-// host's observable behaviour (metric names, golden exports, fault-point
-// sets) is identical whether it runs alone behind the NepheleSystem facade
-// or as one of N fabric peers; cluster-level exports tag each host's metrics
-// with its `metrics_prefix()` ("hostN/") instead of renaming them in place.
+// backends, toolstack, clone engine and xencloned — running on its own lane
+// of the ClusterFabric's event loop (src/core/fabric.h, src/sim/event_loop.h).
+// The lane is the host's virtual clock: every component of the host charges
+// it and posts on it, so two hosts' inline work proceeds in parallel virtual
+// time while their events still run in one deterministic order. Code that
+// reaches into a host from another lane (the fabric, the cluster scheduler)
+// first hands its time over with loop().AdvanceTo().
+//
+// Every host keeps its own MetricsRegistry, TraceRecorder and FaultInjector,
+// so a host's observable behaviour (metric names, golden exports,
+// fault-point sets) is identical whether it runs alone behind the
+// NepheleSystem facade or as one of N fabric peers; cluster-level exports
+// tag each host's metrics with its `metrics_prefix()` ("hostN/") instead of
+// renaming them in place.
 
 #ifndef SRC_CORE_HOST_H_
 #define SRC_CORE_HOST_H_
@@ -62,9 +69,9 @@ struct SystemConfig {
 
 class Host {
  public:
-  // `loop` outlives the host; the fabric owns it. `index` names the host in
-  // cluster-level exports ("host0/", "host1/", ...).
-  explicit Host(EventLoop& loop, SystemConfig config = {}, std::size_t index = 0);
+  // The host's lane joins `peer`'s event-loop group (the fabric's loop).
+  // `index` names the host in cluster-level exports ("host0/", "host1/", ...).
+  explicit Host(EventLoop& peer, SystemConfig config = {}, std::size_t index = 0);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -115,14 +122,14 @@ class Host {
     engine_->SetWorkerThreads(n);
   }
 
-  // Runs the (shared) event loop until idle.
+  // Runs the whole event-loop group until idle.
   void Settle() { loop_.Run(); }
   SimTime Now() const { return loop_.Now(); }
 
  private:
   SystemConfig config_;
   CostModel costs_;
-  EventLoop& loop_;
+  EventLoop loop_;  // this host's lane
   std::size_t index_;
   std::string metrics_prefix_;
   MetricsRegistry metrics_;  // constructed before every subsystem using it

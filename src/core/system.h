@@ -3,9 +3,9 @@
 // toolstack, clone engine and xencloned) driven by a discrete-event loop.
 // This remains the library's main entry point (see examples/quickstart.cc);
 // since the cluster redesign it is a thin, permanent facade over a
-// single-host ClusterFabric: the wired machinery lives in Host
-// (src/core/host.h), the loop in the fabric (src/core/fabric.h), and every
-// accessor below forwards to the one host. Components built on top take
+// single-host ClusterFabric: the wired machinery and its clock live in Host
+// (src/core/host.h), the event-loop group in the fabric (src/core/fabric.h),
+// and every accessor below forwards to the one host. Components built on top take
 // `Host&` and accept a NepheleSystem via the implicit conversion, so
 // single-host code reads exactly as before while multi-host code constructs
 // a ClusterFabric directly.
@@ -67,7 +67,7 @@ class NepheleSystem {
 
   // Runs the event loop until idle.
   void Settle() { fabric_.Settle(); }
-  SimTime Now() const { return fabric_.Now(); }
+  SimTime Now() const { return host_->Now(); }
 
  private:
   static ClusterConfig MakeSingleHostConfig(SystemConfig config) {

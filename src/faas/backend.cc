@@ -5,7 +5,6 @@
 
 #include "src/apps/faas_app.h"
 #include "src/base/log.h"
-#include "src/core/fabric.h"
 #include "src/load/dispatch.h"
 #include "src/sched/scheduler.h"
 
@@ -235,130 +234,6 @@ std::size_t UnikernelBackend::MemoryBytes() const {
   // divergence).
   bytes += hv.frames().shared_frames() * kPageSize;
   return bytes;
-}
-
-// ---------------------------------------------------------------------------
-// ClusterBackend
-// ---------------------------------------------------------------------------
-
-ClusterBackend::ClusterBackend(ClusterFabric& fabric, std::vector<UnikernelBackend*> backends)
-    : fabric_(fabric), backends_(std::move(backends)) {}
-
-std::size_t ClusterBackend::PickScaleUpHost() const {
-  // Placement mirrors the cluster scheduler's cold-clone rules on the
-  // signals a fleet sees: instance counts for spread, hypervisor frame
-  // headroom for pack/memory-aware.
-  const PlacementPolicy policy = fabric_.config().placement;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < backends_.size(); ++i) {
-    switch (policy) {
-      case PlacementPolicy::kPack:
-        // Stick with the lowest-indexed host that still has frame headroom.
-        if (fabric_.host(best).hypervisor().FreePoolFrames() >
-            fabric_.config().pack_reserve_frames) {
-          continue;
-        }
-        if (fabric_.host(i).hypervisor().FreePoolFrames() >
-            fabric_.host(best).hypervisor().FreePoolFrames()) {
-          best = i;
-        }
-        break;
-      case PlacementPolicy::kSpread:
-        if (backends_[i]->TotalInstances() < backends_[best]->TotalInstances()) {
-          best = i;
-        }
-        break;
-      case PlacementPolicy::kMemoryAware:
-        if (fabric_.host(i).hypervisor().FreePoolFrames() >
-            fabric_.host(best).hypervisor().FreePoolFrames()) {
-          best = i;
-        }
-        break;
-    }
-  }
-  return best;
-}
-
-Status ClusterBackend::Deploy() {
-  if (backends_.empty()) {
-    return ErrFailedPrecondition("cluster backend has no hosts");
-  }
-  // Every host deploys its own first instance: the per-host parent each
-  // subsequent local clone descends from.
-  for (UnikernelBackend* backend : backends_) {
-    NEPHELE_RETURN_IF_ERROR(backend->Deploy());
-  }
-  return Status::Ok();
-}
-
-Status ClusterBackend::ScaleUp() {
-  if (backends_.empty()) {
-    return ErrFailedPrecondition("cluster backend has no hosts");
-  }
-  return backends_[PickScaleUpHost()]->ScaleUp();
-}
-
-Status ClusterBackend::ScaleDown() {
-  if (backends_.empty()) {
-    return ErrFailedPrecondition("cluster backend has no hosts");
-  }
-  // Retire from the fullest host; skip hosts already at their floor.
-  std::size_t best = backends_.size();
-  for (std::size_t i = 0; i < backends_.size(); ++i) {
-    if (backends_[i]->TotalInstances() <= 1) {
-      continue;
-    }
-    if (best == backends_.size() ||
-        backends_[i]->TotalInstances() > backends_[best]->TotalInstances()) {
-      best = i;
-    }
-  }
-  if (best == backends_.size()) {
-    return ErrFailedPrecondition("no host has instances to retire");
-  }
-  return backends_[best]->ScaleDown();
-}
-
-std::size_t ClusterBackend::ReadyInstances() const {
-  std::size_t n = 0;
-  for (const UnikernelBackend* b : backends_) {
-    n += b->ReadyInstances();
-  }
-  return n;
-}
-
-std::size_t ClusterBackend::TotalInstances() const {
-  std::size_t n = 0;
-  for (const UnikernelBackend* b : backends_) {
-    n += b->TotalInstances();
-  }
-  return n;
-}
-
-double ClusterBackend::CapacityPerInstance() const {
-  return backends_.empty() ? 0.0 : backends_[0]->CapacityPerInstance();
-}
-
-std::size_t ClusterBackend::MemoryBytes() const {
-  std::size_t bytes = 0;
-  for (const UnikernelBackend* b : backends_) {
-    bytes += b->MemoryBytes();
-  }
-  return bytes;
-}
-
-const std::vector<double>& ClusterBackend::ReadinessTimes() const {
-  merged_readiness_.clear();
-  for (const UnikernelBackend* b : backends_) {
-    const std::vector<double>& times = b->ReadinessTimes();
-    merged_readiness_.insert(merged_readiness_.end(), times.begin(), times.end());
-  }
-  std::sort(merged_readiness_.begin(), merged_readiness_.end());
-  return merged_readiness_;
-}
-
-std::size_t ClusterBackend::InstancesOn(std::size_t host) const {
-  return host < backends_.size() ? backends_[host]->TotalInstances() : 0;
 }
 
 }  // namespace nephele

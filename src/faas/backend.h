@@ -136,38 +136,6 @@ class UnikernelBackend : public FunctionBackend {
   std::vector<double> readiness_;
 };
 
-class ClusterFabric;
-
-// The multi-host setup: one UnikernelBackend per fabric host, presented to
-// the gateway as a single elastic fleet. Scale-up routes to a host by the
-// fabric's placement policy (spread = fewest instances, memory-aware/pack =
-// free-frame pressure against the pack reserve); scale-down retires from
-// the fullest host. Aggregate figures sum the per-host backends.
-class ClusterBackend : public FunctionBackend {
- public:
-  // `backends[i]` must manage instances on fabric host i. Not owned.
-  ClusterBackend(ClusterFabric& fabric, std::vector<UnikernelBackend*> backends);
-
-  Status Deploy() override;
-  Status ScaleUp() override;
-  Status ScaleDown() override;
-  std::size_t ReadyInstances() const override;
-  std::size_t TotalInstances() const override;
-  double CapacityPerInstance() const override;
-  std::size_t MemoryBytes() const override;
-  // Merged (sorted) readiness times across hosts, rebuilt on read.
-  const std::vector<double>& ReadinessTimes() const override;
-
-  std::size_t InstancesOn(std::size_t host) const;
-
- private:
-  std::size_t PickScaleUpHost() const;
-
-  ClusterFabric& fabric_;
-  std::vector<UnikernelBackend*> backends_;
-  mutable std::vector<double> merged_readiness_;
-};
-
 }  // namespace nephele
 
 #endif  // SRC_FAAS_BACKEND_H_

@@ -5,8 +5,10 @@
 //
 //   latency + (payload + ceil(payload/mtu) * 54 bytes) * 8 / bandwidth
 //
-// charged synchronously on the shared cluster event loop. Links carry a
-// down flag (partition injection) and poke the fabric-level fault point
+// charged synchronously to the sending host's lane of the cluster event loop
+// (src/sim/event_loop.h): a stream occupies its source, and the receiver
+// catches up with the sender's clock before it reads the stream. Links carry
+// a down flag (partition injection) and poke the fabric-level fault point
 // "fabric/link" once per transfer, so tests can fail a stream mid-flight
 // deterministically.
 
@@ -37,6 +39,7 @@ struct LinkConfig {
 
 class FabricLink {
  public:
+  // `loop` is the sending host's lane.
   FabricLink(EventLoop& loop, std::string name, LinkConfig config,
              const SystemServices& services);
 
@@ -52,7 +55,7 @@ class FabricLink {
   bool down() const { return down_; }
 
   // Ships `payload_bytes` across the link, charging propagation latency and
-  // per-frame serialization on the loop. Fails with kUnavailable when the
+  // per-frame serialization on the sender's lane. Fails with kUnavailable when the
   // link is down, or with whatever the armed "fabric/link" fault injects.
   Status Transfer(std::size_t payload_bytes);
 

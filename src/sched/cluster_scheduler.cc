@@ -173,21 +173,26 @@ Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, Gran
     }
     ++active_[host];
     const DomId replica = fam.replica_by_host[host];
+    EventLoop& lane = fabric_.host(host).loop();
+    lane.AdvanceTo(fabric_.Now());
     Status admitted = host_scheds_[host]->Acquire(
-        {kDom0, replica, kInvalidMfn, 1}, [this, host, cb](Result<DomId> granted) {
-          if (granted.ok()) {
-            cb(ClusterGrant{host, *granted});
-            return;
-          }
-          --active_[host];
-          m_rejected_.Increment();
-          cb(granted.status());
+        {kDom0, replica, kInvalidMfn, 1}, [this, host, cb, &lane](Result<DomId> granted) {
+          // The outcome crosses back to the fabric lane at the host's time.
+          fabric_.loop().PostAt(lane.Now(), [this, host, cb, granted] {
+            if (granted.ok()) {
+              cb(ClusterGrant{host, *granted});
+              return;
+            }
+            --active_[host];
+            m_rejected_.Increment();
+            cb(granted.status());
+          });
         });
     if (!admitted.ok()) {
       // Synchronous admission rejection: the per-host callback never fires.
       --active_[host];
       m_rejected_.Increment();
-      fabric_.loop().Post(SimDuration::Nanos(0), [cb, admitted] { cb(admitted); });
+      fabric_.loop().PostAt(lane.Now(), [cb, admitted] { cb(admitted); });
     }
   }
   return Status::Ok();
@@ -197,6 +202,7 @@ Result<ReleaseOutcome> ClusterScheduler::Release(const ClusterGrant& grant) {
   if (grant.host >= host_scheds_.size()) {
     return ErrInvalidArgument("no such host");
   }
+  fabric_.host(grant.host).loop().AdvanceTo(fabric_.Now());
   auto outcome = host_scheds_[grant.host]->Release(grant.dom);
   if (outcome.ok()) {
     if (active_[grant.host] > 0) {

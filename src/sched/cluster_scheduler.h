@@ -20,6 +20,13 @@
 // free hypervisor-pool frames, children this scheduler placed), entirely on
 // the deterministic cluster loop: byte-identical across reruns and clone
 // worker counts, like every other layer.
+//
+// Time: the scheduler lives on the fabric lane; each CloneScheduler runs on
+// its host's lane (src/sim/event_loop.h). Acquire and Release hand the
+// fabric's time to the target host (AdvanceTo) before calling into it, and
+// every grant or failure crosses back as an event posted on the fabric lane
+// at the host's time, so callbacks read fabric.Now() == the granting host's
+// clock and hosts serve their shares of a wave in parallel.
 
 #ifndef SRC_SCHED_CLUSTER_SCHEDULER_H_
 #define SRC_SCHED_CLUSTER_SCHEDULER_H_
@@ -77,7 +84,7 @@ class ClusterScheduler {
   Result<std::size_t> RegisterParent(std::size_t home_host, DomId parent);
 
   // Requests `num_children` clones of the family, each placed independently.
-  // `cb` fires once per child through the cluster loop — with the grant, or
+  // `cb` fires once per child on the fabric lane — with the grant, or
   // with the error that retired that child's request (admission, timeout,
   // batch failure). Rejections of one child do not abort the others.
   Status Acquire(std::size_t family, unsigned num_children, GrantCallback cb);

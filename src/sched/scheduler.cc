@@ -148,21 +148,12 @@ Status CloneScheduler::Acquire(const CloneRequest& req, GrantCallback cb) {
       t.id = next_ticket_id_++;
       t.enqueued_at = issued;
       t.cb = cb;
-      const std::uint64_t id = t.id;
-      ps.queue.push_back(std::move(t));
-      ++total_queued_;
       if (config_.request_timeout.ns() > 0) {
-        loop_.Post(config_.request_timeout, [this, parent, id] {
-          auto pit = parents_.find(parent);
-          if (pit == parents_.end()) {
-            return;
-          }
-          auto& queue = pit->second.queue;
+        // Fires only for a ticket still queued: leaving the queue cancels it.
+        t.timeout = loop_.Post(config_.request_timeout, [this, parent, id = t.id] {
+          auto& queue = parents_[parent].queue;
           auto qit = std::find_if(queue.begin(), queue.end(),
                                   [id](const Ticket& q) { return q.id == id; });
-          if (qit == queue.end()) {
-            return;  // already dispatched, granted or failed
-          }
           Ticket expired = std::move(*qit);
           queue.erase(qit);
           --total_queued_;
@@ -171,6 +162,8 @@ Status CloneScheduler::Acquire(const CloneRequest& req, GrantCallback cb) {
           UpdateGauges();
         });
       }
+      ps.queue.push_back(std::move(t));
+      ++total_queued_;
     }
     if (ps.queue.size() >= config_.max_batch) {
       // A full batch is ready: dispatch at this instant without waiting out
@@ -226,9 +219,7 @@ void CloneScheduler::Dispatch(DomId parent) {
   std::vector<Ticket> taken;
   taken.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    taken.push_back(std::move(ps.queue.front()));
-    ps.queue.pop_front();
-    --total_queued_;
+    taken.push_back(PopTicket(ps));
   }
 
   Status fault = f_dispatch_.Poke();
@@ -280,6 +271,14 @@ void CloneScheduler::Dispatch(DomId parent) {
     awaiting_resume_[(*children)[i]] = std::move(taken[i]);
   }
   UpdateGauges();
+}
+
+CloneScheduler::Ticket CloneScheduler::PopTicket(ParentState& ps) {
+  Ticket t = std::move(ps.queue.front());
+  ps.queue.pop_front();
+  --total_queued_;
+  loop_.Cancel(t.timeout);
+  return t;
 }
 
 void CloneScheduler::FailTicket(Ticket& ticket, const Status& why) {
@@ -464,9 +463,7 @@ void CloneScheduler::DrainAll() {
       DestroyChild(victim);
     }
     while (!ps.queue.empty()) {
-      Ticket t = std::move(ps.queue.front());
-      ps.queue.pop_front();
-      --total_queued_;
+      Ticket t = PopTicket(ps);
       FailTicket(t, ErrAborted("scheduler drained"));
     }
     ps.window_armed = false;

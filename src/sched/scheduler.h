@@ -23,7 +23,10 @@
 //               it past the limit is rejected synchronously with a typed
 //               kResourceExhausted status, and a queued request not served
 //               within the timeout fails with kAborted — overload degrades
-//               deterministically instead of growing unboundedly.
+//               deterministically instead of growing unboundedly. A ticket
+//               that leaves the queue (dispatch, DrainAll) cancels its
+//               timeout timer, so served requests leave no dead timers
+//               behind to age the clock when the loop drains.
 //
 // Every decision runs on the deterministic EventLoop (window timers, grant
 // delivery, timeouts), so scheduled runs stay byte-identical across reruns
@@ -160,6 +163,7 @@ class CloneScheduler : public CloneObserver {
     std::uint64_t id = 0;
     SimTime enqueued_at;
     GrantCallback cb;
+    EventId timeout;  // cancelled when the ticket leaves the queue
   };
   struct ParentState {
     std::deque<Ticket> queue;       // cold requests awaiting a batch
@@ -171,6 +175,8 @@ class CloneScheduler : public CloneObserver {
 
   void ArmWindow(DomId parent);
   void Dispatch(DomId parent);
+  // Pops the oldest queued ticket of `ps` and cancels its timeout timer.
+  Ticket PopTicket(ParentState& ps);
   void FailTicket(Ticket& ticket, const Status& why);
   void DestroyChild(DomId child);
   // Capacity (one pool) and watermark (all pools) eviction passes.

@@ -3,9 +3,12 @@
 // errors and clean rollback under link faults/partitions (frame conservation
 // asserted on both hosts via src/hypervisor/invariants.h), cross-host
 // Acquire through each placement policy, cross-host warm pools, the
-// NepheleSystem facade, and byte-determinism of the merged cluster exports
-// across reruns and clone worker counts.
+// NepheleSystem facade, per-host clocks and their hand-offs (parallel
+// waves, grant timestamps, migration into a busy host, no dead timers),
+// and byte-determinism of the merged cluster exports across reruns and
+// clone worker counts.
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "src/core/fabric.h"
 #include "src/core/system.h"
 #include "src/hypervisor/invariants.h"
+#include "src/obs/clone_observer.h"
 #include "src/obs/tsdb/tsdb.h"
 #include "src/sched/cluster_scheduler.h"
 
@@ -59,12 +63,16 @@ TEST(ClusterFacadeTest, NepheleSystemIsASingleHostFabric) {
   EXPECT_EQ(sys.fabric().num_hosts(), 1u);
   EXPECT_EQ(&sys.host(), &sys.fabric().host(0));
   EXPECT_EQ(&sys.metrics(), &sys.host().metrics());
-  EXPECT_EQ(&sys.loop(), &sys.fabric().loop());
+  // Components run on the host's lane, the fabric keeps its own.
+  EXPECT_EQ(&sys.loop(), &sys.host().loop());
   EXPECT_EQ(sys.host().metrics_prefix(), "host0/");
 
-  // The facade still boots guests exactly as before.
+  // The facade still boots guests exactly as before, on the host's clock.
   DomId dom = Boot(sys, GuestConfig("facade"));
   EXPECT_NE(sys.hypervisor().FindDomain(dom), nullptr);
+  sys.Settle();
+  EXPECT_GT(sys.Now(), SimTime());
+  EXPECT_EQ(sys.Now(), sys.host().Now());
 }
 
 TEST(ClusterFacadeTest, MergedExportOfOneUnprefixedPartEqualsPlainExport) {
@@ -365,6 +373,106 @@ TEST(ClusterSchedulerTest, WarmPoolServesAcrossAcquires) {
   fabric.Settle();
   ASSERT_EQ(regrants.size(), 2u);
   EXPECT_EQ(fabric.metrics().CounterValue("cluster/warm_placements"), warm_before + 2);
+  ExpectClean(fabric);
+}
+
+// ---------------------------------------------------------------------------
+// Time: per-host lanes and explicit hand-offs
+// ---------------------------------------------------------------------------
+
+// Records the host-lane time at which each child resumed (= was granted).
+class ResumeClock : public CloneObserver {
+ public:
+  explicit ResumeClock(Host& host) : host_(host) { host_.clone_engine().AddObserver(this); }
+  ~ResumeClock() override { host_.clone_engine().RemoveObserver(this); }
+  void OnResume(DomId dom, bool is_child) override {
+    if (is_child) {
+      resumed_at[dom] = host_.Now();
+    }
+  }
+  std::map<DomId, SimTime> resumed_at;
+
+ private:
+  Host& host_;
+};
+
+struct SpreadWave {
+  SimDuration last_grant;                 // from the Acquire to its last grant
+  std::vector<bool> grant_on_host_clock;  // per grant: fabric.Now() == resume time
+  SimTime settled;                        // fabric.Now() after the final Settle()
+  SimTime last_grant_at;
+};
+
+// One spread Acquire of `children` on a fresh `hosts`-host fabric.
+SpreadWave AcquireSpread(std::size_t hosts, unsigned children) {
+  ClusterConfig cfg = SmallCluster(hosts);
+  cfg.placement = PlacementPolicy::kSpread;
+  ClusterFabric fabric(cfg);
+  ClusterScheduler sched(fabric);
+  std::vector<std::unique_ptr<ResumeClock>> clocks;
+  for (std::size_t i = 0; i < hosts; ++i) {
+    clocks.push_back(std::make_unique<ResumeClock>(fabric.host(i)));
+  }
+  DomId parent = Boot(fabric.host(0), GuestConfig("fn"));
+  auto family = sched.RegisterParent(0, parent);
+  EXPECT_TRUE(family.ok());
+  fabric.Settle();
+
+  SpreadWave out;
+  const SimTime asked = fabric.Now();
+  out.last_grant_at = asked;
+  EXPECT_TRUE(sched.Acquire(*family, children, [&](Result<ClusterGrant> r) {
+                     ASSERT_TRUE(r.ok()) << r.status().ToString();
+                     out.last_grant_at = fabric.Now();
+                     const auto& resumed = clocks[r->host]->resumed_at;
+                     auto it = resumed.find(r->dom);
+                     out.grant_on_host_clock.push_back(it != resumed.end() &&
+                                                       it->second == fabric.Now());
+                   })
+                  .ok());
+  fabric.Settle();
+  out.last_grant = out.last_grant_at - asked;
+  out.settled = fabric.Now();
+  ExpectClean(fabric);
+  return out;
+}
+
+TEST(ClusterTimeTest, HostsCloneASpreadWaveInParallel) {
+  const SpreadWave one = AcquireSpread(1, 8);
+  const SpreadWave four = AcquireSpread(4, 8);
+  ASSERT_GT(one.last_grant.ns(), 0);
+  EXPECT_LT(four.last_grant.ns() * 2, one.last_grant.ns())
+      << "4 hosts: " << four.last_grant.ToMillis()
+      << " ms, 1 host: " << one.last_grant.ToMillis() << " ms";
+}
+
+TEST(ClusterTimeTest, GrantCallbackReadsTheGrantingHostsClock) {
+  const SpreadWave wave = AcquireSpread(4, 8);
+  ASSERT_EQ(wave.grant_on_host_clock.size(), 8u);
+  for (std::size_t i = 0; i < wave.grant_on_host_clock.size(); ++i) {
+    EXPECT_TRUE(wave.grant_on_host_clock[i]) << "grant " << i;
+  }
+}
+
+TEST(ClusterTimeTest, SettleEndsAtTheLastGrantNotATimeoutLater) {
+  const SpreadWave wave = AcquireSpread(4, 8);
+  EXPECT_EQ(wave.settled, wave.last_grant_at);
+}
+
+TEST(ClusterTimeTest, MigrateIntoABusyHostWaitsForItsClock) {
+  ClusterFabric fabric(SmallCluster(2));
+  DomId dom = Boot(fabric.host(0), GuestConfig("mover", /*max_clones=*/0));
+  // A top-level boot on host 1 charges only host 1's lane.
+  ASSERT_TRUE(fabric.host(1).toolstack().CreateDomain(GuestConfig("busy", 0)).ok());
+  const SimTime busy_until = fabric.host(1).Now();
+  ASSERT_LT(fabric.Now(), busy_until);
+  ASSERT_EQ(fabric.host(0).Now(), fabric.Now());
+
+  auto moved = fabric.Migrate(dom, 0, 1);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_GT(fabric.Now(), busy_until);
+  EXPECT_EQ(fabric.host(0).Now(), fabric.Now());
+  fabric.Settle();
   ExpectClean(fabric);
 }
 

@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/cost_model.h"
@@ -87,6 +90,112 @@ TEST(EventLoop, NegativeDelayClampsToNow) {
   loop.Run();
   EXPECT_TRUE(fired);
   EXPECT_DOUBLE_EQ(loop.Now().ToMillis(), 3.0);
+}
+
+// ---------------------------------------------------------------------------
+// Lanes: several clocks over one deterministic queue
+// ---------------------------------------------------------------------------
+
+SimTime Ms(double ms) { return SimTime(SimDuration::Millis(ms).ns()); }
+
+TEST(EventLoopLanes, LanesAdvanceIndependently) {
+  EventLoop a;
+  EventLoop b(a);
+  a.AdvanceBy(SimDuration::Millis(5));
+  EXPECT_EQ(a.Now(), Ms(5));
+  EXPECT_EQ(b.Now(), Ms(0));
+  b.AdvanceByCriticalPath({SimDuration::Millis(2), SimDuration::Millis(3)});
+  EXPECT_EQ(a.Now(), Ms(5));
+  EXPECT_EQ(b.Now(), Ms(3));
+}
+
+TEST(EventLoopLanes, EventsInterleaveInWhenThenSeqOrder) {
+  EventLoop a;
+  EventLoop b(a);
+  std::vector<std::string> order;
+  a.Post(SimDuration::Millis(3), [&] { order.push_back("a3"); });
+  b.Post(SimDuration::Millis(1), [&] { order.push_back("b1"); });
+  a.Post(SimDuration::Millis(1), [&] { order.push_back("a1"); });
+  b.Post(SimDuration::Millis(3), [&] { order.push_back("b3"); });
+  EXPECT_EQ(b.Run(), 4u);  // any lane drives the whole group
+  EXPECT_EQ(order, (std::vector<std::string>{"b1", "a1", "a3", "b3"}));
+}
+
+TEST(EventLoopLanes, EventRunsAtItsLaneNowOrItsTimeWhicheverIsLater) {
+  EventLoop a;
+  EventLoop b(a);
+  SimTime seen_a;
+  SimTime seen_b;
+  a.Post(SimDuration::Millis(1), [&] { a.AdvanceBy(SimDuration::Millis(10)); });
+  a.Post(SimDuration::Millis(2), [&] { seen_a = a.Now(); });
+  b.Post(SimDuration::Millis(2), [&] { seen_b = b.Now(); });
+  a.Run();
+  EXPECT_EQ(seen_a, Ms(11));  // a was already past the event's time
+  EXPECT_EQ(seen_b, Ms(2));   // a's work did not delay b
+}
+
+TEST(EventLoopLanes, RunAlignsLanesOnTheLatestAndRunUntilOnTheDeadline) {
+  EventLoop a;
+  EventLoop b(a);
+  b.Post(SimDuration::Millis(1), [&] { b.AdvanceBy(SimDuration::Millis(4)); });
+  a.Run();
+  EXPECT_EQ(a.Now(), Ms(5));
+  EXPECT_EQ(b.Now(), Ms(5));
+
+  a.Post(SimDuration::Millis(1), [] {});
+  b.RunUntil(Ms(20));
+  EXPECT_EQ(a.Now(), Ms(20));
+  EXPECT_EQ(b.Now(), Ms(20));
+
+  a.AdvanceBy(SimDuration::Millis(15));
+  b.RunUntil(Ms(30));
+  EXPECT_EQ(a.Now(), Ms(35));
+  EXPECT_EQ(b.Now(), Ms(35));
+}
+
+TEST(EventLoopLanes, AdvanceToNeverMovesAClockBack) {
+  EventLoop a;
+  a.AdvanceBy(SimDuration::Millis(5));
+  a.AdvanceTo(Ms(2));
+  EXPECT_EQ(a.Now(), Ms(5));
+  a.AdvanceTo(Ms(7));
+  EXPECT_EQ(a.Now(), Ms(7));
+}
+
+TEST(EventLoopLanes, CancelledEventNeverRunsNorMovesAClock) {
+  EventLoop a;
+  EventLoop b(a);
+  bool ran = false;
+  const EventId doomed = b.Post(SimDuration::Millis(50), [&] { ran = true; });
+  a.Post(SimDuration::Millis(1), [] {});
+  EXPECT_EQ(a.pending_events(), 2u);
+  EXPECT_TRUE(a.Cancel(doomed));  // ids are group-wide
+  EXPECT_FALSE(a.Cancel(doomed));
+  EXPECT_EQ(a.pending_events(), 1u);
+  EXPECT_EQ(a.Run(), 1u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(a.Now(), Ms(1));
+  EXPECT_EQ(b.Now(), Ms(1));
+  EXPECT_FALSE(b.HasPendingEvents());
+
+  const EventId done = a.Post(SimDuration::Millis(1), [] {});
+  a.Run();
+  EXPECT_FALSE(a.Cancel(done));
+  EXPECT_FALSE(a.Cancel(EventId{}));
+}
+
+TEST(EventLoopLanes, DestroyedLaneRunsNoEvents) {
+  EventLoop a;
+  bool ran = false;
+  {
+    EventLoop b(a);
+    b.Post(SimDuration::Millis(1), [&] { ran = true; });
+    a.Post(SimDuration::Millis(2), [] {});
+    EXPECT_EQ(a.pending_events(), 2u);
+  }
+  EXPECT_EQ(a.pending_events(), 1u);
+  EXPECT_EQ(a.Run(), 1u);
+  EXPECT_FALSE(ran);
 }
 
 TEST(Rng, Deterministic) {
