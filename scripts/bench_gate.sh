@@ -9,7 +9,7 @@
 #
 #   --sim-only   compare only kind "sim" metrics (deterministic virtual-time
 #                figures; flake-free — what ctest runs). Wall-only benches
-#                are skipped entirely.
+#                and the paper-scale fig05 run are skipped entirely.
 #   --record     re-record scripts/bench_baseline.json from this machine's
 #                run. Do this after an intentional perf or schema change,
 #                on an otherwise idle machine.
@@ -56,9 +56,18 @@ run_wall_benches() {
   "${BENCH}/bench_micro_ops" --json="${OUT}/BENCH_sched.json" --suite=sched
 }
 
+# Fig. 5 at paper scale (a 12 GiB pool, ~3000 boots then ~8700 clones):
+# gates the simulator's own host cost — wall time and peak RSS — where the
+# paper's density claim lives. Too big for the sanitizer legs, so it never
+# runs under --sim-only (the ctest shape).
+run_paper_scale_benches() {
+  "${BENCH}/bench_fig05_memory_density" --json="${OUT}/BENCH_fig05.json" >/dev/null
+}
+
 CURRENTS_SIM=(--current="${OUT}/BENCH_fig04.json" --current="${OUT}/BENCH_fig11.json"
               --current="${OUT}/BENCH_fig12.json" --current="${OUT}/BENCH_fig13.json")
 CURRENTS_WALL=(--current="${OUT}/BENCH_clone.json" --current="${OUT}/BENCH_sched.json")
+CURRENTS_PAPER=(--current="${OUT}/BENCH_fig05.json")
 
 case "${MODE}" in
   record)
@@ -68,8 +77,9 @@ case "${MODE}" in
     fi
     run_sim_benches
     run_wall_benches
+    run_paper_scale_benches
     "${BENCH}/bench_gate" --record="${BASELINE}" \
-      "${CURRENTS_SIM[@]}" "${CURRENTS_WALL[@]}"
+      "${CURRENTS_SIM[@]}" "${CURRENTS_WALL[@]}" "${CURRENTS_PAPER[@]}"
     ;;
   selftest)
     # A 4x synthetic slowdown on every wall metric must trip the 1.75x band
@@ -91,8 +101,9 @@ case "${MODE}" in
     fi
     for attempt in 1 2 3; do
       run_wall_benches
+      run_paper_scale_benches
       if "${BENCH}/bench_gate" --baseline="${BASELINE}" --require-all \
-           "${CURRENTS_SIM[@]}" "${CURRENTS_WALL[@]}"; then
+           "${CURRENTS_SIM[@]}" "${CURRENTS_WALL[@]}" "${CURRENTS_PAPER[@]}"; then
         exit 0
       fi
       echo "bench gate: attempt ${attempt}/3 failed; retrying wall benches" >&2

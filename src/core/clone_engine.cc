@@ -654,7 +654,7 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   // fix-up had bound those ports to the first child. The parent-side half
   // of the fix-up is applied serially at commit.
   const DomId bind_to = cp.id == batch.first_child ? parent.id : batch.first_child;
-  for (EvtchnPort p = 1; p < child.evtchns.max_ports(); ++p) {
+  for (EvtchnPort p = 1; p < child.evtchns.used_port_limit(); ++p) {
     EvtchnEntry& ce = child.evtchns.mutable_entry(p);
     if (ce.idc && ce.state == EvtchnState::kUnbound && ce.remote_dom == kDomChild) {
       ce.state = EvtchnState::kInterdomain;
@@ -845,7 +845,7 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   // Parent half of the IDC event-channel fix-up: its unbound kDomChild
   // ports connect to the first child (which keeps serving as the receive
   // end for later ones).
-  for (EvtchnPort p = 1; p < parent->evtchns.max_ports(); ++p) {
+  for (EvtchnPort p = 1; p < parent->evtchns.used_port_limit(); ++p) {
     EvtchnEntry& pe = parent->evtchns.mutable_entry(p);
     if (pe.idc && pe.state == EvtchnState::kUnbound && pe.remote_dom == kDomChild) {
       pe.state = EvtchnState::kInterdomain;

@@ -76,7 +76,7 @@ struct Domain {
   EvtchnTable evtchns;
   // Mapper-side record of grant mappings this domain holds into other
   // domains' tables, one (granter, ref) pair per mapping. The granter-side
-  // GrantEntry::mappers list is the mirror; Hypervisor::MapGrant/UnmapGrant
+  // GrantTable::mappers(ref) list is the mirror; Hypervisor::MapGrant/UnmapGrant
   // keep the two in lock step and DestroyDomain force-revokes both ways.
   std::vector<std::pair<DomId, GrantRef>> grant_maps;
 

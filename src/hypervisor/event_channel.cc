@@ -1,18 +1,19 @@
 #include "src/hypervisor/event_channel.h"
 
-#include <algorithm>
-
 namespace nephele {
 
 Result<EvtchnPort> EvtchnTable::AllocPort() {
   // Port 0 is reserved, as on Xen.
   for (std::size_t i = 1; i < ports_.size(); ++i) {
     if (ports_[i].state == EvtchnState::kFree) {
-      used_limit_ = std::max(used_limit_, i + 1);
       return static_cast<EvtchnPort>(i);
     }
   }
-  return ErrResourceExhausted("event channel table full");
+  if (ports_.size() >= max_ports_) {
+    return ErrResourceExhausted("event channel table full");
+  }
+  ports_.emplace_back();
+  return static_cast<EvtchnPort>(ports_.size() - 1);
 }
 
 Result<EvtchnPort> EvtchnTable::AllocUnbound(DomId remote) {
@@ -83,12 +84,11 @@ std::size_t EvtchnTable::active_ports() const {
 }
 
 EvtchnTable EvtchnTable::CloneForChild() const {
-  EvtchnTable child(ports_.size());
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    child.ports_[i] = ports_[i];
-    child.ports_[i].pending = false;
+  EvtchnTable child(max_ports_);
+  child.ports_ = ports_;
+  for (EvtchnEntry& e : child.ports_) {
+    e.pending = false;
   }
-  child.used_limit_ = used_limit_;
   return child;
 }
 

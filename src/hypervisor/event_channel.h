@@ -2,6 +2,11 @@
 // Channels bind either to a (remote domain, remote port) pair, to a VIRQ, or
 // sit unbound waiting for a peer. Nephele adds binding to kDomChild: such
 // channels are implicitly connected to every clone at clone time (Sec. 5.2.2).
+//
+// Storage follows use, as in the grant table: max_ports() is the admission
+// cap, while the port vector only holds ports up to the high-water mark
+// (port 0, reserved, always included) and grows by one slot when first-fit
+// finds no free port inside it. Its size is used_port_limit().
 
 #ifndef SRC_HYPERVISOR_EVENT_CHANNEL_H_
 #define SRC_HYPERVISOR_EVENT_CHANNEL_H_
@@ -34,9 +39,9 @@ struct EvtchnEntry {
 
 class EvtchnTable {
  public:
-  explicit EvtchnTable(std::size_t max_ports = 1024) : ports_(max_ports) {}
+  explicit EvtchnTable(std::size_t max_ports = 1024) : max_ports_(max_ports), ports_(1) {}
 
-  std::size_t max_ports() const { return ports_.size(); }
+  std::size_t max_ports() const { return max_ports_; }
 
   // Allocates an unbound port that `remote` may later bind to. `remote` may
   // be kDomChild (IDC).
@@ -52,7 +57,11 @@ class EvtchnTable {
 
   Result<EvtchnPort> FindVirqPort(Virq virq) const;
 
-  const EvtchnEntry& entry(EvtchnPort port) const { return ports_[port]; }
+  // Past used_port_limit() this reads as a free entry.
+  const EvtchnEntry& entry(EvtchnPort port) const {
+    return port < ports_.size() ? ports_[port] : kFree;
+  }
+  // Precondition: port < used_port_limit().
   EvtchnEntry& mutable_entry(EvtchnPort port) { return ports_[port]; }
   bool ValidPort(EvtchnPort port) const {
     return port < ports_.size() && ports_[port].state != EvtchnState::kFree;
@@ -60,11 +69,11 @@ class EvtchnTable {
 
   std::size_t active_ports() const;
 
-  // One past the highest port ever allocated (monotone). Ports at or above
-  // this are guaranteed kFree, so table sweeps (peer scrubbing on close and
-  // domain destruction, the invariant checks) can stop early instead of
-  // walking all max_ports() entries.
-  std::size_t used_port_limit() const { return used_limit_; }
+  // One past the highest port ever allocated (monotone; 1 while none is):
+  // the size of the port vector. Ports at or above this read as kFree, so
+  // every table sweep (peer scrubbing, IDC fix-ups, pending delivery, the
+  // invariant checks) stops here instead of walking all max_ports().
+  std::size_t used_port_limit() const { return ports_.size(); }
 
   // Clone first stage: duplicate the table for a child.
   EvtchnTable CloneForChild() const;
@@ -72,8 +81,10 @@ class EvtchnTable {
  private:
   Result<EvtchnPort> AllocPort();
 
-  std::vector<EvtchnEntry> ports_;
-  std::size_t used_limit_ = 1;  // port 0 is reserved
+  static constexpr EvtchnEntry kFree{};
+
+  std::size_t max_ports_;
+  std::vector<EvtchnEntry> ports_;  // port 0 is reserved
 };
 
 }  // namespace nephele

@@ -33,16 +33,19 @@ namespace nephele {
 
 using PageData = std::array<std::uint8_t, kPageSize>;
 
-// Per-frame metadata (Xen's struct page_info analogue).
+// Per-frame metadata (Xen's struct page_info analogue). The field order is
+// there for size: the 2-byte owner and the two flags fill the word before
+// the refcount, so a record is 16 bytes instead of 24 (24 MiB saved on the
+// 12 GiB pool of Fig. 5).
 struct FrameInfo {
   DomId owner = kDomInvalid;
+  // Set once the frame entered COW sharing (owner == kDomCow).
+  bool shared = false;
+  bool allocated = false;
   // Number of domains mapping the frame. >1 only while owned by kDomCow.
   // Atomic because clone-engine workers bump it concurrently in
   // StageShareAll.
   std::atomic<std::uint32_t> refcount{0};
-  // Set once the frame entered COW sharing (owner == kDomCow).
-  bool shared = false;
-  bool allocated = false;
   // Lazily materialised contents; null means "all zeroes, never written".
   std::unique_ptr<PageData> data;
 
@@ -51,19 +54,20 @@ struct FrameInfo {
   // movable; moves only happen single-threaded (construction, f = {}).
   FrameInfo(FrameInfo&& o) noexcept
       : owner(o.owner),
-        refcount(o.refcount.load(std::memory_order_relaxed)),
         shared(o.shared),
         allocated(o.allocated),
+        refcount(o.refcount.load(std::memory_order_relaxed)),
         data(std::move(o.data)) {}
   FrameInfo& operator=(FrameInfo&& o) noexcept {
     owner = o.owner;
-    refcount.store(o.refcount.load(std::memory_order_relaxed), std::memory_order_relaxed);
     shared = o.shared;
     allocated = o.allocated;
+    refcount.store(o.refcount.load(std::memory_order_relaxed), std::memory_order_relaxed);
     data = std::move(o.data);
     return *this;
   }
 };
+static_assert(sizeof(FrameInfo) == 16);
 
 class FrameTable {
  public:

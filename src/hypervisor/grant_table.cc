@@ -1,22 +1,32 @@
 #include "src/hypervisor/grant_table.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace nephele {
 
 Result<GrantRef> GrantTable::GrantAccess(DomId grantee, Gfn gfn, bool readonly) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].in_use) {
-      entries_[i] = GrantEntry{/*in_use=*/true, grantee, gfn, readonly, /*map_count=*/0};
-      ++active_;
-      return static_cast<GrantRef>(i);
+  const GrantEntry granted{/*in_use=*/true, readonly, grantee, gfn, /*map_count=*/0};
+  // First fit: a hole inside the used range exists only if some ref ended.
+  if (active_ < entries_.size()) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (!entries_[i].in_use) {
+        entries_[i] = granted;
+        ++active_;
+        return static_cast<GrantRef>(i);
+      }
     }
   }
-  return ErrResourceExhausted("grant table full");
+  if (entries_.size() >= max_entries_) {
+    return ErrResourceExhausted("grant table full");
+  }
+  entries_.push_back(granted);
+  ++active_;
+  return static_cast<GrantRef>(entries_.size() - 1);
 }
 
 Status GrantTable::EndAccess(GrantRef ref) {
-  if (ref >= entries_.size() || !entries_[ref].in_use) {
+  if (!entry(ref).in_use) {
     return ErrNotFound("grant ref not in use");
   }
   if (entries_[ref].map_count != 0) {
@@ -28,7 +38,7 @@ Status GrantTable::EndAccess(GrantRef ref) {
 }
 
 Result<Gfn> GrantTable::Map(GrantRef ref, DomId mapper, bool mapper_is_child_of_granter) {
-  if (ref >= entries_.size() || !entries_[ref].in_use) {
+  if (!entry(ref).in_use) {
     return ErrNotFound("grant ref not in use");
   }
   GrantEntry& e = entries_[ref];
@@ -38,37 +48,51 @@ Result<Gfn> GrantTable::Map(GrantRef ref, DomId mapper, bool mapper_is_child_of_
     return ErrPermissionDenied("domain not granted access");
   }
   ++e.map_count;
-  e.mappers.push_back(mapper);
+  mappers_[ref].push_back(mapper);
   return e.gfn;
 }
 
 Status GrantTable::Unmap(GrantRef ref, DomId mapper) {
-  if (ref >= entries_.size() || !entries_[ref].in_use) {
+  if (!entry(ref).in_use) {
     return ErrNotFound("grant ref not in use");
   }
   GrantEntry& e = entries_[ref];
   if (e.map_count == 0) {
     return ErrFailedPrecondition("grant not mapped");
   }
-  auto it = std::find(e.mappers.begin(), e.mappers.end(), mapper);
-  if (it == e.mappers.end()) {
+  auto holders = mappers_.find(ref);  // present while map_count > 0
+  auto it = std::find(holders->second.begin(), holders->second.end(), mapper);
+  if (it == holders->second.end()) {
     return ErrPermissionDenied("mapping not held by caller");
   }
-  e.mappers.erase(it);
+  holders->second.erase(it);
+  if (holders->second.empty()) {
+    mappers_.erase(holders);
+  }
   --e.map_count;
   return Status::Ok();
 }
 
-GrantTable GrantTable::CloneForChild() const {
-  GrantTable child(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].in_use) {
-      child.entries_[i] = entries_[i];
-      child.entries_[i].map_count = 0;
-      child.entries_[i].mappers.clear();
-      ++child.active_;
-    }
+const std::vector<DomId>& GrantTable::mappers(GrantRef ref) const {
+  static const std::vector<DomId> kNone;
+  auto it = mappers_.find(ref);
+  return it == mappers_.end() ? kNone : it->second;
+}
+
+std::map<GrantRef, std::vector<DomId>> GrantTable::TakeMappings() {
+  for (const auto& [ref, holders] : mappers_) {
+    entries_[ref].map_count = 0;
   }
+  return std::exchange(mappers_, {});
+}
+
+GrantTable GrantTable::CloneForChild() const {
+  GrantTable child(max_entries_);
+  child.entries_ = entries_;
+  for (GrantEntry& e : child.entries_) {
+    e.map_count = 0;
+  }
+  child.active_ = active_;
   return child;
 }
 

@@ -2,11 +2,22 @@
 // domains. Nephele extends the interface with the DOMID_CHILD wildcard
 // (Sec. 5.1): grants made to kDomChild are valid for every future clone of
 // the granting domain.
+//
+// Storage follows use. max_entries() is the admission cap (first-fit from
+// ref 0; a full table returns kResourceExhausted), but the entry vector only
+// holds refs up to the high-water mark, used_limit(), and grows by one slot
+// when first-fit finds no free slot inside it. Refs at or past used_limit()
+// read as unused entries, and every sweep stops there. Who holds a mapping
+// lives beside the entries, in one ref-ordered map that only has mapped
+// refs: almost no entry is ever mapped, so keeping the list per entry would
+// cost every cloned domain a vector header per grant.
 
 #ifndef SRC_HYPERVISOR_GRANT_TABLE_H_
 #define SRC_HYPERVISOR_GRANT_TABLE_H_
 
 #include <cstdint>
+#include <map>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/result.h"
@@ -16,25 +27,24 @@ namespace nephele {
 
 struct GrantEntry {
   bool in_use = false;
+  bool readonly = false;
   // Domain allowed to map the granted page; may be kDomChild.
   DomId grantee = kDomInvalid;
   // The granting domain's frame being shared.
   Gfn gfn = kInvalidGfn;
-  bool readonly = false;
   // Count of active mappings; the entry cannot be revoked while nonzero.
   std::uint32_t map_count = 0;
-  // Who holds those mappings, one element per mapping (a domain mapping the
-  // same ref twice appears twice). Always map_count elements; kept so unmap
-  // can reject foreign callers and domain destruction can revoke exactly the
-  // dying domain's mappings.
-  std::vector<DomId> mappers;
 };
+// Cloning copies the used range of a table as one block.
+static_assert(std::is_trivially_copyable_v<GrantEntry> && sizeof(GrantEntry) == 12);
 
 class GrantTable {
  public:
-  explicit GrantTable(std::size_t max_entries = 1024) : entries_(max_entries) {}
+  explicit GrantTable(std::size_t max_entries = 1024) : max_entries_(max_entries) {}
 
-  std::size_t max_entries() const { return entries_.size(); }
+  std::size_t max_entries() const { return max_entries_; }
+  // One past the highest ref ever granted (monotone): the stored range.
+  std::size_t used_limit() const { return entries_.size(); }
   std::size_t active_entries() const { return active_; }
 
   // Grants `grantee` access to `gfn`. Returns the grant reference.
@@ -53,16 +63,32 @@ class GrantTable {
   // unmapped, kPermissionDenied when it is mapped but not by `mapper`.
   Status Unmap(GrantRef ref, DomId mapper);
 
-  const GrantEntry& entry(GrantRef ref) const { return entries_[ref]; }
-  GrantEntry& mutable_entry(GrantRef ref) { return entries_[ref]; }
+  // Past used_limit() this reads as an unused entry.
+  const GrantEntry& entry(GrantRef ref) const {
+    return ref < entries_.size() ? entries_[ref] : kUnused;
+  }
 
-  // Deep copy used by the clone first stage: the child inherits all entries.
+  // Who holds the mappings of `ref`, one element per mapping (a domain
+  // mapping the same ref twice appears twice); always map_count elements.
+  // Kept so unmap can reject foreign callers and domain destruction can
+  // revoke exactly the dying domain's mappings.
+  const std::vector<DomId>& mappers(GrantRef ref) const;
+
+  // Domain destruction: hands over every mapping in ref order and zeroes
+  // the map counts, leaving the grants themselves in place.
+  std::map<GrantRef, std::vector<DomId>> TakeMappings();
+
+  // Copy used by the clone first stage: the child inherits all entries.
   // Wildcard (kDomChild) entries stay wildcards in the child so that
   // grandchildren work; map counts reset.
   GrantTable CloneForChild() const;
 
  private:
+  static constexpr GrantEntry kUnused{};
+
+  std::size_t max_entries_;
   std::vector<GrantEntry> entries_;
+  std::map<GrantRef, std::vector<DomId>> mappers_;
   std::size_t active_ = 0;
 };
 

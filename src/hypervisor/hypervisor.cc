@@ -109,12 +109,8 @@ void Hypervisor::ScrubGrantMappings(Domain& d) {
   d.grant_maps.clear();
   // ... and the mappings others hold into the dying domain's table (their
   // mapper-side records would otherwise dangle).
-  for (GrantRef ref = 0; ref < d.grants.max_entries(); ++ref) {
-    GrantEntry& e = d.grants.mutable_entry(ref);
-    if (!e.in_use) {
-      continue;
-    }
-    for (DomId mapper_id : e.mappers) {
+  for (const auto& [ref, mappers] : d.grants.TakeMappings()) {
+    for (DomId mapper_id : mappers) {
       if (Domain* m = FindDomain(mapper_id); m != nullptr) {
         auto it = std::find(m->grant_maps.begin(), m->grant_maps.end(),
                             std::make_pair(d.id, ref));
@@ -123,8 +119,6 @@ void Hypervisor::ScrubGrantMappings(Domain& d) {
         }
       }
     }
-    e.mappers.clear();
-    e.map_count = 0;
   }
 }
 
@@ -239,7 +233,7 @@ Status Hypervisor::UnpauseDomain(DomId dom) {
   d->state = DomainState::kRunning;
   // Deliver upcalls for events that fired while the domain was paused (the
   // pending bits survive the pause, as on real Xen).
-  for (EvtchnPort port = 1; port < d->evtchns.max_ports(); ++port) {
+  for (EvtchnPort port = 1; port < d->evtchns.used_port_limit(); ++port) {
     if (d->evtchns.ValidPort(port) && d->evtchns.entry(port).pending) {
       loop_.Post(SimDuration::Micros(2), [this, dom, port] {
         Domain* rd = FindDomain(dom);
@@ -650,17 +644,20 @@ Result<EvtchnPort> Hypervisor::EvtchnBindInterdomain(DomId dom, DomId remote,
   if (!r->evtchns.ValidPort(remote_port)) {
     return ErrNotFound("remote port not allocated");
   }
-  EvtchnEntry& re = r->evtchns.mutable_entry(remote_port);
-  if (re.state != EvtchnState::kUnbound) {
+  const EvtchnEntry& reserved = r->evtchns.entry(remote_port);
+  if (reserved.state != EvtchnState::kUnbound) {
     return ErrFailedPrecondition("remote port not unbound");
   }
-  bool allowed = re.remote_dom == dom ||
-                 (re.remote_dom == kDomChild && IsDescendantOf(dom, remote));
+  bool allowed = reserved.remote_dom == dom ||
+                 (reserved.remote_dom == kDomChild && IsDescendantOf(dom, remote));
   if (!allowed) {
     return ErrPermissionDenied("port reserved for another domain");
   }
   NEPHELE_ASSIGN_OR_RETURN(EvtchnPort port, d->evtchns.AllocUnbound(remote));
   NEPHELE_RETURN_IF_ERROR(d->evtchns.BindInterdomain(port, remote, remote_port));
+  // Looked up again: binding a domain to its own port grows the very table
+  // the reservation lives in, which may move it.
+  EvtchnEntry& re = r->evtchns.mutable_entry(remote_port);
   re.state = EvtchnState::kInterdomain;
   re.remote_dom = dom;
   re.remote_port = port;
@@ -698,11 +695,10 @@ Status Hypervisor::EvtchnSend(DomId dom, EvtchnPort port) {
   if (e.remote_port >= remote->evtchns.max_ports()) {
     return ErrFailedPrecondition("remote port out of range");
   }
-  EvtchnEntry& re = remote->evtchns.mutable_entry(e.remote_port);
-  if (re.state != EvtchnState::kInterdomain) {
+  if (remote->evtchns.entry(e.remote_port).state != EvtchnState::kInterdomain) {
     return ErrFailedPrecondition("remote port not connected");
   }
-  re.pending = true;
+  remote->evtchns.mutable_entry(e.remote_port).pending = true;
   DomId remote_id = remote->id;
   EvtchnPort remote_port = e.remote_port;
   // Upcall delivery is asynchronous, like a real interrupt.

@@ -148,10 +148,11 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
   std::map<std::tuple<DomId, DomId, GrantRef>, std::uint64_t> mapper_side;
   for (DomId id : hv.DomainIds()) {
     const Domain* d = hv.FindDomain(id);
-    for (GrantRef ref = 0; ref < d->grants.max_entries(); ++ref) {
+    for (GrantRef ref = 0; ref < d->grants.used_limit(); ++ref) {
       const GrantEntry& e = d->grants.entry(ref);
+      const std::vector<DomId>& mappers = d->grants.mappers(ref);
       if (!e.in_use) {
-        if (e.map_count != 0 || !e.mappers.empty()) {
+        if (e.map_count != 0 || !mappers.empty()) {
           return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
                  " free but still mapped";
         }
@@ -161,12 +162,12 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
         return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
                " grants gfn " + std::to_string(e.gfn) + " outside its p2m";
       }
-      if (e.map_count != e.mappers.size()) {
+      if (e.map_count != mappers.size()) {
         return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) + " map_count " +
-               std::to_string(e.map_count) + " != " + std::to_string(e.mappers.size()) +
+               std::to_string(e.map_count) + " != " + std::to_string(mappers.size()) +
                " recorded mappers";
       }
-      for (DomId mapper : e.mappers) {
+      for (DomId mapper : mappers) {
         if (hv.FindDomain(mapper) == nullptr) {
           return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
                  " mapped by dead domain " + DomStr(mapper);
@@ -179,7 +180,7 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
       if (g == nullptr) {
         return "dom " + DomStr(id) + " holds a mapping into dead granter " + DomStr(granter);
       }
-      if (ref >= g->grants.max_entries() || !g->grants.entry(ref).in_use) {
+      if (!g->grants.entry(ref).in_use) {
         return "dom " + DomStr(id) + " holds a mapping of revoked grant " + DomStr(granter) +
                ":" + std::to_string(ref);
       }

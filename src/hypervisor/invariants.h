@@ -13,9 +13,10 @@
 //            over a shared frame is only legal for IDC regions; the special
 //            gfns (start_info, console, xenstore ring) stay inside the p2m.
 //   grants   granter-side entries and mapper-side records agree exactly:
-//            map_count == recorded mappers, every mapper is a live domain
-//            holding the matching record, and every granted gfn is inside
-//            the granter's p2m.
+//            over each table's used range, map_count == the table's
+//            mappers(ref), every mapper is a live domain holding the
+//            matching record, and every granted gfn is inside the
+//            granter's p2m.
 //   evtchns  no dangling connections: every kInterdomain entry names a live
 //            remote domain whose remote_port entry is itself connected; a
 //            pending bit only ever sits on a connected or VIRQ port.

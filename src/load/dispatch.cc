@@ -317,20 +317,20 @@ void RequestCloneDispatcher::PushTailLatency(std::int64_t latency_ns) {
   if (tail_.size() < window) {
     tail_.push_back(latency_ns);
   } else {
-    tail_[tail_pos_] = latency_ns;
+    std::int64_t& evicted = tail_[tail_pos_];
+    tail_sorted_.erase(std::lower_bound(tail_sorted_.begin(), tail_sorted_.end(), evicted));
+    evicted = latency_ns;
   }
+  tail_sorted_.insert(std::upper_bound(tail_sorted_.begin(), tail_sorted_.end(), latency_ns),
+                      latency_ns);
   tail_pos_ = (tail_pos_ + 1) % window;
   // Nearest-rank p99 over the recent-wins window; this gauge is the series
   // the req_tail alarm evaluates.
-  tail_scratch_ = tail_;
-  std::size_t rank = (tail_scratch_.size() * 99 + 99) / 100;  // ceil
+  std::size_t rank = (tail_sorted_.size() * 99 + 99) / 100;  // ceil
   if (rank > 0) {
     --rank;
   }
-  std::nth_element(tail_scratch_.begin(),
-                   tail_scratch_.begin() + static_cast<std::ptrdiff_t>(rank),
-                   tail_scratch_.end());
-  g_latency_p99_.Set(tail_scratch_[rank]);
+  g_latency_p99_.Set(tail_sorted_[rank]);
 }
 
 }  // namespace nephele

@@ -135,8 +135,11 @@ class RequestCloneDispatcher {
   Gauge& g_in_flight_;
   Gauge& g_latency_p99_;
 
+  // The recent-wins window twice: in arrival order (a ring, tail_pos_ is
+  // the next slot to overwrite) and sorted, so a win updates the p99 gauge
+  // with two binary searches instead of a selection over the window.
   std::vector<std::int64_t> tail_;
-  std::vector<std::int64_t> tail_scratch_;
+  std::vector<std::int64_t> tail_sorted_;
   std::size_t tail_pos_ = 0;
   std::vector<std::int64_t>* latency_log_ = nullptr;
 };

@@ -261,6 +261,49 @@ TEST(DispatchAccountingTest, DispatchFaultDoesNotStrandOrLeak) {
   run.ExpectQuiescentAccounting();
 }
 
+// The req/latency_p99_ns gauge (the series the req_tail alarm watches) is a
+// nearest-rank p99 over the last tail_window wins. With a window far
+// smaller than the run it wraps many times, so at every checkpoint the
+// gauge must equal a brute-force p99 of the last tail_window recorded wins.
+std::int64_t NearestRankP99(std::vector<std::int64_t> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t rank = (values.size() * 99 + 99) / 100;  // ceil(0.99 n)
+  return values[rank - 1];
+}
+
+TEST(DispatchTailGaugeTest, P99GaugeIsTheLastWindowsNearestRankAcrossWraps) {
+  for (const std::size_t window : {std::size_t{16}, std::size_t{150}}) {
+    SystemConfig cfg = ScheduledConfig();
+    cfg.load.tail_window = window;
+    ScheduledLoadRun run(cfg);
+    std::vector<std::int64_t> latencies;
+    run.dispatcher_.RecordLatenciesTo(&latencies);
+    run.generator_.Start(SimDuration::Millis(500),
+                         [&run](const LoadRequest& r) { run.dispatcher_.Submit(r); });
+    std::size_t checked = 0;
+    for (int step = 1; step <= 12; ++step) {
+      EventLoop& loop = run.system_.loop();
+      loop.RunUntil(loop.Now() + SimDuration::Millis(45));
+      if (latencies.empty()) {
+        continue;
+      }
+      const std::size_t n = std::min(window, latencies.size());
+      const std::vector<std::int64_t> last(latencies.end() - static_cast<std::ptrdiff_t>(n),
+                                           latencies.end());
+      EXPECT_EQ(run.system_.metrics().GaugeValue("req/latency_p99_ns"), NearestRankP99(last))
+          << "window " << window << " after " << latencies.size() << " wins";
+      ++checked;
+    }
+    run.system_.Settle();
+    EXPECT_GE(checked, 10u);
+    EXPECT_GE(latencies.size(), 200u);
+    EXPECT_EQ(run.system_.metrics().GaugeValue("req/latency_p99_ns"),
+              NearestRankP99({latencies.end() - static_cast<std::ptrdiff_t>(window),
+                              latencies.end()}));
+    run.ExpectQuiescentAccounting();
+  }
+}
+
 // Identical config + seed must produce a byte-identical metrics export —
 // across reruns and across clone-worker counts (staging parallelism must
 // not reorder anything observable).
