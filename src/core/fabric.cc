@@ -69,13 +69,22 @@ std::size_t ClusterFabric::StreamPayloadBytes(const MigrationStream& stream) {
   return stream.written_pages.size() * kPageSize + kPageSize;
 }
 
-Result<DomId> ClusterFabric::Migrate(DomId dom, std::size_t src_host, std::size_t dst_host) {
+bool ClusterFabric::Contains(const Host& host) const {
+  return host.index() < hosts_.size() && hosts_[host.index()].get() == &host;
+}
+
+Status ClusterFabric::CheckHostPair(std::size_t src_host, std::size_t dst_host) const {
   if (src_host >= hosts_.size() || dst_host >= hosts_.size()) {
     return ErrInvalidArgument("no such host");
   }
   if (src_host == dst_host) {
     return ErrInvalidArgument("source and destination host are the same");
   }
+  return Status::Ok();
+}
+
+Result<DomId> ClusterFabric::Migrate(DomId dom, std::size_t src_host, std::size_t dst_host) {
+  NEPHELE_RETURN_IF_ERROR(CheckHostPair(src_host, dst_host));
   const SimTime start = loop_.Now();
   m_migrations_.Increment();
   Host& src = *hosts_[src_host];
@@ -124,12 +133,7 @@ Result<DomId> ClusterFabric::MigrateOnLanes(DomId dom, std::size_t src_host,
 
 Result<DomId> ClusterFabric::ReplicateParent(DomId dom, std::size_t src_host,
                                              std::size_t dst_host) {
-  if (src_host >= hosts_.size() || dst_host >= hosts_.size()) {
-    return ErrInvalidArgument("no such host");
-  }
-  if (src_host == dst_host) {
-    return ErrInvalidArgument("source and destination host are the same");
-  }
+  NEPHELE_RETURN_IF_ERROR(CheckHostPair(src_host, dst_host));
   const SimTime start = loop_.Now();
   m_replications_.Increment();
   Host& src = *hosts_[src_host];

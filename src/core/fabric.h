@@ -6,6 +6,8 @@
 // link or immigration failure — and parent images replicate to peers so
 // cross-host clone placement (ClusterScheduler,
 // src/sched/cluster_scheduler.h) can satisfy an Acquire on any host.
+// Migrate is the library's one emigration chain: GuestManager::MigrateTo
+// (src/guest/guest_manager.h) moves a guest's app state around it.
 //
 // Time: the fabric's loop() is the *fabric lane* of one event-loop group,
 // and every host runs on its own lane of that group (src/sim/event_loop.h),
@@ -85,6 +87,10 @@ class ClusterFabric {
   FaultInjector& fault_injector() { return faults_; }
   const ClusterConfig& config() const { return config_; }
 
+  // True when `host` is one of this fabric's hosts, not just a host with a
+  // valid index (every single-host NepheleSystem has a host 0).
+  bool Contains(const Host& host) const;
+
   // The directed link src -> dst (created eagerly at construction).
   FabricLink& link(std::size_t src, std::size_t dst);
 
@@ -117,6 +123,9 @@ class ClusterFabric {
   SimTime Now() const { return loop_.Now(); }
 
  private:
+  // Migrate's and ReplicateParent's argument check: both hosts exist and
+  // differ, else kInvalidArgument.
+  Status CheckHostPair(std::size_t src_host, std::size_t dst_host) const;
   // Payload bytes a migration/replication stream occupies on the wire.
   static std::size_t StreamPayloadBytes(const MigrationStream& stream);
   // Migrate's Begin -> stream -> MigrateIn -> Complete/Abort chain, each

@@ -116,38 +116,37 @@ void GuestManager::WireDelivery(DomId /*dom*/, GuestInstance& instance) {
   stack->SetDeliveryHandler([app, ctx](const Packet& p) { app->OnPacket(*ctx, p); });
 }
 
-Result<DomId> GuestManager::Launch(const DomainConfig& config, std::unique_ptr<GuestApp> app) {
-  NEPHELE_ASSIGN_OR_RETURN(DomId dom, system_.toolstack().CreateDomain(config));
+GuestManager::GuestInstance& GuestManager::Adopt(DomId dom, const DomainConfig& config,
+                                                std::unique_ptr<GuestApp> app) {
   GuestInstance instance;
   instance.app = std::move(app);
   instance.ctx = BuildContext(dom, config, /*parent_ctx=*/nullptr);
   auto [it, inserted] = guests_.emplace(dom, std::move(instance));
   WireDelivery(dom, it->second);
+  return it->second;
+}
+
+void GuestManager::ScheduleBoot(DomId dom) {
   // Unikernel init runs inside the guest; OnBoot fires once it is done.
-  SimDuration boot = system_.costs().guest_boot;
-  system_.loop().Post(boot, [this, dom] {
+  system_.loop().Post(system_.costs().guest_boot, [this, dom] {
     auto git = guests_.find(dom);
     if (git != guests_.end()) {
       git->second.app->OnBoot(*git->second.ctx);
     }
   });
+}
+
+Result<DomId> GuestManager::Launch(const DomainConfig& config, std::unique_ptr<GuestApp> app) {
+  NEPHELE_ASSIGN_OR_RETURN(DomId dom, system_.toolstack().CreateDomain(config));
+  Adopt(dom, config, std::move(app));
+  ScheduleBoot(dom);
   return dom;
 }
 
 Result<DomId> GuestManager::Restore(const DomainImage& image, std::unique_ptr<GuestApp> app) {
   NEPHELE_ASSIGN_OR_RETURN(DomId dom, system_.toolstack().RestoreDomain(image));
-  GuestInstance instance;
-  instance.app = std::move(app);
-  instance.ctx = BuildContext(dom, image.config, /*parent_ctx=*/nullptr);
-  auto [it, inserted] = guests_.emplace(dom, std::move(instance));
-  WireDelivery(dom, it->second);
-  SimDuration resume = system_.costs().guest_boot;
-  system_.loop().Post(resume, [this, dom] {
-    auto git = guests_.find(dom);
-    if (git != guests_.end()) {
-      git->second.app->OnBoot(*git->second.ctx);
-    }
-  });
+  Adopt(dom, image.config, std::move(app));
+  ScheduleBoot(dom);
   return dom;
 }
 
@@ -252,7 +251,10 @@ void GuestManager::OnCloneResume(DomId dom, bool is_child) {
   }
 }
 
-Result<DomId> GuestManager::MigrateTo(GuestManager& target, DomId dom) {
+Result<DomId> GuestManager::MigrateTo(ClusterFabric& fabric, GuestManager& target, DomId dom) {
+  if (!fabric.Contains(system_) || !fabric.Contains(target.system_)) {
+    return ErrInvalidArgument("guest manager's host is not in this fabric");
+  }
   auto it = guests_.find(dom);
   if (it == guests_.end()) {
     return ErrNotFound("no such guest");
@@ -263,25 +265,14 @@ Result<DomId> GuestManager::MigrateTo(GuestManager& target, DomId dom) {
   MiniStack stack_snapshot(nullptr);
   stack_snapshot.CopyStateFrom(it->second.ctx->net());
   GuestArena arena_snapshot(it->second.ctx->arena());
-  // The source stays paused but intact until the target has accepted the
-  // stream; a refused immigration resumes it as if nothing happened.
-  Toolstack& source = system_.toolstack();
-  NEPHELE_ASSIGN_OR_RETURN(MigrationStream stream, source.BeginMigrateOut(dom));
-  auto new_dom = target.system_.toolstack().MigrateIn(stream);
-  if (!new_dom.ok()) {
-    source.AbortMigrateOut(dom);
-    return new_dom.status();
-  }
-  NEPHELE_RETURN_IF_ERROR(source.CompleteMigrateOut(dom));
+  NEPHELE_ASSIGN_OR_RETURN(DomId new_dom,
+                           fabric.Migrate(dom, system_.index(), target.system_.index()));
   guests_.erase(dom);
 
-  GuestInstance instance;
-  instance.app = std::move(app);
-  instance.ctx = target.BuildContext(*new_dom, stream.config, /*parent_ctx=*/nullptr);
-  auto [git, inserted] = target.guests_.emplace(*new_dom, std::move(instance));
-  target.WireDelivery(*new_dom, git->second);
-  git->second.ctx->net().CopyStateFrom(stack_snapshot);
-  git->second.ctx->arena().AdoptAllocationsFrom(arena_snapshot);
+  GuestInstance& instance =
+      target.Adopt(new_dom, *target.system_.toolstack().FindConfig(new_dom), std::move(app));
+  instance.ctx->net().CopyStateFrom(stack_snapshot);
+  instance.ctx->arena().AdoptAllocationsFrom(arena_snapshot);
   return new_dom;
 }
 

@@ -1,7 +1,8 @@
 // GuestManager: hosts the unikernel runtimes — one (GuestApp, GuestContext)
 // pair per domain — and implements fork semantics on top of the clone
 // engine: app snapshot at CLONEOP time, child materialisation when the
-// second stage completes, and continuation dispatch on both sides.
+// second stage completes, and continuation dispatch on both sides. Guests
+// move between hosts only through their ClusterFabric (MigrateTo).
 
 #ifndef SRC_GUEST_GUEST_MANAGER_H_
 #define SRC_GUEST_GUEST_MANAGER_H_
@@ -50,11 +51,12 @@ class GuestManager : public CloneObserver {
   // Destroys a guest (and its domain).
   Status Destroy(DomId dom);
 
-  // Live-migrates a guest to another host (another NepheleSystem's
-  // manager): the domain is serialized out of this system, rebuilt on the
-  // target, and the app resumes there with its state intact. Refused for
-  // family members (Sec. 8).
-  Result<DomId> MigrateTo(GuestManager& target, DomId dom);
+  // Moves a guest to the host `target` runs on: ClusterFabric::Migrate
+  // carries the domain over the fabric's link (stop-and-copy, with the
+  // fabric's clock hand-offs and rollback), and the app resumes on the
+  // target with its state intact. kInvalidArgument when either manager's
+  // host is not one of `fabric`'s; refused for family members (Sec. 8).
+  Result<DomId> MigrateTo(ClusterFabric& fabric, GuestManager& target, DomId dom);
 
   GuestApp* AppOf(DomId dom);
   GuestContext* ContextOf(DomId dom);
@@ -83,6 +85,11 @@ class GuestManager : public CloneObserver {
     std::vector<DomId> children;
   };
 
+  // Registers the runtime of a domain the toolstack just built (launch,
+  // restore, immigration): context, app and packet delivery.
+  GuestInstance& Adopt(DomId dom, const DomainConfig& config, std::unique_ptr<GuestApp> app);
+  // Schedules app->OnBoot() after the guest boot delay.
+  void ScheduleBoot(DomId dom);
   void OnCloneResume(DomId dom, bool is_child);
   void MaterialiseChild(DomId child, PendingFork& pending);
   // Builds the runtime plumbing (stack, arena, fs) for a domain.

@@ -7,7 +7,6 @@
 #define SRC_HYPERVISOR_DOMAIN_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,11 +98,6 @@ struct Domain {
   // frames diverged from the shared post-clone state.
   bool track_dirty = false;
   std::vector<Gfn> dirty_since_clone;
-
-  // Log-dirty mode (XEN_DOMCTL_SHADOW_OP_ENABLE_LOGDIRTY analogue): records
-  // every written gfn for pre-copy live migration.
-  bool log_dirty = false;
-  std::set<Gfn> dirty_log;
 
   // --- Lazy-clone deferred ledger (post-copy cloning). ---
   // Number of p2m entries deliberately left not-present (mfn == kInvalidMfn)

@@ -471,9 +471,6 @@ Status Hypervisor::WriteGuestPage(DomId dom, Gfn gfn, std::size_t offset, const 
     return ErrOutOfRange("guest write outside page");
   }
   NEPHELE_RETURN_IF_ERROR(ResolveCowForWrite(*d, gfn));
-  if (d->log_dirty) {
-    d->dirty_log.insert(gfn);
-  }
   frames_.WriteBytes(d->p2m[gfn].mfn, offset, static_cast<const std::uint8_t*>(src), len);
   return Status::Ok();
 }
@@ -515,37 +512,9 @@ Status Hypervisor::TouchGuestPages(DomId dom, Gfn gfn, std::size_t count) {
   }
   for (std::size_t i = 0; i < count; ++i) {
     NEPHELE_RETURN_IF_ERROR(ResolveCowForWrite(*d, gfn + static_cast<Gfn>(i)));
-    if (d->log_dirty) {
-      d->dirty_log.insert(gfn + static_cast<Gfn>(i));
-    }
     loop_.AdvanceBy(costs_.guest_touch_page);
   }
   return Status::Ok();
-}
-
-Status Hypervisor::SetDirtyLogging(DomId dom, bool enabled) {
-  Domain* d = FindDomain(dom);
-  if (d == nullptr) {
-    return ErrNotFound("no such domain");
-  }
-  d->log_dirty = enabled;
-  if (!enabled) {
-    d->dirty_log.clear();
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<Gfn>> Hypervisor::FetchAndResetDirtyLog(DomId dom) {
-  Domain* d = FindDomain(dom);
-  if (d == nullptr) {
-    return ErrNotFound("no such domain");
-  }
-  if (!d->log_dirty) {
-    return ErrFailedPrecondition("log-dirty not enabled");
-  }
-  std::vector<Gfn> out(d->dirty_log.begin(), d->dirty_log.end());
-  d->dirty_log.clear();
-  return out;
 }
 
 Result<GrantRef> Hypervisor::GrantAccess(DomId granter, DomId grantee, Gfn gfn, bool readonly) {

@@ -1,8 +1,9 @@
 // The simulated Xen-like hypervisor: owns machine memory, the domain table,
 // and the notification fabric (event channels + VIRQs). Guests and the
 // toolstack interact with it through the hypercall-shaped methods below; the
-// cloning extension (CLONEOP) lives in src/core/clone_op.h and operates on
-// the same state.
+// cloning extension (CLONEOP) lives in src/core/clone_engine.h and operates
+// on the same state. Migration copies a paused source in one pass, so guest
+// writes need no log-dirty tracking.
 
 #ifndef SRC_HYPERVISOR_HYPERVISOR_H_
 #define SRC_HYPERVISOR_HYPERVISOR_H_
@@ -115,12 +116,6 @@ class Hypervisor {
   // Resolves a COW fault for one page without writing (the clone_cow
   // subcommand uses this to un-share pages before breakpoint insertion).
   Status ForceCowResolve(DomId dom, Gfn gfn);
-
-  // Log-dirty mode for pre-copy live migration (the shadow-op domctl):
-  // while enabled, every guest write records its gfn.
-  Status SetDirtyLogging(DomId dom, bool enabled);
-  // Returns and clears the dirty set (one pre-copy round).
-  Result<std::vector<Gfn>> FetchAndResetDirtyLog(DomId dom);
 
   // ---------------------------------------------------------------------
   // Grant-table hypercalls. (The grant *table* belongs to the granter; the

@@ -101,7 +101,7 @@ struct CostModel {
   SimDuration xenbus_transition = SimDuration::Millis(4.5);
   // Guest-side boot: Mini-OS/Unikraft init to "UDP server ready".
   SimDuration guest_boot = SimDuration::Millis(15);
-  // Live migration: per-page p2m walk on each side, plus wire transfer
+  // Stop-and-copy migration: per-page p2m walk on each side, plus wire transfer
   // (~1.2 GB/s over the management network).
   SimDuration migrate_per_page = SimDuration::Nanos(300);
   SimDuration MigrateTransferCost(std::size_t bytes) const {

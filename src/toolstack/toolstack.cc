@@ -80,8 +80,7 @@ void Toolstack::WriteBaseXenstoreEntries(DomId dom, const DomainConfig& config) 
   (void)xs_.Write("/libxl/" + std::to_string(dom) + "/type", "pv");
 }
 
-Status Toolstack::PopulateGuestMemory(DomId dom, const DomainConfig& config,
-                                      bool charge_image_copy) {
+Status Toolstack::PopulateGuestMemory(DomId dom, const DomainConfig& config) {
   const GuestMemoryLayout layout = ComputeGuestLayout(config, hv_.config().min_domain_pages);
   if (layout.heap_pages == 0 &&
       layout.total_pages <
@@ -96,11 +95,6 @@ Status Toolstack::PopulateGuestMemory(DomId dom, const DomainConfig& config,
   NEPHELE_RETURN_IF_ERROR(hv_.AllocSpecialPage(dom, PageRole::kStartInfo).status());
   NEPHELE_RETURN_IF_ERROR(hv_.AllocSpecialPage(dom, PageRole::kConsoleRing).status());
   NEPHELE_RETURN_IF_ERROR(hv_.AllocSpecialPage(dom, PageRole::kXenstoreRing).status());
-  if (charge_image_copy) {
-    // Loading text+data from the image file into guest memory.
-    loop_.AdvanceBy(costs_.page_copy *
-                    static_cast<double>(config.image_text_pages + config.image_data_pages));
-  }
   return Status::Ok();
 }
 
@@ -230,31 +224,18 @@ Status Toolstack::SetupVbd(DomId dom, const DomainConfig& config, GuestDevices& 
   return Status::Ok();
 }
 
-Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
-  const SimTime boot_start = loop_.Now();
-  TraceSpan span = trace_.BeginSpan("toolstack/boot");
-  // xl process startup + config parsing.
-  loop_.AdvanceBy(costs_.xl_exec_overhead);
-
-  if (name_check_enabled_) {
-    // Vanilla xl scans every running VM's name — the superlinear growth
-    // LightVM reported (Sec. 6.1).
-    loop_.AdvanceBy(costs_.name_check_per_domain * static_cast<double>(configs_.size()));
-    for (const auto& [id, cfg] : configs_) {
-      if (cfg.name == config.name) {
-        return ErrAlreadyExists("domain name in use");
-      }
-    }
-  }
-
-  NEPHELE_RETURN_IF_ERROR(f_create_domain_.Poke());
+Result<DomId> Toolstack::BuildDomain(const DomainConfig& config,
+                                     const std::function<Status(DomId)>& fill_memory) {
   hv_.ChargeHypercall();
   NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(config.name, config.vcpus));
 
   GuestDevices devices;
   auto fail = [&](Status s) -> Result<DomId> { return FailBoot(dom, config, devices, s); };
 
-  if (Status s = PopulateGuestMemory(dom, config, /*charge_image_copy=*/true); !s.ok()) {
+  if (Status s = PopulateGuestMemory(dom, config); !s.ok()) {
+    return fail(s);
+  }
+  if (Status s = fill_memory(dom); !s.ok()) {
     return fail(s);
   }
   if (Status s = hv_.BuildPageTables(dom); !s.ok()) {
@@ -291,13 +272,50 @@ Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
 
   guest_devices_[dom] = std::move(devices);
   configs_[dom] = config;
-  m_domains_booted_.Increment();
 
   hv_.ChargeHypercall();
   (void)hv_.UnpauseDomain(dom);
+  return dom;
+}
+
+Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
+  const SimTime boot_start = loop_.Now();
+  TraceSpan span = trace_.BeginSpan("toolstack/boot");
+  // xl process startup + config parsing.
+  loop_.AdvanceBy(costs_.xl_exec_overhead);
+
+  if (name_check_enabled_) {
+    // Vanilla xl scans every running VM's name — the superlinear growth
+    // LightVM reported (Sec. 6.1).
+    loop_.AdvanceBy(costs_.name_check_per_domain * static_cast<double>(configs_.size()));
+    for (const auto& [id, cfg] : configs_) {
+      if (cfg.name == config.name) {
+        return ErrAlreadyExists("domain name in use");
+      }
+    }
+  }
+
+  NEPHELE_RETURN_IF_ERROR(f_create_domain_.Poke());
+  NEPHELE_ASSIGN_OR_RETURN(DomId dom, BuildDomain(config, [&](DomId) {
+    // Loading text+data from the image file into guest memory.
+    loop_.AdvanceBy(costs_.page_copy *
+                    static_cast<double>(config.image_text_pages + config.image_data_pages));
+    return Status::Ok();
+  }));
+  m_domains_booted_.Increment();
   m_boot_ns_.Observe((loop_.Now() - boot_start).ns());
   span.AddArg("dom", static_cast<std::int64_t>(dom));
   return dom;
+}
+
+bool Toolstack::PauseForCopy(const Domain& d) {
+  const bool was_running = d.state == DomainState::kRunning;
+  (void)hv_.PauseDomain(d.id);
+  return was_running;
+}
+
+Status Toolstack::ResumeIf(DomId dom, bool was_running) {
+  return was_running ? hv_.UnpauseDomain(dom) : Status::Ok();
 }
 
 Result<DomainImage> Toolstack::SaveDomain(DomId dom) {
@@ -309,12 +327,12 @@ Result<DomainImage> Toolstack::SaveDomain(DomId dom) {
   if (cfg_it == configs_.end()) {
     return ErrNotFound("domain not managed by toolstack");
   }
-  (void)hv_.PauseDomain(dom);
+  const bool was_running = PauseForCopy(*d);
   loop_.AdvanceBy(costs_.save_fixed);
   // The whole allocation is serialized, used or not (Sec. 6.1).
   loop_.AdvanceBy(costs_.page_copy * static_cast<double>(d->tot_pages()));
   DomainImage image{cfg_it->second, d->tot_pages()};
-  (void)hv_.UnpauseDomain(dom);
+  (void)ResumeIf(dom, was_running);
   return image;
 }
 
@@ -322,150 +340,15 @@ Result<DomId> Toolstack::RestoreDomain(const DomainImage& image) {
   const SimTime restore_start = loop_.Now();
   loop_.AdvanceBy(costs_.xl_exec_overhead);
   loop_.AdvanceBy(costs_.restore_fixed);
-  hv_.ChargeHypercall();
-  NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(image.config.name, image.config.vcpus));
-  GuestDevices devices;
-  auto fail = [&](Status s) -> Result<DomId> { return FailBoot(dom, image.config, devices, s); };
-  if (Status s = PopulateGuestMemory(dom, image.config, /*charge_image_copy=*/false); !s.ok()) {
-    return fail(s);
-  }
-  // "The entire allocated VM memory is copied back from the image ...
-  // regardless of the amount of memory that is actually used" (Sec. 6.1).
-  loop_.AdvanceBy(costs_.page_copy * static_cast<double>(image.pages));
-  if (Status s = hv_.BuildPageTables(dom); !s.ok()) {
-    return fail(s);
-  }
-  if (image.config.max_clones > 0) {
-    hv_.ChargeHypercall();
-    (void)hv_.SetCloneConfig(dom, /*enabled=*/true, image.config.max_clones);
-  }
-
-  (void)xs_.IntroduceDomain(dom);
-  WriteBaseXenstoreEntries(dom, image.config);
-
-  if (Status s =
-          devices_.console().CreateConsole(dom, hv_.FindDomain(dom)->console_ring_gfn);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (image.config.with_vif) {
-    if (Status s = SetupVif(dom, image.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (image.config.with_p9fs) {
-    if (Status s = SetupP9(dom, image.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (image.config.with_vbd) {
-    if (Status s = SetupVbd(dom, image.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  guest_devices_[dom] = std::move(devices);
-  configs_[dom] = image.config;
+  NEPHELE_ASSIGN_OR_RETURN(DomId dom, BuildDomain(image.config, [&](DomId) {
+    // "The entire allocated VM memory is copied back from the image ...
+    // regardless of the amount of memory that is actually used" (Sec. 6.1).
+    loop_.AdvanceBy(costs_.page_copy * static_cast<double>(image.pages));
+    return Status::Ok();
+  }));
   m_domains_restored_.Increment();
-
-  hv_.ChargeHypercall();
-  (void)hv_.UnpauseDomain(dom);
   m_restore_ns_.Observe((loop_.Now() - restore_start).ns());
   return dom;
-}
-
-
-
-Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds,
-                                                  std::function<void()> between_rounds,
-                                                  LiveMigrationStats* stats) {
-  Domain* d = hv_.FindDomain(dom);
-  if (d == nullptr) {
-    return ErrNotFound("no such domain");
-  }
-  auto cfg_it = configs_.find(dom);
-  if (cfg_it == configs_.end()) {
-    return ErrNotFound("domain not managed by toolstack");
-  }
-  if (d->parent != kDomInvalid || !d->children.empty()) {
-    return RefuseFamilyMigration(*d);
-  }
-  if (pending_emigrations_.count(dom) != 0) {
-    return ErrFailedPrecondition("emigration already in progress for domid " +
-                                 std::to_string(dom));
-  }
-  const bool was_running = d->state == DomainState::kRunning;
-
-  MigrationStream stream;
-  stream.config = cfg_it->second;
-  stream.pages = d->tot_pages();
-  LiveMigrationStats local;
-  const FrameTable& frames = hv_.frames();
-
-  auto ship_page = [&](Gfn gfn) {
-    loop_.AdvanceBy(costs_.migrate_per_page);
-    const FrameInfo& info = frames.info(d->p2m[gfn].mfn);
-    if (info.data != nullptr) {
-      stream.written_pages[gfn] =
-          std::vector<std::uint8_t>(info.data->begin(), info.data->end());
-      loop_.AdvanceBy(costs_.MigrateTransferCost(kPageSize));
-    } else {
-      stream.written_pages.erase(gfn);
-    }
-    ++local.pages_shipped;
-  };
-
-  // Round 0: full sweep while the guest keeps running.
-  NEPHELE_RETURN_IF_ERROR(hv_.SetDirtyLogging(dom, true));
-  for (Gfn gfn = 0; gfn < d->p2m.size(); ++gfn) {
-    ship_page(gfn);
-  }
-  ++local.precopy_rounds;
-
-  // Convergence rounds: re-ship what got dirtied meanwhile.
-  for (unsigned round = 1; round < max_rounds; ++round) {
-    if (between_rounds) {
-      between_rounds();
-    }
-    auto dirty = hv_.FetchAndResetDirtyLog(dom);
-    if (!dirty.ok()) {
-      // Abandoning the migration must not leave the source domain paying
-      // the dirty-tracking overhead forever.
-      (void)hv_.SetDirtyLogging(dom, false);
-      return dirty.status();
-    }
-    if (dirty->empty()) {
-      break;
-    }
-    for (Gfn gfn : *dirty) {
-      ship_page(gfn);
-    }
-    ++local.precopy_rounds;
-  }
-
-  // Stop-and-copy: the downtime window.
-  (void)hv_.PauseDomain(dom);
-  SimTime down_start = loop_.Now();
-  auto last_dirty = hv_.FetchAndResetDirtyLog(dom);
-  if (!last_dirty.ok()) {
-    // Failed in the downtime window: restore the source's state at entry.
-    if (was_running) {
-      (void)hv_.UnpauseDomain(dom);
-    }
-    (void)hv_.SetDirtyLogging(dom, false);
-    return last_dirty.status();
-  }
-  for (Gfn gfn : *last_dirty) {
-    ship_page(gfn);
-  }
-  loop_.AdvanceBy(costs_.save_fixed);
-  local.downtime = loop_.Now() - down_start;
-  (void)hv_.SetDirtyLogging(dom, false);
-  // Like BeginMigrateOut: the paused source waits for Complete or Abort.
-  pending_emigrations_[dom] = was_running;
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return stream;
 }
 
 Status Toolstack::RefuseFamilyMigration(const Domain& d) {
@@ -492,7 +375,7 @@ Status Toolstack::RefuseFamilyMigration(const Domain& d) {
   return ErrFailedPrecondition(msg);
 }
 
-Result<MigrationStream> Toolstack::SerializePages(const Domain& d, const DomainConfig& config) {
+MigrationStream Toolstack::SerializePages(const Domain& d, const DomainConfig& config) {
   loop_.AdvanceBy(costs_.save_fixed);
   MigrationStream stream;
   stream.config = config;
@@ -531,11 +414,8 @@ Result<MigrationStream> Toolstack::BeginMigrateOut(DomId dom) {
     return ErrFailedPrecondition("emigration already in progress for domid " +
                                  std::to_string(dom));
   }
-  const bool was_running = d->state == DomainState::kRunning;
-  (void)hv_.PauseDomain(dom);
-  NEPHELE_ASSIGN_OR_RETURN(MigrationStream stream, SerializePages(*d, cfg_it->second));
-  pending_emigrations_[dom] = was_running;
-  return stream;
+  pending_emigrations_[dom] = PauseForCopy(*d);
+  return SerializePages(*d, cfg_it->second);
 }
 
 Status Toolstack::CompleteMigrateOut(DomId dom) {
@@ -552,10 +432,7 @@ Status Toolstack::AbortMigrateOut(DomId dom) {
   }
   const bool was_running = it->second;
   pending_emigrations_.erase(it);
-  if (was_running) {
-    return hv_.UnpauseDomain(dom);
-  }
-  return Status::Ok();
+  return ResumeIf(dom, was_running);
 }
 
 Result<MigrationStream> Toolstack::SnapshotDomain(DomId dom) {
@@ -567,69 +444,23 @@ Result<MigrationStream> Toolstack::SnapshotDomain(DomId dom) {
   if (cfg_it == configs_.end()) {
     return ErrNotFound("domain not managed by toolstack");
   }
-  const bool was_running = d->state == DomainState::kRunning;
-  (void)hv_.PauseDomain(dom);
-  auto stream = SerializePages(*d, cfg_it->second);
-  if (was_running) {
-    (void)hv_.UnpauseDomain(dom);
-  }
+  const bool was_running = PauseForCopy(*d);
+  MigrationStream stream = SerializePages(*d, cfg_it->second);
+  (void)ResumeIf(dom, was_running);
   return stream;
 }
 
 Result<DomId> Toolstack::MigrateIn(const MigrationStream& stream) {
   loop_.AdvanceBy(costs_.restore_fixed);
-  hv_.ChargeHypercall();
-  NEPHELE_ASSIGN_OR_RETURN(DomId dom,
-                           hv_.CreateDomain(stream.config.name, stream.config.vcpus));
-  GuestDevices devices;
-  auto fail = [&](Status s) -> Result<DomId> {
-    return FailBoot(dom, stream.config, devices, s);
-  };
-  if (Status s = PopulateGuestMemory(dom, stream.config, /*charge_image_copy=*/false); !s.ok()) {
-    return fail(s);
-  }
-  // Replay the shipped pages, then rebuild page tables from the p2m and
-  // update it with the new machine frame numbers (Sec. 5.2).
-  for (const auto& [gfn, bytes] : stream.written_pages) {
-    if (Status s = hv_.WriteGuestPage(dom, gfn, 0, bytes.data(), bytes.size()); !s.ok()) {
-      return fail(s);
+  return BuildDomain(stream.config, [&](DomId dom) -> Status {
+    // Replay the shipped pages; the builder then rebuilds the page tables
+    // from the p2m with the new machine frame numbers (Sec. 5.2).
+    for (const auto& [gfn, bytes] : stream.written_pages) {
+      NEPHELE_RETURN_IF_ERROR(hv_.WriteGuestPage(dom, gfn, 0, bytes.data(), bytes.size()));
     }
-  }
-  loop_.AdvanceBy(costs_.migrate_per_page * static_cast<double>(stream.pages));
-  if (Status s = hv_.BuildPageTables(dom); !s.ok()) {
-    return fail(s);
-  }
-  if (stream.config.max_clones > 0) {
-    hv_.ChargeHypercall();
-    (void)hv_.SetCloneConfig(dom, /*enabled=*/true, stream.config.max_clones);
-  }
-
-  (void)xs_.IntroduceDomain(dom);
-  WriteBaseXenstoreEntries(dom, stream.config);
-  if (Status s = devices_.console().CreateConsole(dom, hv_.FindDomain(dom)->console_ring_gfn);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (stream.config.with_vif) {
-    if (Status s = SetupVif(dom, stream.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (stream.config.with_p9fs) {
-    if (Status s = SetupP9(dom, stream.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (stream.config.with_vbd) {
-    if (Status s = SetupVbd(dom, stream.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  guest_devices_[dom] = std::move(devices);
-  configs_[dom] = stream.config;
-  hv_.ChargeHypercall();
-  (void)hv_.UnpauseDomain(dom);
-  return dom;
+    loop_.AdvanceBy(costs_.migrate_per_page * static_cast<double>(stream.pages));
+    return Status::Ok();
+  });
 }
 
 Status Toolstack::DestroyDomain(DomId dom) {

@@ -1,6 +1,10 @@
-// The xl/libxl/libxc analogue: boots, saves, restores and destroys domains,
-// runs the split-device negotiation, owns the guest-side frontend objects and
-// the Dom0 memory accounting used by the Fig. 5 experiment.
+// The xl/libxl/libxc analogue: boots, saves, restores, migrates and destroys
+// domains, runs the split-device negotiation, owns the guest-side frontend
+// objects and the Dom0 memory accounting used by the Fig. 5 experiment.
+// Create, restore and migrate-in differ only in their prologue and in how
+// they fill guest memory; one private boot body does the rest. Emigration is
+// stop-and-copy in Begin/Complete/Abort phases, which ClusterFabric::Migrate
+// (src/core/fabric.h) drives.
 
 #ifndef SRC_TOOLSTACK_TOOLSTACK_H_
 #define SRC_TOOLSTACK_TOOLSTACK_H_
@@ -41,9 +45,9 @@ struct DomainImage {
   std::size_t pages = 0;  // full allocation is serialized (Sec. 6.1)
 };
 
-// A live-migration stream (xl migrate analogue): the p2m-ordered page
-// contents plus config, shipped to the target host. Only pages that were
-// ever written are carried explicitly; the rest are zero.
+// A stop-and-copy migration stream (xl migrate analogue): the p2m-ordered
+// page contents plus config, shipped to the target host. Only pages that
+// were ever written are carried explicitly; the rest are zero.
 struct MigrationStream {
   DomainConfig config;
   std::size_t pages = 0;
@@ -64,40 +68,23 @@ class Toolstack {
   // guest app itself starts through the runtime's boot event).
   Result<DomId> CreateDomain(const DomainConfig& config);
 
-  // xl save / restore.
+  // xl save / restore. Save pauses the domain while it copies and leaves it
+  // in the state it found it: running, or paused.
   Result<DomainImage> SaveDomain(DomId dom);
   Result<DomId> RestoreDomain(const DomainImage& image);
 
   // xl destroy.
   Status DestroyDomain(DomId dom);
 
-  // xl migrate --live: pre-copy emigration. Round 0 ships every page while
-  // the guest keeps running under log-dirty; each further round re-ships
-  // what the guest dirtied meanwhile (`between_rounds` lets callers drive
-  // guest activity between rounds, standing in for concurrently running
-  // vCPUs); the final stop-and-copy round happens paused — its duration is
-  // the downtime. It ends like BeginMigrateOut: the source stays paused and
-  // intact until the caller, once the target's MigrateIn succeeded or
-  // failed, finishes with CompleteMigrateOut or AbortMigrateOut. Same family
-  // restriction and one-emigration-at-a-time rule as BeginMigrateOut.
-  struct LiveMigrationStats {
-    unsigned precopy_rounds = 0;
-    std::size_t pages_shipped = 0;
-    SimDuration downtime;
-  };
-  Result<MigrationStream> MigrateOutLive(DomId dom, unsigned max_rounds,
-                                         std::function<void()> between_rounds,
-                                         LiveMigrationStats* stats);
-
   // xl migrate: stop-and-copy emigration in two phases, the RWTH-OS
-  // migration-framework shape the ClusterFabric drives. Begin pauses the
-  // source and serializes its pages in p2m order but leaves the domain
-  // intact so a failed transfer can roll back. Exactly one of Complete
-  // (destroys the source — the copy landed) or Abort (resumes the source as
-  // if nothing happened) must follow. Begin is refused with a typed
-  // kFailedPrecondition naming the blocking relatives for domains with
-  // living family relations — migrating a clone "would break the page
-  // sharing potential" (Sec. 8).
+  // migration-framework shape; ClusterFabric::Migrate is the one chain that
+  // drives it across hosts. Begin pauses the source and serializes its
+  // pages in p2m order but leaves the domain intact so a failed transfer
+  // can roll back. Exactly one of Complete (destroys the source — the copy
+  // landed) or Abort (puts the source back in the state Begin found it)
+  // must follow. Begin is refused with a typed kFailedPrecondition naming
+  // the blocking relatives for domains with living family relations —
+  // migrating a clone "would break the page sharing potential" (Sec. 8).
   Result<MigrationStream> BeginMigrateOut(DomId dom);
   Status CompleteMigrateOut(DomId dom);
   Status AbortMigrateOut(DomId dom);
@@ -169,12 +156,22 @@ class Toolstack {
   Status SetupVif(DomId dom, const DomainConfig& config, GuestDevices& devices);
   Status SetupP9(DomId dom, const DomainConfig& config, GuestDevices& devices);
   Status SetupVbd(DomId dom, const DomainConfig& config, GuestDevices& devices);
-  Status PopulateGuestMemory(DomId dom, const DomainConfig& config, bool charge_image_copy);
+  Status PopulateGuestMemory(DomId dom, const DomainConfig& config);
+  // The boot body of create, restore and migrate-in: creates the domain and
+  // its memory, runs `fill_memory` (image, saved image or stream), then
+  // builds page tables, Xenstore entries and devices and unpauses it.
+  Result<DomId> BuildDomain(const DomainConfig& config,
+                            const std::function<Status(DomId)>& fill_memory);
+  // Pauses `d` for a consistent copy (save, snapshot, emigration) and
+  // returns whether it was running; ResumeIf later restores exactly that
+  // state, so a domain that was paused stays paused.
+  bool PauseForCopy(const Domain& d);
+  Status ResumeIf(DomId dom, bool was_running);
   // The typed Sec. 8 refusal: kFailedPrecondition naming every blocking
   // relative (parent and children, with names and domids).
   Status RefuseFamilyMigration(const Domain& d);
   // Shared stop-and-copy serializer of BeginMigrateOut and SnapshotDomain.
-  Result<MigrationStream> SerializePages(const Domain& d, const DomainConfig& config);
+  MigrationStream SerializePages(const Domain& d, const DomainConfig& config);
   // Unwinds a partially-completed boot (create/restore/migrate-in): device
   // backends, console, xenstore subtrees and finally the domain itself, so
   // a failed xl create leaves Dom0 exactly as it found it.

@@ -1,12 +1,16 @@
-// Tests for live migration between hosts (two independent NepheleSystems),
-// including the Sec. 8 constraint that clone-family members cannot migrate
-// (it would break the page-sharing potential).
+// Tests for moving guests between the two hosts of one ClusterFabric with
+// GuestManager::MigrateTo (app state, link charge, clock hand-off, refusal
+// of hosts outside the fabric), the Sec. 8 constraint that clone-family
+// members cannot migrate (it would break the page-sharing potential), and
+// the one toolstack boot body: immigration and restore rebuild every device
+// type the way xl create builds it.
 
 #include <gtest/gtest.h>
 
 #include "src/apps/redis_app.h"
 #include "src/apps/udp_ready_app.h"
 #include "src/guest/guest_manager.h"
+#include "src/xenstore/path.h"
 
 namespace nephele {
 namespace {
@@ -17,11 +21,46 @@ SystemConfig HostConfig() {
   return cfg;
 }
 
+ClusterConfig TwoHosts() {
+  ClusterConfig cfg;
+  cfg.hosts = 2;
+  cfg.host = HostConfig();
+  return cfg;
+}
+
+// What xl create leaves for a guest with every device type: a running
+// domain with a console, connected frontend/backend Xenstore states, a
+// hotplugged vif, a 9pfs backend process serving it and a vbd disk.
+void ExpectBuiltLikeCreate(Host& host, DomId dom) {
+  const Domain* d = host.hypervisor().FindDomain(dom);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->state, DomainState::kRunning);
+  EXPECT_TRUE(host.devices().console().HasConsole(dom));
+  XenstoreDaemon& xs = host.xenstore();
+  const std::string connected = XenbusStateValue(XenbusState::kConnected);
+  for (const char* type : {"vif", "9pfs", "vbd"}) {
+    EXPECT_EQ(xs.Read(XsFrontendPath(dom, type, 0) + "/state").value_or(""), connected)
+        << type;
+    EXPECT_EQ(xs.Read(XsBackendPath(kDom0, type, dom, 0) + "/state").value_or(""), connected)
+        << type;
+  }
+  EXPECT_EQ(xs.Read(XsBackendPath(kDom0, "vif", dom, 0) + "/hotplug-status").value_or(""),
+            "connected");
+  GuestDevices* gd = host.toolstack().FindDevices(dom);
+  ASSERT_NE(gd, nullptr);
+  ASSERT_NE(gd->net, nullptr);
+  EXPECT_TRUE(gd->net->connected());
+  ASSERT_NE(gd->p9, nullptr);
+  EXPECT_TRUE(gd->p9->ServesDomain(dom));
+  ASSERT_NE(gd->vbd, nullptr);
+  EXPECT_TRUE(host.devices().vbd().HasDisk(DeviceId{dom, DeviceType::kVbd, 0}));
+}
+
 class MigrationTest : public ::testing::Test {
  protected:
   MigrationTest()
-      : source_(HostConfig()), target_(HostConfig()), src_guests_(source_),
-        dst_guests_(target_) {}
+      : fabric_(TwoHosts()), source_(fabric_.host(0)), target_(fabric_.host(1)),
+        src_guests_(source_), dst_guests_(target_) {}
 
   DomainConfig Guest(const std::string& name) {
     DomainConfig cfg;
@@ -31,8 +70,20 @@ class MigrationTest : public ::testing::Test {
     return cfg;
   }
 
-  NepheleSystem source_;
-  NepheleSystem target_;
+  DomainConfig EveryDevice(const std::string& name) {
+    DomainConfig cfg = Guest(name);
+    cfg.with_p9fs = true;
+    cfg.with_vbd = true;
+    return cfg;
+  }
+
+  std::uint64_t FabricCount(std::string_view name) const {
+    return fabric_.metrics().CounterValue(name);
+  }
+
+  ClusterFabric fabric_;
+  Host& source_;
+  Host& target_;
   GuestManager src_guests_;
   GuestManager dst_guests_;
 };
@@ -40,15 +91,15 @@ class MigrationTest : public ::testing::Test {
 TEST_F(MigrationTest, PageContentsSurviveMigration) {
   auto dom = src_guests_.Launch(Guest("mig"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
   ASSERT_TRUE(dom.ok());
-  source_.Settle();
+  fabric_.Settle();
   GuestMemoryLayout layout = ComputeGuestLayout(Guest("mig"), 1024);
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   const char payload[] = "travels-with-me";
   ASSERT_TRUE(source_.hypervisor().WriteGuestPage(*dom, gfn, 16, payload, sizeof(payload)).ok());
 
-  auto new_dom = src_guests_.MigrateTo(dst_guests_, *dom);
+  auto new_dom = src_guests_.MigrateTo(fabric_, dst_guests_, *dom);
   ASSERT_TRUE(new_dom.ok()) << new_dom.status().ToString();
-  target_.Settle();
+  fabric_.Settle();
 
   // Source domain gone; target domain running with identical contents.
   EXPECT_EQ(source_.hypervisor().FindDomain(*dom), nullptr);
@@ -68,13 +119,13 @@ TEST_F(MigrationTest, AppStateTravels) {
   cfg.memory_mb = 16;
   auto dom = src_guests_.Launch(cfg, std::make_unique<RedisApp>(RedisConfig{}));
   ASSERT_TRUE(dom.ok());
-  source_.Settle();
+  fabric_.Settle();
   auto* redis = dynamic_cast<RedisApp*>(src_guests_.AppOf(*dom));
   ASSERT_TRUE(redis->Set(*src_guests_.ContextOf(*dom), "city", "rome").ok());
 
-  auto new_dom = src_guests_.MigrateTo(dst_guests_, *dom);
+  auto new_dom = src_guests_.MigrateTo(fabric_, dst_guests_, *dom);
   ASSERT_TRUE(new_dom.ok());
-  target_.Settle();
+  fabric_.Settle();
   auto* migrated = dynamic_cast<RedisApp*>(dst_guests_.AppOf(*new_dom));
   ASSERT_NE(migrated, nullptr);
   EXPECT_EQ(*migrated->Get("city"), "rome");
@@ -82,10 +133,10 @@ TEST_F(MigrationTest, AppStateTravels) {
 
 TEST_F(MigrationTest, MigratedGuestStillServes) {
   auto dom = src_guests_.Launch(Guest("srv"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  auto new_dom = src_guests_.MigrateTo(dst_guests_, *dom);
+  fabric_.Settle();
+  auto new_dom = src_guests_.MigrateTo(fabric_, dst_guests_, *dom);
   ASSERT_TRUE(new_dom.ok());
-  target_.Settle();
+  fabric_.Settle();
 
   // Packets on the TARGET host reach the migrated guest.
   std::vector<Packet> uplink;
@@ -99,22 +150,22 @@ TEST_F(MigrationTest, MigratedGuestStillServes) {
   probe.dst_ip = gd->net->ip();
   probe.dst_port = 7;  // the UDP binding migrated with the stack state
   target_.toolstack().default_switch()->InjectFromUplink(probe);
-  target_.Settle();
+  fabric_.Settle();
   ASSERT_EQ(uplink.size(), 1u);
   EXPECT_EQ(uplink[0].dst_port, 777);  // the echo
 }
 
 TEST_F(MigrationTest, FamilyMembersRefuseToMigrate) {
   auto dom = src_guests_.Launch(Guest("fam"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
+  fabric_.Settle();
   ASSERT_TRUE(src_guests_.ContextOf(*dom)->Fork(1, nullptr).ok());
-  source_.Settle();
+  fabric_.Settle();
   DomId child = source_.hypervisor().FindDomain(*dom)->children.front();
 
   // Neither the parent (has children) nor the clone (has a parent) may move.
-  EXPECT_EQ(src_guests_.MigrateTo(dst_guests_, *dom).status().code(),
+  EXPECT_EQ(src_guests_.MigrateTo(fabric_, dst_guests_, *dom).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(src_guests_.MigrateTo(dst_guests_, child).status().code(),
+  EXPECT_EQ(src_guests_.MigrateTo(fabric_, dst_guests_, child).status().code(),
             StatusCode::kFailedPrecondition);
   // Both still alive on the source.
   EXPECT_TRUE(src_guests_.Alive(*dom));
@@ -123,21 +174,21 @@ TEST_F(MigrationTest, FamilyMembersRefuseToMigrate) {
 
 TEST_F(MigrationTest, MigratedGuestCanCloneOnTarget) {
   auto dom = src_guests_.Launch(Guest("mover"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  auto new_dom = src_guests_.MigrateTo(dst_guests_, *dom);
+  fabric_.Settle();
+  auto new_dom = src_guests_.MigrateTo(fabric_, dst_guests_, *dom);
   ASSERT_TRUE(new_dom.ok());
-  target_.Settle();
+  fabric_.Settle();
   // Cloning works on the new host (config, including max_clones, migrated).
   ASSERT_TRUE(dst_guests_.ContextOf(*new_dom)->Fork(1, nullptr).ok());
-  target_.Settle();
+  fabric_.Settle();
   EXPECT_EQ(target_.hypervisor().FindDomain(*new_dom)->children.size(), 1u);
 }
 
 TEST_F(MigrationTest, SourcePoolFullyReclaimed) {
   std::size_t free_before = source_.hypervisor().FreePoolFrames();
   auto dom = src_guests_.Launch(Guest("tmp"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  ASSERT_TRUE(src_guests_.MigrateTo(dst_guests_, *dom).ok());
+  fabric_.Settle();
+  ASSERT_TRUE(src_guests_.MigrateTo(fabric_, dst_guests_, *dom).ok());
   EXPECT_EQ(source_.hypervisor().FreePoolFrames(), free_before);
 }
 
@@ -146,7 +197,7 @@ TEST_F(MigrationTest, RefusedImmigrationLeavesTheSourceRunning) {
   cfg.memory_mb = 16;
   auto dom = src_guests_.Launch(cfg, std::make_unique<RedisApp>(RedisConfig{}));
   ASSERT_TRUE(dom.ok());
-  source_.Settle();
+  fabric_.Settle();
   ASSERT_TRUE(dynamic_cast<RedisApp*>(src_guests_.AppOf(*dom))
                   ->Set(*src_guests_.ContextOf(*dom), "city", "rome")
                   .ok());
@@ -154,9 +205,9 @@ TEST_F(MigrationTest, RefusedImmigrationLeavesTheSourceRunning) {
 
   // The target runs out of frames while rebuilding the guest's memory.
   ASSERT_TRUE(target_.fault_injector().Arm("hypervisor/frame_alloc", FaultSpec::NthHit(1)).ok());
-  EXPECT_FALSE(src_guests_.MigrateTo(dst_guests_, *dom).ok());
+  EXPECT_FALSE(src_guests_.MigrateTo(fabric_, dst_guests_, *dom).ok());
   target_.fault_injector().DisarmAll();
-  source_.Settle();
+  fabric_.Settle();
 
   // The guest never left: still running, app state intact, pool untouched.
   ASSERT_TRUE(src_guests_.Alive(*dom));
@@ -170,113 +221,83 @@ TEST_F(MigrationTest, RefusedImmigrationLeavesTheSourceRunning) {
 }
 
 TEST_F(MigrationTest, UnknownGuestRejected) {
-  EXPECT_EQ(src_guests_.MigrateTo(dst_guests_, 404).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(src_guests_.MigrateTo(fabric_, dst_guests_, 404).status().code(),
+            StatusCode::kNotFound);
 }
 
+TEST_F(MigrationTest, MigrateToRidesTheFabric) {
+  auto dom = src_guests_.Launch(Guest("rider"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
+  ASSERT_TRUE(dom.ok());
+  fabric_.Settle();
+  // Another boot runs the source's clock ahead of the idle target's.
+  ASSERT_TRUE(source_.toolstack().CreateDomain(Guest("busy")).ok());
+  const SimTime hop_start = source_.Now();
+  ASSERT_LT(target_.Now(), hop_start);
 
-TEST_F(MigrationTest, DirtyLoggingTracksWrites) {
-  auto dom = src_guests_.Launch(Guest("dl"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  Hypervisor& hv = source_.hypervisor();
-  EXPECT_EQ(hv.FetchAndResetDirtyLog(*dom).status().code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(hv.SetDirtyLogging(*dom, true).ok());
-  GuestMemoryLayout layout = ComputeGuestLayout(Guest("dl"), 1024);
-  Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
-  char b = 1;
-  ASSERT_TRUE(hv.WriteGuestPage(*dom, gfn, 0, &b, 1).ok());
-  ASSERT_TRUE(hv.WriteGuestPage(*dom, gfn, 8, &b, 1).ok());      // same page: one entry
-  ASSERT_TRUE(hv.WriteGuestPage(*dom, gfn + 3, 0, &b, 1).ok());
-  auto dirty = hv.FetchAndResetDirtyLog(*dom);
-  ASSERT_TRUE(dirty.ok());
-  EXPECT_EQ(*dirty, (std::vector<Gfn>{gfn, gfn + 3}));
-  // Fetch resets the log.
-  EXPECT_TRUE(hv.FetchAndResetDirtyLog(*dom)->empty());
-  ASSERT_TRUE(hv.SetDirtyLogging(*dom, false).ok());
+  auto new_dom = src_guests_.MigrateTo(fabric_, dst_guests_, *dom);
+  ASSERT_TRUE(new_dom.ok()) << new_dom.status().ToString();
+  EXPECT_GT(FabricCount("fabric/link_tx_bytes"), 0u);
+  EXPECT_EQ(FabricCount("fabric/migrations_total"), 1u);
+  EXPECT_EQ(FabricCount("fabric/migrations_failed"), 0u);
+  // The target rebuilt the guest only after the source shipped it, so its
+  // clock is not behind the source's.
+  EXPECT_GT(target_.Now(), hop_start);
+  EXPECT_TRUE(dst_guests_.Alive(*new_dom));
 }
 
-TEST_F(MigrationTest, LiveMigrationConvergesAndCarriesLatestData) {
-  auto dom = src_guests_.Launch(Guest("live"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  GuestMemoryLayout layout = ComputeGuestLayout(Guest("live"), 1024);
-  Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
-  std::uint32_t version = 0;
-  ASSERT_TRUE(source_.hypervisor().WriteGuestPage(*dom, gfn, 0, &version, 4).ok());
+TEST_F(MigrationTest, HostsOutsideTheFabricAreRefused) {
+  // Its host has index 0 like the fabric's source host, but is not the
+  // fabric's.
+  NepheleSystem stranger(HostConfig());
+  GuestManager stranger_guests(stranger);
+  auto dom = src_guests_.Launch(Guest("home"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
+  auto far = stranger_guests.Launch(Guest("far"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
+  ASSERT_TRUE(dom.ok());
+  ASSERT_TRUE(far.ok());
+  fabric_.Settle();
+  stranger.Settle();
 
-  // The "running guest" bumps a counter between pre-copy rounds.
-  int activity_rounds = 0;
-  auto between = [&] {
-    if (activity_rounds++ < 2) {
-      ++version;
-      (void)source_.hypervisor().WriteGuestPage(*dom, gfn, 0, &version, 4);
-    }
-  };
-  Toolstack::LiveMigrationStats stats;
-  auto stream =
-      source_.toolstack().MigrateOutLive(*dom, /*max_rounds=*/8, between, &stats);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  // Round 0 + rounds for the two dirtying bursts.
-  EXPECT_GE(stats.precopy_rounds, 2u);
-  EXPECT_GT(stats.pages_shipped, 1024u);  // full sweep + re-shipped pages
-  // Downtime is tiny compared to the full-copy time (nothing left dirty).
-  EXPECT_LT(stats.downtime.ToMillis(), 15.0);
+  EXPECT_EQ(src_guests_.MigrateTo(fabric_, stranger_guests, *dom).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(stranger_guests.MigrateTo(fabric_, dst_guests_, *far).status().code(),
+            StatusCode::kInvalidArgument);
 
-  auto new_dom = target_.toolstack().MigrateIn(*stream);
-  ASSERT_TRUE(new_dom.ok());
-  ASSERT_TRUE(source_.toolstack().CompleteMigrateOut(*dom).ok());
+  // Nothing moved: both guests still run where they were, nothing shipped.
+  EXPECT_TRUE(src_guests_.Alive(*dom));
+  EXPECT_EQ(source_.hypervisor().FindDomain(*dom)->state, DomainState::kRunning);
+  EXPECT_TRUE(stranger_guests.Alive(*far));
+  EXPECT_EQ(stranger.hypervisor().FindDomain(*far)->state, DomainState::kRunning);
+  EXPECT_EQ(stranger_guests.NumGuests(), 1u);
+  EXPECT_EQ(dst_guests_.NumGuests(), 0u);
+  EXPECT_EQ(FabricCount("fabric/migrations_total"), 0u);
+  EXPECT_EQ(FabricCount("fabric/link_tx_bytes"), 0u);
+}
+
+TEST_F(MigrationTest, ImmigrationRebuildsEveryDeviceType) {
+  auto dom = source_.toolstack().CreateDomain(EveryDevice("moved"));
+  ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+  ExpectBuiltLikeCreate(source_, *dom);
+
+  auto moved = fabric_.Migrate(*dom, 0, 1);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  fabric_.Settle();
   EXPECT_EQ(source_.hypervisor().FindDomain(*dom), nullptr);
-  std::uint32_t got = 0;
-  ASSERT_TRUE(target_.hypervisor().ReadGuestPage(*new_dom, gfn, 0, &got, 4).ok());
-  EXPECT_EQ(got, version);  // the LAST version travelled
+  ExpectBuiltLikeCreate(target_, *moved);
 }
 
-TEST_F(MigrationTest, LiveMigrationRefusedImmigrationLeavesSourceRunning) {
-  auto dom =
-      src_guests_.Launch(Guest("live-stays"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  GuestMemoryLayout layout = ComputeGuestLayout(Guest("live-stays"), 1024);
-  Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
-  std::uint32_t version = 0;
-  ASSERT_TRUE(source_.hypervisor().WriteGuestPage(*dom, gfn, 0, &version, 4).ok());
-  const std::size_t free_before = source_.hypervisor().FreePoolFrames();
+TEST_F(MigrationTest, RestoreRebuildsEveryDeviceType) {
+  auto dom = source_.toolstack().CreateDomain(EveryDevice("restored"));
+  ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+  auto image = source_.toolstack().SaveDomain(*dom);
+  ASSERT_TRUE(image.ok());
+  ASSERT_TRUE(source_.toolstack().DestroyDomain(*dom).ok());
 
-  auto between = [&] {
-    ++version;
-    (void)source_.hypervisor().WriteGuestPage(*dom, gfn, 0, &version, 4);
-  };
-  Toolstack::LiveMigrationStats stats;
-  auto stream = source_.toolstack().MigrateOutLive(*dom, /*max_rounds=*/3, between, &stats);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  // The paused source waits for Complete or Abort; a second emigration is
-  // refused meanwhile.
-  EXPECT_EQ(source_.toolstack().MigrateOutLive(*dom, 3, nullptr, &stats).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  // The target runs out of frames while rebuilding the guest's memory.
-  ASSERT_TRUE(target_.fault_injector().Arm("hypervisor/frame_alloc", FaultSpec::NthHit(1)).ok());
-  EXPECT_FALSE(target_.toolstack().MigrateIn(*stream).ok());
-  target_.fault_injector().DisarmAll();
-  ASSERT_TRUE(source_.toolstack().AbortMigrateOut(*dom).ok());
-  source_.Settle();
-
-  // The guest never left: running, latest data in place, pool untouched.
-  const Domain* d = source_.hypervisor().FindDomain(*dom);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->state, DomainState::kRunning);
-  std::uint32_t got = 0;
-  ASSERT_TRUE(source_.hypervisor().ReadGuestPage(*dom, gfn, 0, &got, 4).ok());
-  EXPECT_EQ(got, version);
-  EXPECT_EQ(source_.hypervisor().FreePoolFrames(), free_before);
+  auto restored = source_.toolstack().RestoreDomain(*image);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  fabric_.Settle();
+  ExpectBuiltLikeCreate(source_, *restored);
 }
 
-TEST_F(MigrationTest, LiveMigrationRefusesFamilies) {
-  auto dom = src_guests_.Launch(Guest("fam2"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
-  source_.Settle();
-  ASSERT_TRUE(src_guests_.ContextOf(*dom)->Fork(1, nullptr).ok());
-  source_.Settle();
-  Toolstack::LiveMigrationStats stats;
-  EXPECT_EQ(source_.toolstack().MigrateOutLive(*dom, 4, nullptr, &stats).status().code(),
-            StatusCode::kFailedPrecondition);
-}
 
 }  // namespace
 }  // namespace nephele

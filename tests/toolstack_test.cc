@@ -133,6 +133,35 @@ TEST_F(ToolstackTest, SaveRestoreRoundTrip) {
   EXPECT_GT(restore_ms, 150.0);
 }
 
+TEST_F(ToolstackTest, SaveLeavesAPausedDomainPaused) {
+  // A clone started paused (the fuzzing setup) ...
+  DomainConfig cfg = GuestConfig("parent");
+  cfg.max_clones = 1;
+  cfg.start_clones_paused = true;
+  auto parent = system_.toolstack().CreateDomain(cfg);
+  ASSERT_TRUE(parent.ok());
+  const Domain* p = system_.hypervisor().FindDomain(*parent);
+  auto children =
+      system_.clone_engine().Clone({*parent, *parent, p->p2m[p->start_info_gfn].mfn, 1});
+  ASSERT_TRUE(children.ok()) << children.status().ToString();
+  system_.Settle();
+  const DomId child = children->front();
+  ASSERT_EQ(system_.hypervisor().FindDomain(child)->state, DomainState::kPaused);
+  // ... and an emigration source parked until Complete or Abort.
+  auto parked = system_.toolstack().CreateDomain(GuestConfig("parked"));
+  ASSERT_TRUE(parked.ok());
+  ASSERT_TRUE(system_.toolstack().BeginMigrateOut(*parked).ok());
+
+  for (DomId dom : {child, *parked}) {
+    ASSERT_TRUE(system_.toolstack().SaveDomain(dom).ok());
+    EXPECT_EQ(system_.hypervisor().FindDomain(dom)->state, DomainState::kPaused)
+        << "domid " << dom;
+  }
+  // A running domain runs again once saved.
+  ASSERT_TRUE(system_.toolstack().SaveDomain(*parent).ok());
+  EXPECT_EQ(system_.hypervisor().FindDomain(*parent)->state, DomainState::kRunning);
+}
+
 TEST_F(ToolstackTest, SaveUnknownDomainFails) {
   EXPECT_EQ(system_.toolstack().SaveDomain(404).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(system_.toolstack().DestroyDomain(404).code(), StatusCode::kNotFound);
