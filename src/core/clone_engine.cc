@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "src/base/log.h"
 #include "src/base/units.h"
 
 namespace nephele {
 
-CloneEngine::CloneEngine(Hypervisor& hv, const SystemServices& services)
+CloneEngine::CloneEngine(Hypervisor& hv, const SystemServices& services,
+                         const LazyCloneConfig& lazy)
     : hv_(hv),
+      lazy_cfg_(lazy),
       ring_(256),
       trace_(services.trace),
       m_clones_(services.metrics.GetCounter("clone/clones_total")),
@@ -100,7 +103,6 @@ std::size_t CloneEngine::PendingStreamPages(DomId child) const {
 
 void CloneEngine::ComputeHotSet(const Domain& parent, const CloneRequest& req,
                                 BatchPlan& batch) {
-  batch.lazy = true;
   for (Gfn gfn : req.hot_pages) {
     if (gfn < parent.p2m.size()) {
       batch.hot.insert(gfn);
@@ -154,6 +156,21 @@ void CloneEngine::MaterializePage(Domain& parent, Domain& child, Gfn gfn) {
   }
 }
 
+std::size_t CloneEngine::DrainStream(StreamState& st, Domain& parent, Domain& child,
+                                     std::size_t max_pages) {
+  std::size_t done = 0;
+  while (done < max_pages && st.cursor < st.deferred.size()) {
+    const Gfn gfn = st.deferred[st.cursor++];
+    if (child.p2m[gfn].mfn != kInvalidMfn) {
+      continue;  // a demand fault got here first
+    }
+    MaterializePage(parent, child, gfn);
+    ++done;
+  }
+  m_streamed_pages_.Increment(done);
+  return done;
+}
+
 Status CloneEngine::RunStreamBatch(DomId child_id, std::size_t* out_pages) {
   if (out_pages != nullptr) {
     *out_pages = 0;
@@ -180,18 +197,8 @@ Status CloneEngine::RunStreamBatch(DomId child_id, std::size_t* out_pages) {
   }
   hv_.loop().AdvanceBy(hv_.costs().lazy_stream_batch_fixed);
   m_lazy_stream_batches_.Increment();
-  const std::size_t batch_pages =
-      lazy_cfg_.stream_batch_pages == 0 ? 1 : lazy_cfg_.stream_batch_pages;
-  std::size_t done = 0;
-  while (done < batch_pages && st.cursor < st.deferred.size()) {
-    Gfn gfn = st.deferred[st.cursor++];
-    if (child->p2m[gfn].mfn != kInvalidMfn) {
-      continue;  // a demand fault got here first
-    }
-    MaterializePage(*parent, *child, gfn);
-    ++done;
-    m_streamed_pages_.Increment();
-  }
+  const std::size_t done = DrainStream(
+      st, *parent, *child, std::max<std::size_t>(lazy_cfg_.stream_batch_pages, 1));
   if (out_pages != nullptr) {
     *out_pages = done;
   }
@@ -243,51 +250,35 @@ Status CloneEngine::OnLazyTouch(DomId dom, Gfn gfn) {
   // Case 1: a streaming child touches its own not-present entry — a demand
   // fault. The page jumps the stream queue and materialises on the spot;
   // the caller's COW machinery then treats it like any shared page.
-  auto it = streaming_.find(dom);
-  if (it != streaming_.end()) {
-    Domain* child = hv_.FindDomain(dom);
-    Domain* parent = hv_.FindDomain(it->second.parent);
-    if (child != nullptr && parent != nullptr && gfn < child->p2m.size() &&
-        child->p2m[gfn].mfn == kInvalidMfn) {
-      NEPHELE_RETURN_IF_ERROR(f_lazy_demand_.Poke());
-      hv_.loop().AdvanceBy(hv_.costs().lazy_demand_fault_fixed);
-      MaterializePage(*parent, *child, gfn);
-      m_lazy_demand_faults_.Increment();
-      if (child->lazy_deferred_pages == 0) {
-        streaming_.erase(it);
-      }
-      return Status::Ok();
-    }
-  }
   // Case 2: a parent is about to COW-write a page its streaming children
   // still defer. The write would change the frame the children read through,
   // so the clone-time snapshot is pushed to them first. A fault here fails
   // the parent's write with everything still deferred; a retry resumes with
   // whatever was already pushed.
-  Domain* parent = hv_.FindDomain(dom);
-  if (parent == nullptr) {
+  // A streaming child has no streaming children of its own (Clone() finishes
+  // a parent's stream first), so at most one of the two cases applies.
+  for (auto it = streaming_.begin(); it != streaming_.end();) {
+    auto stream = it++;  // DemandFault may retire `stream`
+    if (stream->first == dom || stream->second.parent == dom) {
+      NEPHELE_RETURN_IF_ERROR(DemandFault(stream, gfn));
+    }
+  }
+  return Status::Ok();
+}
+
+Status CloneEngine::DemandFault(StreamMap::iterator it, Gfn gfn) {
+  Domain* child = hv_.FindDomain(it->first);
+  Domain* parent = hv_.FindDomain(it->second.parent);
+  if (child == nullptr || parent == nullptr || gfn >= child->p2m.size() ||
+      child->p2m[gfn].mfn != kInvalidMfn) {
     return Status::Ok();
   }
-  for (auto sit = streaming_.begin(); sit != streaming_.end();) {
-    if (sit->second.parent != dom) {
-      ++sit;
-      continue;
-    }
-    Domain* child = hv_.FindDomain(sit->first);
-    if (child == nullptr || gfn >= child->p2m.size() ||
-        child->p2m[gfn].mfn != kInvalidMfn) {
-      ++sit;
-      continue;
-    }
-    NEPHELE_RETURN_IF_ERROR(f_lazy_demand_.Poke());
-    hv_.loop().AdvanceBy(hv_.costs().lazy_demand_fault_fixed);
-    MaterializePage(*parent, *child, gfn);
-    m_lazy_demand_faults_.Increment();
-    if (child->lazy_deferred_pages == 0) {
-      sit = streaming_.erase(sit);
-    } else {
-      ++sit;
-    }
+  NEPHELE_RETURN_IF_ERROR(f_lazy_demand_.Poke());
+  hv_.loop().AdvanceBy(hv_.costs().lazy_demand_fault_fixed);
+  MaterializePage(*parent, *child, gfn);
+  m_lazy_demand_faults_.Increment();
+  if (child->lazy_deferred_pages == 0) {
+    streaming_.erase(it);
   }
   return Status::Ok();
 }
@@ -308,15 +299,7 @@ void CloneEngine::OnDomainDestroy(DomId dom) {
     }
     Domain* child = hv_.FindDomain(it->first);
     if (child != nullptr && parent != nullptr) {
-      StreamState& st = it->second;
-      while (st.cursor < st.deferred.size()) {
-        Gfn gfn = st.deferred[st.cursor++];
-        if (child->p2m[gfn].mfn != kInvalidMfn) {
-          continue;
-        }
-        MaterializePage(*parent, *child, gfn);
-        m_streamed_pages_.Increment();
-      }
+      DrainStream(it->second, *parent, *child, std::numeric_limits<std::size_t>::max());
     }
     it = streaming_.erase(it);
   }
@@ -385,6 +368,20 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
       m_pages_private_copied_.Increment();
       continue;
     }
+    if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
+      // Deferred: every child's entry will be not-present — no share, no
+      // fault poke, no lane cost. That skipped cost is the entire
+      // time-to-first-request win. The parent pte still turns read-only
+      // NOW, so a parent write demand-pushes the page to the children
+      // before changing it (they must keep seeing the clone-time snapshot).
+      batch.deferred_gfns.push_back(gfn);
+      if (pe.writable) {
+        batch.writable_flips.push_back(gfn);
+        pe.writable = false;
+      }
+      m_lazy_deferred_pages_.Increment();
+      continue;
+    }
     NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
     // first_shared first: it already records every frame a previous child's
     // plan turned shared, so the locked read only runs for frames shared
@@ -423,12 +420,14 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
   return PlanTables(parent, cp);
 }
 
-void CloneEngine::AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDuration& lane) {
+void CloneEngine::AccountPartialScan(const Domain& parent, const BatchPlan& batch,
+                                     Gfn end_gfn, SimDuration& lane) {
   const CostModel& costs = hv_.costs();
   const FrameTable& frames = hv_.frames();
   std::size_t priv = 0;
   std::size_t idc = 0;
   std::size_t regular = 0;
+  std::size_t deferred = 0;  // also the cursor into batch.deferred_gfns
   for (Gfn gfn = 0; gfn < end_gfn; ++gfn) {
     const P2mEntry& pe = parent.p2m[gfn];
     if (IsPrivateRole(pe.role)) {
@@ -436,6 +435,8 @@ void CloneEngine::AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDurat
       lane += costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
                                        ? costs.page_copy
                                        : costs.private_page_rewrite);
+    } else if (deferred < batch.deferred_gfns.size() && batch.deferred_gfns[deferred] == gfn) {
+      ++deferred;
     } else {
       lane += costs.page_share_again;
       if (pe.role == PageRole::kIdcShared) {
@@ -449,6 +450,7 @@ void CloneEngine::AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDurat
   m_pages_idc_shared_.Increment(idc);
   m_pages_shared_again_.Increment(regular);
   m_pages_shared_.Increment(regular);
+  m_lazy_deferred_pages_.Increment(deferred);
 }
 
 Status CloneEngine::PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& cp) {
@@ -456,125 +458,51 @@ Status CloneEngine::PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& c
   NEPHELE_RETURN_IF_ERROR(f_stage1_memory_.Poke());
   const CostModel& costs = hv_.costs();
 
-  // The first child shared every non-private page, so every share of this
-  // child is a re-share: no per-page decisions remain and the scan reduces
-  // to the private gfns plus bulk fault pokes for the share runs between
-  // them. The failure paths recompute the exact per-page prefix the fast
-  // path skipped, so an armed fault point observes identical hit counts and
-  // counter state as with the serial per-page walk.
-  cp.private_mfns.reserve(batch.private_gfns.size());
+  // The first child decided every page: it copied the private gfns,
+  // deferred the lazy ones and shared the rest, so every share of this
+  // child is a re-share and no per-page decisions remain. The scan reduces
+  // to the private and deferred gfns (both ascending) plus bulk fault pokes
+  // for the share runs between them. The failure paths recompute the exact
+  // per-page prefix the fast path skipped, so an armed fault point observes
+  // identical hit counts and counter state as with a per-page walk.
+  const std::vector<Gfn>& deferred = batch.deferred_gfns;
+  std::size_t di = 0;
   Gfn next = 0;
-  for (Gfn pgfn : batch.private_gfns) {
-    FaultPoint::BulkPoke bulk = f_stage1_share_.PokeMany(pgfn - next);
-    if (!bulk.status.ok()) {
-      AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
-      return bulk.status;
+  // Pokes the share point once per page of [next, stop) that is not
+  // deferred, then moves `next` past `stop`.
+  auto poke_shares_until = [&](Gfn stop) -> Status {
+    for (;; ++di) {
+      const Gfn run_end = di < deferred.size() && deferred[di] < stop ? deferred[di] : stop;
+      FaultPoint::BulkPoke bulk = f_stage1_share_.PokeMany(run_end - next);
+      if (!bulk.status.ok()) {
+        AccountPartialScan(parent, batch, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
+        return bulk.status;
+      }
+      next = run_end + 1;
+      if (run_end == stop) {
+        return Status::Ok();
+      }
     }
+  };
+  cp.private_mfns.reserve(batch.private_gfns.size());
+  for (Gfn pgfn : batch.private_gfns) {
+    NEPHELE_RETURN_IF_ERROR(poke_shares_until(pgfn));
     auto mfn = hv_.StageGuestFrame(cp.id);
     if (!mfn.ok()) {
-      AccountPartialScan(parent, pgfn, cp.lane);
+      AccountPartialScan(parent, batch, pgfn, cp.lane);
       return mfn.status();
     }
     cp.private_mfns.push_back(*mfn);
-    next = pgfn + 1;
   }
-  FaultPoint::BulkPoke bulk =
-      f_stage1_share_.PokeMany(static_cast<Gfn>(parent.p2m.size()) - next);
-  if (!bulk.status.ok()) {
-    AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
-    return bulk.status;
-  }
+  NEPHELE_RETURN_IF_ERROR(poke_shares_until(static_cast<Gfn>(parent.p2m.size())));
 
   m_pages_private_copied_.Increment(batch.private_gfns.size());
   m_pages_idc_shared_.Increment(batch.idc_pages);
   m_pages_shared_again_.Increment(batch.regular_pages);
   m_pages_shared_.Increment(batch.regular_pages);
+  m_lazy_deferred_pages_.Increment(deferred.size());
   cp.lane += batch.private_cost +
              costs.page_share_again * static_cast<double>(batch.idc_pages + batch.regular_pages);
-  return PlanTables(parent, cp);
-}
-
-Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& cp,
-                                  bool first) {
-  NEPHELE_RETURN_IF_ERROR(PlanChildCommon(parent, cp));
-  if (first) {
-    batch.first_child = cp.id;
-  }
-  NEPHELE_RETURN_IF_ERROR(f_stage1_memory_.Poke());
-  const CostModel& costs = hv_.costs();
-  FrameTable& frames = hv_.frames();
-
-  // Lazy plan: a full per-page walk for every child. Deferral already
-  // removed the bulk of the stage-1 work, so the O(private) fast path of
-  // PlanNextChild buys nothing here, and one uniform walk keeps the fault
-  // ordering identical for every child of the batch.
-  for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
-    P2mEntry& pe = parent.p2m[gfn];
-    if (IsPrivateRole(pe.role)) {
-      NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
-      cp.private_mfns.push_back(mfn);
-      SimDuration cost = costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
-                                                  ? costs.page_copy
-                                                  : costs.private_page_rewrite);
-      if (first) {
-        batch.private_gfns.push_back(gfn);
-        batch.private_cost += cost;
-      }
-      cp.lane += cost;
-      m_pages_private_copied_.Increment();
-      continue;
-    }
-    if (pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
-      // Deferred: the child's entry will be not-present — no share, no
-      // fault poke, no lane cost. That skipped cost is the entire
-      // time-to-first-request win. The parent pte still turns read-only
-      // NOW, so a parent write demand-pushes the page to the children
-      // before changing it (they must keep seeing the clone-time snapshot).
-      if (first) {
-        batch.deferred_gfns.push_back(gfn);
-      }
-      if (pe.writable) {
-        batch.writable_flips.push_back(gfn);
-        pe.writable = false;
-      }
-      m_lazy_deferred_pages_.Increment();
-      continue;
-    }
-    NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
-    // first_shared first: it already records every frame a previous child's
-    // plan turned shared, so the locked read only runs for frames shared
-    // before this batch. IsSharedSync (not IsShared) because staging of the
-    // previous child may still be flipping frames on the worker pool.
-    const bool already_shared =
-        batch.first_shared.count(pe.mfn) > 0 || frames.IsSharedSync(pe.mfn);
-    if (pe.role == PageRole::kIdcShared) {
-      cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
-      if (!already_shared) {
-        batch.first_shared.insert(pe.mfn);
-      }
-      m_pages_idc_shared_.Increment();
-      if (first) {
-        ++batch.idc_pages;
-      }
-      continue;
-    }
-    if (already_shared) {
-      cp.lane += costs.page_share_again;
-      m_pages_shared_again_.Increment();
-    } else {
-      cp.lane += costs.page_share_first;
-      batch.first_shared.insert(pe.mfn);
-      m_pages_shared_first_.Increment();
-    }
-    m_pages_shared_.Increment();
-    if (first) {
-      ++batch.regular_pages;
-    }
-    if (pe.writable) {
-      batch.writable_flips.push_back(gfn);
-      pe.writable = false;
-    }
-  }
   return PlanTables(parent, cp);
 }
 
@@ -621,6 +549,7 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   std::vector<Mfn> shares;
   shares.reserve(parent.p2m.size());
   std::size_t pi = 0;
+  std::size_t di = 0;
   for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
     const P2mEntry& pe = parent.p2m[gfn];
     if (IsPrivateRole(pe.role)) {
@@ -629,10 +558,10 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
         frames.CopyPage(pe.mfn, mfn);
       }
       child.p2m.push_back(P2mEntry{mfn, pe.role, /*writable=*/true});
-    } else if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
-      // Deferred (the same predicate the plan used): not-present entry, no
-      // share ref. The ledger is child-local state, so bumping it here is
-      // safe from a pool worker.
+    } else if (di < batch.deferred_gfns.size() && batch.deferred_gfns[di] == gfn) {
+      // Deferred by the plan: not-present entry, no share ref. The ledger
+      // is child-local state, so bumping it here is safe from a pool worker.
+      ++di;
       child.p2m.push_back(P2mEntry{kInvalidMfn, pe.role, /*writable=*/false});
       ++child.lazy_deferred_pages;
     } else {
@@ -742,7 +671,8 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   if (!parent->cloning_enabled) {
     return ErrPermissionDenied("cloning not enabled for this domain");
   }
-  if (parent->clones_created + num_clones > parent->max_clones) {
+  // In 64 bits: a hostile count must not wrap the sum past the limit.
+  if (std::uint64_t{parent->clones_created} + num_clones > parent->max_clones) {
     return ErrResourceExhausted("max_clones exceeded");
   }
   if (num_clones == 0) {
@@ -767,8 +697,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   if (IsStreaming(parent_id)) {
     NEPHELE_RETURN_IF_ERROR(FinishStreaming(parent_id));
   }
-  const bool lazy = req.lazy && lazy_cfg_.enabled;
-
   m_batches_.Increment();
   for (CloneObserver* obs : observers_) {
     obs->OnCloneStart(parent_id, num_clones);
@@ -793,7 +721,8 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   // the next child is planned. Everything that can fail fails in the plan,
   // so a dispatched staging job always completes.
   BatchPlan batch;
-  if (lazy) {
+  batch.lazy = req.lazy;
+  if (batch.lazy) {
     ComputeHotSet(*parent, req, batch);
   }
   std::vector<ChildPlan> plans;
@@ -802,9 +731,7 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   for (unsigned i = 0; i < num_clones; ++i) {
     plans.emplace_back();
     ChildPlan& cp = plans.back();
-    failure = lazy ? PlanChildLazy(*parent, batch, cp, i == 0)
-                   : (i == 0 ? PlanFirstChild(*parent, batch, cp)
-                             : PlanNextChild(*parent, batch, cp));
+    failure = i == 0 ? PlanFirstChild(*parent, batch, cp) : PlanNextChild(*parent, batch, cp);
     if (!failure.ok()) {
       break;
     }
@@ -905,17 +832,7 @@ Status CloneEngine::CloneAborted(DomId child) {
   // An aborted child retires its outstanding slot exactly like a completed
   // one: the parent must not stay paused forever because one clone of a
   // batch failed.
-  auto out = outstanding_.find(parent_id);
-  if (out != outstanding_.end() && --out->second == 0) {
-    outstanding_.erase(out);
-    Domain* parent = hv_.FindDomain(parent_id);
-    if (parent != nullptr) {
-      parent->blocked_in_clone = false;
-      (void)hv_.UnpauseDomain(parent_id);
-      last_parent_resume_ = hv_.loop().Now();
-      FireResume(parent_id, /*is_child=*/false);
-    }
-  }
+  RetireOutstanding(parent_id);
   return Status::Ok();
 }
 
@@ -940,19 +857,23 @@ Status CloneEngine::CloneCompletion(DomId child) {
     (void)hv_.UnpauseDomain(child);
     FireResume(child, /*is_child=*/true);
   }
-
-  auto out = outstanding_.find(parent_id);
-  if (out != outstanding_.end() && --out->second == 0) {
-    outstanding_.erase(out);
-    Domain* parent = hv_.FindDomain(parent_id);
-    if (parent != nullptr) {
-      parent->blocked_in_clone = false;
-      (void)hv_.UnpauseDomain(parent_id);
-      last_parent_resume_ = hv_.loop().Now();
-      FireResume(parent_id, /*is_child=*/false);
-    }
-  }
+  RetireOutstanding(parent_id);
   return Status::Ok();
+}
+
+void CloneEngine::RetireOutstanding(DomId parent_id) {
+  auto out = outstanding_.find(parent_id);
+  if (out == outstanding_.end() || --out->second != 0) {
+    return;
+  }
+  outstanding_.erase(out);
+  Domain* parent = hv_.FindDomain(parent_id);
+  if (parent != nullptr) {
+    parent->blocked_in_clone = false;
+    (void)hv_.UnpauseDomain(parent_id);
+    last_parent_resume_ = hv_.loop().Now();
+    FireResume(parent_id, /*is_child=*/false);
+  }
 }
 
 void CloneEngine::FireResume(DomId dom, bool is_child) {

@@ -47,7 +47,9 @@ namespace nephele {
 
 class CloneEngine {
  public:
-  CloneEngine(Hypervisor& hv, const SystemServices& services);
+  // `lazy` holds the post-copy prefetcher knobs (SystemConfig::lazy_clone),
+  // fixed for the engine's lifetime.
+  CloneEngine(Hypervisor& hv, const SystemServices& services, const LazyCloneConfig& lazy);
 
   // ---------------------------------------------------------------------
   // CLONEOP subcommands.
@@ -86,20 +88,15 @@ class CloneEngine {
   // ---------------------------------------------------------------------
   // Lazy (post-copy) cloning.
   // ---------------------------------------------------------------------
-  // A CloneRequest with `lazy` set (and LazyCloneConfig::enabled) maps only
-  // the hot working set in stage 1; every other kData page becomes a
-  // not-present p2m entry backed by the parent, recorded in the child's
-  // deferred ledger (Domain::lazy_deferred_pages). The remainder streams in
-  // through a background prefetcher on the event loop, with demand faults
-  // (guest writes, grants, clone_cow) materialising individual pages ahead
-  // of the stream. A fully-streamed lazy child is state-for-state identical
-  // to an eager clone of the same parent.
-
-  // Replaces the prefetcher knobs. Affects batches planned and stream
-  // batches run after the call; in-flight streams keep their page list but
-  // pick up the new batch size and interval.
-  void SetLazyConfig(const LazyCloneConfig& cfg) { lazy_cfg_ = cfg; }
-  const LazyCloneConfig& lazy_config() const { return lazy_cfg_; }
+  // A CloneRequest with `lazy` set maps only the hot working set in stage 1;
+  // every other kData page becomes a not-present p2m entry backed by the
+  // parent, recorded in the child's deferred ledger
+  // (Domain::lazy_deferred_pages). The batch is the eager plan plus one
+  // deferred list, decided once by the first child's page walk. The
+  // remainder streams in through a background prefetcher on the event loop,
+  // with demand faults (guest writes, grants, clone_cow) materialising
+  // individual pages ahead of the stream. A fully-streamed lazy child is
+  // state-for-state identical to an eager clone of the same parent.
 
   // True while `child` still has deferred pages to stream.
   bool IsStreaming(DomId child) const { return streaming_.count(child) > 0; }
@@ -171,8 +168,9 @@ class CloneEngine {
     bool dispatched = false;
   };
 
-  // Batch-wide facts computed once during the first child's full-page scan.
-  // Later children reuse them instead of re-deciding per page.
+  // Batch-wide facts the first child's page walk decides once. Later
+  // children, staging and rollback accounting replay them instead of
+  // re-deciding per page.
   struct BatchPlan {
     // Parent gfns holding private-role pages, ascending.
     std::vector<Gfn> private_gfns;
@@ -181,7 +179,8 @@ class CloneEngine {
     std::unordered_set<Mfn> first_shared;
     // Parent ptes flipped writable->read-only by this batch, for rollback.
     std::vector<Gfn> writable_flips;
-    // Shared-page counts (idc + regular = every non-private page).
+    // Shared-page counts; with deferred_gfns they cover every non-private
+    // page.
     std::size_t idc_pages = 0;
     std::size_t regular_pages = 0;
     // Cost of one child's private-page work (identical for every child).
@@ -189,29 +188,36 @@ class CloneEngine {
     DomId first_child = kDomInvalid;
     // --- Lazy mode (set once in Clone(), read-only afterwards). ---
     bool lazy = false;
-    // The hot working set: gfns mapped eagerly. StageChild re-derives the
-    // defer decision from this set, so plan and stage agree by construction.
+    // The hot working set: kData gfns mapped eagerly. Only PlanFirstChild
+    // reads it.
     std::unordered_set<Gfn> hot;
-    // Parent gfns deferred for every child (kData, not hot), ascending —
-    // the initial stream list of each child.
+    // Parent gfns deferred for every child (kData, not hot), ascending: the
+    // one record of the deferral decision, which later plans and staging
+    // walk with a cursor, and the initial stream list of each child.
     std::vector<Gfn> deferred_gfns;
   };
 
-  // Plan phase. PlanFirstChild walks every parent page (classifying,
-  // poking faults in the serial-engine order, bumping page counters,
-  // flipping parent ptes); PlanNextChild is O(private pages) — every one of
-  // its shares is a re-share of a page the first child already shared.
-  // Both leave a partially-planned child behind on failure; RollbackBatch
-  // cleans it up.
+  // Stream of one lazy child. `deferred` is fixed at commit; `cursor` walks
+  // it — entries a demand fault materialised first are skipped when the
+  // stream reaches them. cursor == deferred.size() ⇔ ledger is 0 ⇔ done.
+  struct StreamState {
+    DomId parent = kDomInvalid;
+    std::vector<Gfn> deferred;
+    std::size_t cursor = 0;
+  };
+  using StreamMap = std::map<DomId, StreamState>;
+
+  // Plan phase, one plan per child position in both modes. PlanFirstChild
+  // walks every parent page once: it classifies the page (copy, share or,
+  // in a lazy batch, defer), pokes faults in page order, bumps page
+  // counters and flips parent ptes. PlanNextChild replays those decisions
+  // in O(private + deferred pages) — every one of its shares is a re-share
+  // of a page the first child already shared. Both leave a
+  // partially-planned child behind on failure; RollbackBatch cleans it up.
   Status PlanChildCommon(Domain& parent, ChildPlan& cp);
   Status PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);
   Status PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);
   Status PlanTables(Domain& parent, ChildPlan& cp);
-
-  // Lazy-mode plan: a full per-page walk for EVERY child of the batch (no
-  // O(private) fast path — deferral already removed the bulk of the work),
-  // skipping shares for deferred pages. `first` fills the batch-wide facts.
-  Status PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& cp, bool first);
 
   // Seeds BatchPlan::hot for a lazy batch: specials and private pages are
   // implicitly hot (never deferred); this collects the explicit hint plus up
@@ -227,11 +233,17 @@ class CloneEngine {
   // fully-mapped parent.
   void MaterializePage(Domain& parent, Domain& child, Gfn gfn);
 
+  // The one stream drain: materialises up to `max_pages` of `st`'s remaining
+  // deferred pages in cursor order, skipping entries a demand fault
+  // materialised first. Returns the number of pages streamed.
+  std::size_t DrainStream(StreamState& st, Domain& parent, Domain& child,
+                          std::size_t max_pages);
+
   // One prefetcher batch for `child`: pokes "lazy/stream" (a fault stalls
   // the batch — returned, nothing streamed), charges the batch cost and
-  // materialises up to stream_batch_pages deferred pages. `out_pages`
-  // (optional) reports pages materialised. Erases the stream state when the
-  // child finishes.
+  // drains up to stream_batch_pages deferred pages. `out_pages` (optional)
+  // reports pages materialised. Erases the stream state when the child
+  // finishes.
   Status RunStreamBatch(DomId child, std::size_t* out_pages);
 
   // Background tick: one batch, then re-posts itself while the child still
@@ -242,12 +254,16 @@ class CloneEngine {
   // Demand path (Hypervisor::LazyTouchHook): a touch of (dom, gfn) that
   // needs page materialisation before the regular COW machinery may look at
   // the entry. Two cases — `dom` is a streaming child touching its own
-  // not-present entry (demand fault), or `dom` is a parent about to COW a
-  // page its streaming children still defer (the write would break the
-  // children's snapshot, so the page is pushed to them first). Pokes
-  // "lazy/demand_fault"; an injected fault surfaces as the touch's error
-  // and leaves every entry deferred.
+  // not-present entry, or `dom` is a parent about to COW a page its
+  // streaming children still defer (the write would break the children's
+  // snapshot, so the page is pushed to them first). Both take DemandFault.
   Status OnLazyTouch(DomId dom, Gfn gfn);
+
+  // The one demand-fault body: if the child streaming at `it` still defers
+  // `gfn`, pokes "lazy/demand_fault" (an injected fault is returned and
+  // leaves the page deferred), charges the fault, materialises the page and
+  // retires a stream that owes nothing more (invalidating `it`).
+  Status DemandFault(StreamMap::iterator it, Gfn gfn);
 
   // Hypervisor::DomainDestroyHook: tearing down a streaming parent first
   // force-finishes its children's streams (no fault pokes — the destroy is
@@ -264,12 +280,18 @@ class CloneEngine {
   // from their p2m; the failing child returns its consumed allocations.
   void RollbackBatch(Domain& parent, BatchPlan& batch, std::vector<ChildPlan>& plans);
 
-  // Exact per-page counter/lane accounting for a mid-scan plan failure in
-  // PlanNextChild: recomputes what the pages in [0, end_gfn) contributed.
-  void AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDuration& lane);
+  // Exact per-page counter/lane accounting for a mid-plan failure in
+  // PlanNextChild: recomputes what the pages in [0, end_gfn) contributed,
+  // deferred pages included.
+  void AccountPartialScan(const Domain& parent, const BatchPlan& batch, Gfn end_gfn,
+                          SimDuration& lane);
 
   void CloneVcpus(const Domain& parent, Domain& child);
   void FireResume(DomId dom, bool is_child);
+  // Retires one outstanding second-stage slot of `parent_id`, for a
+  // completed or an aborted child; the last one unblocks and resumes the
+  // parent.
+  void RetireOutstanding(DomId parent_id);
 
   struct PendingChild {
     DomId parent = kDomInvalid;
@@ -277,16 +299,8 @@ class CloneEngine {
     SimTime pushed_at;
   };
 
-  // Stream of one lazy child. `deferred` is fixed at commit; `cursor` walks
-  // it — entries a demand fault materialised first are skipped when the
-  // stream reaches them. cursor == deferred.size() ⇔ ledger is 0 ⇔ done.
-  struct StreamState {
-    DomId parent = kDomInvalid;
-    std::vector<Gfn> deferred;
-    std::size_t cursor = 0;
-  };
-
   Hypervisor& hv_;
+  const LazyCloneConfig lazy_cfg_;
   CloneNotificationRing ring_;
   SimTime last_parent_resume_;
 
@@ -332,10 +346,9 @@ class CloneEngine {
   std::map<DomId, unsigned> outstanding_;
   std::map<DomId, PendingChild> pending_children_;
 
-  LazyCloneConfig lazy_cfg_;
   // Active streams, keyed by child. Ordered so StreamPump's round-robin and
   // the pending-pages gauge are worker-count independent.
-  std::map<DomId, StreamState> streaming_;
+  StreamMap streaming_;
 };
 
 }  // namespace nephele

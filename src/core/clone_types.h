@@ -58,9 +58,6 @@ struct CloneRequest {
 // Knobs of the lazy-clone (post-copy) background prefetcher. Like
 // SchedulerConfig this lives here so SystemConfig carries the knob surface.
 struct LazyCloneConfig {
-  // Master gate: when false, requests with lazy=true degrade to eager
-  // full-copy clones (every page mapped in stage 1).
-  bool enabled = true;
   // Pages materialised per prefetcher batch.
   std::size_t stream_batch_pages = 64;
   // Delay between consecutive prefetcher batches of one child (the stream's

@@ -12,12 +12,8 @@ Host::Host(EventLoop& peer, SystemConfig config, std::size_t index)
   xs_ = std::make_unique<XenstoreDaemon>(loop_, costs_, services());
   devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs_, services());
   toolstack_ = std::make_unique<Toolstack>(*hv_, *xs_, *devices_, loop_, costs_, services());
-  engine_ = std::make_unique<CloneEngine>(*hv_, services());
+  engine_ = std::make_unique<CloneEngine>(*hv_, services(), config_.lazy_clone);
   engine_->SetWorkerThreads(config_.clone_worker_threads);
-  engine_->SetLazyConfig(config_.lazy_clone);
-  // The toolstack's administrator knob routes through the host so config()
-  // keeps reflecting the effective thread count.
-  toolstack_->AttachCloneThreadSetter([this](unsigned n) { SetCloneWorkerThreads(n); });
   xencloned_ = std::make_unique<Xencloned>(*hv_, *engine_, *xs_, *devices_, *toolstack_, loop_,
                                            costs_, services());
 

@@ -37,24 +37,25 @@
 
 namespace nephele {
 
-// The single source of truth for every host-side knob. Runtime setters
-// (Host::SetCloneWorkerThreads, Toolstack::SetCloneWorkerThreads) are thin
-// forwards that update this struct and push the value down; reading
-// Host::config() always reflects the current effective settings.
+// Every host-side knob, read at construction by the component that
+// consumes it (a Host subsystem, or a component built on top such as
+// CloneScheduler(Host&)). The one runtime knob is
+// CloneEngine::SetWorkerThreads (staging threads never change results);
+// Host::config() stays the construction-time config.
 struct SystemConfig {
   HypervisorConfig hypervisor;
   CostModel costs;
   // Start xencloned (and enable cloning globally) at construction.
   bool start_xencloned = true;
   // Host threads staging clone batches. 1 = serial; results are identical
-  // at any setting.
+  // at any setting. CloneEngine::SetWorkerThreads retunes it at runtime.
   unsigned clone_worker_threads = 1;
   // Clone-scheduler knobs (batch window, max batch, warm-pool capacity,
   // queue depth, ...). Consumed by CloneScheduler(Host&).
   SchedulerConfig sched;
   // Lazy-clone (post-copy) knobs: prefetcher batch size, rate limit,
-  // auto/manual streaming. Consumed by CloneEngine for requests with
-  // CloneRequest::lazy set.
+  // auto/manual streaming, hot-set cap. Handed to the CloneEngine
+  // constructor and used for requests with CloneRequest::lazy set.
   LazyCloneConfig lazy_clone;
   // Telemetry-pipeline knobs (tick interval, ring capacity). Consumed by
   // TsdbCollector(host.metrics(), host.loop(), host.config().tsdb); like
@@ -110,17 +111,10 @@ class Host {
   // top of this host (GuestManager, CloneScheduler, ...) should receive.
   SystemServices services() { return SystemServices{metrics_, trace_, faults_}; }
 
-  // The effective configuration. Runtime setters below keep it current, so
-  // this is always what the host is actually running with.
+  // The construction-time configuration. Clone staging threads are retuned
+  // at runtime through clone_engine().SetWorkerThreads, which this does not
+  // track.
   const SystemConfig& config() const { return config_; }
-
-  // Single entry point for retuning clone staging parallelism at runtime:
-  // updates config() and forwards to the engine. Toolstack's administrator
-  // knob is wired here too, so every path converges on one source of truth.
-  void SetCloneWorkerThreads(unsigned n) {
-    config_.clone_worker_threads = n == 0 ? 1 : n;
-    engine_->SetWorkerThreads(n);
-  }
 
   // Runs the whole event-loop group until idle.
   void Settle() { loop_.Run(); }

@@ -58,12 +58,8 @@ class NepheleSystem {
   // top of this system (GuestManager, CloneScheduler, ...) should receive.
   SystemServices services() { return host_->services(); }
 
-  // The effective configuration. Runtime setters below keep it current, so
-  // this is always what the system is actually running with.
+  // The construction-time configuration (see Host::config()).
   const SystemConfig& config() const { return host_->config(); }
-
-  // Single entry point for retuning clone staging parallelism at runtime.
-  void SetCloneWorkerThreads(unsigned n) { host_->SetCloneWorkerThreads(n); }
 
   // Runs the event loop until idle.
   void Settle() { fabric_.Settle(); }

@@ -390,26 +390,7 @@ Status Hypervisor::ResolveCowForWrite(Domain& d, Gfn gfn) {
   }
   // COW fault (Sec. 4.1 / 5.2).
   NEPHELE_RETURN_IF_ERROR(f_cow_resolve_.Poke());
-  loop_.AdvanceBy(costs_.cow_fault_fixed);
-  NEPHELE_ASSIGN_OR_RETURN(auto res, frames_.ResolveCowWrite(entry.mfn, d.id));
-  if (res.copied) {
-    loop_.AdvanceBy(costs_.page_copy + costs_.frame_alloc);
-    ++d.cow_pages_copied;
-  }
-  entry.mfn = res.mfn;
-  entry.writable = true;
-  ++d.cow_faults;
-  m_cow_faults_.Increment();
-  if (res.copied) {
-    m_cow_pages_copied_.Increment();
-  }
-  if (d.track_dirty) {
-    d.dirty_since_clone.push_back(gfn);
-  }
-  if (cow_fault_hook_) {
-    cow_fault_hook_(d.id, gfn, res.copied);
-  }
-  return Status::Ok();
+  return ResolveCowFault(d, gfn);
 }
 
 Status Hypervisor::ForceCowResolve(DomId dom, Gfn gfn) {
@@ -438,24 +419,27 @@ Status Hypervisor::ForceCowResolve(DomId dom, Gfn gfn) {
     entry.writable = true;
     return Status::Ok();
   }
+  return ResolveCowFault(*d, gfn);
+}
+
+Status Hypervisor::ResolveCowFault(Domain& d, Gfn gfn) {
+  P2mEntry& entry = d.p2m[gfn];
   loop_.AdvanceBy(costs_.cow_fault_fixed);
-  NEPHELE_ASSIGN_OR_RETURN(auto res, frames_.ResolveCowWrite(entry.mfn, d->id));
+  NEPHELE_ASSIGN_OR_RETURN(auto res, frames_.ResolveCowWrite(entry.mfn, d.id));
   if (res.copied) {
     loop_.AdvanceBy(costs_.page_copy + costs_.frame_alloc);
-    ++d->cow_pages_copied;
+    ++d.cow_pages_copied;
+    m_cow_pages_copied_.Increment();
   }
   entry.mfn = res.mfn;
   entry.writable = true;
-  ++d->cow_faults;
+  ++d.cow_faults;
   m_cow_faults_.Increment();
-  if (res.copied) {
-    m_cow_pages_copied_.Increment();
-  }
-  if (d->track_dirty) {
-    d->dirty_since_clone.push_back(gfn);
+  if (d.track_dirty) {
+    d.dirty_since_clone.push_back(gfn);
   }
   if (cow_fault_hook_) {
-    cow_fault_hook_(d->id, gfn, res.copied);
+    cow_fault_hook_(d.id, gfn, res.copied);
   }
   return Status::Ok();
 }

@@ -190,6 +190,10 @@ class Hypervisor {
  private:
   Result<Mfn> AllocFrameFor(DomId dom);
   Status ResolveCowForWrite(Domain& d, Gfn gfn);
+  // The COW fault tail both resolve paths share: charges the fault,
+  // resolves the shared frame for `d` (copy or ownership transfer), counts
+  // it, records the page dirty and fires the COW fault hook.
+  Status ResolveCowFault(Domain& d, Gfn gfn);
   void ReleaseDomainFrames(Domain& d);
   // Destroy-time revocation of grant mappings held by and into `d`, keeping
   // the granter-side mappers lists and mapper-side grant_maps records in

@@ -159,7 +159,7 @@ Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, Gran
   const Family& fam = families_[family];
   for (unsigned child = 0; child < num_children; ++child) {
     const PlacementQuery q = BuildQuery(fam);
-    const std::size_t host = placement_ ? placement_(q) : kNoHost;
+    const std::size_t host = placement_(q);
     if (host >= q.num_hosts || !q.eligible[host]) {
       m_rejected_.Increment();
       fabric_.loop().Post(SimDuration::Nanos(0), [cb] {
@@ -212,8 +212,6 @@ Result<ReleaseOutcome> ClusterScheduler::Release(const ClusterGrant& grant) {
   }
   return outcome;
 }
-
-void ClusterScheduler::SetPlacementFn(PlacementFn fn) { placement_ = std::move(fn); }
 
 DomId ClusterScheduler::replica(std::size_t family, std::size_t host) const {
   if (family >= families_.size() || host >= families_[family].replica_by_host.size()) {

@@ -70,8 +70,7 @@ class ClusterScheduler {
   using GrantCallback = std::function<void(Result<ClusterGrant>)>;
 
   // Builds one CloneScheduler per fabric host from each host's own config
-  // and services; the placement policy comes from fabric.config().placement
-  // until overridden with SetPlacementFn.
+  // and services; the placement policy comes from fabric.config().placement.
   explicit ClusterScheduler(ClusterFabric& fabric);
 
   ClusterScheduler(const ClusterScheduler&) = delete;
@@ -91,8 +90,6 @@ class ClusterScheduler {
 
   // Returns a granted child to its host's warm pool.
   Result<ReleaseOutcome> Release(const ClusterGrant& grant);
-
-  void SetPlacementFn(PlacementFn fn);
 
   CloneScheduler& host_scheduler(std::size_t host) { return *host_scheds_.at(host); }
   // The family's clone source on `host`; kDomInvalid when replication to
@@ -114,7 +111,7 @@ class ClusterScheduler {
   // Children placed and not yet released, per host. Bumped at placement
   // time (not grant time) so a burst of Acquires spreads correctly.
   std::vector<std::size_t> active_;
-  PlacementFn placement_;
+  const PlacementFn placement_;
   Counter& m_acquires_;
   Counter& m_placements_;
   Counter& m_warm_placements_;

@@ -121,22 +121,6 @@ class Toolstack {
   // unique; see Sec. 6.1). Enable for the LightVM-style ablation.
   void SetNameCheckEnabled(bool enabled) { name_check_enabled_ = enabled; }
 
-  // --- Clone staging thread knob (xl clone-threads analogue). ---
-  // The clone engine lives one layer above the toolstack, so the system
-  // wires a setter at construction instead of the toolstack holding the
-  // engine; administrators then tune staging parallelism through the
-  // toolstack like any other host policy.
-  void AttachCloneThreadSetter(std::function<void(unsigned)> setter) {
-    clone_threads_setter_ = std::move(setter);
-  }
-  Status SetCloneWorkerThreads(unsigned n) {
-    if (!clone_threads_setter_) {
-      return ErrFailedPrecondition("no clone engine attached to the toolstack");
-    }
-    clone_threads_setter_(n);
-    return Status::Ok();
-  }
-
   // --- Dom0 memory accounting (Fig. 5). ---
   // The experiment splits 16 GiB into 4 GiB Dom0 + 12 GiB hypervisor pool.
   static constexpr std::size_t kDom0TotalBytes = 4ull * kGiB;
@@ -194,7 +178,6 @@ class Toolstack {
   Bridge builtin_bridge_;
   HostSwitch* default_switch_;
 
-  std::function<void(unsigned)> clone_threads_setter_;
   std::map<DomId, GuestDevices> guest_devices_;
   std::map<DomId, DomainConfig> configs_;
   // Domains sitting paused between BeginMigrateOut and Complete/Abort;

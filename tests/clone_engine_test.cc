@@ -71,6 +71,20 @@ TEST_F(CloneEngineTest, EnforcesMaxClones) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
+// A hostile clone count must not wrap the max_clones sum: with one clone
+// made, 1 + 0xFFFFFFFF is 0 in 32 bits. The call is a hard limit error, not
+// the ring's transient backpressure.
+TEST_F(CloneEngineTest, HugeCloneCountDoesNotWrapMaxClones) {
+  DomId dom = BootCloneable(/*max_clones=*/2);
+  EXPECT_EQ(CloneAndSettle(dom).size(), 1u);
+  Counter& backpressure = system_.metrics().GetCounter("clone/ring/backpressure");
+  const std::uint64_t backpressure_before = backpressure.value();
+  auto r = system_.clone_engine().Clone({dom, dom, StartInfoMfn(dom), 0xFFFFFFFFu});
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted) << r.status().ToString();
+  EXPECT_EQ(backpressure.value(), backpressure_before);
+  EXPECT_EQ(system_.hypervisor().FindDomain(dom)->clones_created, 1u);
+}
+
 TEST_F(CloneEngineTest, OnlySelfOrDom0MayClone) {
   DomId a = BootCloneable();
   DomId b = BootCloneable();

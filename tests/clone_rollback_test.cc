@@ -2,13 +2,18 @@
 // stage, asserting the exact injected Status code surfaces to the caller,
 // the precise metric counters (clone/rolled_back, fault/injected,
 // clone/clones_total), and that the rollback left no trace — pool frames at
-// the pre-clone value, parent resumable and re-clonable.
+// the pre-clone value, parent resumable and re-clonable. Faults inside a
+// later child's plan, eager and lazy, are checked against a per-page walk.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "src/base/units.h"
+#include "src/core/idc.h"
 #include "src/core/system.h"
 #include "src/xenstore/path.h"
 #include "tests/frame_invariants.h"
@@ -336,6 +341,212 @@ TEST_F(CloneRollbackTest, CloneResetAfterAbortedCloneStaysConsistent) {
   EXPECT_EQ(system_.metrics().GetCounter("xencloned/clones_completed").value(), 2u);
   EXPECT_EQ(RolledBack(), 1u) << "the clean batch must not add rollbacks";
   ExpectFrameConsistency(system_);
+}
+
+// --- Faults inside a later child's plan. ---
+//
+// Children after the first replay the first child's page decisions in bulk:
+// one fault poke per share run, deferred pages skipped. A fault inside such
+// a plan must still leave the fault-point hits and page counters of a
+// per-page walk, which these tests recompute from the parent's p2m.
+
+constexpr const char* kSharePoint = "clone/stage1/share";
+constexpr const char* kAllocPoint = "hypervisor/frame_alloc";
+constexpr unsigned kBatchChildren = 3;
+
+struct PlanCounts {
+  std::uint64_t share_hits = 0;
+  std::uint64_t alloc_hits = 0;
+  std::uint64_t shared_first = 0;
+  std::uint64_t shared_again = 0;
+  std::uint64_t private_copied = 0;
+  std::uint64_t idc_shared = 0;
+  std::uint64_t deferred = 0;
+
+  bool operator==(const PlanCounts&) const = default;
+  PlanCounts operator-(const PlanCounts& o) const {
+    return {share_hits - o.share_hits,         alloc_hits - o.alloc_hits,
+            shared_first - o.shared_first,     shared_again - o.shared_again,
+            private_copied - o.private_copied, idc_shared - o.idc_shared,
+            deferred - o.deferred};
+  }
+};
+
+void PrintTo(const PlanCounts& c, std::ostream* os) {
+  *os << "{share_hits=" << c.share_hits << " alloc_hits=" << c.alloc_hits
+      << " shared_first=" << c.shared_first << " shared_again=" << c.shared_again
+      << " private_copied=" << c.private_copied << " idc_shared=" << c.idc_shared
+      << " deferred=" << c.deferred << "}";
+}
+
+// A parent with every kind of page a plan classifies: private pages (special
+// pages, vif rings and buffers), an IDC region, data pages shared by one
+// earlier clone, two data pages dirtied since (so the batch shares them
+// first), and — in a lazy batch — an explicit hot hint with everything else
+// deferred (max_hot_pages = 0 seeds nothing beyond the hint).
+class LaterChildPlanRig {
+ public:
+  explicit LaterChildPlanRig(bool lazy) : lazy_(lazy), sys_(Config()) {
+    DomainConfig cfg;
+    cfg.name = "parent";
+    cfg.memory_mb = 4;
+    cfg.max_clones = 32;
+    cfg.with_vif = true;
+    auto dom = sys_.toolstack().CreateDomain(cfg);
+    EXPECT_TRUE(dom.ok()) << dom.status().ToString();
+    sys_.Settle();
+    parent_ = *dom;
+    EXPECT_TRUE(IdcRegion::Create(sys_.hypervisor(), parent_, 4).ok());
+    EXPECT_TRUE(sys_.clone_engine().Clone({parent_, parent_, StartInfoMfn(), 1}).ok());
+    sys_.Settle();
+    const std::uint8_t b = 0x3c;
+    for (Gfn gfn : {Gfn{310}, Gfn{311}}) {
+      EXPECT_TRUE(sys_.hypervisor().WriteGuestPage(parent_, gfn, 0, &b, 1).ok());
+    }
+  }
+
+  // Hits of `point` in one child's plan.
+  std::uint64_t HitsPerChild(const std::string& point) {
+    const PlanCounts all = PerPageWalk("", 0);
+    return (point == kSharePoint ? all.share_hits : all.alloc_hits) / kBatchChildren;
+  }
+
+  // An unfaulted batch must match the walk too.
+  void ExpectCleanBatchMatchesWalk() {
+    SCOPED_TRACE(lazy_ ? "lazy clean batch" : "eager clean batch");
+    const PlanCounts expected = PerPageWalk("", 0);
+    const PlanCounts before = Measure();
+    auto r = Clone();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Measure() - before, expected);
+  }
+
+  // Plans a kBatchChildren batch with the nth hit of `point` failing and
+  // checks hits, page counters and the pool against the per-page walk.
+  void ExpectFaultMatchesWalk(const char* point, std::uint64_t nth) {
+    SCOPED_TRACE(std::string(lazy_ ? "lazy " : "eager ") + point + " hit " +
+                 std::to_string(nth));
+    const PlanCounts expected = PerPageWalk(point, nth);
+    const PlanCounts before = Measure();
+    const std::size_t free_before = sys_.hypervisor().FreePoolFrames();
+    ASSERT_TRUE(sys_.fault_injector()
+                    .Arm(point, FaultSpec::NthHit(nth, StatusCode::kAborted, "later child"))
+                    .ok());
+    auto r = Clone();
+    sys_.fault_injector().DisarmAll();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kAborted);
+    EXPECT_EQ(Measure() - before, expected);
+    EXPECT_EQ(sys_.hypervisor().FreePoolFrames(), free_before);
+    ExpectFrameConsistency(sys_);
+  }
+
+ private:
+  static inline const std::vector<Gfn> kHot = {310, 400, 500};
+
+  static SystemConfig Config() {
+    SystemConfig cfg;
+    cfg.hypervisor.pool_frames = 64 * 1024;
+    cfg.lazy_clone.max_hot_pages = 0;
+    return cfg;
+  }
+
+  Mfn StartInfoMfn() {
+    const Domain* d = sys_.hypervisor().FindDomain(parent_);
+    return d->p2m[d->start_info_gfn].mfn;
+  }
+
+  Result<std::vector<DomId>> Clone() {
+    return sys_.clone_engine().Clone(
+        {parent_, parent_, StartInfoMfn(), kBatchChildren, lazy_, kHot});
+  }
+
+  bool Hot(Gfn gfn) const { return std::find(kHot.begin(), kHot.end(), gfn) != kHot.end(); }
+
+  PlanCounts Measure() {
+    MetricsRegistry& m = sys_.metrics();
+    return {sys_.fault_injector().GetPoint(kSharePoint)->hits(),
+            sys_.fault_injector().GetPoint(kAllocPoint)->hits(),
+            m.GetCounter("clone/stage1/pages_shared_first").value(),
+            m.GetCounter("clone/stage1/pages_shared_again").value(),
+            m.GetCounter("clone/stage1/pages_private_copied").value(),
+            m.GetCounter("clone/stage1/pages_idc_shared").value(),
+            m.GetCounter("clone/lazy/deferred_pages").value()};
+  }
+
+  // The batch planned one page at a time, child after child: each private
+  // page takes a frame, each deferred page only counts, each other page
+  // pokes the share point (a first share only in the first child, for a
+  // frame not yet shared), then the page-table and p2m frames. Stops at the
+  // nth hit of `point` (nth == 0: never).
+  PlanCounts PerPageWalk(const std::string& point, std::uint64_t nth) {
+    const Domain& parent = *sys_.hypervisor().FindDomain(parent_);
+    const FrameTable& frames = sys_.hypervisor().frames();
+    const std::size_t pages = parent.p2m.size();
+    const std::size_t table_frames =
+        PageTablePagesFor(pages) + std::max<std::size_t>(1, (pages * 4 + kPageSize - 1) / kPageSize);
+    PlanCounts c;
+    auto hit = [&](const char* name, std::uint64_t& hits) { return ++hits == nth && point == name; };
+    for (unsigned k = 0; k < kBatchChildren; ++k) {
+      for (Gfn gfn = 0; gfn < pages; ++gfn) {
+        const P2mEntry& pe = parent.p2m[gfn];
+        if (IsPrivateRole(pe.role)) {
+          if (hit(kAllocPoint, c.alloc_hits)) {
+            return c;
+          }
+          ++c.private_copied;
+        } else if (lazy_ && pe.role == PageRole::kData && !Hot(gfn)) {
+          ++c.deferred;
+        } else {
+          if (hit(kSharePoint, c.share_hits)) {
+            return c;
+          }
+          if (pe.role == PageRole::kIdcShared) {
+            ++c.idc_shared;
+          } else if (k == 0 && !frames.IsShared(pe.mfn)) {
+            ++c.shared_first;
+          } else {
+            ++c.shared_again;
+          }
+        }
+      }
+      for (std::size_t i = 0; i < table_frames; ++i) {
+        if (hit(kAllocPoint, c.alloc_hits)) {
+          return c;
+        }
+      }
+    }
+    return c;
+  }
+
+  bool lazy_;
+  NepheleSystem sys_;
+  DomId parent_ = kDomInvalid;
+};
+
+// First, second, middle and last hit of `point` inside the second and the
+// third child's plans, each on a fresh rig.
+void ExpectLaterChildFaultsMatchWalk(bool lazy) {
+  for (const char* point : {kSharePoint, kAllocPoint}) {
+    LaterChildPlanRig probe(lazy);
+    const std::uint64_t per_child = probe.HitsPerChild(point);
+    ASSERT_GE(per_child, 4u);
+    probe.ExpectCleanBatchMatchesWalk();
+    for (std::uint64_t child : {1u, 2u}) {
+      const std::uint64_t base = child * per_child;
+      for (std::uint64_t nth : {base + 1, base + 2, base + (per_child + 1) / 2, base + per_child}) {
+        LaterChildPlanRig(lazy).ExpectFaultMatchesWalk(point, nth);
+      }
+    }
+  }
+}
+
+TEST(CloneLaterChildFaultTest, EagerBatchMatchesPerPageWalk) {
+  ExpectLaterChildFaultsMatchWalk(/*lazy=*/false);
+}
+
+TEST(CloneLaterChildFaultTest, LazyBatchMatchesPerPageWalk) {
+  ExpectLaterChildFaultsMatchWalk(/*lazy=*/true);
 }
 
 // --- Toolstack boot unwinding (the FailBoot path). ---

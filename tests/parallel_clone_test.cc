@@ -184,8 +184,8 @@ TEST(ParallelClone, VirtualTimeIsCriticalPathNotSum) {
   EXPECT_EQ(four, one);
 }
 
-// The knob itself: engine getter/setter (with clamping) and the toolstack
-// administrative path NepheleSystem wires up.
+// The knob itself: engine getter/setter (with clamping) and the
+// construction-time config.
 TEST(ParallelClone, WorkerThreadKnob) {
   NepheleSystem sys;
   EXPECT_EQ(sys.clone_engine().worker_threads(), 1u);
@@ -193,8 +193,6 @@ TEST(ParallelClone, WorkerThreadKnob) {
   EXPECT_EQ(sys.clone_engine().worker_threads(), 4u);
   sys.clone_engine().SetWorkerThreads(0);  // clamped: 0 means serial
   EXPECT_EQ(sys.clone_engine().worker_threads(), 1u);
-  ASSERT_TRUE(sys.toolstack().SetCloneWorkerThreads(8).ok());
-  EXPECT_EQ(sys.clone_engine().worker_threads(), 8u);
 
   SystemConfig cfg;
   cfg.clone_worker_threads = 6;
