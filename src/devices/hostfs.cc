@@ -83,12 +83,4 @@ std::vector<std::string> HostFs::List(const std::string& prefix) const {
   return out;
 }
 
-std::size_t HostFs::TotalBytes() const {
-  std::size_t n = 0;
-  for (const auto& [path, data] : files_) {
-    n += data.size();
-  }
-  return n;
-}
-
 }  // namespace nephele

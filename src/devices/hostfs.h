@@ -32,7 +32,6 @@ class HostFs {
   // All paths under `prefix`.
   std::vector<std::string> List(const std::string& prefix) const;
 
-  std::size_t TotalBytes() const;
   std::size_t NumFiles() const { return files_.size(); }
 
  private:

@@ -151,25 +151,6 @@ Result<std::size_t> P9BackendProcess::StatSize(DomId dom, std::uint32_t fid) {
   return fs_.SizeOf(HostPath(f->path));
 }
 
-Result<std::vector<std::string>> P9BackendProcess::ReadDir(DomId dom, std::uint32_t dir_fid) {
-  loop_.AdvanceBy(costs_.p9_rpc);
-  NEPHELE_ASSIGN_OR_RETURN(P9Fid * dir, FindFid(dom, dir_fid));
-  std::string prefix = HostPath(dir->path);
-  if (prefix.back() != '/') {
-    prefix += '/';
-  }
-  std::vector<std::string> names;
-  for (const std::string& path : fs_.List(prefix)) {
-    std::string rest = path.substr(prefix.size());
-    std::size_t slash = rest.find('/');
-    std::string name = slash == std::string::npos ? rest : rest.substr(0, slash);
-    if (!name.empty() && (names.empty() || names.back() != name)) {
-      names.push_back(name);
-    }
-  }
-  return names;
-}
-
 Status P9BackendProcess::QmpCloneFids(DomId parent, DomId child) {
   loop_.AdvanceBy(costs_.qmp_roundtrip);
   auto pit = tables_.find(parent);

@@ -52,8 +52,6 @@ class P9BackendProcess {
                             const std::vector<std::uint8_t>& data);
   Status Clunk(DomId dom, std::uint32_t fid);
   Result<std::size_t> StatSize(DomId dom, std::uint32_t fid);
-  // Directory listing (Treaddir): entries directly under the fid's path.
-  Result<std::vector<std::string>> ReadDir(DomId dom, std::uint32_t dir_fid);
 
   // --- QMP extension (Sec. 5.2.1): clones the parent's whole fid table for
   // the child inside this same process. ---

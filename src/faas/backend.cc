@@ -1,11 +1,9 @@
 #include "src/faas/backend.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "src/apps/faas_app.h"
 #include "src/base/log.h"
-#include "src/load/dispatch.h"
 #include "src/sched/scheduler.h"
 
 namespace nephele {
@@ -72,33 +70,33 @@ Status UnikernelBackend::Deploy() {
                            manager_.Launch(cfg, std::make_unique<FaasApp>(FaasAppConfig{})));
   instances_.push_back(dom);
   // Interpreter warm-up on the first instance (touches resident memory).
-  EventLoop& loop = manager_.system().loop();
-  loop.Post(SimDuration::Millis(800), [this, dom] {
+  manager_.system().loop().Post(SimDuration::Millis(800), [this, dom] {
     GuestContext* ctx = manager_.ContextOf(dom);
     if (ctx != nullptr) {
-      (void)ctx->arena().Allocate(config_.warmup_pages * kPageSize, /*resident=*/true);
+      WarmUp(*ctx);
     }
   });
-  loop.Post(config_.first_report_latency, [this, dom] { ReportReady(dom); });
+  PostReport(dom, config_.first_report_latency);
   return Status::Ok();
 }
 
-void UnikernelBackend::ReportReady(DomId dom) {
-  ++ready_;
-  readiness_.push_back(manager_.system().loop().Now().ToSeconds());
-  // Only instances still in the fleet join the dispatcher's server set — a
-  // scale-down may have retired this one while its readiness was in flight.
-  if (dispatcher_ != nullptr &&
-      std::find(instances_.begin(), instances_.end(), dom) != instances_.end()) {
-    dispatcher_->AddFleetInstance(dom);
-  }
+void UnikernelBackend::WarmUp(GuestContext& ctx) {
+  (void)ctx.arena().Allocate(config_.warmup_pages * kPageSize, /*resident=*/true);
 }
 
-void UnikernelBackend::AttachDispatcher(RequestCloneDispatcher* dispatcher) {
-  dispatcher_ = dispatcher;
-  if (dispatcher != nullptr) {
-    dispatcher->SetFleetMode(true);
-  }
+void UnikernelBackend::OnInstanceGranted(DomId dom, bool warm) {
+  instances_.push_back(dom);
+  // A warm child's interpreter state survived CloneReset-then-park; it skips
+  // pod creation and re-warming entirely.
+  PostReport(dom, warm ? config_.warm_report_latency : config_.k8s_report_latency);
+}
+
+void UnikernelBackend::PostReport(DomId dom, SimDuration latency) {
+  EventLoop& loop = manager_.system().loop();
+  unreported_[dom] = loop.Post(latency, [this, &loop, dom] {
+    unreported_.erase(dom);
+    readiness_.push_back(loop.Now().ToSeconds());
+  });
 }
 
 void UnikernelBackend::AttachScheduler(CloneScheduler* sched) {
@@ -109,14 +107,13 @@ void UnikernelBackend::AttachScheduler(CloneScheduler* sched) {
   // Scheduled batches still go through GuestManager so children get their
   // runtime plumbing; the continuation only warms the interpreter — instance
   // bookkeeping happens per grant, in OnInstanceGranted.
-  std::size_t warmup_pages = config_.warmup_pages;
-  sched->SetCloneExecutor([this, warmup_pages](const CloneRequest& req) {
+  sched->SetCloneExecutor([this](const CloneRequest& req) {
     return manager_.ForkChildren(
         req.parent, req.num_children,
-        [warmup_pages](GuestContext& ctx, GuestApp& app, const ForkResult& r) {
+        [this](GuestContext& ctx, GuestApp& app, const ForkResult& r) {
           (void)app;
           if (r.is_child) {
-            (void)ctx.arena().Allocate(warmup_pages * kPageSize, /*resident=*/true);
+            WarmUp(ctx);
           }
         },
         req.caller);
@@ -126,14 +123,6 @@ void UnikernelBackend::AttachScheduler(CloneScheduler* sched) {
   sched->SetEvictFn([this](DomId dom) { (void)manager_.Destroy(dom); });
 }
 
-void UnikernelBackend::OnInstanceGranted(DomId dom, bool warm) {
-  instances_.push_back(dom);
-  // A warm child's interpreter state survived CloneReset-then-park; it skips
-  // pod creation and re-warming entirely.
-  SimDuration latency = warm ? config_.warm_report_latency : config_.k8s_report_latency;
-  manager_.system().loop().Post(latency, [this, dom] { ReportReady(dom); });
-}
-
 Status UnikernelBackend::ScaleDown() {
   if (sched_ == nullptr) {
     return ErrUnimplemented("scale-down requires an attached scheduler");
@@ -141,29 +130,15 @@ Status UnikernelBackend::ScaleDown() {
   if (instances_.size() <= 1) {
     return ErrFailedPrecondition("nothing to scale down");
   }
-  // Retire the youngest instance the request layer can spare; the root
-  // (front) is never released. An instance serving a *redundant* duplicate
-  // (its request has another one unfinished) may be retired — its duplicate
-  // is cancelled — but the holder of a request's only unfinished duplicate
-  // is pinned until the request resolves.
-  std::size_t victim_idx = instances_.size();
-  for (std::size_t i = instances_.size(); i-- > 1;) {
-    if (dispatcher_ == nullptr || !dispatcher_->InstancePinned(instances_[i])) {
-      victim_idx = i;
-      break;
-    }
-  }
-  if (victim_idx >= instances_.size()) {
-    return ErrUnavailable(
-        "every retirable instance holds the only unfinished duplicate of a request");
-  }
-  DomId victim = instances_[victim_idx];
-  instances_.erase(instances_.begin() + static_cast<std::ptrdiff_t>(victim_idx));
-  if (ready_ > 0) {
-    --ready_;
-  }
-  if (dispatcher_ != nullptr) {
-    dispatcher_->HandleRetiredInstance(victim);
+  // Retire the youngest instance; the root (front) is never released. A
+  // report still in flight would count the retired instance (or, after a
+  // warm re-grant of the same domain, count it twice): drop it.
+  const DomId victim = instances_.back();
+  instances_.pop_back();
+  auto report = unreported_.find(victim);
+  if (report != unreported_.end()) {
+    (void)manager_.system().loop().Cancel(report->second);
+    unreported_.erase(report);
   }
   NEPHELE_ASSIGN_OR_RETURN(ReleaseOutcome outcome, sched_->Release(victim));
   (void)outcome;
@@ -202,23 +177,17 @@ Status UnikernelBackend::ScaleUp() {
     *warm = metrics.CounterValue("sched/warm_hits") > hits_before;
     return Status::Ok();
   }
-  UnikernelBackend* self = this;
-  std::size_t warmup_pages = config_.warmup_pages;
-  SimDuration report_latency = config_.k8s_report_latency;
   return manager_.Fork(
       root,
       1,
-      [self, warmup_pages, report_latency](GuestContext& ctx, GuestApp& app,
-                                           const ForkResult& r) {
+      [this](GuestContext& ctx, GuestApp& app, const ForkResult& r) {
         (void)app;
-        if (!r.is_child) {
-          return;
+        if (r.is_child) {
+          // The clone warms its own interpreter state (COW divergence)
+          // before it joins the fleet.
+          WarmUp(ctx);
+          OnInstanceGranted(ctx.id(), /*warm=*/false);
         }
-        self->instances_.push_back(ctx.id());
-        // The clone warms its own interpreter state (COW divergence).
-        (void)ctx.arena().Allocate(warmup_pages * kPageSize, /*resident=*/true);
-        ctx.manager().system().loop().Post(
-            report_latency, [self, dom = ctx.id()] { self->ReportReady(dom); });
       },
       /*caller=*/kDom0);
 }

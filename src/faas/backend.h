@@ -1,11 +1,15 @@
 // Function-instance backends for the OpenFaaS-like gateway (Sec. 7.3):
 // containers (the vanilla setup — a calibrated model) vs. unikernel clones
-// (backed by the real Nephele cloning pipeline).
+// (backed by the real Nephele cloning pipeline). The gateway prices
+// capacity from ReadyInstances(): an instance counts once the orchestrator
+// reports it ready, and a unikernel instance retired before its report
+// lands never counts.
 
 #ifndef SRC_FAAS_BACKEND_H_
 #define SRC_FAAS_BACKEND_H_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -15,7 +19,6 @@
 namespace nephele {
 
 class CloneScheduler;
-class RequestCloneDispatcher;
 
 class FunctionBackend {
  public:
@@ -99,23 +102,17 @@ class UnikernelBackend : public FunctionBackend {
       : manager_(manager), config_(config) {}
 
   // Routes scale-up through `sched` (batching + warm pool) instead of
-  // calling Fork directly, and enables ScaleDown: retired instances are
-  // released to the scheduler, which resets and parks them. Installs the
-  // scheduler's clone executor and evict hook; pass nullptr to detach.
+  // calling Fork directly, and enables ScaleDown: it retires the youngest
+  // non-root instance to the scheduler, which resets and parks it. Installs
+  // the scheduler's clone executor and evict hook; pass nullptr to detach.
   void AttachScheduler(CloneScheduler* sched);
-
-  // Wires the request-cloning dispatcher onto this fleet: instances join
-  // the dispatcher's server set as they report ready, and ScaleDown
-  // consults RequestCloneDispatcher::InstancePinned so it never retires
-  // the instance holding the only unfinished duplicate of a request (a
-  // retired instance's *redundant* duplicate is cancelled instead). Pass
-  // nullptr to detach.
-  void AttachDispatcher(RequestCloneDispatcher* dispatcher);
 
   Status Deploy() override;
   Status ScaleUp() override;
   Status ScaleDown() override;
-  std::size_t ReadyInstances() const override { return ready_; }
+  std::size_t ReadyInstances() const override {
+    return instances_.size() - unreported_.size();
+  }
   std::size_t TotalInstances() const override { return instances_.size(); }
   double CapacityPerInstance() const override { return config_.capacity_rps; }
   std::size_t MemoryBytes() const override;
@@ -124,15 +121,20 @@ class UnikernelBackend : public FunctionBackend {
   const std::vector<DomId>& instances() const { return instances_; }
 
  private:
+  // The interpreter warm-up: the resident pages a fresh instance dirties.
+  void WarmUp(GuestContext& ctx);
   void OnInstanceGranted(DomId dom, bool warm);
-  void ReportReady(DomId dom);
+  // `dom` reports ready `latency` from now, unless ScaleDown retires it
+  // first.
+  void PostReport(DomId dom, SimDuration latency);
 
   GuestManager& manager_;
   Config config_;
   CloneScheduler* sched_ = nullptr;
-  RequestCloneDispatcher* dispatcher_ = nullptr;
   std::vector<DomId> instances_;
-  std::size_t ready_ = 0;
+  // Instances whose readiness report is still in flight, with the report's
+  // event; the rest of `instances_` is ready.
+  std::map<DomId, EventId> unreported_;
   std::vector<double> readiness_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/faas/gateway.h"
 
-#include "src/load/dispatch.h"
-#include "src/load/load_gen.h"
+#include <algorithm>
 
 namespace nephele {
 
@@ -53,68 +52,6 @@ GatewayRunResult OpenFaasGateway::Run(SimDuration duration,
     result.series.push_back(sample);
   }
   result.readiness_times = backend_.ReadinessTimes();
-  return result;
-}
-
-RequestRunResult OpenFaasGateway::RunRequestLoad(SimDuration duration,
-                                                 LoadGenerator& generator,
-                                                 RequestCloneDispatcher& dispatcher) {
-  RequestRunResult result;
-  SimTime start = loop_.Now();
-  (void)backend_.Deploy();
-  generator.Start(duration,
-                  [&dispatcher](const LoadRequest& request) { dispatcher.Submit(request); });
-
-  const SimDuration tick = SimDuration::Seconds(1);
-  SimTime next_query = start + config_.query_interval;
-  std::uint64_t last_generated = 0;
-  std::uint64_t last_wins = 0;
-
-  for (SimTime t = start + tick; t <= start + duration; t = t + tick) {
-    loop_.RunUntil(t);
-    double rel = (t - start).ToSeconds();
-    const std::uint64_t generated = generator.generated();
-    const std::uint64_t wins = dispatcher.wins();
-    double demand = static_cast<double>(generated - last_generated);
-    double served = static_cast<double>(wins - last_wins);
-    last_generated = generated;
-    last_wins = wins;
-
-    if (t >= next_query) {
-      next_query = next_query + config_.query_interval;
-      std::size_t total = backend_.TotalInstances();
-      double per_instance = total > 0 ? demand / static_cast<double>(total) : demand;
-      if (per_instance > config_.rps_threshold_per_instance &&
-          total < config_.max_instances) {
-        for (unsigned i = 0; i < config_.instances_per_scale_up; ++i) {
-          if (backend_.TotalInstances() >= config_.max_instances) {
-            break;
-          }
-          (void)backend_.ScaleUp();
-        }
-      } else if (config_.scale_down_threshold_per_instance > 0 && total > 1 &&
-                 per_instance < config_.scale_down_threshold_per_instance) {
-        (void)backend_.ScaleDown();
-      }
-    }
-
-    GatewaySample sample;
-    sample.t_seconds = rel;
-    sample.demand_rps = demand;
-    sample.served_rps = served;
-    sample.instances_ready = backend_.ReadyInstances();
-    sample.instances_total = backend_.TotalInstances();
-    sample.memory_mb = static_cast<double>(backend_.MemoryBytes()) / static_cast<double>(kMiB);
-    result.series.push_back(sample);
-  }
-  // The generator has stopped; drain the duplicates still in flight so the
-  // accounting identity holds on the returned totals.
-  loop_.Run();
-  result.readiness_times = backend_.ReadinessTimes();
-  result.generated = generator.generated();
-  result.wins = dispatcher.wins();
-  result.cancelled = dispatcher.cancelled();
-  result.rejected = dispatcher.rejected();
   return result;
 }
 

@@ -1,7 +1,8 @@
 // OpenFaaS-like gateway with RPS autoscaling (Sec. 7.3): periodically
 // queries the load per instance and launches one instance whenever it
 // exceeds the threshold. Traffic is modelled at flow level (ab-style load
-// generator saturating the deployment), sampled once per second.
+// generator saturating the deployment), sampled once per second by Run, the
+// one autoscaler loop.
 
 #ifndef SRC_FAAS_GATEWAY_H_
 #define SRC_FAAS_GATEWAY_H_
@@ -44,20 +45,6 @@ struct GatewayRunResult {
   double total_served = 0;
 };
 
-class LoadGenerator;
-class RequestCloneDispatcher;
-
-// Result of a request-level run (RunRequestLoad): the per-second series
-// plus the dispatcher's final accounting.
-struct RequestRunResult {
-  std::vector<GatewaySample> series;
-  std::vector<double> readiness_times;
-  std::uint64_t generated = 0;
-  std::uint64_t wins = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t rejected = 0;
-};
-
 class OpenFaasGateway {
  public:
   OpenFaasGateway(EventLoop& loop, FunctionBackend& backend, GatewayConfig config)
@@ -66,16 +53,6 @@ class OpenFaasGateway {
   // Runs the experiment: deploys at t=0, then drives `demand_rps(t)` for
   // `duration`, autoscaling along the way. Returns the per-second series.
   GatewayRunResult Run(SimDuration duration, std::function<double(double)> demand_rps);
-
-  // Request-level run: deploys at t=0, streams `generator`'s arrivals into
-  // `dispatcher` for `duration`, then drains the in-flight tail. The same
-  // per-second alert rule as Run() applies — demand is the measured arrival
-  // rate, served the measured win rate — including
-  // scale_down_threshold_per_instance, which the backend's pinning protocol
-  // (UnikernelBackend::AttachDispatcher) keeps safe for in-flight cloned
-  // duplicates.
-  RequestRunResult RunRequestLoad(SimDuration duration, LoadGenerator& generator,
-                                  RequestCloneDispatcher& dispatcher);
 
  private:
   EventLoop& loop_;

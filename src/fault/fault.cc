@@ -143,11 +143,6 @@ std::uint64_t FaultInjector::HitCount(std::string_view name) const {
   return p == nullptr ? 0 : p->hits();
 }
 
-std::uint64_t FaultInjector::InjectedCount(std::string_view name) const {
-  const FaultPoint* p = FindPoint(name);
-  return p == nullptr ? 0 : p->injected();
-}
-
 std::uint64_t FaultInjector::injected_total() const {
   std::uint64_t total = 0;
   for (const auto& [name, point] : points_) {

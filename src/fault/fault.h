@@ -146,7 +146,6 @@ class FaultInjector {
   std::vector<std::string> PointNames() const;
 
   std::uint64_t HitCount(std::string_view name) const;
-  std::uint64_t InjectedCount(std::string_view name) const;
   // Sum of injections across all points (mirrors the "fault/injected"
   // counter in the shared registry).
   std::uint64_t injected_total() const;

@@ -45,16 +45,6 @@ Result<std::size_t> P9Client::Size(std::uint32_t fid) {
   return backend_->StatSize(dom_, fid);
 }
 
-Result<std::vector<std::string>> P9Client::ListDir(const std::string& path) {
-  if (!mounted()) {
-    return ErrFailedPrecondition("no 9pfs mount");
-  }
-  NEPHELE_ASSIGN_OR_RETURN(std::uint32_t fid, backend_->Walk(dom_, root_fid_, path));
-  auto names = backend_->ReadDir(dom_, fid);
-  (void)backend_->Clunk(dom_, fid);
-  return names;
-}
-
 Status P9Client::Close(std::uint32_t fid) {
   if (!mounted()) {
     return ErrFailedPrecondition("no 9pfs mount");

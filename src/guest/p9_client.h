@@ -31,7 +31,6 @@ class P9Client {
                             const std::vector<std::uint8_t>& data);
   Result<std::size_t> Size(std::uint32_t fid);
   Status Close(std::uint32_t fid);
-  Result<std::vector<std::string>> ListDir(const std::string& path);
 
   // Clone support: same backend process, child's (cloned) fid table.
   void RebindToDomain(DomId dom) { dom_ = dom; }

@@ -88,16 +88,12 @@ class Hypervisor {
   // and rebuilt for clones/restores). Frames are accounted as private.
   Status BuildPageTables(DomId dom);
 
-  // Allocates one frame charged to `dom` without touching its p2m — the
-  // clone engine's allocation path (so pool exhaustion and fault injection
-  // are funnelled through one place). The caller records the frame.
-  Result<Mfn> AllocGuestFrame(DomId dom) { return AllocFrameFor(dom); }
-
-  // Same allocation path minus the event-loop charge: the parallel clone
-  // engine plans a whole batch serially and charges virtual time per child
-  // lane (max over lanes, not sum), so the frame_alloc cost must land on the
-  // lane, not on the loop. Fault injection and pool exhaustion behave
-  // exactly like AllocGuestFrame.
+  // Allocates one frame charged to `dom` without touching its p2m and
+  // without the event-loop charge — the clone engine's allocation path (so
+  // pool exhaustion and fault injection are funnelled through one place).
+  // The engine plans a whole batch serially and charges virtual time per
+  // child lane (max over lanes, not sum), so the frame_alloc cost lands on
+  // the lane, not on the loop. The caller records the frame.
   Result<Mfn> StageGuestFrame(DomId dom) {
     NEPHELE_RETURN_IF_ERROR(f_frame_alloc_.Poke());
     return frames_.Alloc(dom);

@@ -61,19 +61,6 @@ void RequestCloneDispatcher::Submit(const LoadRequest& request) {
 
 void RequestCloneDispatcher::StartDuplicate(std::uint64_t id, unsigned idx) {
   c_dispatched_.Increment();
-  if (fleet_mode_) {
-    if (!idle_.empty()) {
-      const DomId dom = idle_.front();
-      idle_.pop_front();
-      busy_[dom] = {id, idx};
-      ActivateOn(id, idx, dom);
-    } else if (pending_.size() < config_.max_pending) {
-      pending_.emplace_back(id, idx);
-    } else {
-      Resolve(id, idx, Outcome::kReject);
-    }
-    return;
-  }
   if (active_slots_ < config_.max_concurrent) {
     ++active_slots_;
     AcquireFor(id, idx);
@@ -92,9 +79,7 @@ void RequestCloneDispatcher::AcquireFor(std::uint64_t id, unsigned idx) {
   if (!status.ok()) {
     // Synchronous admission reject (queue full, armed sched/admit fault):
     // the callback never fires, the slot comes straight back.
-    if (active_slots_ > 0) {
-      --active_slots_;
-    }
+    FreeSlot();
     Resolve(id, idx, Outcome::kReject);
   }
 }
@@ -105,9 +90,7 @@ void RequestCloneDispatcher::OnGrant(std::uint64_t id, unsigned idx, Result<DomI
     // Defensive: a record cannot finalize while a grant is outstanding
     // (the awaiting duplicate stays unresolved), but never leak a child.
     if (granted.ok()) {
-      if (active_slots_ > 0) {
-        --active_slots_;
-      }
+      FreeSlot();
       (void)sched_.Release(*granted);
       DrainPending();
     }
@@ -116,30 +99,21 @@ void RequestCloneDispatcher::OnGrant(std::uint64_t id, unsigned idx, Result<DomI
   Duplicate& dup = it->second.dups[idx];
   if (!granted.ok()) {
     // Timeout, abort, or an injected dispatch fault failed the batch.
-    if (active_slots_ > 0) {
-      --active_slots_;
-    }
+    FreeSlot();
     Resolve(id, idx, Outcome::kReject);
     DrainPending();
     return;
   }
   if (dup.cancel_on_grant) {
     // The sibling already won: hand the untouched child straight back.
-    if (active_slots_ > 0) {
-      --active_slots_;
-    }
+    FreeSlot();
     (void)sched_.Release(*granted);
     Resolve(id, idx, Outcome::kCancel);
     DrainPending();
     return;
   }
-  ActivateOn(id, idx, *granted);
-}
-
-void RequestCloneDispatcher::ActivateOn(std::uint64_t id, unsigned idx, DomId dom) {
-  Duplicate& dup = requests_.find(id)->second.dups[idx];
   dup.state = DupState::kActive;
-  dup.dom = dom;
+  dup.dom = *granted;
   dup.service = DrawServiceTime();
   const std::uint64_t epoch = dup.epoch;
   loop_.Post(dup.service, [this, id, idx, epoch] { OnComplete(id, idx, epoch); });
@@ -153,7 +127,7 @@ void RequestCloneDispatcher::OnComplete(std::uint64_t id, unsigned idx, std::uin
   RequestState& req = it->second;
   Duplicate& winner = req.dups[idx];
   if (winner.state != DupState::kActive || winner.epoch != epoch) {
-    return;  // stale: this duplicate was cancelled or retired mid-service
+    return;  // stale: this duplicate was cancelled mid-service
   }
   // First response wins. Active losers are cancelled eagerly at every win,
   // so an active completion is always the first response.
@@ -189,12 +163,13 @@ void RequestCloneDispatcher::OnComplete(std::uint64_t id, unsigned idx, std::uin
     }
     losers.push_back({i, dup.dom, dup.state == DupState::kActive});
   }
-  const DomId winner_dom = winner.dom;
-  FreeInstance(winner_dom);
+  FreeSlot();
+  (void)sched_.Release(winner.dom);
   Resolve(id, idx, Outcome::kWin);
   for (const LoserAction& loser : losers) {
     if (loser.active) {
-      FreeInstance(loser.dom);
+      FreeSlot();
+      (void)sched_.Release(loser.dom);
     }
     Resolve(id, loser.idx, Outcome::kCancel);
   }
@@ -234,82 +209,23 @@ void RequestCloneDispatcher::Resolve(std::uint64_t id, unsigned idx, Outcome out
   }
 }
 
-void RequestCloneDispatcher::FreeInstance(DomId dom) {
-  if (fleet_mode_) {
-    if (busy_.erase(dom) > 0) {
-      idle_.push_back(dom);
-    }
-    return;
-  }
+void RequestCloneDispatcher::FreeSlot() {
   if (active_slots_ > 0) {
     --active_slots_;
   }
-  (void)sched_.Release(dom);
 }
 
 void RequestCloneDispatcher::DrainPending() {
-  while (!pending_.empty()) {
-    if (fleet_mode_ ? idle_.empty() : active_slots_ >= config_.max_concurrent) {
-      return;
-    }
+  while (!pending_.empty() && active_slots_ < config_.max_concurrent) {
     const auto [id, idx] = pending_.front();
     pending_.pop_front();
     auto it = requests_.find(id);
     if (it == requests_.end() || it->second.dups[idx].state != DupState::kPending) {
       continue;  // cancelled while queued
     }
-    if (fleet_mode_) {
-      const DomId dom = idle_.front();
-      idle_.pop_front();
-      busy_[dom] = {id, idx};
-      ActivateOn(id, idx, dom);
-    } else {
-      ++active_slots_;
-      AcquireFor(id, idx);
-    }
+    ++active_slots_;
+    AcquireFor(id, idx);
   }
-}
-
-void RequestCloneDispatcher::AddFleetInstance(DomId dom) {
-  if (busy_.count(dom) > 0 ||
-      std::find(idle_.begin(), idle_.end(), dom) != idle_.end()) {
-    return;
-  }
-  idle_.push_back(dom);
-  DrainPending();
-}
-
-bool RequestCloneDispatcher::InstancePinned(DomId dom) const {
-  auto it = busy_.find(dom);
-  if (it == busy_.end()) {
-    return false;
-  }
-  auto rit = requests_.find(it->second.first);
-  return rit != requests_.end() && rit->second.unresolved == 1;
-}
-
-void RequestCloneDispatcher::HandleRetiredInstance(DomId dom) {
-  auto idle_it = std::find(idle_.begin(), idle_.end(), dom);
-  if (idle_it != idle_.end()) {
-    idle_.erase(idle_it);
-    return;
-  }
-  auto it = busy_.find(dom);
-  if (it == busy_.end()) {
-    return;
-  }
-  const auto [id, idx] = it->second;
-  busy_.erase(it);
-  auto rit = requests_.find(id);
-  if (rit == requests_.end()) {
-    return;
-  }
-  Duplicate& dup = rit->second.dups[idx];
-  if (dup.state != DupState::kActive) {
-    return;
-  }
-  ++dup.epoch;  // the in-flight completion event is now stale
-  Resolve(id, idx, Outcome::kCancel);
 }
 
 void RequestCloneDispatcher::PushTailLatency(std::int64_t latency_ns) {

@@ -7,18 +7,11 @@
 //
 //   req/dispatched = req/wins + req/cancelled + req/rejected
 //
-// Two acquisition modes share the duplicate lifecycle:
-//
-//  * scheduler mode (default): each duplicate Acquires a fresh instance
-//    from the CloneScheduler and Releases it to the warm pool on
-//    resolution — the literal two-level-cloning policy. `max_concurrent`
-//    bounds duplicates holding instances at once, which makes the
-//    dispatcher a c-server queueing system with a FIFO.
-//  * fleet mode: duplicates run on the ready instances of a
-//    UnikernelBackend fleet (wired by UnikernelBackend::AttachDispatcher);
-//    the backend consults InstancePinned() so gateway scale-down never
-//    retires the instance holding the only unfinished duplicate of a
-//    request.
+// The clone scheduler is the only source of instances: each duplicate
+// Acquires a fresh clone of the parent from the CloneScheduler and
+// Releases it to the warm pool on resolution — the literal two-level-cloning
+// policy. `max_concurrent` bounds duplicates holding instances at once,
+// which makes the dispatcher a c-server queueing system with a FIFO.
 
 #ifndef SRC_LOAD_DISPATCH_H_
 #define SRC_LOAD_DISPATCH_H_
@@ -39,20 +32,9 @@ class RequestCloneDispatcher {
  public:
   RequestCloneDispatcher(Host& host, CloneScheduler& sched);
 
-  // Scheduler mode: the parent whose clones serve duplicates. Must be set
-  // before the first Submit unless fleet mode is active.
+  // The parent whose clones serve duplicates. Must be set before the first
+  // Submit.
   void SetParent(DomId parent) { parent_ = parent; }
-
-  // Fleet mode, driven by UnikernelBackend::AttachDispatcher.
-  void SetFleetMode(bool on) { fleet_mode_ = on; }
-  // A fleet instance became ready to serve duplicates.
-  void AddFleetInstance(DomId dom);
-  // True when `dom` is serving the only unfinished duplicate of a request:
-  // retiring it would strand the request, so scale-down must skip it.
-  bool InstancePinned(DomId dom) const;
-  // The backend retired `dom` (scale-down): drop it from the idle list, or
-  // cancel the redundant duplicate riding it.
-  void HandleRetiredInstance(DomId dom);
 
   void Submit(const LoadRequest& request);
 
@@ -67,7 +49,6 @@ class RequestCloneDispatcher {
   std::uint64_t failed() const { return c_failed_.value(); }
   std::size_t in_flight() const { return requests_.size(); }
   std::size_t pending() const { return pending_.size(); }
-  std::size_t idle_fleet_size() const { return idle_.size(); }
 
   // The mean duplicate service time the config's demand prices out to under
   // `costs` (the Exp(1) multiplier has mean 1). Benches derive arrival
@@ -82,7 +63,7 @@ class RequestCloneDispatcher {
     DupState state = DupState::kPending;
     DomId dom = kDomInvalid;
     // Bumped to invalidate an in-flight completion event (cancellation of
-    // an active loser, instance retirement).
+    // an active loser).
     std::uint64_t epoch = 0;
     // Win happened while the grant was outstanding: count the duplicate
     // cancelled when the grant lands, and release the instance untouched.
@@ -100,12 +81,11 @@ class RequestCloneDispatcher {
   void StartDuplicate(std::uint64_t id, unsigned idx);
   void AcquireFor(std::uint64_t id, unsigned idx);
   void OnGrant(std::uint64_t id, unsigned idx, Result<DomId> granted);
-  void ActivateOn(std::uint64_t id, unsigned idx, DomId dom);
   void OnComplete(std::uint64_t id, unsigned idx, std::uint64_t epoch);
   void Resolve(std::uint64_t id, unsigned idx, Outcome outcome);
-  // Returns a finished duplicate's instance: scheduler mode releases it to
-  // the warm pool and frees its slot; fleet mode marks it idle again.
-  void FreeInstance(DomId dom);
+  // A duplicate stopped holding (or waiting for) an instance: its slot goes
+  // back to the pending FIFO.
+  void FreeSlot();
   void DrainPending();
   SimDuration DrawServiceTime();
   void PushTailLatency(std::int64_t latency_ns);
@@ -116,13 +96,10 @@ class RequestCloneDispatcher {
   LoadConfig config_;
   Rng service_rng_;
   DomId parent_ = kDomInvalid;
-  bool fleet_mode_ = false;
 
   std::map<std::uint64_t, RequestState> requests_;
   std::deque<std::pair<std::uint64_t, unsigned>> pending_;
-  std::size_t active_slots_ = 0;          // scheduler mode
-  std::deque<DomId> idle_;                // fleet mode: ready, unoccupied
-  std::map<DomId, std::pair<std::uint64_t, unsigned>> busy_;  // fleet mode
+  std::size_t active_slots_ = 0;
 
   Counter& c_submitted_;
   Counter& c_dispatched_;

@@ -31,6 +31,58 @@ void AppendKey(std::string& out, std::string_view name) {
   out += "\": ";
 }
 
+// One `"section": {...}` of counters or gauges. `metrics` maps sorted names
+// to handles (the registry's unique_ptrs or the merged export's pointers).
+template <typename Map>
+void AppendScalars(std::string& out, std::string_view section, const Map& metrics) {
+  out += "  ";
+  AppendKey(out, section);
+  out += '{';
+  bool first = true;
+  for (const auto& [name, metric] : metrics) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    ";
+    AppendKey(out, name);
+    out += std::to_string(metric->value());
+  }
+  out += first ? "},\n" : "\n  },\n";
+}
+
+// The one JSON body behind ExportJson and ExportMergedJson.
+template <typename Counters, typename Gauges, typename Histograms>
+std::string EmitJson(const Counters& counters, const Gauges& gauges,
+                     const Histograms& histograms) {
+  std::string out;
+  out.reserve(1024);
+  out += "{\n";
+  AppendScalars(out, "counters", counters);
+  AppendScalars(out, "gauges", gauges);
+  out += "  \"histograms\": {";
+  bool first = true;
+  for (const auto& [name, hist] : histograms) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    ";
+    AppendKey(out, name);
+    out += "{\n      \"count\": " + std::to_string(hist->count());
+    out += ",\n      \"sum\": " + std::to_string(hist->sum());
+    out += ",\n      \"min\": " + std::to_string(hist->min());
+    out += ",\n      \"max\": " + std::to_string(hist->max());
+    out += ",\n      \"buckets\": [";
+    for (std::size_t i = 0; i < hist->bounds().size(); ++i) {
+      out += i == 0 ? "\n" : ",\n";
+      out += "        {\"le\": " + std::to_string(hist->bounds()[i]) +
+             ", \"count\": " + std::to_string(hist->BucketCount(i)) + "}";
+    }
+    out += ",\n        {\"le\": \"+inf\", \"count\": " +
+           std::to_string(hist->BucketCount(hist->bounds().size())) + "}\n      ]\n    }";
+  }
+  out += first ? "}\n" : "\n  }\n";
+  out += "}\n";
+  return out;
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<std::int64_t> bounds) : bounds_(std::move(bounds)) {
@@ -171,62 +223,16 @@ std::vector<std::string> MetricsRegistry::AllNames() const {
 
 std::string MetricsRegistry::ExportJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  out.reserve(1024);
-  out += "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendKey(out, name);
-    out += std::to_string(counter->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendKey(out, name);
-    out += std::to_string(gauge->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendKey(out, name);
-    out += "{\n      \"count\": " + std::to_string(hist->count());
-    out += ",\n      \"sum\": " + std::to_string(hist->sum());
-    out += ",\n      \"min\": " + std::to_string(hist->min());
-    out += ",\n      \"max\": " + std::to_string(hist->max());
-    out += ",\n      \"buckets\": [";
-    for (std::size_t i = 0; i < hist->bounds().size(); ++i) {
-      out += i == 0 ? "\n" : ",\n";
-      out += "        {\"le\": " + std::to_string(hist->bounds()[i]) +
-             ", \"count\": " + std::to_string(hist->BucketCount(i)) + "}";
-    }
-    out += ",\n        {\"le\": \"+inf\", \"count\": " +
-           std::to_string(hist->BucketCount(hist->bounds().size())) + "}\n      ]\n    }";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  return EmitJson(counters_, gauges_, histograms_);
 }
 
 std::string ExportMergedJson(
     const std::vector<std::pair<std::string, const MetricsRegistry*>>& parts) {
-  // Collect prefixed snapshots first (one lock per part), then emit in
-  // exactly the ExportJson layout so merged and single-registry exports
-  // diff cleanly against each other.
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
+  // Collect prefixed handles first (one lock per part), then emit through
+  // ExportJson's own body so merged and single-registry exports diff
+  // cleanly against each other.
+  std::map<std::string, const Counter*> counters;
+  std::map<std::string, const Gauge*> gauges;
   std::map<std::string, const Histogram*> histograms;
   for (const auto& [prefix, registry] : parts) {
     if (registry == nullptr) {
@@ -234,63 +240,16 @@ std::string ExportMergedJson(
     }
     std::lock_guard<std::mutex> lock(registry->mu_);
     for (const auto& [name, counter] : registry->counters_) {
-      counters[prefix + name] = counter->value();
+      counters[prefix + name] = counter.get();
     }
     for (const auto& [name, gauge] : registry->gauges_) {
-      gauges[prefix + name] = gauge->value();
+      gauges[prefix + name] = gauge.get();
     }
     for (const auto& [name, hist] : registry->histograms_) {
       histograms[prefix + name] = hist.get();
     }
   }
-
-  std::string out;
-  out.reserve(1024);
-  out += "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendKey(out, name);
-    out += std::to_string(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendKey(out, name);
-    out += std::to_string(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendKey(out, name);
-    out += "{\n      \"count\": " + std::to_string(hist->count());
-    out += ",\n      \"sum\": " + std::to_string(hist->sum());
-    out += ",\n      \"min\": " + std::to_string(hist->min());
-    out += ",\n      \"max\": " + std::to_string(hist->max());
-    out += ",\n      \"buckets\": [";
-    for (std::size_t i = 0; i < hist->bounds().size(); ++i) {
-      out += i == 0 ? "\n" : ",\n";
-      out += "        {\"le\": " + std::to_string(hist->bounds()[i]) +
-             ", \"count\": " + std::to_string(hist->BucketCount(i)) + "}";
-    }
-    out += ",\n        {\"le\": \"+inf\", \"count\": " +
-           std::to_string(hist->BucketCount(hist->bounds().size())) + "}\n      ]\n    }";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  return EmitJson(counters, gauges, histograms);
 }
 
 }  // namespace nephele

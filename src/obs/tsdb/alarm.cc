@@ -100,11 +100,6 @@ AlarmState AlarmEngine::StateOf(std::string_view name) const {
   return it == rules_.end() ? AlarmState::kClear : it->second.state;
 }
 
-double AlarmEngine::LastValue(std::string_view name) const {
-  auto it = rules_.find(name);
-  return it == rules_.end() ? 0.0 : it->second.last_value;
-}
-
 void AlarmEngine::AddObserver(TsdbObserver* observer) {
   if (observer != nullptr &&
       std::find(observers_.begin(), observers_.end(), observer) == observers_.end()) {

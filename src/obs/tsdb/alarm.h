@@ -76,8 +76,6 @@ class AlarmEngine : public TsdbObserver {
   std::size_t rule_count() const { return rules_.size(); }
   // kClear for unknown names (an alarm that does not exist is not firing).
   AlarmState StateOf(std::string_view name) const;
-  // The rule's aggregate at its last evaluation (0 before any tick).
-  double LastValue(std::string_view name) const;
 
   // Alarm transitions are delivered to these observers (OnAlarmRaised /
   // OnAlarmCleared), in registration order, during the collector tick that

@@ -365,8 +365,6 @@ Status XenstoreDaemon::ReleaseDomain(DomId domid) {
 
 bool XenstoreDaemon::DomainKnown(DomId domid) const { return known_domains_.contains(domid); }
 
-std::string XenstoreDaemon::GetDomainPath(DomId domid) const { return XsDomainPath(domid); }
-
 std::string XenstoreDaemon::RewriteValue(const std::string& value, DomId parent, DomId child,
                                          XsCloneOp op) const {
   if (op == XsCloneOp::kBasic) {

@@ -86,7 +86,6 @@ class XenstoreDaemon {
   Status IntroduceDomain(DomId domid, DomId parent = kDomInvalid);
   Status ReleaseDomain(DomId domid);
   bool DomainKnown(DomId domid) const;
-  std::string GetDomainPath(DomId domid) const;
 
   // ------------------------------------------------------------------
   // xs_clone (paper Fig. 2): clones the directory at `parent_path` to

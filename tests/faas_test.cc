@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/faas/gateway.h"
+#include "src/sched/scheduler.h"
 
 namespace nephele {
 namespace {
@@ -80,6 +83,112 @@ TEST(UnikernelBackend, ScaleUpClonesCheaply) {
   ASSERT_EQ(backend.instances().size(), 2u);
   EXPECT_TRUE(system.hypervisor().IsDescendantOf(backend.instances()[1],
                                                  backend.instances()[0]));
+}
+
+// A unikernel backend scaling through the clone scheduler: ScaleDown parks
+// the youngest instance in the warm pool, and the next ScaleUp may be
+// served warm from it.
+struct ScheduledUnikernels {
+  ScheduledUnikernels()
+      : system(FaasSystem()), guests(system), sched(system),
+        backend(guests, UnikernelBackend::Config{}) {
+    (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
+    backend.AttachScheduler(&sched);
+  }
+
+  void RunFor(SimDuration d) { system.loop().RunUntil(system.Now() + d); }
+
+  NepheleSystem system;
+  GuestManager guests;
+  CloneScheduler sched;
+  UnikernelBackend backend;
+};
+
+TEST(UnikernelScaleDown, ParksTheYoungestAndNeverTheRoot) {
+  ScheduledUnikernels u;
+  ASSERT_TRUE(u.backend.Deploy().ok());
+  u.RunFor(SimDuration::Seconds(5));
+  const DomId root = u.backend.instances().front();
+  EXPECT_EQ(u.backend.ScaleDown().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(u.backend.instances(), std::vector<DomId>{root});
+
+  ASSERT_TRUE(u.backend.ScaleUp().ok());
+  u.RunFor(SimDuration::Seconds(5));
+  ASSERT_EQ(u.backend.TotalInstances(), 2u);
+  ASSERT_EQ(u.backend.ReadyInstances(), 2u);
+  const DomId child = u.backend.instances().back();
+  ASSERT_TRUE(u.backend.ScaleDown().ok());
+  EXPECT_EQ(u.backend.instances(), std::vector<DomId>{root});
+  EXPECT_EQ(u.sched.WarmPoolSize(root), 1u);
+  EXPECT_EQ(u.backend.ReadyInstances(), 1u);
+
+  // The next scale-up is a warm hit on the parked child: no pod creation,
+  // so it reports ready warm_report_latency after the scale-up.
+  const std::uint64_t hits = u.system.metrics().CounterValue("sched/warm_hits");
+  const double scaled_at = u.system.Now().ToSeconds();
+  ASSERT_TRUE(u.backend.ScaleUp().ok());
+  EXPECT_EQ(u.system.metrics().CounterValue("sched/warm_hits"), hits + 1);
+  u.RunFor(SimDuration::Seconds(1));
+  EXPECT_EQ(u.backend.instances(), (std::vector<DomId>{root, child}));
+  EXPECT_EQ(u.backend.ReadyInstances(), 2u);
+  ASSERT_EQ(u.backend.ReadinessTimes().size(), 3u);
+  EXPECT_NEAR(u.backend.ReadinessTimes().back() - scaled_at,
+              UnikernelBackend::Config{}.warm_report_latency.ToSeconds(), 1e-6);
+}
+
+TEST(UnikernelScaleDown, NeedsAScheduler) {
+  NepheleSystem system(FaasSystem());
+  GuestManager guests(system);
+  (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
+  UnikernelBackend backend(guests, UnikernelBackend::Config{});
+  ASSERT_TRUE(backend.Deploy().ok());
+  ASSERT_TRUE(backend.ScaleUp().ok());
+  system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
+  ASSERT_EQ(backend.ReadyInstances(), 2u);
+  EXPECT_EQ(backend.ScaleDown().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(backend.TotalInstances(), 2u);
+  EXPECT_EQ(backend.ReadyInstances(), 2u);
+}
+
+// Readiness counts once per grant: a report that lands after its instance
+// was retired, or after a warm re-grant of the same domain, is stale.
+TEST(UnikernelScaleDown, RetiringAnUnreportedInstanceKeepsTheReadyCount) {
+  {
+    // Retired before either report lands: only the root's report counts.
+    ScheduledUnikernels u;
+    ASSERT_TRUE(u.backend.Deploy().ok());
+    u.RunFor(SimDuration::Millis(100));
+    ASSERT_TRUE(u.backend.ScaleUp().ok());
+    u.RunFor(SimDuration::Millis(500));
+    ASSERT_EQ(u.backend.TotalInstances(), 2u);
+    ASSERT_EQ(u.backend.ReadyInstances(), 0u);
+    ASSERT_TRUE(u.backend.ScaleDown().ok());
+    u.RunFor(SimDuration::Seconds(5));
+    EXPECT_EQ(u.backend.TotalInstances(), 1u);
+    EXPECT_EQ(u.backend.ReadyInstances(), 1u);
+    EXPECT_EQ(u.backend.ReadinessTimes().size(), 1u);
+  }
+  {
+    // The root serves; the child is retired before its cold report and
+    // re-granted warm before that stale report lands.
+    ScheduledUnikernels u;
+    ASSERT_TRUE(u.backend.Deploy().ok());
+    u.RunFor(SimDuration::Seconds(5));
+    ASSERT_EQ(u.backend.ReadyInstances(), 1u);
+    ASSERT_TRUE(u.backend.ScaleUp().ok());
+    u.RunFor(SimDuration::Millis(500));
+    ASSERT_EQ(u.backend.TotalInstances(), 2u);
+    const DomId child = u.backend.instances().back();
+    ASSERT_TRUE(u.backend.ScaleDown().ok());
+    EXPECT_EQ(u.backend.ReadyInstances(), 1u);
+    ASSERT_TRUE(u.backend.ScaleUp().ok());
+    u.RunFor(SimDuration::Millis(500));
+    ASSERT_EQ(u.backend.instances().back(), child);
+    EXPECT_EQ(u.backend.ReadyInstances(), 2u);
+    u.RunFor(SimDuration::Seconds(5));
+    EXPECT_EQ(u.backend.ReadyInstances(), 2u);
+    EXPECT_EQ(u.backend.ReadinessTimes().size(), 2u);
+  }
 }
 
 TEST(Gateway, ScalesWhenLoadExceedsThreshold) {

@@ -16,15 +16,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/system.h"
-#include "src/faas/backend.h"
-#include "src/faas/gateway.h"
 #include "src/fault/fault.h"
-#include "src/guest/guest_manager.h"
 #include "src/load/arrival.h"
 #include "src/load/dispatch.h"
 #include "src/load/load_gen.h"
@@ -167,8 +163,8 @@ TEST(LoadGeneratorTest, BurstyRunRecordsStateSwitches) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler-mode dispatch: one parent, duplicates acquired from the clone
-// scheduler and released to the warm pool on resolution.
+// Dispatch: one parent, duplicates acquired from the clone scheduler and
+// released to the warm pool on resolution.
 // ---------------------------------------------------------------------------
 
 class ScheduledLoadRun {
@@ -407,132 +403,6 @@ TEST(ReqTailAlarmTest, RaisesUnderSustainedOverload) {
   run.Run(SimDuration::Millis(300));
   EXPECT_GE(run.system_.metrics().CounterValue("alarm/req_tail/raised_total"), 1u);
   run.ExpectQuiescentAccounting();
-}
-
-// ---------------------------------------------------------------------------
-// Fleet mode + gateway scale-down (the regression this PR fixes): retiring
-// an instance must never strand the only unfinished duplicate of a request.
-// ---------------------------------------------------------------------------
-
-struct FleetRun {
-  explicit FleetRun(SystemConfig cfg)
-      : system(cfg), guests(system), sched(system), dispatcher(system, sched) {
-    (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-    UnikernelBackend::Config bcfg;
-    bcfg.first_report_latency = SimDuration::Millis(50);
-    bcfg.k8s_report_latency = SimDuration::Millis(50);
-    bcfg.warm_report_latency = SimDuration::Millis(10);
-    backend.emplace(guests, bcfg);
-    backend->AttachScheduler(&sched);
-    backend->AttachDispatcher(&dispatcher);
-  }
-
-  void DeployThree() {
-    ASSERT_TRUE(backend->Deploy().ok());
-    system.Settle();
-    ASSERT_TRUE(backend->ScaleUp().ok());
-    ASSERT_TRUE(backend->ScaleUp().ok());
-    system.Settle();
-    ASSERT_EQ(backend->ReadyInstances(), 3u);
-    ASSERT_EQ(dispatcher.idle_fleet_size(), 3u);
-  }
-
-  void Submit(std::uint64_t id) {
-    LoadRequest r;
-    r.id = id;
-    r.user = id;
-    r.arrival = system.Now();
-    dispatcher.Submit(r);
-  }
-
-  NepheleSystem system;
-  GuestManager guests;
-  CloneScheduler sched;
-  RequestCloneDispatcher dispatcher;
-  std::optional<UnikernelBackend> backend;
-};
-
-SystemConfig FleetConfig(unsigned clone_factor) {
-  SystemConfig cfg;
-  cfg.hypervisor.pool_frames = 512 * 1024;
-  cfg.sched.warm_pool_capacity = 8;
-  cfg.load.clone_factor = clone_factor;
-  return cfg;
-}
-
-TEST(FleetScaleDownTest, RefusesWhenEveryInstanceHoldsASoleDuplicate) {
-  FleetRun run(FleetConfig(/*clone_factor=*/1));
-  run.DeployThree();
-  // d=1: every busy instance holds its request's only duplicate.
-  run.Submit(1);
-  run.Submit(2);
-  run.Submit(3);
-  ASSERT_EQ(run.dispatcher.idle_fleet_size(), 0u);
-  // The old code retired instances_.back() unconditionally, stranding the
-  // request riding it. Now the scan finds no retirable instance.
-  Status s = run.backend->ScaleDown();
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(run.backend->TotalInstances(), 3u);
-  run.system.Settle();
-  // Nothing was stranded: all three requests complete.
-  EXPECT_EQ(run.dispatcher.wins(), 3u);
-  EXPECT_EQ(run.dispatcher.in_flight(), 0u);
-  EXPECT_EQ(run.dispatcher.dispatched(),
-            run.dispatcher.wins() + run.dispatcher.cancelled() + run.dispatcher.rejected());
-}
-
-TEST(FleetScaleDownTest, RetiresRedundantDuplicateAndCancelsIt) {
-  FleetRun run(FleetConfig(/*clone_factor=*/2));
-  run.DeployThree();
-  // Two d=2 requests over three instances: request 1 occupies the root and
-  // the first child; request 2 gets the second child plus one pending
-  // duplicate. The youngest instance therefore serves a *redundant*
-  // duplicate (its request still has the pending one), so scale-down may
-  // retire it — cancelling the duplicate — without stranding anyone.
-  run.Submit(1);
-  run.Submit(2);
-  ASSERT_EQ(run.dispatcher.idle_fleet_size(), 0u);
-  ASSERT_EQ(run.dispatcher.pending(), 1u);
-  ASSERT_TRUE(run.backend->ScaleDown().ok());
-  EXPECT_EQ(run.backend->TotalInstances(), 2u);
-  EXPECT_GE(run.dispatcher.cancelled(), 1u);
-  run.system.Settle();
-  // Both requests complete on the surviving instances.
-  EXPECT_EQ(run.dispatcher.wins(), 2u);
-  EXPECT_EQ(run.dispatcher.in_flight(), 0u);
-  EXPECT_EQ(run.dispatcher.dispatched(),
-            run.dispatcher.wins() + run.dispatcher.cancelled() + run.dispatcher.rejected());
-  ExpectFrameConsistency(run.system);
-}
-
-// End-to-end: the gateway's request-level run streams the generator into
-// the dispatcher over the fleet while the RPS autoscaler adds instances,
-// then drains the in-flight tail. Accounting must close exactly and the
-// result mirror the dispatcher's counters.
-TEST(GatewayRequestLoadTest, AutoscalesAndDrainsWithExactAccounting) {
-  SystemConfig cfg = FleetConfig(/*clone_factor=*/2);
-  cfg.load.arrival.rate_rps = 200.0;
-  FleetRun run(cfg);
-  GatewayConfig gcfg;
-  gcfg.query_interval = SimDuration::Seconds(1);
-  gcfg.max_instances = 4;
-  OpenFaasGateway gateway(run.system.loop(), *run.backend, gcfg);
-  LoadGenerator generator(run.system);
-  RequestRunResult result =
-      gateway.RunRequestLoad(SimDuration::Seconds(10), generator, run.dispatcher);
-  EXPECT_GE(result.series.size(), 9u);
-  EXPECT_GT(result.generated, 1500u);
-  EXPECT_EQ(result.generated, generator.generated());
-  // 200 rps over one instance's ~10 rps threshold: the autoscaler scales up.
-  EXPECT_GT(run.backend->TotalInstances(), 1u);
-  // The drain leaves nothing in flight and the identity closes.
-  EXPECT_EQ(run.dispatcher.in_flight(), 0u);
-  EXPECT_EQ(run.dispatcher.pending(), 0u);
-  EXPECT_EQ(result.wins, run.dispatcher.wins());
-  EXPECT_EQ(result.wins + run.dispatcher.failed(), result.generated);
-  EXPECT_EQ(run.dispatcher.dispatched(),
-            result.wins + result.cancelled + result.rejected);
-  ExpectFrameConsistency(run.system);
 }
 
 }  // namespace
