@@ -40,7 +40,7 @@ void BM_CowShareResolve(benchmark::State& state) {
   FrameTable frames(1024);
   for (auto _ : state) {
     auto mfn = frames.Alloc(1);
-    (void)frames.ShareFirst(*mfn);
+    (void)frames.Share(*mfn, 1);
     auto res = frames.ResolveCowWrite(*mfn, 2);
     benchmark::DoNotOptimize(res);
     (void)frames.Release(res->mfn);

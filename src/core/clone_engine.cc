@@ -1,7 +1,6 @@
 #include "src/core/clone_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "src/base/log.h"
@@ -139,14 +138,12 @@ void CloneEngine::MaterializePage(Domain& parent, Domain& child, Gfn gfn) {
   // The plan flipped the parent pte read-only when it deferred the page, so
   // the frame still holds the clone-time snapshot. Sharing it now is exactly
   // the share stage 1 skipped, at the same per-page cost.
-  if (frames.IsShared(pe.mfn)) {
-    (void)frames.ShareAgain(pe.mfn);
-    hv_.loop().AdvanceBy(costs.page_share_again);
-    m_pages_shared_again_.Increment();
-  } else {
-    (void)frames.ShareFirst(pe.mfn);
+  if (frames.Share(pe.mfn, 1).value_or(false)) {
     hv_.loop().AdvanceBy(costs.page_share_first);
     m_pages_shared_first_.Increment();
+  } else {
+    hv_.loop().AdvanceBy(costs.page_share_again);
+    m_pages_shared_again_.Increment();
   }
   m_pages_shared_.Increment();
   child.p2m[gfn].mfn = pe.mfn;
@@ -383,19 +380,14 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
       continue;
     }
     NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
-    // first_shared first: it already records every frame a previous child's
-    // plan turned shared, so the locked read only runs for frames shared
-    // before this batch. IsSharedSync (not IsShared) because staging of the
-    // previous child may still be flipping frames on the worker pool.
-    const bool already_shared =
-        batch.first_shared.count(pe.mfn) > 0 || frames.IsSharedSync(pe.mfn);
+    // The batch takes its share references only at commit, and no staging
+    // job runs during this walk, so the frame's pre-batch state decides
+    // between a first share and a re-share.
+    const bool already_shared = frames.IsShared(pe.mfn);
     if (pe.role == PageRole::kIdcShared) {
       // IDC regions stay writable on both sides: true sharing, no COW
       // (Sec. 5.2.2 — ownership still moves to dom_cow like any shared page).
       cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
-      if (!already_shared) {
-        batch.first_shared.insert(pe.mfn);
-      }
       m_pages_idc_shared_.Increment();
       ++batch.idc_pages;
       continue;
@@ -407,7 +399,6 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
       m_pages_shared_again_.Increment();
     } else {
       cp.lane += costs.page_share_first;
-      batch.first_shared.insert(pe.mfn);
       m_pages_shared_first_.Increment();
     }
     m_pages_shared_.Increment();
@@ -542,12 +533,10 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   FrameTable& frames = hv_.frames();
 
   // Guest memory: private pages copy into the pre-allocated frames; shared
-  // pages take one commutative refcount each through one StageShareAll
-  // batch. Parent state is read-only here (the parent is paused and the
-  // plan phase has finished mutating it before the first dispatch).
+  // pages map the parent's frame, whose reference the commit takes. Parent
+  // state is read-only here (the parent is paused and the plan phase has
+  // finished mutating it before the first dispatch).
   child.p2m.reserve(parent.p2m.size());
-  std::vector<Mfn> shares;
-  shares.reserve(parent.p2m.size());
   std::size_t pi = 0;
   std::size_t di = 0;
   for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
@@ -565,12 +554,10 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
       child.p2m.push_back(P2mEntry{kInvalidMfn, pe.role, /*writable=*/false});
       ++child.lazy_deferred_pages;
     } else {
-      shares.push_back(pe.mfn);
       child.p2m.push_back(
           P2mEntry{pe.mfn, pe.role, /*writable=*/pe.role == PageRole::kIdcShared});
     }
   }
-  frames.StageShareAll(shares, cp.id);
 
   child.grants = parent.grants.CloneForChild();
 
@@ -593,49 +580,25 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   }
 }
 
-void CloneEngine::RollbackBatch(Domain& parent, BatchPlan& batch,
+void CloneEngine::RollbackBatch(Domain& parent, const BatchPlan& batch,
                                 std::vector<ChildPlan>& plans) {
   FrameTable& frames = hv_.frames();
-  // Newest child first, so by the time the first child unwinds it holds the
-  // last clone reference on every frame this batch shared — first-shared
-  // frames are then back at refcount 2 (parent + first child) and Unshare
-  // restores private parent ownership exactly.
+  // Share references are taken only by a successful commit, so a child,
+  // staged or not, holds nothing but the private frames its plan allocated.
+  // Newest child and newest frame first.
   for (auto it = plans.rbegin(); it != plans.rend(); ++it) {
     ChildPlan& cp = *it;
     if (cp.id == kDomInvalid) {
       continue;  // create_domain failed: this child never existed
     }
-    Domain& child = *cp.child;
-    if (cp.dispatched) {
-      // Fully staged: derive the undo from the child's p2m, newest entry
-      // first (a re-share presupposes the first share that precedes it).
-      for (auto pit = child.p2m.rbegin(); pit != child.p2m.rend(); ++pit) {
-        if (pit->mfn == kInvalidMfn) {
-          continue;  // deferred lazy entry: no frame, no share ref to undo
-        }
-        if (IsPrivateRole(pit->role)) {
-          (void)frames.Release(pit->mfn);
-          continue;
-        }
-        const bool shared_by_this_batch =
-            cp.id == batch.first_child && batch.first_shared.count(pit->mfn) > 0 &&
-            frames.info(pit->mfn).refcount.load(std::memory_order_relaxed) == 2;
-        if (shared_by_this_batch) {
-          (void)frames.Unshare(pit->mfn, parent.id);
-        } else {
-          (void)frames.Release(pit->mfn);
-        }
-      }
-    } else {
-      // The failing child: its staging job never ran, so no share refs
-      // exist; only the frames its plan consumed go back.
-      for (auto mit = cp.private_mfns.rbegin(); mit != cp.private_mfns.rend(); ++mit) {
-        (void)frames.Release(*mit);
-      }
+    for (auto mit = cp.private_mfns.rbegin(); mit != cp.private_mfns.rend(); ++mit) {
+      (void)frames.Release(*mit);
     }
     // Every guest frame was already returned above; clear the p2m so
     // DestroyDomain only releases the page-table and p2m-map frames it
-    // still tracks (a double release would corrupt the free list).
+    // still tracks (a double release would corrupt the free list, and the
+    // shared entries hold no reference to drop).
+    Domain& child = *cp.child;
     child.p2m.clear();
     child.lazy_deferred_pages = 0;
     (void)hv_.DestroyDomain(cp.id);
@@ -735,7 +698,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
     if (!failure.ok()) {
       break;
     }
-    cp.dispatched = true;
     if (pool_ != nullptr) {
       pool_->Submit(i, [this, parent, &batch, &cp] { StageChild(*parent, batch, cp); });
     } else {
@@ -769,6 +731,14 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   }
 
   // Commit phase: serial, in child-index order; nothing below can fail.
+  // Share references: every child maps the same parent frames as the first
+  // one, so one pass over its p2m adds all num_clones sharers per frame.
+  FrameTable& frames = hv_.frames();
+  for (const P2mEntry& e : plans.front().child->p2m) {
+    if (!IsPrivateRole(e.role) && e.mfn != kInvalidMfn) {
+      (void)frames.Share(e.mfn, num_clones);
+    }
+  }
   // Parent half of the IDC event-channel fix-up: its unbound kDomChild
   // ports connect to the first child (which keeps serving as the receive
   // end for later ones).
@@ -952,16 +922,13 @@ Result<std::size_t> CloneEngine::CloneReset(DomId caller, DomId child_id) {
   for (Gfn gfn : dirty) {
     P2mEntry& ce = child->p2m[gfn];
     P2mEntry& pe = parent->p2m[gfn];
-    if (frames.IsShared(pe.mfn)) {
-      page_status = frames.ShareAgain(pe.mfn);
-    } else {
-      page_status = frames.ShareFirst(pe.mfn);
-      if (page_status.ok()) {
-        pe.writable = false;
-      }
-    }
-    if (!page_status.ok()) {
+    Result<bool> entered = frames.Share(pe.mfn, 1);
+    if (!entered.ok()) {
+      page_status = entered.status();
       break;
+    }
+    if (*entered) {
+      pe.writable = false;
     }
     (void)frames.Release(ce.mfn);
     ce.mfn = pe.mfn;

@@ -9,12 +9,15 @@
 //           flips, clone accounting), per-child virtual-time lane math and
 //           every metrics update. Everything that can fail fails here.
 //   stage   (worker pool, parallel)      — per-child heavy lifting against
-//           pre-allocated frames: private page copies, COW share refcounts
-//           (FrameTable::StageShareAll), p2m construction, grant/event-
-//           channel table duplication. Staging is infallible by construction.
-//   commit  (simulation thread, serial, child-index order) — parent IDC
-//           event-channel fix-up, notification-ring pushes, VIRQ_CLONED,
-//           pending/outstanding bookkeeping.
+//           pre-allocated frames: private page copies, p2m construction,
+//           grant/event-channel table duplication. A staging job writes only
+//           its own child's state and takes no share reference. Staging is
+//           infallible by construction.
+//   commit  (simulation thread, serial, child-index order) — the batch's
+//           COW share references (one FrameTable::Share per frame for all
+//           children at once), parent IDC event-channel fix-up,
+//           notification-ring pushes, VIRQ_CLONED, pending/outstanding
+//           bookkeeping.
 //
 // Because failures, metrics and externally visible ordering all live in the
 // serial phases, the result of a batch is byte-identical at any worker
@@ -162,10 +165,6 @@ class CloneEngine {
     // This child's virtual-time lane (its cost had it been cloned alone,
     // minus the hypercall trap).
     SimDuration lane;
-    // True once the staging job was handed to a worker (or ran inline):
-    // the child is then fully built and rollback derives its effects from
-    // the child's p2m instead of from private_mfns.
-    bool dispatched = false;
   };
 
   // Batch-wide facts the first child's page walk decides once. Later
@@ -174,9 +173,6 @@ class CloneEngine {
   struct BatchPlan {
     // Parent gfns holding private-role pages, ascending.
     std::vector<Gfn> private_gfns;
-    // Parent frames that entered COW sharing in THIS batch (rollback must
-    // Unshare these; frames shared by an earlier batch only lose a ref).
-    std::unordered_set<Mfn> first_shared;
     // Parent ptes flipped writable->read-only by this batch, for rollback.
     std::vector<Gfn> writable_flips;
     // Shared-page counts; with deferred_gfns they cover every non-private
@@ -211,8 +207,8 @@ class CloneEngine {
   // walks every parent page once: it classifies the page (copy, share or,
   // in a lazy batch, defer), pokes faults in page order, bumps page
   // counters and flips parent ptes. PlanNextChild replays those decisions
-  // in O(private + deferred pages) — every one of its shares is a re-share
-  // of a page the first child already shared. Both leave a
+  // in O(private + deferred pages) — every one of its shares is costed as a
+  // re-share of a page the first child shares first. Both leave a
   // partially-planned child behind on failure; RollbackBatch cleans it up.
   Status PlanChildCommon(Domain& parent, ChildPlan& cp);
   Status PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);
@@ -271,14 +267,17 @@ class CloneEngine {
   void OnDomainDestroy(DomId dom);
 
   // Stage phase: runs on a pool worker (or inline when worker_threads_==1).
-  // Touches only the child's state, pre-allocated frames, read-only parent
-  // state and the shard-locked FrameTable::StageShareAll path.
+  // Writes only the child's state and its pre-allocated frames, reading
+  // parent state the plan has finished mutating. Shared pages are mapped
+  // without a reference; the commit takes them for the whole batch.
   void StageChild(const Domain& parent, const BatchPlan& batch, ChildPlan& cp);
 
   // Unwinds a failed batch (children [0, n) of `plans`, newest first) back
-  // to the pre-hypercall state. Dispatched children are derived-rolled-back
-  // from their p2m; the failing child returns its consumed allocations.
-  void RollbackBatch(Domain& parent, BatchPlan& batch, std::vector<ChildPlan>& plans);
+  // to the pre-hypercall state. A failed batch never holds a share
+  // reference, so every child, staged or not, only returns its private
+  // frames, newest first, and is destroyed; then the parent ptes the plan
+  // flipped read-only become writable again.
+  void RollbackBatch(Domain& parent, const BatchPlan& batch, std::vector<ChildPlan>& plans);
 
   // Exact per-page counter/lane accounting for a mid-plan failure in
   // PlanNextChild: recomputes what the pages in [0, end_gfn) contributed,

@@ -193,7 +193,6 @@ class CloneNotificationRing {
 
   bool Push(const CloneNotification& n) {
     if (full()) {
-      ++dropped_;
       return false;
     }
     entries_.push_back(n);
@@ -209,12 +208,9 @@ class CloneNotificationRing {
     return true;
   }
 
-  std::uint64_t backpressure_events() const { return dropped_; }
-
  private:
   std::size_t capacity_;
   std::deque<CloneNotification> entries_;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace nephele

@@ -3,8 +3,8 @@
 // The clone engine partitions a batch's children across workers
 // deterministically (child i -> worker i % size), so work placement never
 // depends on scheduling luck; only the interleaving of the workers' memory
-// operations varies between runs, and the engine's staging jobs are written
-// to commute. WaitIdle() is the batch barrier: it returns once every queue
+// operations varies between runs, and the engine's staging jobs write
+// disjoint state. WaitIdle() is the batch barrier: it returns once every queue
 // is drained and every worker is parked.
 //
 // Jobs must not touch the pool itself (no nested Submit). A job that throws

@@ -6,22 +6,17 @@
 // 4 MiB guests in a 12 GiB pool) cheap while preserving exact accounting and
 // observable COW semantics for frames that are actually used.
 //
-// Threading model: every mutating operation runs on the simulation thread,
-// with one exception — StageShareAll(), which clone-engine workers call
-// concurrently while staging a batch. StageShareAll serialises per-frame
-// through a small array of shard mutexes (keyed by mfn) and the aggregate
-// counters it touches are atomic, so concurrent staging of the same parent
-// frames by several workers is exact. The free list is never touched off
-// the simulation thread.
+// Threading model: every mutating operation runs on the simulation thread.
+// Clone-engine workers touch the table only through CopyPage, into frames
+// the plan allocated for their own child; the share references of a clone
+// batch are taken serially at commit. Nothing here needs a lock.
 
 #ifndef SRC_HYPERVISOR_FRAME_TABLE_H_
 #define SRC_HYPERVISOR_FRAME_TABLE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/base/result.h"
@@ -43,29 +38,9 @@ struct FrameInfo {
   bool shared = false;
   bool allocated = false;
   // Number of domains mapping the frame. >1 only while owned by kDomCow.
-  // Atomic because clone-engine workers bump it concurrently in
-  // StageShareAll.
-  std::atomic<std::uint32_t> refcount{0};
+  std::uint32_t refcount = 0;
   // Lazily materialised contents; null means "all zeroes, never written".
   std::unique_ptr<PageData> data;
-
-  FrameInfo() = default;
-  // std::vector needs MoveInsertable elements and std::atomic is not
-  // movable; moves only happen single-threaded (construction, f = {}).
-  FrameInfo(FrameInfo&& o) noexcept
-      : owner(o.owner),
-        shared(o.shared),
-        allocated(o.allocated),
-        refcount(o.refcount.load(std::memory_order_relaxed)),
-        data(std::move(o.data)) {}
-  FrameInfo& operator=(FrameInfo&& o) noexcept {
-    owner = o.owner;
-    shared = o.shared;
-    allocated = o.allocated;
-    refcount.store(o.refcount.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    data = std::move(o.data);
-    return *this;
-  }
 };
 static_assert(sizeof(FrameInfo) == 16);
 
@@ -81,12 +56,10 @@ class FrameTable {
   std::size_t free_frames() const { return free_count_; }
   std::size_t allocated_frames() const { return frames_.size() - free_count_; }
   // Number of frames currently in COW sharing (owned by dom_cow).
-  std::size_t shared_frames() const { return shared_count_.load(std::memory_order_relaxed); }
+  std::size_t shared_frames() const { return shared_count_; }
   // Sum of refcounts of shared frames minus the frames themselves: how many
   // frame-allocations COW sharing is currently saving.
-  std::size_t frames_saved_by_sharing() const {
-    return saved_by_sharing_.load(std::memory_order_relaxed);
-  }
+  std::size_t frames_saved_by_sharing() const { return saved_by_sharing_; }
 
   // Allocates one frame for `owner`. Fails with kResourceExhausted when the
   // pool is empty.
@@ -98,31 +71,13 @@ class FrameTable {
   //  - shared frame with refcount == 1: frees it.
   Status Release(Mfn mfn);
 
-  // First-time sharing: transfers ownership to dom_cow and sets refcount to 2
-  // (the parent and the first clone). Precondition: frame is allocated and
-  // not yet shared.
-  Status ShareFirst(Mfn mfn);
-
-  // Adds one more sharer to an already-shared frame.
-  Status ShareAgain(Mfn mfn);
-
-  // Worker-side sharing for parallel clone staging: adds one sharer to every
-  // frame in `mfns`, entering COW sharing (owner moves to dom_cow) for
-  // frames that were still private. Unlike ShareFirst/ShareAgain this is
-  // commutative — workers may stage the same frames in any order and the
-  // final state only depends on how many staged each — and it is the one
-  // FrameTable mutation that is safe to call concurrently. The batch is
-  // grouped by shard internally, so a whole child costs kLockShards lock
-  // acquisitions rather than one per page; `seed` rotates the shard visit
-  // order so concurrently staged children start on different shards and
-  // rarely meet on a lock. Precondition (guaranteed by the serial plan
-  // phase): every frame allocated.
-  void StageShareAll(const std::vector<Mfn>& mfns, std::size_t seed);
-
-  // Exact inverse of ShareFirst, for clone rollback: a shared frame whose
-  // two references are the parent and the aborted clone goes back to being
-  // privately owned by `new_owner`. Precondition: shared with refcount == 2.
-  Status Unshare(Mfn mfn, DomId new_owner);
+  // Adds `sharers` references to `mfn`. A private frame enters COW sharing:
+  // ownership moves to dom_cow and the refcount becomes 1 + sharers (its
+  // owner plus the new sharers). Returns true when the frame entered
+  // sharing in this call, false when it was already shared; callers pick
+  // first-share vs re-share costs from it. Fails with kInvalidArgument when
+  // the frame is not allocated.
+  Result<bool> Share(Mfn mfn, std::uint32_t sharers);
 
   // Resolves a write to a shared frame for domain `writer`:
   //  - refcount > 1: allocates a private copy, copies contents, drops one
@@ -141,15 +96,6 @@ class FrameTable {
   bool IsShared(Mfn mfn) const { return frames_[mfn].shared; }
   DomId OwnerOf(Mfn mfn) const { return frames_[mfn].owner; }
 
-  // Shard-locked variant of IsShared for the clone plan phase, which runs
-  // on the engine thread while workers flip private frames to shared via
-  // StageShareAll. Takes the same shard lock that guards the flip; every
-  // other accessor assumes no staging is in flight.
-  bool IsSharedSync(Mfn mfn) const {
-    std::lock_guard<std::mutex> lock(share_locks_[mfn % kLockShards]);
-    return frames_[mfn].shared;
-  }
-
   // Reads `len` bytes at `offset` within the frame. Unwritten frames read as
   // zeroes.
   void ReadBytes(Mfn mfn, std::size_t offset, std::uint8_t* out, std::size_t len) const;
@@ -165,18 +111,13 @@ class FrameTable {
   void CopyPage(Mfn src, Mfn dst);
 
  private:
-  // Shard count for the StageShareAll mutexes: enough that 4-16 workers
-  // rarely collide, small enough to keep the table cheap to construct.
-  static constexpr std::size_t kLockShards = 64;
-
   Status CheckAllocated(Mfn mfn) const;
 
   std::vector<FrameInfo> frames_;
   std::vector<Mfn> free_list_;
   std::size_t free_count_ = 0;
-  std::atomic<std::size_t> shared_count_{0};
-  std::atomic<std::size_t> saved_by_sharing_{0};
-  mutable std::array<std::mutex, kLockShards> share_locks_;
+  std::size_t shared_count_ = 0;
+  std::size_t saved_by_sharing_ = 0;
 };
 
 }  // namespace nephele

@@ -46,10 +46,9 @@ std::string CheckFrameInvariants(const Hypervisor& hv) {
       return "freed frame still mapped: mfn " + std::to_string(mfn);
     }
     if (fi.shared) {
-      if (fi.refcount.load(std::memory_order_relaxed) != count) {
+      if (fi.refcount != count) {
         return "refcount mismatch on shared mfn " + std::to_string(mfn) + ": table says " +
-               std::to_string(fi.refcount.load(std::memory_order_relaxed)) + ", mapped " +
-               std::to_string(count) + " times";
+               std::to_string(fi.refcount) + ", mapped " + std::to_string(count) + " times";
       }
     } else if (count != 1) {
       return "unshared mfn " + std::to_string(mfn) + " mapped " + std::to_string(count) +

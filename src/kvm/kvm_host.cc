@@ -110,13 +110,8 @@ Result<VmId> KvmHost::CloneVm(VmId vm) {
   for (KvmPage& page : parent->memory) {
     // No private-page classes on KVM: EVERYTHING shares, including what Xen
     // would duplicate (rings, buffers); ivshmem IDC pages stay writable.
-    if (frames_.IsShared(page.host_page)) {
-      NEPHELE_RETURN_IF_ERROR(frames_.ShareAgain(page.host_page));
-      loop_.AdvanceBy(costs_.page_share_again);
-    } else {
-      NEPHELE_RETURN_IF_ERROR(frames_.ShareFirst(page.host_page));
-      loop_.AdvanceBy(costs_.page_share_first);
-    }
+    NEPHELE_ASSIGN_OR_RETURN(bool first, frames_.Share(page.host_page, 1));
+    loop_.AdvanceBy(first ? costs_.page_share_first : costs_.page_share_again);
     bool writable = page.idc_shared;
     page.writable = writable;
     child->memory.push_back(KvmPage{page.host_page, writable, page.idc_shared});

@@ -150,15 +150,13 @@ Status XenstoreDaemon::Write(const std::string& path, const std::string& value) 
   NEPHELE_RETURN_IF_ERROR(ValidateXsValue(value));
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_write_));
   InternalWrite(path, value, /*fire_watches=*/true);
-  JournalWrite(path);
+  NoteCommitted(path);
   return Status::Ok();
 }
 
-void XenstoreDaemon::JournalWrite(const std::string& path) {
-  write_journal_.emplace_back(++write_version_, path);
-  // Bound the journal; transactions older than the window simply conflict.
-  if (write_journal_.size() > 4096) {
-    write_journal_.erase(write_journal_.begin(), write_journal_.begin() + 2048);
+void XenstoreDaemon::NoteCommitted(const std::string& path) {
+  for (auto& [id, t] : transactions_) {
+    t.changed.insert(path);
   }
 }
 
@@ -210,7 +208,7 @@ Status XenstoreDaemon::Rm(const std::string& path) {
   CountRemovedSubtree(*it->second);
   parent->children.erase(it);
   FireWatches(path);
-  JournalWrite(path);
+  NoteCommitted(path);
   return Status::Ok();
 }
 
@@ -232,9 +230,7 @@ Result<std::vector<std::string>> XenstoreDaemon::Directory(const std::string& pa
 Result<XsTransactionId> XenstoreDaemon::TransactionStart() {
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_txn_start_));
   XsTransactionId id = next_txn_++;
-  Transaction t;
-  t.start_version = write_version_;
-  transactions_[id] = std::move(t);
+  transactions_[id] = Transaction{};
   return id;
 }
 
@@ -285,16 +281,9 @@ Status XenstoreDaemon::TransactionEnd(XsTransactionId txn, bool commit) {
   // An injected commit failure behaves exactly like a lost conflict race:
   // the transaction is gone and the caller must restart it.
   NEPHELE_RETURN_IF_ERROR(f_txn_commit_.Poke());
-  // Conflict detection: any committed write since transaction start that
+  // Conflict detection: any write committed since transaction start that
   // touches one of this transaction's paths aborts it (EAGAIN).
-  auto touches = [&](const std::string& path) {
-    for (const auto& [version, written] : write_journal_) {
-      if (version > t.start_version && written == path) {
-        return true;
-      }
-    }
-    return false;
-  };
+  auto touches = [&](const std::string& path) { return t.changed.count(path) > 0; };
   for (const auto& [path, value] : t.writes) {
     if (touches(path)) {
       m_txn_conflicts_.Increment();
@@ -309,7 +298,7 @@ Status XenstoreDaemon::TransactionEnd(XsTransactionId txn, bool commit) {
   }
   for (const auto& [path, value] : t.writes) {
     InternalWrite(path, value, /*fire_watches=*/true);
-    JournalWrite(path);
+    NoteCommitted(path);
   }
   return Status::Ok();
 }

@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -126,9 +127,11 @@ class XenstoreDaemon {
     XsWatchCallback callback;
   };
   struct Transaction {
-    std::uint64_t start_version = 0;
     std::vector<std::pair<std::string, std::string>> writes;  // ordered
     std::vector<std::string> reads;
+    // Paths committed by others since this transaction started; the commit
+    // conflicts when it read or writes any of them.
+    std::set<std::string> changed;
   };
 
   // Charges one request: base + store-size scan + access log (and possibly
@@ -144,7 +147,9 @@ class XenstoreDaemon {
   // Writes without request accounting (used inside xs_clone: server-side).
   void InternalWrite(const std::string& path, const std::string& value, bool fire_watches);
   void CountRemovedSubtree(const Node& node);
-  void JournalWrite(const std::string& path);
+  // Records a committed write or removal of `path` in every open
+  // transaction, for conflict detection at its commit.
+  void NoteCommitted(const std::string& path);
   // Rewrites parent-domid references in a value per the device heuristics.
   std::string RewriteValue(const std::string& value, DomId parent, DomId child,
                            XsCloneOp op) const;
@@ -179,9 +184,6 @@ class XenstoreDaemon {
   std::map<DomId, DomId> known_domains_;  // domid -> parent (or kDomInvalid)
   std::map<XsTransactionId, Transaction> transactions_;
   XsTransactionId next_txn_ = 1;
-  // Committed-write journal for conflict detection: (version, path).
-  std::vector<std::pair<std::uint64_t, std::string>> write_journal_;
-  std::uint64_t write_version_ = 0;
   // Live nodes with values: every request pays a scan over them.
   std::size_t entries_ = 0;
   std::uint64_t requests_since_rotation_ = 0;

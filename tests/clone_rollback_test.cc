@@ -210,6 +210,71 @@ TEST_F(CloneRollbackTest, BatchIsAllOrNothing) {
   EXPECT_EQ(p->state, DomainState::kRunning);
 }
 
+// A failed batch that staged children before failing leaves a never-cloned
+// parent exactly as it was: no frame entered sharing, so the next clean
+// clone shares every non-private page for the first time.
+TEST(CloneFirstBatchRollbackTest, ParentFramesStayPrivate) {
+  for (unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    SystemConfig sys_cfg;
+    sys_cfg.hypervisor.pool_frames = 64 * 1024;
+    sys_cfg.clone_worker_threads = workers;
+    NepheleSystem sys(sys_cfg);
+    DomainConfig cfg;
+    cfg.name = "parent";
+    cfg.memory_mb = 4;
+    cfg.max_clones = 32;
+    cfg.with_vif = true;
+    auto dom = sys.toolstack().CreateDomain(cfg);
+    ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+    sys.Settle();
+    const DomId parent = *dom;
+    const Domain& p = *sys.hypervisor().FindDomain(parent);
+    const Mfn start_info = p.p2m[p.start_info_gfn].mfn;
+    const FrameTable& frames = sys.hypervisor().frames();
+    const std::size_t free_before = sys.hypervisor().FreePoolFrames();
+
+    // Children 0 and 1 are planned and staged; child 2's create fails.
+    ASSERT_TRUE(sys.fault_injector()
+                    .Arm("clone/stage1/create_domain",
+                         FaultSpec::NthHit(3, StatusCode::kAborted, "third child"))
+                    .ok());
+    auto failed = sys.clone_engine().Clone({parent, parent, start_info, 3});
+    sys.Settle();
+    sys.fault_injector().DisarmAll();
+    ASSERT_FALSE(failed.ok());
+
+    // Every parent frame: not shared, owned by the parent, refcount 1.
+    std::size_t left_changed = 0;
+    std::size_t non_private = 0;
+    for (const P2mEntry& pe : p.p2m) {
+      const FrameInfo& fi = frames.info(pe.mfn);
+      if (fi.shared || fi.owner != parent || fi.refcount != 1) {
+        ++left_changed;
+      }
+      if (!IsPrivateRole(pe.role)) {
+        ++non_private;
+      }
+    }
+    EXPECT_EQ(left_changed, 0u);
+    EXPECT_EQ(frames.shared_frames(), 0u);
+    EXPECT_EQ(frames.frames_saved_by_sharing(), 0u);
+    EXPECT_EQ(sys.hypervisor().FreePoolFrames(), free_before);
+    ExpectFrameConsistency(sys);
+
+    MetricsRegistry& m = sys.metrics();
+    const std::uint64_t first_before = m.CounterValue("clone/stage1/pages_shared_first");
+    const std::uint64_t idc_before = m.CounterValue("clone/stage1/pages_idc_shared");
+    auto ok = sys.clone_engine().Clone({parent, parent, start_info, 1});
+    sys.Settle();
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(m.CounterValue("clone/stage1/pages_shared_first") - first_before +
+                  m.CounterValue("clone/stage1/pages_idc_shared") - idc_before,
+              non_private);
+    EXPECT_EQ(frames.shared_frames(), non_private);
+  }
+}
+
 // --- Stage-2 aborts. ---
 
 TEST_F(CloneRollbackTest, XenclonedStage2Fault) {

@@ -75,6 +75,22 @@ TEST_F(XsTxnTest, ReadWriteConflictAborts) {
   EXPECT_FALSE(xs_.Exists("/t/b"));
 }
 
+// A conflict is remembered for the transaction's whole life, not for a
+// window of recent writes: thousands of later writes elsewhere must not
+// let a commit built on a stale read through.
+TEST_F(XsTxnTest, ConflictBehindThousandsOfLaterWritesStillAborts) {
+  ASSERT_TRUE(xs_.Write("/t/a", "0").ok());
+  auto txn = xs_.TransactionStart();
+  EXPECT_EQ(*xs_.TxnRead(*txn, "/t/a"), "0");
+  ASSERT_TRUE(xs_.TxnWrite(*txn, "/t/b", "derived-from-a").ok());
+  ASSERT_TRUE(xs_.Write("/t/a", "changed").ok());
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(xs_.Write("/other/" + std::to_string(i), "x").ok());
+  }
+  EXPECT_EQ(xs_.TransactionEnd(*txn, true).code(), StatusCode::kAborted);
+  EXPECT_FALSE(xs_.Exists("/t/b"));
+}
+
 TEST_F(XsTxnTest, IndependentWritesDoNotConflict) {
   auto txn = xs_.TransactionStart();
   ASSERT_TRUE(xs_.TxnWrite(*txn, "/t/a", "1").ok());

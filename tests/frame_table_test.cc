@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "src/hypervisor/frame_table.h"
@@ -9,51 +8,27 @@
 namespace nephele {
 namespace {
 
-// StageShareAll from one thread is ShareFirst + ShareAgain per extra sharer.
-TEST(FrameTable, StageShareAllMatchesShareFirstAgain) {
+// One Share of many sharers lands on the same state as that many single
+// shares: the frame enters sharing once and the refcount counts everyone.
+TEST(FrameTable, ShareOfManyEqualsRepeatedShares) {
   FrameTable ft(16);
-  std::vector<Mfn> mfns;
-  for (int i = 0; i < 8; ++i) {
-    mfns.push_back(*ft.Alloc(1));
+  const Mfn batched = *ft.Alloc(1);
+  const Mfn repeated = *ft.Alloc(1);
+  auto entered = ft.Share(batched, 3);
+  ASSERT_TRUE(entered.ok());
+  EXPECT_TRUE(*entered);
+  for (int i = 0; i < 3; ++i) {
+    auto r = ft.Share(repeated, 1);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, i == 0);  // only the first call enters sharing
   }
-  ft.StageShareAll(mfns, /*seed=*/0);  // first sharer
-  ft.StageShareAll(mfns, /*seed=*/1);  // second sharer
-  for (Mfn m : mfns) {
+  for (Mfn m : {batched, repeated}) {
     EXPECT_TRUE(ft.IsShared(m));
     EXPECT_EQ(ft.OwnerOf(m), kDomCow);
-    EXPECT_EQ(ft.info(m).refcount.load(), 3u);  // owner + two stagers
+    EXPECT_EQ(ft.info(m).refcount, 4u);  // owner + three sharers
   }
-  EXPECT_EQ(ft.shared_frames(), mfns.size());
-  EXPECT_EQ(ft.frames_saved_by_sharing(), 2 * mfns.size());
-}
-
-// The concurrency contract: many workers staging the same frames at once,
-// each with a different shard-rotation seed, land on the exact same state
-// as the serial equivalent — every sharer counted, each first-share
-// transition applied once.
-TEST(FrameTable, StageShareAllIsExactUnderConcurrency) {
-  constexpr int kWorkers = 8;
-  constexpr int kFrames = 1000;
-  FrameTable ft(kFrames);
-  std::vector<Mfn> mfns;
-  for (int i = 0; i < kFrames; ++i) {
-    mfns.push_back(*ft.Alloc(1));
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(kWorkers);
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&ft, &mfns, w] { ft.StageShareAll(mfns, static_cast<std::size_t>(w)); });
-  }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  for (Mfn m : mfns) {
-    EXPECT_TRUE(ft.IsShared(m));
-    EXPECT_EQ(ft.OwnerOf(m), kDomCow);
-    EXPECT_EQ(ft.info(m).refcount.load(), 1u + kWorkers);
-  }
-  EXPECT_EQ(ft.shared_frames(), static_cast<std::size_t>(kFrames));
-  EXPECT_EQ(ft.frames_saved_by_sharing(), static_cast<std::size_t>(kWorkers) * kFrames);
+  EXPECT_EQ(ft.shared_frames(), 2u);
+  EXPECT_EQ(ft.frames_saved_by_sharing(), 6u);
 }
 
 TEST(FrameTable, AllocAndRelease) {
@@ -90,7 +65,9 @@ TEST(FrameTable, ShareTransfersOwnershipToDomCow) {
   FrameTable ft(4);
   auto mfn = ft.Alloc(5);
   ASSERT_TRUE(mfn.ok());
-  ASSERT_TRUE(ft.ShareFirst(*mfn).ok());
+  auto entered = ft.Share(*mfn, 1);
+  ASSERT_TRUE(entered.ok());
+  EXPECT_TRUE(*entered);
   EXPECT_TRUE(ft.IsShared(*mfn));
   EXPECT_EQ(ft.OwnerOf(*mfn), kDomCow);
   EXPECT_EQ(ft.info(*mfn).refcount, 2u);
@@ -98,26 +75,42 @@ TEST(FrameTable, ShareTransfersOwnershipToDomCow) {
   EXPECT_EQ(ft.frames_saved_by_sharing(), 1u);
 }
 
+// A frame enters sharing once: a second Share joins it instead, reports that
+// it was no first share, and the frame still counts once under dom_cow.
 TEST(FrameTable, ShareFirstRejectsDoubleShare) {
   FrameTable ft(4);
   auto mfn = ft.Alloc(5);
-  ASSERT_TRUE(ft.ShareFirst(*mfn).ok());
-  EXPECT_EQ(ft.ShareFirst(*mfn).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(ft.Share(*mfn, 1).ok());
+  auto again = ft.Share(*mfn, 1);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(*again);
+  EXPECT_EQ(ft.OwnerOf(*mfn), kDomCow);
+  EXPECT_EQ(ft.shared_frames(), 1u);
 }
 
+// Joining an already-shared frame adds its sharers to the refcount and to
+// the savings.
 TEST(FrameTable, ShareAgainIncrementsRefcount) {
   FrameTable ft(4);
   auto mfn = ft.Alloc(5);
-  ASSERT_TRUE(ft.ShareFirst(*mfn).ok());
-  ASSERT_TRUE(ft.ShareAgain(*mfn).ok());
+  ASSERT_TRUE(ft.Share(*mfn, 1).ok());
+  ASSERT_TRUE(ft.Share(*mfn, 1).ok());
   EXPECT_EQ(ft.info(*mfn).refcount, 3u);
   EXPECT_EQ(ft.frames_saved_by_sharing(), 2u);
 }
 
+// Share reports a join only for a frame already in sharing: on a private
+// frame it is a first share, and a released frame cannot be shared at all.
 TEST(FrameTable, ShareAgainRequiresShared) {
   FrameTable ft(4);
   auto mfn = ft.Alloc(5);
-  EXPECT_EQ(ft.ShareAgain(*mfn).code(), StatusCode::kFailedPrecondition);
+  auto first = ft.Share(*mfn, 1);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(*first);
+  const Mfn released = *ft.Alloc(5);
+  ASSERT_TRUE(ft.Release(released).ok());
+  EXPECT_EQ(ft.Share(released, 1).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ft.shared_frames(), 1u);
 }
 
 TEST(FrameTable, CowWriteWithMultipleSharersCopies) {
@@ -125,7 +118,7 @@ TEST(FrameTable, CowWriteWithMultipleSharersCopies) {
   auto mfn = ft.Alloc(5);
   std::uint8_t data[] = {0xAA};
   ft.WriteBytes(*mfn, 0, data, 1);
-  ASSERT_TRUE(ft.ShareFirst(*mfn).ok());
+  ASSERT_TRUE(ft.Share(*mfn, 1).ok());
   auto res = ft.ResolveCowWrite(*mfn, 6);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->copied);
@@ -143,7 +136,7 @@ TEST(FrameTable, CowWriteWithMultipleSharersCopies) {
 TEST(FrameTable, LastSharerGetsOwnershipInPlace) {
   FrameTable ft(4);
   auto mfn = ft.Alloc(5);
-  ASSERT_TRUE(ft.ShareFirst(*mfn).ok());
+  ASSERT_TRUE(ft.Share(*mfn, 1).ok());
   auto first = ft.ResolveCowWrite(*mfn, 6);
   ASSERT_TRUE(first.ok());
   // refcount dropped to 1: the next fault transfers ownership — possibly to
@@ -160,7 +153,7 @@ TEST(FrameTable, LastSharerGetsOwnershipInPlace) {
 TEST(FrameTable, ReleaseSharedDropsRefcount) {
   FrameTable ft(4);
   auto mfn = ft.Alloc(5);
-  ASSERT_TRUE(ft.ShareFirst(*mfn).ok());
+  ASSERT_TRUE(ft.Share(*mfn, 1).ok());
   std::size_t free_before = ft.free_frames();
   ASSERT_TRUE(ft.Release(*mfn).ok());
   EXPECT_EQ(ft.free_frames(), free_before);  // still held by one sharer
@@ -206,7 +199,7 @@ TEST(FrameTable, CopyPageHandlesUnmaterialisedSource) {
 TEST(FrameTable, InvalidMfnRejected) {
   FrameTable ft(2);
   EXPECT_EQ(ft.Release(99).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(ft.ShareFirst(0).code(), StatusCode::kInvalidArgument);  // not allocated
+  EXPECT_EQ(ft.Share(0, 1).status().code(), StatusCode::kInvalidArgument);  // not allocated
 }
 
 // Property: across an arbitrary interleaving of alloc/share/cow/release,
@@ -231,7 +224,7 @@ TEST_P(FrameConservation, RandomOperationSequence) {
       case 1: {
         if (!owned.empty()) {
           std::size_t i = rng.NextBelow(owned.size());
-          if (ft.ShareFirst(owned[i]).ok()) {
+          if (ft.Share(owned[i], 1).ok()) {
             shared.push_back(owned[i]);
             shared.push_back(owned[i]);  // two logical holders
             owned.erase(owned.begin() + static_cast<std::ptrdiff_t>(i));
