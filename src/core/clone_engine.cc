@@ -230,7 +230,7 @@ std::size_t CloneEngine::StreamPump(std::size_t batches) {
 }
 
 void CloneEngine::ScheduleStreamTick(DomId child) {
-  hv_.loop().Post(lazy_cfg_.stream_interval, [this, child] {
+  hv_.loop().Post(kLazyStreamInterval, [this, child] {
     if (streaming_.count(child) == 0) {
       return;  // finished (or torn down) before the tick fired
     }
@@ -281,6 +281,19 @@ Status CloneEngine::DemandFault(StreamMap::iterator it, Gfn gfn) {
 }
 
 void CloneEngine::OnDomainDestroy(DomId dom) {
+  // A child still owed its second stage (queued for xencloned, waiting for
+  // its vif's udev event, or unwound by a failed second stage) dies as an
+  // abort: it retires its outstanding slot like a completion would, so the
+  // parent is never left paused on a child that no longer exists.
+  if (auto it = pending_children_.find(dom); it != pending_children_.end()) {
+    const DomId parent_id = it->second.parent;
+    pending_children_.erase(it);
+    m_rolled_back_.Increment();
+    for (CloneObserver* obs : observers_) {
+      obs->OnCloneAborted(parent_id, dom);
+    }
+    RetireOutstanding(parent_id);
+  }
   // A dying child abandons its stream: its not-present entries hold no
   // frames, so there is nothing to unwind.
   streaming_.erase(dom);
@@ -783,27 +796,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   }
   m_stage1_ns_.Observe((hv_.loop().Now() - stage1_start).ns());
   return children;
-}
-
-Status CloneEngine::CloneAborted(DomId child) {
-  hv_.ChargeHypercall();
-  auto it = pending_children_.find(child);
-  if (it == pending_children_.end()) {
-    return ErrNotFound("no pending clone for this child");
-  }
-  DomId parent_id = it->second.parent;
-  pending_children_.erase(it);
-  m_rolled_back_.Increment();
-
-  for (CloneObserver* obs : observers_) {
-    obs->OnCloneAborted(parent_id, child);
-  }
-
-  // An aborted child retires its outstanding slot exactly like a completed
-  // one: the parent must not stay paused forever because one clone of a
-  // batch failed.
-  RetireOutstanding(parent_id);
-  return Status::Ok();
 }
 
 Status CloneEngine::CloneCompletion(DomId child) {

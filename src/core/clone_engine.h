@@ -66,15 +66,9 @@ class CloneEngine {
 
   // kCloneCompletion: xencloned signals that the second stage of `child` is
   // done. Resumes the child (unless configured paused) and the parent once
-  // all its outstanding children completed.
+  // all its outstanding children completed or aborted. A child destroyed
+  // before this call is retired as an abort instead (OnDomainDestroy).
   Status CloneCompletion(DomId child);
-
-  // The failure twin of CloneCompletion: xencloned reports that the second
-  // stage of `child` failed and the child was destroyed. Retires the pending
-  // entry, fires OnCloneAborted and — like a completion — unblocks the
-  // parent once no children remain outstanding, so a partial batch failure
-  // never wedges the parent.
-  Status CloneAborted(DomId child);
 
   // kCloneCow: explicitly un-share (COW) `count` pages of `dom` starting at
   // `gfn`, so KFX can insert breakpoints into clone-private text (Sec. 7.2).
@@ -261,9 +255,14 @@ class CloneEngine {
   // retires a stream that owes nothing more (invalidating `it`).
   Status DemandFault(StreamMap::iterator it, Gfn gfn);
 
-  // Hypervisor::DomainDestroyHook: tearing down a streaming parent first
-  // force-finishes its children's streams (no fault pokes — the destroy is
-  // already committed); tearing down a streaming child cancels its stream.
+  // Hypervisor::DomainDestroyHook, the one place a dying clone is handled.
+  // A child still waiting for its second stage is retired as an abort
+  // (OnCloneAborted, clone/rolled_back, its outstanding slot returned, the
+  // parent resumed after its last child), whoever destroys it: xencloned's
+  // failed second stage or a destroy before the second stage completed.
+  // Tearing down a streaming parent force-finishes its children's streams
+  // (no fault pokes — the destroy is already committed); tearing down a
+  // streaming child cancels its stream.
   void OnDomainDestroy(DomId dom);
 
   // Stage phase: runs on a pool worker (or inline when worker_threads_==1).

@@ -55,14 +55,15 @@ struct CloneRequest {
   std::vector<Gfn> hot_pages;
 };
 
+// Delay between consecutive prefetcher batches of one lazy child (the
+// stream's rate limit).
+inline constexpr SimDuration kLazyStreamInterval = SimDuration::Micros(250);
+
 // Knobs of the lazy-clone (post-copy) background prefetcher. Like
 // SchedulerConfig this lives here so SystemConfig carries the knob surface.
 struct LazyCloneConfig {
   // Pages materialised per prefetcher batch.
   std::size_t stream_batch_pages = 64;
-  // Delay between consecutive prefetcher batches of one child (the stream's
-  // rate limit).
-  SimDuration stream_interval = SimDuration::Micros(250);
   // When false the background prefetcher never runs on its own: pages
   // materialise only via demand faults, explicit StreamPump() calls, or
   // FinishStreaming(). The simulation-test harness (src/dst) uses manual
@@ -99,12 +100,6 @@ struct SchedulerConfig {
   // LRU-first until Toolstack::Dom0FreeBytes() is back above this. 0
   // disables pressure eviction.
   std::size_t dom0_low_watermark_bytes = 0;
-  // Telemetry feedback (SchedulerAlarmFeedback): while the warm-pool-thrash
-  // alarm is raised, the batch window is stretched by this factor — wider
-  // windows coalesce more requests per batch, easing churn — and LRU
-  // eviction is frozen so the pool stops shedding children it is about to
-  // need again. Must be >= 1.
-  double thrash_window_multiplier = 4.0;
   // Dispatch cold batches as lazy (post-copy) clones: children are granted
   // as soon as their hot working set is mapped and stream the rest in the
   // background. Release() finishes a child's stream before parking it, so
@@ -154,8 +149,6 @@ struct LoadConfig {
   // most this many duplicates hold an acquired instance at once; the rest
   // wait in the dispatcher's FIFO.
   std::size_t max_concurrent = 8;
-  // Pending duplicates the dispatcher queues; overflow rejects.
-  std::size_t max_pending = 4096;
   // Per-request service demand, priced by the cost model: touching
   // `service_pages` guest pages, `service_p9_rpcs` 9p RPCs and
   // `service_net_packets` packets through the split driver. Each

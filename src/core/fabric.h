@@ -61,9 +61,6 @@ struct ClusterConfig {
   LinkConfig link;
   // Default placement policy consumed by ClusterScheduler.
   PlacementPolicy placement = PlacementPolicy::kSpread;
-  // kPack: spill to the next host once the packed host's free frame pool
-  // dips below this reserve.
-  std::size_t pack_reserve_frames = 1024;
 };
 
 class ClusterFabric {

@@ -162,6 +162,11 @@ Status Xencloned::DeepCopyXenstoreEntries(DomId /*parent*/, DomId child,
 }
 
 void Xencloned::HandleNotification(const CloneNotification& n) {
+  if (hv_.FindDomain(n.child) == nullptr) {
+    // Destroyed while its notification sat in the ring; the destroy hook
+    // already retired it as an abort, so there is nothing left to set up.
+    return;
+  }
   Status status = RunSecondStage(n);
   if (!status.ok()) {
     AbortSecondStage(n, status);
@@ -256,34 +261,11 @@ Status Xencloned::RunSecondStage(const CloneNotification& n) {
 void Xencloned::AbortSecondStage(const CloneNotification& n, const Status& why) {
   NEPHELE_LOG(kWarn, "xencloned") << "aborting second stage of dom" << n.child << ": "
                                   << why.ToString();
-  const DomainConfig& cfg = ParentConfig(n.parent);
-  // Reverse of the second-stage order; every step is best-effort — whatever
-  // was not yet created simply reports not-found and is skipped.
-  if (cfg.with_vbd) {
-    (void)devices_.vbd().DestroyDisk(DeviceId{n.child, DeviceType::kVbd, 0});
-    (void)xs_.Rm(XsBackendPath(kDom0, "vbd", n.child, 0));
-  }
-  if (cfg.with_p9fs) {
-    if (P9BackendProcess* proc = devices_.p9().FindServing(n.child); proc != nullptr) {
-      (void)proc->ReleaseDomain(n.child);
-    }
-    (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", n.child, 0));
-  }
-  if (cfg.with_vif) {
-    (void)devices_.netback().DestroyDevice(DeviceId{n.child, DeviceType::kVif, 0});
-    (void)xs_.Rm(XsBackendPath(kDom0, "vif", n.child, 0));
-  }
-  (void)devices_.console().DestroyConsole(n.child);
-  (void)xs_.Rm(XsDomainPath(n.child));
-  (void)xs_.Rm("/vm/" + std::to_string(n.child));
-  (void)xs_.Rm("/libxl/" + std::to_string(n.child));
-  if (xs_.DomainKnown(n.child)) {
-    (void)xs_.ReleaseDomain(n.child);
-  }
+  toolstack_.TeardownDom0State(n.child, ParentConfig(n.parent));
   m_clones_aborted_.Increment();
-  // Retire the pending slot first so the parent is unblocked even if the
-  // destroy below were to fail.
-  (void)engine_.CloneAborted(n.child);
+  // The CLONEOP report of the failure, then the destroy, whose hook retires
+  // the child's pending slot as an abort and so unblocks the parent.
+  hv_.ChargeHypercall();
   (void)hv_.DestroyDomain(n.child);
 }
 
@@ -296,10 +278,7 @@ void Xencloned::HandleUdev(const UdevEvent& event) {
     return;
   }
   loop_.AdvanceBy(costs_.udev_event);
-  loop_.AdvanceBy(costs_.switch_attach);
-  HostSwitch* sw = toolstack_.default_switch();
-  (void)sw->Attach(vif);
-  vif->set_attached_switch(sw);
+  (void)toolstack_.AttachVif(*vif);
   (void)engine_.CloneCompletion(event.device.dom);
 }
 

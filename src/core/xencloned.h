@@ -2,7 +2,9 @@
 // in Dom0 userspace (Sec. 4.2, 5): introduces the child to Xenstore, clones
 // the device registry entries (via xs_clone or per-entry deep copy), kicks
 // each backend's clone path, handles the resulting udev events, and reports
-// completion back to the hypervisor.
+// completion back to the hypervisor. A failed second stage unwinds with the
+// toolstack's one Dom0 teardown body and destroys the child; a child
+// destroyed before its notification is drained is skipped.
 
 #ifndef SRC_CORE_XENCLONED_H_
 #define SRC_CORE_XENCLONED_H_
@@ -39,7 +41,8 @@ class Xencloned {
   void SetUseXsClone(bool use) { use_xs_clone_ = use; }
 
   // Udev events for clone-created vifs land here (routed by the system
-  // wiring); completes the userspace part of device setup.
+  // wiring); charges the udev wakeup, attaches the vif through
+  // Toolstack::AttachVif and reports completion.
   void HandleUdev(const UdevEvent& event);
 
   // Userspace (second-stage) duration of the most recent clone, excluding
@@ -61,10 +64,11 @@ class Xencloned {
   // The fallible body of the second stage. Any error aborts the clone:
   // HandleNotification then calls AbortSecondStage to unwind.
   Status RunSecondStage(const CloneNotification& n);
-  // Best-effort reverse-order unwind of a failed second stage: device
-  // backends, Xenstore subtrees, the store connection and finally the child
-  // domain itself; retires the pending slot through CloneEngine::CloneAborted
-  // so the parent never stays blocked on the failed child.
+  // Unwinds a failed second stage: Toolstack::TeardownDom0State with the
+  // parent's device set, one charged CLONEOP hypercall reporting the
+  // failure, and the child's destroy, whose hook (CloneEngine::
+  // OnDomainDestroy) retires the pending slot so the parent never stays
+  // blocked on the failed child.
   void AbortSecondStage(const CloneNotification& n, const Status& why);
   // Reads (or serves from cache) the parent's Xenstore information needed
   // to build the clone's entries (Sec. 6.2: ~3 ms first clone, ~1.9 ms

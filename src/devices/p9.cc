@@ -1,5 +1,6 @@
 #include "src/devices/p9.h"
 
+#include <algorithm>
 #include <string_view>
 
 namespace nephele {
@@ -166,13 +167,6 @@ Status P9BackendProcess::QmpCloneFids(DomId parent, DomId child) {
   return Status::Ok();
 }
 
-Status P9BackendProcess::ReleaseDomain(DomId dom) {
-  if (tables_.erase(dom) == 0) {
-    return ErrNotFound("domain not attached");
-  }
-  return Status::Ok();
-}
-
 std::size_t P9BackendProcess::NumFids(DomId dom) const {
   auto it = tables_.find(dom);
   return it == tables_.end() ? 0 : it->second.fids.size();
@@ -188,7 +182,7 @@ std::size_t P9BackendProcess::Dom0Bytes() const {
 
 Result<P9BackendProcess*> P9BackendRegistry::LaunchForDomain(DomId dom,
                                                              const std::string& export_root) {
-  if (FindServing(dom) != nullptr) {
+  if (FindServing(dom) != processes_.end()) {
     return ErrAlreadyExists("domain already served");
   }
   // Process spawn + export setup.
@@ -202,20 +196,28 @@ Result<P9BackendProcess*> P9BackendRegistry::LaunchForDomain(DomId dom,
 
 Status P9BackendRegistry::CloneForChild(DomId parent, DomId child) {
   NEPHELE_RETURN_IF_ERROR(PokeFault(f_clone_));
-  P9BackendProcess* proc = FindServing(parent);
-  if (proc == nullptr) {
+  auto it = FindServing(parent);
+  if (it == processes_.end()) {
     return ErrNotFound("no backend serves parent");
   }
-  return proc->QmpCloneFids(parent, child);
+  return (*it)->QmpCloneFids(parent, child);
 }
 
-P9BackendProcess* P9BackendRegistry::FindServing(DomId dom) {
-  for (auto& p : processes_) {
-    if (p->ServesDomain(dom)) {
-      return p.get();
-    }
+Status P9BackendRegistry::ReleaseDomain(DomId dom) {
+  auto it = FindServing(dom);
+  if (it == processes_.end()) {
+    return ErrNotFound("no backend serves domain");
   }
-  return nullptr;
+  (*it)->tables_.erase(dom);
+  if ((*it)->tables_.empty()) {
+    processes_.erase(it);
+  }
+  return Status::Ok();
+}
+
+P9BackendRegistry::ProcessList::iterator P9BackendRegistry::FindServing(DomId dom) {
+  return std::find_if(processes_.begin(), processes_.end(),
+                      [dom](const auto& p) { return p->ServesDomain(dom); });
 }
 
 std::size_t P9BackendRegistry::Dom0Bytes() const {

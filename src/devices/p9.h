@@ -57,8 +57,6 @@ class P9BackendProcess {
   // the child inside this same process. ---
   Status QmpCloneFids(DomId parent, DomId child);
 
-  Status ReleaseDomain(DomId dom);
-
   std::size_t NumFids(DomId dom) const;
   bool ServesDomain(DomId dom) const { return tables_.contains(dom); }
 
@@ -71,6 +69,8 @@ class P9BackendProcess {
     std::uint32_t next_fid = 1;
   };
 
+  friend class P9BackendRegistry;  // releases domains and reaps idle processes
+
   Result<P9Fid*> FindFid(DomId dom, std::uint32_t fid);
   std::string HostPath(const std::string& rel) const;
 
@@ -81,7 +81,8 @@ class P9BackendProcess {
   std::map<DomId, FidTable> tables_;
 };
 
-// Launches and finds backend processes: one per (family, export).
+// Launches, serves and reaps backend processes: one per (family, export),
+// alive while it serves a domain.
 class P9BackendRegistry {
  public:
   P9BackendRegistry(EventLoop& loop, const CostModel& costs, HostFs& fs)
@@ -96,16 +97,22 @@ class P9BackendRegistry {
   // Fault point poked at the top of CloneForChild (null = never fires).
   void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
-  P9BackendProcess* FindServing(DomId dom);
+  // Destroy path: drops `dom`'s fid table from the process serving it and
+  // reaps that process once it serves no domain, returning its Dom0 memory.
+  Status ReleaseDomain(DomId dom);
+
   std::size_t NumProcesses() const { return processes_.size(); }
   std::size_t Dom0Bytes() const;
 
  private:
+  using ProcessList = std::vector<std::unique_ptr<P9BackendProcess>>;
+  ProcessList::iterator FindServing(DomId dom);
+
   EventLoop& loop_;
   const CostModel& costs_;
   HostFs& fs_;
   FaultPoint* f_clone_ = nullptr;
-  std::vector<std::unique_ptr<P9BackendProcess>> processes_;
+  ProcessList processes_;
 };
 
 }  // namespace nephele

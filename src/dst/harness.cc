@@ -169,14 +169,6 @@ void Harness::Settle() {
   unsettled_ = false;
 }
 
-Status Harness::DestroyDomain(DomId dom) {
-  Status status = sys_->toolstack().DestroyDomain(dom);
-  if (sys_->hypervisor().FindDomain(dom) != nullptr) {
-    status = sys_->hypervisor().DestroyDomain(dom);
-  }
-  return status;
-}
-
 void Harness::Forget(DomId dom) {
   live_.erase(std::remove(live_.begin(), live_.end(), dom), live_.end());
   dead_.push_back(dom);

@@ -168,9 +168,6 @@ class Harness {
   // Records the first failure; later ones are ignored.
   void Fail(std::string kind, std::string message);
   void Settle();
-  // Toolstack destroy, falling back to the hypervisor for domains the
-  // toolstack no longer manages.
-  Status DestroyDomain(DomId dom);
   // Moves `dom` from the live list to the dead list.
   void Forget(DomId dom);
   Mfn StartInfoMfn(DomId dom) const;

@@ -259,8 +259,8 @@ void ScenarioHarness::OpLaunch() {
     Expect("toolstack/domains_booted", 1);
     Expect("hypervisor/domains/created", 1);
   } else {
-    // A failed boot unwinds itself (FailBoot) with create/destroy churn the
-    // counter model does not predict.
+    // A failed boot unwinds itself (the destroy path's teardown body) with
+    // create/destroy churn the counter model does not predict.
     ResyncCounters();
   }
 }
@@ -306,8 +306,8 @@ void ScenarioHarness::OpClone(const Op& op, bool lazy) {
     Expect("hypervisor/domains/created", n);
     Expect("xencloned/clones_completed", born.size());
     Expect("xencloned/clones_aborted", aborted);
-    // Every stage-2 abort retires its pending slot through CloneAborted,
-    // which counts as a rollback and destroys the child.
+    // Every stage-2 abort destroys the child, whose destroy hook retires
+    // its pending slot and counts a rollback.
     Expect("clone/rolled_back", aborted);
     Expect("hypervisor/domains/destroyed", aborted);
   } else if (!would_validate && !faults_armed_) {
@@ -402,7 +402,7 @@ void ScenarioHarness::DestroyDom(DomId dom) {
   // streams (the frames they defer are about to be released); destroying a
   // streaming child just abandons its own stream.
   const std::size_t stream_pending = PendingChildStreamPages(dom);
-  Status status = DestroyDomain(dom);
+  Status status = sys_->toolstack().DestroyDomain(dom);
   Settle();
   Record(status);
   log_ << " dom=" << dom;
@@ -495,7 +495,7 @@ void ScenarioHarness::WireScheduler() {
   // stream's back; mirror them into the model and the live/dead lists.
   sched_->SetEvictFn([this](DomId dom) {
     const std::size_t stream_pending = PendingChildStreamPages(dom);
-    (void)DestroyDomain(dom);
+    (void)sys_->toolstack().DestroyDomain(dom);
     log_ << " E" << dom;
     if (sys_->hypervisor().FindDomain(dom) == nullptr) {
       Destroyed(dom, stream_pending);

@@ -51,7 +51,7 @@ class TapeHarness : public Harness {
     PruneVanished();
   }
   void TeardownDomain(DomId dom) override {
-    Status s = DestroyDomain(dom);
+    Status s = sys_->toolstack().DestroyDomain(dom);
     Settle();
     Record(s);
     if (sys_->hypervisor().FindDomain(dom) == nullptr) {
@@ -438,7 +438,7 @@ void TapeHarness::OpCow(const HvOp& op) {
 
 void TapeHarness::OpDestroy(const HvOp& op) {
   DomId target = ResolveDom(op.a);
-  Status s = DestroyDomain(target);
+  Status s = sys_->toolstack().DestroyDomain(target);
   Settle();
   Record(s);
   log_ << " dom=" << target;

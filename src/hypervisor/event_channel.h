@@ -37,9 +37,13 @@ struct EvtchnEntry {
   bool idc = false;
 };
 
+// Event-channel ports a domain's table may hold.
+inline constexpr std::size_t kEvtchnPortsPerDomain = 1024;
+
 class EvtchnTable {
  public:
-  explicit EvtchnTable(std::size_t max_ports = 1024) : max_ports_(max_ports), ports_(1) {}
+  explicit EvtchnTable(std::size_t max_ports = kEvtchnPortsPerDomain)
+      : max_ports_(max_ports), ports_(1) {}
 
   std::size_t max_ports() const { return max_ports_; }
 

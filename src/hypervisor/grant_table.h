@@ -38,9 +38,13 @@ struct GrantEntry {
 // Cloning copies the used range of a table as one block.
 static_assert(std::is_trivially_copyable_v<GrantEntry> && sizeof(GrantEntry) == 12);
 
+// Grant references a domain's table may hold.
+inline constexpr std::size_t kGrantEntriesPerDomain = 1024;
+
 class GrantTable {
  public:
-  explicit GrantTable(std::size_t max_entries = 1024) : max_entries_(max_entries) {}
+  explicit GrantTable(std::size_t max_entries = kGrantEntriesPerDomain)
+      : max_entries_(max_entries) {}
 
   std::size_t max_entries() const { return max_entries_; }
   // One past the highest ref ever granted (monotone): the stored range.

@@ -53,8 +53,6 @@ Hypervisor::Hypervisor(EventLoop& loop, const CostModel& costs, HypervisorConfig
   dom0->state = DomainState::kRunning;
   dom0->vcpus.resize(1);
   dom0->family_root = kDom0;
-  dom0->grants = GrantTable(config_.grant_entries_per_domain);
-  dom0->evtchns = EvtchnTable(config_.evtchn_ports_per_domain);
   domains_[kDom0] = std::move(dom0);
 }
 
@@ -69,8 +67,6 @@ Result<DomId> Hypervisor::CreateDomain(const std::string& name, int vcpus) {
   d->state = DomainState::kCreated;
   d->vcpus.resize(static_cast<std::size_t>(vcpus));
   d->family_root = id;
-  d->grants = GrantTable(config_.grant_entries_per_domain);
-  d->evtchns = EvtchnTable(config_.evtchn_ports_per_domain);
   domains_[id] = std::move(d);
   m_domains_created_.Increment();
   return id;
@@ -122,46 +118,31 @@ void Hypervisor::ScrubGrantMappings(Domain& d) {
   }
 }
 
-void Hypervisor::ScrubEvtchnPeers(DomId dom) {
-  // Reset every connected channel still pointing at `dom` back to kUnbound
-  // (Xen's __evtchn_close semantics: the surviving end keeps its reservation
-  // but is no longer connected). This covers back-pointered peers as well as
-  // the fan-in entries IDC rebinding and table cloning create, which carry no
-  // back-pointer by design.
-  std::vector<std::pair<DomId, EvtchnPort>> scrubbed;
-  for (auto& [id, other] : domains_) {
-    if (id == dom) {
-      continue;
-    }
-    EvtchnTable& t = other->evtchns;
-    for (EvtchnPort p = 1; p < t.used_port_limit(); ++p) {
-      EvtchnEntry& e = t.mutable_entry(p);
-      if (e.state == EvtchnState::kInterdomain && e.remote_dom == dom) {
-        e.state = EvtchnState::kUnbound;
-        e.remote_port = kInvalidPort;
-        e.pending = false;
-        scrubbed.emplace_back(id, p);
-      }
-    }
-  }
-  // A scrubbed entry may have been an IDC fan-in hub; disconnect the
-  // siblings that were bound to it too.
-  CascadeEvtchnUnbind(std::move(scrubbed));
-}
-
-void Hypervisor::CascadeEvtchnUnbind(
-    std::vector<std::pair<DomId, EvtchnPort>> work) {
-  // Each sweep transitions an entry out of kInterdomain exactly once, so the
-  // worklist terminates even on cyclic connection graphs.
+void Hypervisor::UnbindEvtchnPeers(DomId dom, EvtchnPort port) {
+  // Each connected entry pointing at a dead endpoint goes back to kUnbound
+  // (Xen's __evtchn_close semantics: the surviving end keeps its
+  // reservation but is no longer connected). That covers back-pointered
+  // peers as well as the fan-in entries IDC rebinding and table cloning
+  // create, which carry no back-pointer by design. An entry unbound here is
+  // a dead endpoint in turn: it may be the hub of an IDC fan-in (later clone
+  // siblings all bind to the first child's port), so entries pointing at it
+  // are unbound as well. Each entry leaves kInterdomain at most once, so the
+  // worklist terminates even on cyclic connection graphs, and the unbound
+  // set is a closure that does not depend on visit order.
+  std::vector<std::pair<DomId, EvtchnPort>> work = {{dom, port}};
   while (!work.empty()) {
     auto [wd, wp] = work.back();
     work.pop_back();
+    const bool any_port = wp == kInvalidPort;
     for (auto& [id, other] : domains_) {
+      if (any_port && id == wd) {
+        continue;  // the dying domain's own table is not a peer of itself
+      }
       EvtchnTable& t = other->evtchns;
       for (EvtchnPort p = 1; p < t.used_port_limit(); ++p) {
         EvtchnEntry& e = t.mutable_entry(p);
         if (e.state == EvtchnState::kInterdomain && e.remote_dom == wd &&
-            e.remote_port == wp) {
+            (any_port || e.remote_port == wp)) {
           e.state = EvtchnState::kUnbound;
           e.remote_port = kInvalidPort;
           e.pending = false;
@@ -190,7 +171,7 @@ Status Hypervisor::DestroyDomain(DomId dom) {
   d.state = DomainState::kDying;
   ReleaseDomainFrames(d);
   ScrubGrantMappings(d);
-  ScrubEvtchnPeers(dom);
+  UnbindEvtchnPeers(dom, kInvalidPort);
   // Unlink from the family tree but keep ancestry queries working for
   // remaining members: children are re-parented to the grandparent.
   if (d.parent != kDomInvalid) {
@@ -679,10 +660,8 @@ Status Hypervisor::EvtchnClose(DomId dom, EvtchnPort port) {
   // the back-pointered peer of a mutual binding, plus any fan-in entries
   // (IDC rebinding, cloned tables) that reference it without one. Leaving
   // them connected would let a later send set a pending bit on whatever
-  // reuses the port. The sweep cascades: if the scrubbed peer was itself an
-  // IDC fan-in hub (the first child of a multi-way clone), the siblings
-  // bound to it must be disconnected as well, or they dangle.
-  CascadeEvtchnUnbind({{dom, port}});
+  // reuses the port.
+  UnbindEvtchnPeers(dom, port);
   return Status::Ok();
 }
 

@@ -35,8 +35,6 @@ struct HypervisorConfig {
   std::size_t pool_frames = 12 * kGiB / kPageSize;
   // Xen enforces a minimum domain size of 4 MiB (Sec. 6.2).
   std::size_t min_domain_pages = 4 * kMiB / kPageSize;
-  std::size_t grant_entries_per_domain = 1024;
-  std::size_t evtchn_ports_per_domain = 1024;
 };
 
 class Hypervisor {
@@ -195,14 +193,11 @@ class Hypervisor {
   // the granter-side mappers lists and mapper-side grant_maps records in
   // sync (no dangling handles on either side of a dead domain).
   void ScrubGrantMappings(Domain& d);
-  // Resets every surviving domain's connected channels that still point at
-  // `dom` back to kUnbound, so no event can be delivered through a dead peer.
-  void ScrubEvtchnPeers(DomId dom);
-  // Unbinds every connected channel pointing at a (dom, port) on the
-  // worklist, transitively: an entry unbound by the sweep may itself be the
-  // hub of an IDC fan-in (later clone siblings all bind to the first child's
-  // port), so entries pointing at *it* must be unbound as well.
-  void CascadeEvtchnUnbind(std::vector<std::pair<DomId, EvtchnPort>> work);
+  // The one event-channel sweep: unbinds every connected channel pointing
+  // at (dom, port), transitively through the entries it unbinds. `port` ==
+  // kInvalidPort stands for every port of a dying `dom`, whose own table is
+  // skipped for that seed.
+  void UnbindEvtchnPeers(DomId dom, EvtchnPort port);
 
   EventLoop& loop_;
   const CostModel& costs_;

@@ -64,7 +64,7 @@ void RequestCloneDispatcher::StartDuplicate(std::uint64_t id, unsigned idx) {
   if (active_slots_ < config_.max_concurrent) {
     ++active_slots_;
     AcquireFor(id, idx);
-  } else if (pending_.size() < config_.max_pending) {
+  } else if (pending_.size() < kMaxPendingDuplicates) {
     pending_.emplace_back(id, idx);
   } else {
     Resolve(id, idx, Outcome::kReject);

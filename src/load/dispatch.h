@@ -28,6 +28,10 @@
 
 namespace nephele {
 
+// Duplicates the dispatcher's FIFO holds while every service slot is busy;
+// overflow rejects.
+inline constexpr std::size_t kMaxPendingDuplicates = 4096;
+
 class RequestCloneDispatcher {
  public:
   RequestCloneDispatcher(Host& host, CloneScheduler& sched);

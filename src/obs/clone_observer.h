@@ -27,9 +27,12 @@ class CloneObserver {
   virtual void OnCloneComplete(DomId /*parent*/, DomId /*child*/) {}
 
   // `child` was rolled back instead of completing: either the first stage
-  // failed mid-batch (the child never became visible to callers) or the
-  // second stage aborted and xencloned unwound it. Fires synchronously
-  // inside the rollback, after the child's resources were returned.
+  // failed mid-batch (the child never became visible to callers; fires
+  // inside the rollback, after the child was destroyed), or the child was
+  // destroyed while it still waited for its second stage — xencloned
+  // unwinding a failed second stage, or any destroy before the second stage
+  // completed (fires inside the destroy, before the child's frames are
+  // released).
   virtual void OnCloneAborted(DomId /*parent*/, DomId /*child*/) {}
 
   // A domain resumes after cloning: each child once, and the parent once per

@@ -50,7 +50,7 @@ PlacementFn MakePlacementFn(PlacementPolicy policy) {
         // Fill the lowest-indexed host until its frame pool dips below the
         // reserve, then spill to the next.
         if (std::size_t h = FirstEligible(
-                q, [&](std::size_t i) { return q.free_frames[i] > q.pack_reserve_frames; });
+                q, [&](std::size_t i) { return q.free_frames[i] > kPackReserveFrames; });
             h != kNoHost) {
           return h;
         }
@@ -133,7 +133,6 @@ Result<std::size_t> ClusterScheduler::RegisterParent(std::size_t home_host, DomI
 PlacementQuery ClusterScheduler::BuildQuery(const Family& family) {
   PlacementQuery q;
   q.num_hosts = fabric_.num_hosts();
-  q.pack_reserve_frames = fabric_.config().pack_reserve_frames;
   q.eligible.resize(q.num_hosts);
   q.warm_children.resize(q.num_hosts);
   q.free_frames.resize(q.num_hosts);

@@ -53,13 +53,16 @@ struct ClusterGrant {
 // chosen.
 struct PlacementQuery {
   std::size_t num_hosts = 0;
-  std::size_t pack_reserve_frames = 0;
   std::vector<bool> eligible;
   std::vector<std::size_t> warm_children;    // parked replicas of this family
   std::vector<std::size_t> free_frames;      // hypervisor pool headroom
   std::vector<std::size_t> active_children;  // children this scheduler placed
 };
 using PlacementFn = std::function<std::size_t(const PlacementQuery&)>;
+
+// kPack spills to the next host once the packed host's free frame pool
+// dips below this reserve.
+inline constexpr std::size_t kPackReserveFrames = 1024;
 
 // The built-in policies (DESIGN.md §15). All of them serve from a host with
 // warm children first; they differ in where cold clones land.

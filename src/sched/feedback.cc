@@ -22,7 +22,7 @@ void SchedulerAlarmFeedback::OnAlarmRaised(const AlarmRule& rule, std::uint64_t 
     return;
   }
   engaged_ = true;
-  sched_.SetBatchWindowScale(sched_.config().thrash_window_multiplier);
+  sched_.SetBatchWindowScale(kThrashWindowMultiplier);
   sched_.SetEvictionFrozen(true);
 }
 

@@ -3,10 +3,10 @@
 // it reacts to the `warm_pool_thrash` alarm (the rate of sched/evictions —
 // the pool shedding children it is about to need again):
 //
-//   raised   ->  batch window stretched by SchedulerConfig::
-//                thrash_window_multiplier (wider windows coalesce more
-//                requests per batch) and LRU eviction frozen (the pool
-//                keeps its warm children while churn persists)
+//   raised   ->  batch window stretched by kThrashWindowMultiplier (wider
+//                windows coalesce more requests per batch, easing churn)
+//                and LRU eviction frozen (the pool keeps its warm children
+//                while churn persists)
 //   cleared  ->  window scale back to 1 and eviction unfrozen; the
 //                scheduler's catch-up sweep trims every pool back under
 //                its caps
@@ -26,6 +26,9 @@
 #include "src/sched/scheduler.h"
 
 namespace nephele {
+
+// Batch-window scale applied while the warm-pool-thrash alarm is raised.
+inline constexpr double kThrashWindowMultiplier = 4.0;
 
 class SchedulerAlarmFeedback : public TsdbObserver {
  public:

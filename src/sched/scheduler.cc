@@ -46,12 +46,7 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
     config_.max_batch = 1;
   }
   executor_ = [this](const CloneRequest& req) { return engine_.Clone(req); };
-  evict_ = [this](DomId dom) {
-    (void)toolstack_.DestroyDomain(dom);
-    if (hv_.FindDomain(dom) != nullptr) {
-      (void)hv_.DestroyDomain(dom);
-    }
-  };
+  evict_ = [this](DomId dom) { (void)toolstack_.DestroyDomain(dom); };
   engine_.AddObserver(this);
 }
 

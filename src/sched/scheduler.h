@@ -84,7 +84,7 @@ class CloneScheduler : public CloneObserver {
   // (the FaaS backend uses GuestManager::ForkChildren).
   using CloneExecutor = std::function<Result<std::vector<DomId>>(const CloneRequest&)>;
   // How an evicted (or fallback-destroyed) child is torn down. Defaults to
-  // Toolstack::DestroyDomain + hypervisor destroy.
+  // Toolstack::DestroyDomain.
   using EvictFn = std::function<void(DomId)>;
 
   CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack, EventLoop& loop,

@@ -36,33 +36,35 @@ std::size_t Toolstack::Dom0FreeBytes() const {
   return used >= kDom0TotalBytes ? 0 : kDom0TotalBytes - used;
 }
 
-Status Toolstack::FailBoot(DomId dom, const DomainConfig& config, GuestDevices& devices,
-                           Status why) {
-  // Reverse of the setup order. Every step is best-effort: whatever was not
-  // yet created simply reports not-found and is skipped.
-  if (devices.p9 != nullptr) {
-    (void)devices.p9->ReleaseDomain(dom);
-  }
+void Toolstack::TeardownDom0State(DomId dom, const DomainConfig& config) {
+  // Every step is best-effort: whatever a half-built domain never got
+  // simply reports not-found and is skipped.
   if (config.with_vif) {
     (void)devices_.netback().DestroyDevice(DeviceId{dom, DeviceType::kVif, 0});
+  }
+  if (config.with_p9fs) {
+    (void)devices_.p9().ReleaseDomain(dom);
+  }
+  if (config.with_vbd) {
+    (void)devices_.vbd().DestroyDisk(DeviceId{dom, DeviceType::kVbd, 0});
+  }
+  (void)devices_.console().DestroyConsole(dom);
+  (void)xs_.Rm(XsDomainPath(dom));
+  (void)xs_.Rm("/vm/" + std::to_string(dom));
+  (void)xs_.Rm("/libxl/" + std::to_string(dom));
+  // Backend directories live under Dom0's path and must go too.
+  if (config.with_vif) {
     (void)xs_.Rm(XsBackendPath(kDom0, "vif", dom, 0));
   }
   if (config.with_p9fs) {
     (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", dom, 0));
   }
   if (config.with_vbd) {
-    (void)devices_.vbd().DestroyDisk(DeviceId{dom, DeviceType::kVbd, 0});
     (void)xs_.Rm(XsBackendPath(kDom0, "vbd", dom, 0));
   }
-  (void)devices_.console().DestroyConsole(dom);
-  (void)xs_.Rm(XsDomainPath(dom));
-  (void)xs_.Rm("/vm/" + std::to_string(dom));
-  (void)xs_.Rm("/libxl/" + std::to_string(dom));
   if (xs_.DomainKnown(dom)) {
     (void)xs_.ReleaseDomain(dom);
   }
-  (void)hv_.DestroyDomain(dom);
-  return why;
 }
 
 void Toolstack::WriteBaseXenstoreEntries(DomId dom, const DomainConfig& config) {
@@ -167,12 +169,17 @@ Status Toolstack::HandleVifHotplug(const UdevEvent& event) {
   if (vif->attached_switch() != nullptr) {
     return Status::Ok();  // already handled (idempotent)
   }
-  loop_.AdvanceBy(costs_.switch_attach);
-  NEPHELE_RETURN_IF_ERROR(default_switch_->Attach(vif));
-  vif->set_attached_switch(default_switch_);
+  NEPHELE_RETURN_IF_ERROR(AttachVif(*vif));
   const std::string be_path =
       XsBackendPath(kDom0, "vif", event.device.dom, event.device.devid);
   (void)xs_.Write(be_path + "/hotplug-status", "connected");
+  return Status::Ok();
+}
+
+Status Toolstack::AttachVif(Vif& vif) {
+  loop_.AdvanceBy(costs_.switch_attach);
+  NEPHELE_RETURN_IF_ERROR(default_switch_->Attach(&vif));
+  vif.set_attached_switch(default_switch_);
   return Status::Ok();
 }
 
@@ -230,7 +237,13 @@ Result<DomId> Toolstack::BuildDomain(const DomainConfig& config,
   NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(config.name, config.vcpus));
 
   GuestDevices devices;
-  auto fail = [&](Status s) -> Result<DomId> { return FailBoot(dom, config, devices, s); };
+  // A failed boot unwinds with the destroy path's teardown body, so a failed
+  // xl create leaves Dom0 exactly as it found it.
+  auto fail = [&](Status s) -> Result<DomId> {
+    TeardownDom0State(dom, config);
+    (void)hv_.DestroyDomain(dom);
+    return s;
+  };
 
   if (Status s = PopulateGuestMemory(dom, config); !s.ok()) {
     return fail(s);
@@ -466,34 +479,13 @@ Result<DomId> Toolstack::MigrateIn(const MigrationStream& stream) {
 Status Toolstack::DestroyDomain(DomId dom) {
   auto cfg_it = configs_.find(dom);
   if (cfg_it == configs_.end()) {
-    return ErrNotFound("domain not managed by toolstack");
+    // No Dom0 state to unwind: a clone the second stage has not adopted
+    // yet, or a domain only the hypervisor knows.
+    return hv_.DestroyDomain(dom);
   }
-  if (cfg_it->second.with_vif) {
-    (void)devices_.netback().DestroyDevice(DeviceId{dom, DeviceType::kVif, 0});
-  }
-  if (GuestDevices* gd = FindDevices(dom); gd != nullptr && gd->p9 != nullptr) {
-    (void)gd->p9->ReleaseDomain(dom);
-  }
-  if (cfg_it->second.with_vbd) {
-    (void)devices_.vbd().DestroyDisk(DeviceId{dom, DeviceType::kVbd, 0});
-  }
-  (void)devices_.console().DestroyConsole(dom);
-  (void)xs_.Rm(XsDomainPath(dom));
-  (void)xs_.Rm("/vm/" + std::to_string(dom));
-  (void)xs_.Rm("/libxl/" + std::to_string(dom));
-  // Backend directories live under Dom0's path and must go too.
-  if (cfg_it->second.with_vif) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "vif", dom, 0));
-  }
-  if (cfg_it->second.with_p9fs) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", dom, 0));
-  }
-  if (cfg_it->second.with_vbd) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "vbd", dom, 0));
-  }
-  (void)xs_.ReleaseDomain(dom);
+  TeardownDom0State(dom, cfg_it->second);
   guest_devices_.erase(dom);
-  configs_.erase(dom);
+  configs_.erase(cfg_it);
   hv_.ChargeHypercall();
   m_domains_destroyed_.Increment();
   return hv_.DestroyDomain(dom);

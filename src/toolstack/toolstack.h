@@ -4,7 +4,9 @@
 // Create, restore and migrate-in differ only in their prologue and in how
 // they fill guest memory; one private boot body does the rest. Emigration is
 // stop-and-copy in Begin/Complete/Abort phases, which ClusterFabric::Migrate
-// (src/core/fabric.h) drives.
+// (src/core/fabric.h) drives. DestroyDomain is the one way to destroy a
+// domain in any state, and one Dom0 teardown body (TeardownDom0State)
+// unwinds a destroyed domain, a failed boot and an aborted second stage.
 
 #ifndef SRC_TOOLSTACK_TOOLSTACK_H_
 #define SRC_TOOLSTACK_TOOLSTACK_H_
@@ -73,8 +75,23 @@ class Toolstack {
   Result<DomainImage> SaveDomain(DomId dom);
   Result<DomId> RestoreDomain(const DomainImage& image);
 
-  // xl destroy.
+  // xl destroy, for a domain in any lifecycle state. A domain the toolstack
+  // manages loses its Dom0 state (TeardownDom0State) and its records, then
+  // the domain itself. Any other domain (a clone the second stage has not
+  // adopted yet, or one only the hypervisor knows) goes straight to
+  // Hypervisor::DestroyDomain; the clone engine's destroy hook retires a
+  // clone still owed its second stage as an abort, which unblocks its
+  // parent. Returns the hypervisor's status: kNotFound when no such domain
+  // exists, kPermissionDenied for Dom0.
   Status DestroyDomain(DomId dom);
+
+  // The one Dom0 teardown body of a domain configured as `config`: vif,
+  // 9pfs, vbd, console, then the domain, /vm, /libxl and backend Xenstore
+  // subtrees, then the store connection, released only when Xenstore knows
+  // the domain. Every step is best-effort, so a half-built domain (a failed
+  // boot, an aborted second stage) unwinds with the same body. The domain
+  // itself and the toolstack's records are left to the caller.
+  void TeardownDom0State(DomId dom, const DomainConfig& config);
 
   // xl migrate: stop-and-copy emigration in two phases, the RWTH-OS
   // migration-framework shape; ClusterFabric::Migrate is the one chain that
@@ -112,9 +129,13 @@ class Toolstack {
   // engine (called by xencloned, not by users).
   void AdoptClonedDomain(DomId child, const DomainConfig& config, GuestDevices devices);
 
-  // Boot-time vif hotplug: udev event -> attach to switch + hotplug-status.
-  // Public because xencloned reuses it for clone events.
+  // Boot-time vif hotplug: udev event -> AttachVif + hotplug-status.
   Status HandleVifHotplug(const UdevEvent& event);
+
+  // Attaches a connected, unattached vif to the default switch: charges
+  // switch_attach, attaches and records the switch on the vif. Public
+  // because xencloned reuses it for clone vifs.
+  Status AttachVif(Vif& vif);
 
   // The uniqueness scan vanilla xl performs on the configured name; disabled
   // by default to match the paper's Fig. 4 methodology (names are generated
@@ -156,10 +177,6 @@ class Toolstack {
   Status RefuseFamilyMigration(const Domain& d);
   // Shared stop-and-copy serializer of BeginMigrateOut and SnapshotDomain.
   MigrationStream SerializePages(const Domain& d, const DomainConfig& config);
-  // Unwinds a partially-completed boot (create/restore/migrate-in): device
-  // backends, console, xenstore subtrees and finally the domain itself, so
-  // a failed xl create leaves Dom0 exactly as it found it.
-  Status FailBoot(DomId dom, const DomainConfig& config, GuestDevices& devices, Status why);
 
   Hypervisor& hv_;
   XenstoreDaemon& xs_;

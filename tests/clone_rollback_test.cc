@@ -3,7 +3,9 @@
 // the precise metric counters (clone/rolled_back, fault/injected,
 // clone/clones_total), and that the rollback left no trace — pool frames at
 // the pre-clone value, parent resumable and re-clonable. Faults inside a
-// later child's plan, eager and lazy, are checked against a per-page walk.
+// later child's plan, eager and lazy, are checked against a per-page walk,
+// and a clone destroyed before its second stage completed must count as an
+// abort in every window, for direct clones and scheduler grants alike.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "src/base/units.h"
 #include "src/core/idc.h"
 #include "src/core/system.h"
+#include "src/sched/scheduler.h"
 #include "src/xenstore/path.h"
 #include "tests/frame_invariants.h"
 
@@ -110,6 +113,8 @@ class CloneRollbackTest : public ::testing::Test {
     DomId parent = BootParent(with_devices);
     const std::size_t free_before = system_.hypervisor().FreePoolFrames();
     const std::size_t domains_before = system_.hypervisor().DomainIds().size();
+    const std::size_t entries_before = system_.xenstore().NumEntries();
+    const std::size_t backend_before = system_.devices().Dom0BackendBytes();
 
     ASSERT_TRUE(system_.fault_injector()
                     .Arm(point, FaultSpec::NthHit(1, StatusCode::kUnavailable, "boom"))
@@ -119,10 +124,14 @@ class CloneRollbackTest : public ::testing::Test {
     DomId child = (*r)[0];
     system_.Settle();
 
-    // The child was destroyed and its Xenstore subtree removed.
+    // The child was destroyed and its Xenstore subtree removed; Dom0 holds
+    // exactly what it held before the clone.
     EXPECT_EQ(system_.hypervisor().FindDomain(child), nullptr);
     EXPECT_FALSE(system_.xenstore().DomainKnown(child));
     EXPECT_FALSE(system_.xenstore().Read(XsDomainPath(child) + "/name").ok());
+    EXPECT_EQ(system_.xenstore().NumEntries(), entries_before);
+    EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
+    EXPECT_EQ(system_.toolstack().FindConfig(child), nullptr);
 
     // Pool back to the pre-clone value (child private pages, page tables and
     // the shared references all returned or released).
@@ -360,7 +369,8 @@ TEST_F(CloneRollbackTest, CloneResetFaultLeavesDirtyListConsistent) {
 }
 
 // Regression: a CloneReset issued after a fault-aborted clone of the same
-// parent. The abort path (CloneAborted + hv destroy) must leave frame
+// parent. The abort path (Dom0 teardown + the destroy whose hook retires
+// the pending slot) must leave frame
 // refcounts, the engine's pending-slot table and the rollback/abort counters
 // in a state where the surviving child resets cleanly and the parent can
 // clone again.
@@ -614,16 +624,18 @@ TEST(CloneLaterChildFaultTest, LazyBatchMatchesPerPageWalk) {
   ExpectLaterChildFaultsMatchWalk(/*lazy=*/true);
 }
 
-// --- Toolstack boot unwinding (the FailBoot path). ---
+// --- Toolstack boot unwinding (the destroy path's teardown body). ---
 
 TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
   // Fail the nth frame allocation for several n, walking the fault through
   // the boot sequence (domain creation, physmap population, special pages,
-  // device rings). Every failed boot must unwind completely; boots that
-  // survive are torn down and still must return to the starting state.
+  // device rings). Every failed boot must unwind completely, Dom0 included;
+  // boots that survive are torn down and still must return to the starting
+  // state.
   DomainConfig cfg;
   cfg.memory_mb = 4;
   cfg.max_clones = 4;
+  cfg.with_vif = true;
   cfg.with_p9fs = true;
   cfg.with_vbd = true;
   unsigned boots_failed = 0;
@@ -631,6 +643,8 @@ TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
     SCOPED_TRACE(nth);
     const std::size_t free_before = system_.hypervisor().FreePoolFrames();
     const std::size_t domains_before = system_.hypervisor().DomainIds().size();
+    const std::size_t entries_before = system_.xenstore().NumEntries();
+    const std::size_t backend_before = system_.devices().Dom0BackendBytes();
     ASSERT_TRUE(system_.fault_injector()
                     .Arm("hypervisor/frame_alloc", FaultSpec::NthHit(nth))
                     .ok());
@@ -646,6 +660,8 @@ TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
     }
     EXPECT_EQ(system_.hypervisor().FreePoolFrames(), free_before);
     EXPECT_EQ(system_.hypervisor().DomainIds().size(), domains_before);
+    EXPECT_EQ(system_.xenstore().NumEntries(), entries_before);
+    EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
   }
   EXPECT_GE(boots_failed, 1u) << "no nth-hit value made the boot fail";
 
@@ -655,6 +671,140 @@ TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
   system_.Settle();
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
+
+// --- Destroy before the second stage completed. ---
+//
+// A clone can be destroyed while its notification still sits in the ring
+// (kQueued) or, for a vif parent, while its vif waits for the udev event
+// (kUdevWait). Toolstack::DestroyDomain takes it in either window and the
+// destroy counts as an abort: the parent runs again, Dom0 holds exactly
+// what it held before the clone, xencloned never sets the dead child up,
+// and a scheduler request the child was to serve fails once, kAborted.
+
+enum class Stage2Window { kQueued, kUdevWait };
+
+struct DestroyCase {
+  Stage2Window window;
+  bool with_vif;
+  bool via_scheduler;
+};
+
+std::ostream& operator<<(std::ostream& os, const DestroyCase& c) {
+  return os << (c.window == Stage2Window::kQueued ? "Queued" : "UdevWait")
+            << (c.with_vif ? "Vif" : "NoVif") << (c.via_scheduler ? "Acquire" : "Clone");
+}
+
+class DestroyBeforeStage2Test : public ::testing::TestWithParam<DestroyCase> {};
+
+TEST_P(DestroyBeforeStage2Test, CountsAsAnAbortAndLeavesNoTrace) {
+  const DestroyCase& c = GetParam();
+  SystemConfig cfg;
+  cfg.hypervisor.pool_frames = 64 * 1024;
+  cfg.sched.max_batch = 1;  // an Acquire dispatches at its own instant
+  NepheleSystem sys(cfg);
+  CloneScheduler sched(sys);
+
+  DomainConfig dcfg;
+  dcfg.name = "parent";
+  dcfg.memory_mb = 4;
+  dcfg.max_clones = 8;
+  dcfg.with_vif = c.with_vif;
+  auto parent = sys.toolstack().CreateDomain(dcfg);
+  ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+  sys.Settle();
+
+  const std::size_t free_before = sys.hypervisor().FreePoolFrames();
+  const std::size_t entries_before = sys.xenstore().NumEntries();
+  const std::size_t backend_before = sys.devices().Dom0BackendBytes();
+  const std::uint64_t rolled_back_before = sys.metrics().CounterValue("clone/rolled_back");
+  const std::uint64_t completed_before =
+      sys.metrics().CounterValue("xencloned/clones_completed");
+
+  std::vector<DomId> children;
+  int grants = 0;
+  Status grant_status = Status::Ok();
+  if (c.via_scheduler) {
+    sched.SetCloneExecutor([&](const CloneRequest& req) {
+      auto r = sys.clone_engine().Clone(req);
+      if (r.ok()) {
+        children = *r;
+      }
+      return r;
+    });
+    ASSERT_TRUE(sched
+                    .Acquire({kDom0, *parent, kInvalidMfn, 1},
+                             [&](Result<DomId> r) {
+                               ++grants;
+                               grant_status = r.status();
+                             })
+                    .ok());
+    sys.loop().RunUntil(sys.Now());  // the dispatch: stage 1 only
+  } else {
+    const Domain* p = sys.hypervisor().FindDomain(*parent);
+    auto r = sys.clone_engine().Clone({*parent, *parent, p->p2m[p->start_info_gfn].mfn, 1});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    children = *r;
+  }
+  ASSERT_EQ(children.size(), 1u);
+  const DomId child = children.front();
+  const DeviceId child_vif{child, DeviceType::kVif, 0};
+  if (c.window == Stage2Window::kUdevWait) {
+    // VIRQ_CLONED lands 2 us after stage 1 and runs the second stage, which
+    // leaves the vif's udev event 150 us out.
+    sys.loop().RunUntil(sys.Now() + SimDuration::Micros(2));
+    ASSERT_NE(sys.toolstack().FindConfig(child), nullptr) << "second stage did not run";
+    ASSERT_NE(sys.devices().netback().FindVif(child_vif), nullptr);
+  } else {
+    ASSERT_EQ(sys.toolstack().FindConfig(child), nullptr) << "second stage already ran";
+  }
+  ASSERT_TRUE(sys.hypervisor().FindDomain(*parent)->blocked_in_clone);
+
+  ASSERT_TRUE(sys.toolstack().DestroyDomain(child).ok());
+  sys.Settle();
+
+  const Domain* p = sys.hypervisor().FindDomain(*parent);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->state, DomainState::kRunning);
+  EXPECT_FALSE(p->blocked_in_clone);
+  EXPECT_TRUE(p->children.empty());
+
+  EXPECT_EQ(sys.hypervisor().FindDomain(child), nullptr);
+  EXPECT_EQ(sys.toolstack().FindConfig(child), nullptr);
+  EXPECT_FALSE(sys.xenstore().DomainKnown(child));
+  EXPECT_FALSE(sys.xenstore().Exists(XsDomainPath(child)));
+  EXPECT_EQ(sys.devices().netback().FindVif(child_vif), nullptr);
+  EXPECT_EQ(sys.xenstore().NumEntries(), entries_before);
+  EXPECT_EQ(sys.devices().Dom0BackendBytes(), backend_before);
+  EXPECT_EQ(sys.hypervisor().FreePoolFrames(), free_before);
+  EXPECT_EQ(sys.metrics().CounterValue("clone/rolled_back"), rolled_back_before + 1);
+  if (c.window == Stage2Window::kQueued) {
+    EXPECT_EQ(sys.metrics().CounterValue("xencloned/clones_completed"), completed_before)
+        << "xencloned set up a destroyed child";
+  }
+  if (c.via_scheduler) {
+    EXPECT_EQ(grants, 1);
+    EXPECT_EQ(grant_status.code(), StatusCode::kAborted) << grant_status.ToString();
+  }
+  ExpectFrameConsistency(sys);
+
+  // The parent clones again end to end.
+  const Domain* pp = sys.hypervisor().FindDomain(*parent);
+  auto again = sys.clone_engine().Clone({*parent, *parent, pp->p2m[pp->start_info_gfn].mfn, 1});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  sys.Settle();
+  EXPECT_FALSE(sys.hypervisor().FindDomain(*parent)->blocked_in_clone);
+  EXPECT_NE(sys.toolstack().FindConfig(again->front()), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, DestroyBeforeStage2Test,
+    ::testing::Values(DestroyCase{Stage2Window::kQueued, false, false},
+                      DestroyCase{Stage2Window::kQueued, false, true},
+                      DestroyCase{Stage2Window::kQueued, true, false},
+                      DestroyCase{Stage2Window::kQueued, true, true},
+                      DestroyCase{Stage2Window::kUdevWait, true, false},
+                      DestroyCase{Stage2Window::kUdevWait, true, true}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace nephele

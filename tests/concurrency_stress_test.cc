@@ -115,9 +115,6 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadKeepsInvariantsEveryRound) {
       DomId victim = live_children.front();
       live_children.erase(live_children.begin());
       (void)sys.toolstack().DestroyDomain(victim);
-      if (sys.hypervisor().FindDomain(victim) != nullptr) {
-        (void)sys.hypervisor().DestroyDomain(victim);
-      }
     }
     sys.Settle();
 
@@ -153,9 +150,6 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadKeepsInvariantsEveryRound) {
   // never leaked or double-freed a frame.
   for (auto it = live_children.rbegin(); it != live_children.rend(); ++it) {
     (void)sys.toolstack().DestroyDomain(*it);
-    if (sys.hypervisor().FindDomain(*it) != nullptr) {
-      (void)sys.hypervisor().DestroyDomain(*it);
-    }
   }
   (void)sys.toolstack().DestroyDomain(*parent);
   sys.Settle();
@@ -211,9 +205,6 @@ TEST_F(ConcurrencyStressTest, PoolSurvivesRepeatedReconfiguration) {
     for (DomId c : *children) {
       ASSERT_TRUE(sys.hypervisor().WriteGuestPage(c, FirstDataGfn(), 0, &b, 1).ok());
       (void)sys.toolstack().DestroyDomain(c);
-      if (sys.hypervisor().FindDomain(c) != nullptr) {
-        (void)sys.hypervisor().DestroyDomain(c);
-      }
     }
     sys.Settle();
     ExpectFrameConsistency(sys);

@@ -223,9 +223,6 @@ class FaultSweepTest : public ::testing::Test {
         continue;
       }
       (void)sys.toolstack().DestroyDomain(dom);
-      if (sys.hypervisor().FindDomain(dom) != nullptr) {
-        (void)sys.hypervisor().DestroyDomain(dom);
-      }
     }
     sys.Settle();
     EXPECT_EQ(sys.hypervisor().FreePoolFrames(), initial_free);
@@ -443,9 +440,6 @@ class SchedFaultSweepTest : public FaultSweepTest {
         continue;
       }
       (void)sys.toolstack().DestroyDomain(dom);
-      if (sys.hypervisor().FindDomain(dom) != nullptr) {
-        (void)sys.hypervisor().DestroyDomain(dom);
-      }
     }
     sys.Settle();
     EXPECT_EQ(sys.hypervisor().FreePoolFrames(), initial_free);

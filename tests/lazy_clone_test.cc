@@ -214,10 +214,7 @@ TEST(LazyCloneTeardown, HalfStreamedChildLeaksNothingInEitherDestructionOrder) {
     const DomId child = children->front();
     ASSERT_GT(sys.clone_engine().StreamPump(1), 0u);
     ASSERT_TRUE(sys.clone_engine().IsStreaming(child)) << "child streamed out too fast";
-    (void)sys.toolstack().DestroyDomain(child);
-    if (sys.hypervisor().FindDomain(child) != nullptr) {
-      ASSERT_TRUE(sys.hypervisor().DestroyDomain(child).ok());
-    }
+    ASSERT_TRUE(sys.toolstack().DestroyDomain(child).ok());
     sys.Settle();
     EXPECT_FALSE(sys.clone_engine().IsStreaming(child));
     EXPECT_EQ(sys.hypervisor().FreePoolFrames(), parent_free);
@@ -229,10 +226,7 @@ TEST(LazyCloneTeardown, HalfStreamedChildLeaksNothingInEitherDestructionOrder) {
     ASSERT_TRUE(second.ok());
     const DomId orphan = second->front();
     ASSERT_TRUE(sys.clone_engine().IsStreaming(orphan));
-    (void)sys.toolstack().DestroyDomain(parent);
-    if (sys.hypervisor().FindDomain(parent) != nullptr) {
-      ASSERT_TRUE(sys.hypervisor().DestroyDomain(parent).ok());
-    }
+    ASSERT_TRUE(sys.toolstack().DestroyDomain(parent).ok());
     sys.Settle();
     EXPECT_FALSE(sys.clone_engine().IsStreaming(orphan));
     EXPECT_EQ(sys.clone_engine().PendingStreamPages(orphan), 0u);
@@ -243,10 +237,7 @@ TEST(LazyCloneTeardown, HalfStreamedChildLeaksNothingInEitherDestructionOrder) {
         sys.hypervisor().ReadGuestPage(orphan, FirstDataGfn(), 0, got, sizeof(got)).ok());
     EXPECT_EQ(std::memcmp(got, kStamp, sizeof(kStamp)), 0);
 
-    (void)sys.toolstack().DestroyDomain(orphan);
-    if (sys.hypervisor().FindDomain(orphan) != nullptr) {
-      ASSERT_TRUE(sys.hypervisor().DestroyDomain(orphan).ok());
-    }
+    ASSERT_TRUE(sys.toolstack().DestroyDomain(orphan).ok());
     sys.Settle();
   }
   EXPECT_EQ(sys.hypervisor().FreePoolFrames(), boot_free);

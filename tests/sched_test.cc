@@ -308,7 +308,7 @@ TEST_F(SchedTest, DrainAllFailsQueuedAndDestroysParked) {
 // TSDB samples the eviction rate, the warm_pool_thrash alarm raises after
 // its hysteresis streak, and SchedulerAlarmFeedback measurably changes the
 // scheduler — eviction freezes (the pool grows past capacity) and the batch
-// window stretches by thrash_window_multiplier. When the eviction rate goes
+// window stretches by kThrashWindowMultiplier. When the eviction rate goes
 // quiet the alarm clears, the feedback disengages, and the unfreeze catch-up
 // sweep trims the pool back to capacity.
 TEST_F(SchedTest, ThrashAlarmFreezesEvictionAndWidensWindow) {
@@ -348,9 +348,9 @@ TEST_F(SchedTest, ThrashAlarmFreezesEvictionAndWidensWindow) {
   }
   ASSERT_TRUE(sched->eviction_frozen()) << "alarm never engaged after " << rounds
                                         << " thrash rounds";
-  EXPECT_EQ(sched->batch_window_scale(), sched->config().thrash_window_multiplier);
+  EXPECT_EQ(sched->batch_window_scale(), kThrashWindowMultiplier);
   EXPECT_EQ(sched->effective_batch_window().ns(),
-            (base_window * sched->config().thrash_window_multiplier).ns());
+            (base_window * kThrashWindowMultiplier).ns());
   EXPECT_EQ(system_.metrics().GaugeValue("sched/eviction_frozen"), 1);
   EXPECT_EQ(CounterValue("sched/feedback_transitions"), 1u);
   EXPECT_EQ(CounterValue("alarm/warm_pool_thrash/raised_total"), 1u);

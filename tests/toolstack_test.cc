@@ -179,6 +179,44 @@ TEST_F(ToolstackTest, P9GuestGetsBackendProcess) {
   EXPECT_EQ(*system_.xenstore().Read(XsBackendPath(kDom0, "9pfs", *dom, 0) + "/state"), "4");
 }
 
+TEST_F(ToolstackTest, IdleP9BackendsAreReaped) {
+  // One backend process per booted 9pfs guest, gone with its last domain:
+  // boot/destroy cycles must not pile up 9 MiB processes in Dom0.
+  DomainConfig cfg = GuestConfig("p9");
+  cfg.with_p9fs = true;
+  const std::size_t backend_before = system_.devices().Dom0BackendBytes();
+  for (int i = 0; i < 100; ++i) {
+    auto dom = system_.toolstack().CreateDomain(cfg);
+    ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+    ASSERT_TRUE(system_.toolstack().DestroyDomain(*dom).ok());
+  }
+  system_.Settle();
+  EXPECT_EQ(system_.devices().p9().NumProcesses(), 0u);
+  EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
+
+  // A clone family shares its parent's process, which lives until the last
+  // member is destroyed, whatever the order.
+  cfg.max_clones = 1;
+  auto parent = system_.toolstack().CreateDomain(cfg);
+  ASSERT_TRUE(parent.ok());
+  const Domain* p = system_.hypervisor().FindDomain(*parent);
+  auto children =
+      system_.clone_engine().Clone({*parent, *parent, p->p2m[p->start_info_gfn].mfn, 1});
+  ASSERT_TRUE(children.ok()) << children.status().ToString();
+  system_.Settle();
+  ASSERT_EQ(system_.devices().p9().NumProcesses(), 1u);
+  ASSERT_TRUE(system_.toolstack().DestroyDomain(*parent).ok());
+  EXPECT_EQ(system_.devices().p9().NumProcesses(), 1u);
+  GuestDevices* child_devices = system_.toolstack().FindDevices(children->front());
+  ASSERT_NE(child_devices, nullptr);
+  ASSERT_NE(child_devices->p9, nullptr);
+  EXPECT_TRUE(child_devices->p9->ServesDomain(children->front()));
+  ASSERT_TRUE(system_.toolstack().DestroyDomain(children->front()).ok());
+  system_.Settle();
+  EXPECT_EQ(system_.devices().p9().NumProcesses(), 0u);
+  EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
+}
+
 TEST_F(ToolstackTest, Dom0MemoryDecreasesPerGuest) {
   std::size_t free0 = system_.toolstack().Dom0FreeBytes();
   ASSERT_TRUE(system_.toolstack().CreateDomain(GuestConfig("a")).ok());
