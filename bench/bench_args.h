@@ -3,8 +3,10 @@
 //   bench_figNN [positional...] [--flag=value ...]
 //
 // Positional parameters are declared by the bench (name + default) and
-// parsed in order; `--key=value` flags may appear anywhere. Two flags are
-// common to the whole fleet:
+// parsed in order; each is a positive count, and anything else (0, a
+// negative or non-numeric value, trailing junk, more than INT_MAX) exits 2
+// naming the parameter. `--key=value` flags may appear anywhere. Two flags
+// are common to the whole fleet:
 //
 //   --json=PATH   machine-readable result mode: the bench writes its
 //                 BenchJsonWriter document (see bench_json.h) to PATH for
@@ -18,6 +20,8 @@
 #ifndef BENCH_BENCH_ARGS_H_
 #define BENCH_BENCH_ARGS_H_
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -72,7 +76,8 @@ class BenchArgs {
         }
         flags_[key] = value;
       } else if (next_positional < positional_.size()) {
-        positional_[next_positional++].value = std::atol(argv[i]);
+        BenchArgSpec& spec = positional_[next_positional++];
+        spec.value = ParseCount(spec.name, argv[i]);
       } else if (passthrough != nullptr) {
         passthrough->push_back(std::string(arg));
       } else {
@@ -105,6 +110,18 @@ class BenchArgs {
   std::string json_path() const { return Flag("json"); }
 
  private:
+  static long ParseCount(const std::string& name, const char* text) {
+    errno = 0;
+    char* end = nullptr;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
+      std::fprintf(stderr, "%s must be a positive count, got '%s' (try --help)\n", name.c_str(),
+                   text);
+      std::exit(2);
+    }
+    return value;
+  }
+
   void PrintUsage(const char* argv0, const std::vector<std::string>& allowed_flags) const {
     std::printf("usage: %s", argv0);
     for (const BenchArgSpec& spec : positional_) {

@@ -24,7 +24,9 @@ void DiskCloneTimes() {
                     {"disk_mb", "create_ms", "clone_ms", "full_copy_ms_est"});
   for (std::size_t mb : {16ul, 64ul, 256ul, 1024ul, 4096ul}) {
     EventLoop loop;
-    VbdBackend backend(loop, DefaultCostModel());
+    MetricsRegistry metrics;
+    FaultInjector faults(metrics);
+    VbdBackend backend(loop, DefaultCostModel(), *faults.GetPoint("devices/vbd_clone"));
     SimTime t0 = loop.Now();
     (void)backend.CreateDisk(DeviceId{1, DeviceType::kVbd, 0}, mb);
     SimTime t1 = loop.Now();
@@ -41,7 +43,9 @@ void DiskCloneTimes() {
 
 void DiskDensity() {
   EventLoop loop;
-  VbdBackend backend(loop, DefaultCostModel());
+  MetricsRegistry metrics;
+  FaultInjector faults(metrics);
+  VbdBackend backend(loop, DefaultCostModel(), *faults.GetPoint("devices/vbd_clone"));
   const std::size_t disk_mb = 64;
   (void)backend.CreateDisk(DeviceId{1, DeviceType::kVbd, 0}, disk_mb);
   // Populate 8 MiB of the base image.

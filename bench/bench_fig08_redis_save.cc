@@ -82,7 +82,9 @@ ProcessSample MeasureVmProcess(std::size_t keys) {
   LinuxProcessModel model(loop, costs);
   HostFs fs;
   (void)fs.CreateFile("/export/dump.rdb");
-  P9BackendRegistry p9(loop, costs, fs);
+  MetricsRegistry metrics;
+  FaultInjector faults(metrics);
+  P9BackendRegistry p9(loop, costs, fs, *faults.GetPoint("devices/p9_clone"));
 
   std::size_t resident_mb = 16 + keys * kBytesPerKey / kMiB;  // baseline + dataset
   auto pid = model.Spawn(resident_mb);

@@ -35,6 +35,10 @@ CloneEngine::CloneEngine(Hypervisor& hv, const SystemServices& services,
       g_lazy_pending_pages_(services.metrics.GetGauge("clone/lazy_pending_pages")),
       m_stage1_ns_(services.metrics.GetHistogram("clone/stage1/duration_ns")),
       m_stage2_ns_(services.metrics.GetHistogram("clone/stage2/duration_ns")),
+      m_completions_(services.metrics.GetCounter("clone/completions")),
+      m_child_resumes_(services.metrics.GetCounter("clone/resume/child_total")),
+      m_parent_resumes_(services.metrics.GetCounter("clone/resume/parent_total")),
+      m_fork_to_resume_ns_(services.metrics.GetHistogram("clone/fork_to_resume/duration_ns")),
       f_stage1_create_(*services.faults.GetPoint("clone/stage1/create_domain")),
       f_stage1_memory_(*services.faults.GetPoint("clone/stage1/memory")),
       f_stage1_share_(*services.faults.GetPoint("clone/stage1/share")),
@@ -674,6 +678,7 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
     NEPHELE_RETURN_IF_ERROR(FinishStreaming(parent_id));
   }
   m_batches_.Increment();
+  batch_start_[parent_id] = hv_.loop().Now();
   for (CloneObserver* obs : observers_) {
     obs->OnCloneStart(parent_id, num_clones);
   }
@@ -808,6 +813,7 @@ Status CloneEngine::CloneCompletion(DomId child) {
   m_stage2_ns_.Observe((hv_.loop().Now() - it->second.pushed_at).ns());
   pending_children_.erase(it);
 
+  m_completions_.Increment();
   for (CloneObserver* obs : observers_) {
     obs->OnCloneComplete(parent_id, child);
   }
@@ -842,6 +848,15 @@ void CloneEngine::FireResume(DomId dom, bool is_child) {
   // Observers are read at fire time, so registrations between the resume
   // decision and its delivery are honoured — the engine outlives the loop.
   hv_.loop().Post(SimDuration::Nanos(0), [this, dom, is_child] {
+    if (is_child) {
+      m_child_resumes_.Increment();
+    } else {
+      m_parent_resumes_.Increment();
+      if (auto it = batch_start_.find(dom); it != batch_start_.end()) {
+        m_fork_to_resume_ns_.Observe((hv_.loop().Now() - it->second).ns());
+        batch_start_.erase(it);
+      }
+    }
     for (CloneObserver* obs : observers_) {
       obs->OnResume(dom, is_child);
     }

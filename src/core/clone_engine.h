@@ -124,8 +124,11 @@ class CloneEngine {
   // ---------------------------------------------------------------------
   CloneNotificationRing& notification_ring() { return ring_; }
 
-  // All clone-path instrumentation — the guest runtime, the metrics layer,
-  // tracing, benches — registers through this single interface. Observers
+  // All clone-path instrumentation — the guest runtime, the scheduler,
+  // tracing, benches — registers through this single interface. The engine
+  // records the clone lifecycle metrics itself (clone/completions,
+  // clone/resume/{child,parent}_total, clone/fork_to_resume/duration_ns),
+  // each just before the observer loop of its event. Observers
   // are not owned; callers must RemoveObserver before destroying one. They
   // run in registration order (see clone_observer.h for per-callback
   // delivery semantics).
@@ -325,6 +328,11 @@ class CloneEngine {
   Gauge& g_lazy_pending_pages_;
   Histogram& m_stage1_ns_;
   Histogram& m_stage2_ns_;
+  Counter& m_completions_;
+  Counter& m_child_resumes_;
+  Counter& m_parent_resumes_;
+  // Guest-visible fork() latency: CLONEOP entry to the posted parent resume.
+  Histogram& m_fork_to_resume_ns_;
 
   FaultPoint& f_stage1_create_;
   FaultPoint& f_stage1_memory_;
@@ -343,6 +351,9 @@ class CloneEngine {
   // Outstanding second-stage completions per parent.
   std::map<DomId, unsigned> outstanding_;
   std::map<DomId, PendingChild> pending_children_;
+  // CLONEOP entry time of each parent's batch in flight (a parent is paused
+  // until its batch completes, so one entry per parent suffices).
+  std::map<DomId, SimTime> batch_start_;
 
   // Active streams, keyed by child. Ordered so StreamPump's round-robin and
   // the pending-pages gauge are worker-count independent.

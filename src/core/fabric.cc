@@ -18,7 +18,7 @@ ClusterFabric::ClusterFabric(ClusterConfig config)
   }
   hosts_.reserve(config_.hosts);
   for (std::size_t i = 0; i < config_.hosts; ++i) {
-    hosts_.push_back(std::make_unique<Host>(loop_, config_.host, i));
+    hosts_.push_back(std::make_unique<Host>(config_.host, &loop_, i));
   }
   // Full directed mesh. Links share the fabric registry's counters and the
   // single "fabric/link" fault point, so one armed spec covers every link.

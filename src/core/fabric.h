@@ -85,7 +85,7 @@ class ClusterFabric {
   const ClusterConfig& config() const { return config_; }
 
   // True when `host` is one of this fabric's hosts, not just a host with a
-  // valid index (every single-host NepheleSystem has a host 0).
+  // valid index (every standalone Host has index 0).
   bool Contains(const Host& host) const;
 
   // The directed link src -> dst (created eagerly at construction).

@@ -2,10 +2,10 @@
 
 namespace nephele {
 
-Host::Host(EventLoop& peer, SystemConfig config, std::size_t index)
+Host::Host(SystemConfig config, EventLoop* peer, std::size_t index)
     : config_(std::move(config)),
       costs_(config_.costs),
-      loop_(peer),
+      loop_(peer == nullptr ? EventLoop() : EventLoop(*peer)),
       index_(index),
       metrics_prefix_("host" + std::to_string(index) + "/") {
   hv_ = std::make_unique<Hypervisor>(loop_, costs_, config_.hypervisor, services());
@@ -16,10 +16,6 @@ Host::Host(EventLoop& peer, SystemConfig config, std::size_t index)
   engine_->SetWorkerThreads(config_.clone_worker_threads);
   xencloned_ = std::make_unique<Xencloned>(*hv_, *engine_, *xs_, *devices_, *toolstack_, loop_,
                                            costs_, services());
-
-  // The metrics layer subscribes to the clone path like any other observer.
-  clone_metrics_ = std::make_unique<CloneMetricsObserver>(metrics_, loop_);
-  engine_->AddObserver(clone_metrics_.get());
 
   // Route udev events: devices of clones are completed by xencloned, freshly
   // booted ones by the toolstack hotplug scripts.
@@ -32,9 +28,7 @@ Host::Host(EventLoop& peer, SystemConfig config, std::size_t index)
     }
   });
 
-  if (config_.start_xencloned) {
-    (void)xencloned_->Start();
-  }
+  (void)xencloned_->Start();
 }
 
 }  // namespace nephele

@@ -1,18 +1,20 @@
 // Host: one fully-wired virtualization host — hypervisor, Xenstore, device
 // backends, toolstack, clone engine and xencloned — running on its own lane
-// of the ClusterFabric's event loop (src/core/fabric.h, src/sim/event_loop.h).
-// The lane is the host's virtual clock: every component of the host charges
-// it and posts on it, so two hosts' inline work proceeds in parallel virtual
-// time while their events still run in one deterministic order. Code that
-// reaches into a host from another lane (the fabric, the cluster scheduler)
-// first hands its time over with loop().AdvanceTo().
+// (src/sim/event_loop.h). A standalone host's lane is a one-lane event-loop
+// group of its own; this is the library's main entry point, also named
+// NepheleSystem (src/core/system.h, examples/quickstart.cpp). A fabric peer's
+// lane joins the ClusterFabric's group (src/core/fabric.h). The lane is the
+// host's virtual clock: every component of the host charges it and posts on
+// it, so two peers' inline work proceeds in parallel virtual time while their
+// events still run in one deterministic order. Code that reaches into a host
+// from another lane (the fabric, the cluster scheduler) first hands its time
+// over with loop().AdvanceTo().
 //
 // Every host keeps its own MetricsRegistry, TraceRecorder and FaultInjector,
 // so a host's observable behaviour (metric names, golden exports,
-// fault-point sets) is identical whether it runs alone behind the
-// NepheleSystem facade or as one of N fabric peers; cluster-level exports
-// tag each host's metrics with its `metrics_prefix()` ("hostN/") instead of
-// renaming them in place.
+// fault-point sets) is identical whether it runs alone or as one of N fabric
+// peers; cluster-level exports tag each host's metrics with its
+// `metrics_prefix()` ("hostN/") instead of renaming them in place.
 
 #ifndef SRC_CORE_HOST_H_
 #define SRC_CORE_HOST_H_
@@ -26,7 +28,6 @@
 #include "src/devices/device_manager.h"
 #include "src/fault/fault.h"
 #include "src/hypervisor/hypervisor.h"
-#include "src/obs/clone_metrics.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/tsdb/tsdb.h"
@@ -45,8 +46,6 @@ namespace nephele {
 struct SystemConfig {
   HypervisorConfig hypervisor;
   CostModel costs;
-  // Start xencloned (and enable cloning globally) at construction.
-  bool start_xencloned = true;
   // Host threads staging clone batches. 1 = serial; results are identical
   // at any setting. CloneEngine::SetWorkerThreads retunes it at runtime.
   unsigned clone_worker_threads = 1;
@@ -70,9 +69,11 @@ struct SystemConfig {
 
 class Host {
  public:
-  // The host's lane joins `peer`'s event-loop group (the fabric's loop).
-  // `index` names the host in cluster-level exports ("host0/", "host1/", ...).
-  explicit Host(EventLoop& peer, SystemConfig config = {}, std::size_t index = 0);
+  // With no `peer` the host is standalone: its lane is a one-lane
+  // event-loop group of its own. A fabric passes its loop as `peer`, and
+  // the host's lane joins that group. `index` names the host in
+  // cluster-level exports ("host0/", "host1/", ...).
+  explicit Host(SystemConfig config = {}, EventLoop* peer = nullptr, std::size_t index = 0);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -135,7 +136,6 @@ class Host {
   std::unique_ptr<Toolstack> toolstack_;
   std::unique_ptr<CloneEngine> engine_;
   std::unique_ptr<Xencloned> xencloned_;
-  std::unique_ptr<CloneMetricsObserver> clone_metrics_;
 };
 
 }  // namespace nephele

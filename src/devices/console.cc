@@ -13,7 +13,7 @@ Status ConsoleBackend::CreateConsole(DomId dom, Gfn ring_gfn) {
 }
 
 Status ConsoleBackend::CloneConsole(DomId parent, DomId child, Gfn child_ring_gfn) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_clone_));
+  NEPHELE_RETURN_IF_ERROR(f_clone_.Poke());
   if (!consoles_.contains(parent)) {
     return ErrNotFound("parent console missing");
   }

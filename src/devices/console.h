@@ -21,7 +21,9 @@ namespace nephele {
 
 class ConsoleBackend {
  public:
-  ConsoleBackend(EventLoop& loop, const CostModel& costs) : loop_(loop), costs_(costs) {}
+  // `clone_fault` is poked at the top of CloneConsole.
+  ConsoleBackend(EventLoop& loop, const CostModel& costs, FaultPoint& clone_fault)
+      : loop_(loop), costs_(costs), f_clone_(clone_fault) {}
 
   // Boot path: creates the console state for a new domain.
   Status CreateConsole(DomId dom, Gfn ring_gfn);
@@ -30,9 +32,6 @@ class ConsoleBackend {
   // backend bookkeeping is created. No QEMU code changes were needed in the
   // paper — Xenstore watch delivery triggers this.
   Status CloneConsole(DomId parent, DomId child, Gfn child_ring_gfn);
-
-  // Fault point poked at the top of CloneConsole (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   Status DestroyConsole(DomId dom);
 
@@ -55,7 +54,7 @@ class ConsoleBackend {
 
   EventLoop& loop_;
   const CostModel& costs_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint& f_clone_;
   std::map<DomId, ConsoleState> consoles_;
 };
 

@@ -8,15 +8,11 @@ DeviceManager::DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop
       xs_(xs),
       loop_(loop),
       costs_(costs),
-      console_(loop, costs),
-      netback_(hv, loop, costs),
-      p9_(loop, costs, hostfs_),
-      vbd_(loop, costs) {
+      console_(loop, costs, *services.faults.GetPoint("devices/console_clone")),
+      netback_(hv, loop, costs, *services.faults.GetPoint("devices/net_clone")),
+      p9_(loop, costs, hostfs_, *services.faults.GetPoint("devices/p9_clone")),
+      vbd_(loop, costs, *services.faults.GetPoint("devices/vbd_clone")) {
   netback_.set_udev_emitter([this](const UdevEvent& event) { DispatchUdev(event); });
-  console_.SetCloneFaultPoint(services.faults.GetPoint("devices/console_clone"));
-  netback_.SetCloneFaultPoint(services.faults.GetPoint("devices/net_clone"));
-  p9_.SetCloneFaultPoint(services.faults.GetPoint("devices/p9_clone"));
-  vbd_.SetCloneFaultPoint(services.faults.GetPoint("devices/vbd_clone"));
 }
 
 void DeviceManager::DispatchUdev(const UdevEvent& event) {

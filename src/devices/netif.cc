@@ -129,7 +129,7 @@ Result<Vif*> NetBackend::ConnectDevice(DeviceId id, NetFrontend* frontend) {
 
 Result<Vif*> NetBackend::CloneDevice(const DeviceId& parent, const DeviceId& child,
                                      NetFrontend* child_frontend) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_clone_));
+  NEPHELE_RETURN_IF_ERROR(f_clone_.Poke());
   auto pit = vifs_.find(parent);
   if (pit == vifs_.end()) {
     return ErrNotFound("parent vif missing");

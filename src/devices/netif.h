@@ -121,8 +121,9 @@ class Vif : public SwitchPort {
 
 class NetBackend {
  public:
-  NetBackend(Hypervisor& hv, EventLoop& loop, const CostModel& costs)
-      : hv_(hv), loop_(loop), costs_(costs) {}
+  // `clone_fault` is poked at the top of CloneDevice.
+  NetBackend(Hypervisor& hv, EventLoop& loop, const CostModel& costs, FaultPoint& clone_fault)
+      : hv_(hv), loop_(loop), costs_(costs), f_clone_(clone_fault) {}
 
   using UdevEmitter = std::function<void(const UdevEvent&)>;
   void set_udev_emitter(UdevEmitter emitter) { udev_ = std::move(emitter); }
@@ -136,9 +137,6 @@ class NetBackend {
   // Connected state and copies both rings from the parent device.
   Result<Vif*> CloneDevice(const DeviceId& parent, const DeviceId& child,
                            NetFrontend* child_frontend);
-
-  // Fault point poked at the top of CloneDevice (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   Status DestroyDevice(const DeviceId& id);
 
@@ -160,7 +158,7 @@ class NetBackend {
   Hypervisor& hv_;
   EventLoop& loop_;
   const CostModel& costs_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint& f_clone_;
   UdevEmitter udev_;
   std::map<DeviceId, std::unique_ptr<Vif>> vifs_;
   std::uint64_t packets_forwarded_ = 0;

@@ -195,7 +195,7 @@ Result<P9BackendProcess*> P9BackendRegistry::LaunchForDomain(DomId dom,
 }
 
 Status P9BackendRegistry::CloneForChild(DomId parent, DomId child) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_clone_));
+  NEPHELE_RETURN_IF_ERROR(f_clone_.Poke());
   auto it = FindServing(parent);
   if (it == processes_.end()) {
     return ErrNotFound("no backend serves parent");

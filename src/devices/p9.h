@@ -85,17 +85,15 @@ class P9BackendProcess {
 // alive while it serves a domain.
 class P9BackendRegistry {
  public:
-  P9BackendRegistry(EventLoop& loop, const CostModel& costs, HostFs& fs)
-      : loop_(loop), costs_(costs), fs_(fs) {}
+  // `clone_fault` is poked at the top of CloneForChild.
+  P9BackendRegistry(EventLoop& loop, const CostModel& costs, HostFs& fs, FaultPoint& clone_fault)
+      : loop_(loop), costs_(costs), fs_(fs), f_clone_(clone_fault) {}
 
   // Boot path: xl launches a backend process for the new guest.
   Result<P9BackendProcess*> LaunchForDomain(DomId dom, const std::string& export_root);
 
   // Clone path: xencloned sends a QMP clone request to the parent's process.
   Status CloneForChild(DomId parent, DomId child);
-
-  // Fault point poked at the top of CloneForChild (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   // Destroy path: drops `dom`'s fid table from the process serving it and
   // reaps that process once it serves no domain, returning its Dom0 memory.
@@ -111,7 +109,7 @@ class P9BackendRegistry {
   EventLoop& loop_;
   const CostModel& costs_;
   HostFs& fs_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint& f_clone_;
   ProcessList processes_;
 };
 

@@ -104,7 +104,7 @@ Status VbdBackend::CreateDisk(const DeviceId& id, std::size_t size_mb) {
 }
 
 Status VbdBackend::CloneDisk(const DeviceId& parent, const DeviceId& child) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_clone_));
+  NEPHELE_RETURN_IF_ERROR(f_clone_.Poke());
   NEPHELE_ASSIGN_OR_RETURN(VbdDisk * p, FindDisk(parent));
   if (disks_.contains(child)) {
     return ErrAlreadyExists("child disk exists");

@@ -71,7 +71,9 @@ struct VbdDisk {
 
 class VbdBackend {
  public:
-  VbdBackend(EventLoop& loop, const CostModel& costs) : loop_(loop), costs_(costs) {}
+  // `clone_fault` is poked at the top of CloneDisk.
+  VbdBackend(EventLoop& loop, const CostModel& costs, FaultPoint& clone_fault)
+      : loop_(loop), costs_(costs), f_clone_(clone_fault) {}
 
   // Boot path: creates a zero-filled disk of `size_mb` and connects it.
   Status CreateDisk(const DeviceId& id, std::size_t size_mb);
@@ -79,9 +81,6 @@ class VbdBackend {
   // Clone path (xencloned): the child disk snapshots the parent's — block
   // table copied, every block reference-counted; both sides COW from here.
   Status CloneDisk(const DeviceId& parent, const DeviceId& child);
-
-  // Fault point poked at the top of CloneDisk (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   Status DestroyDisk(const DeviceId& id);
 
@@ -104,7 +103,7 @@ class VbdBackend {
   EventLoop& loop_;
   const CostModel& costs_;
   BlockStore store_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint& f_clone_;
   std::map<DeviceId, VbdDisk> disks_;
 };
 
@@ -118,8 +117,6 @@ class VbdFrontend {
   Status Write(std::size_t offset, const std::vector<std::uint8_t>& data);
   Result<std::size_t> Size() const { return backend_->DiskSize(id_); }
 
-  // Clone support: same layout, child device id.
-  void RebindToDevice(DeviceId id) { id_ = id; }
   const DeviceId& device() const { return id_; }
 
  private:

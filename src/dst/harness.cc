@@ -66,7 +66,7 @@ RunResult Harness::Run() {
   config.lazy_clone.auto_stream = false;
   config.lazy_clone.max_hot_pages = 0;
   Configure(config);
-  sys_ = std::make_unique<NepheleSystem>(config);
+  sys_ = std::make_unique<Host>(config);
   AddServices();
   Settle();
   initial_free_ = sys_->hypervisor().FreePoolFrames();

@@ -1,7 +1,7 @@
 // One simulation-test harness with two op vocabularies.
 //
 // The core (class Harness) owns everything a run needs whatever its ops
-// mean: it builds and settles a fresh NepheleSystem, keeps the
+// mean: it builds and settles a fresh standalone Host, keeps the
 // creation-ordered live list and the dead list, hashes coverage edges, runs
 // the hypervisor invariant layers (src/hypervisor/invariants.h) after every
 // settled op, tears every domain down in reverse creation order with exact
@@ -41,7 +41,7 @@
 
 namespace nephele {
 
-class NepheleSystem;
+class Host;
 struct SystemConfig;
 
 struct RunOptions {
@@ -53,7 +53,7 @@ struct RunOptions {
   // with the op's text-encoding name. Lets tests seed a deliberate bug
   // behind the model's back to prove the oracle catches it and the
   // shrinker minimises it.
-  std::function<void(NepheleSystem&, std::string_view op_name, std::size_t op_index)> after_op;
+  std::function<void(Host&, std::string_view op_name, std::size_t op_index)> after_op;
 };
 
 struct RunResult {
@@ -190,7 +190,7 @@ class Harness {
   void AdvanceTime(std::uint64_t ns);
 
   const RunOptions& options_;
-  std::unique_ptr<NepheleSystem> sys_;
+  std::unique_ptr<Host> sys_;
   std::vector<DomId> live_;  // creation order
   std::vector<DomId> dead_;  // destroyed ids (never reused)
   std::ostringstream log_;

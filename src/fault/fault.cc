@@ -45,7 +45,6 @@ Status FaultPoint::Poke() {
     return Status::Ok();
   }
   fired_once_ = true;
-  ++injected_;
   injected_metric_.Increment();
   return Status(spec_.code, spec_.message + " at " + name_);
 }
@@ -109,24 +108,10 @@ Status FaultInjector::Arm(std::string_view name, const FaultSpec& spec) {
   return Status::Ok();
 }
 
-void FaultInjector::Disarm(std::string_view name) {
-  auto it = points_.find(name);
-  if (it != points_.end()) {
-    it->second->Disarm();
-  }
-}
-
 void FaultInjector::DisarmAll() {
   for (auto& [name, point] : points_) {
     point->Disarm();
   }
-}
-
-Status FaultInjector::LoadPlan(const FaultPlan& plan) {
-  for (const FaultPlan::Arm& arm : plan.arms) {
-    NEPHELE_RETURN_IF_ERROR(Arm(arm.point, arm.spec));
-  }
-  return Status::Ok();
 }
 
 std::vector<std::string> FaultInjector::PointNames() const {
@@ -141,14 +126,6 @@ std::vector<std::string> FaultInjector::PointNames() const {
 std::uint64_t FaultInjector::HitCount(std::string_view name) const {
   const FaultPoint* p = FindPoint(name);
   return p == nullptr ? 0 : p->hits();
-}
-
-std::uint64_t FaultInjector::injected_total() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, point] : points_) {
-    total += point->injected();
-  }
-  return total;
 }
 
 }  // namespace nephele

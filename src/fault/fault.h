@@ -77,8 +77,6 @@ class FaultPoint {
 
   // Total Poke() calls since construction (armed or not).
   std::uint64_t hits() const { return hits_; }
-  // Total faults injected since construction.
-  std::uint64_t injected() const { return injected_; }
 
  private:
   friend class FaultInjector;
@@ -95,23 +93,7 @@ class FaultPoint {
   Rng rng_;
 
   std::uint64_t hits_ = 0;
-  std::uint64_t injected_ = 0;
   Counter& injected_metric_;
-};
-
-// A reusable per-run fault plan: a set of (point name, spec) pairs applied
-// together. Tests build one per scenario variant.
-struct FaultPlan {
-  struct Arm {
-    std::string point;
-    FaultSpec spec;
-  };
-  std::vector<Arm> arms;
-
-  FaultPlan& Add(std::string point, FaultSpec spec) {
-    arms.push_back({std::move(point), std::move(spec)});
-    return *this;
-  }
 };
 
 // Registry of fault points. Single-threaded, like the rest of the
@@ -127,39 +109,24 @@ class FaultInjector {
   // lifetime.
   FaultPoint* GetPoint(std::string_view name);
 
-  // Read-only lookup; null when the point was never registered.
-  const FaultPoint* FindPoint(std::string_view name) const;
-
   // Arms an already-registered point. Unknown names are an error so tests
   // fail loudly on typos instead of silently never injecting.
   Status Arm(std::string_view name, const FaultSpec& spec);
-  // Disarming an unknown or unarmed point is a no-op.
-  void Disarm(std::string_view name);
   void DisarmAll();
-
-  // Applies every arm in the plan (all-or-nothing is not needed: the first
-  // unknown name aborts and the caller resets with DisarmAll()).
-  Status LoadPlan(const FaultPlan& plan);
 
   // Sorted names of every registered point — the sweep harness enumerates
   // these to guarantee coverage.
   std::vector<std::string> PointNames() const;
 
   std::uint64_t HitCount(std::string_view name) const;
-  // Sum of injections across all points (mirrors the "fault/injected"
-  // counter in the shared registry).
-  std::uint64_t injected_total() const;
 
  private:
+  // Read-only lookup; null when the point was never registered.
+  const FaultPoint* FindPoint(std::string_view name) const;
+
   std::map<std::string, std::unique_ptr<FaultPoint>, std::less<>> points_;
   Counter& injected_counter_;
 };
-
-// Null-safe guard for the device backends (VbdBackend, P9BackendRegistry)
-// that tests also build without a DeviceManager, and so without a point.
-inline Status PokeFault(FaultPoint* point) {
-  return point == nullptr ? Status::Ok() : point->Poke();
-}
 
 }  // namespace nephele
 

@@ -51,9 +51,6 @@ class GuestApp {
   // A packet arrived on the guest's vif.
   virtual void OnPacket(GuestContext& ctx, const Packet& packet) { (void)ctx; (void)packet; }
 
-  // An IDC notification arrived on `port`.
-  virtual void OnIdcNotify(GuestContext& ctx, EvtchnPort port) { (void)ctx; (void)port; }
-
   // Deep copy of the whole application state; the runtime uses it to
   // materialise the child's execution state at clone time. (The page-level
   // COW cost/accounting of that state is handled by the hypervisor; this

@@ -1,6 +1,7 @@
 #include "src/guest/guest_manager.h"
 
 #include "src/base/log.h"
+#include "src/core/fabric.h"
 
 namespace nephele {
 

@@ -18,6 +18,8 @@
 
 namespace nephele {
 
+class ClusterFabric;
+
 // The guest runtime registers on the clone engine like any other observer:
 // OnResume drives fork continuation dispatch on both sides.
 class GuestManager : public CloneObserver {

@@ -33,7 +33,6 @@ class MiniStack {
   using DeliveryHandler = std::function<void(const Packet&)>;
   void SetDeliveryHandler(DeliveryHandler handler) { deliver_ = std::move(handler); }
 
-  void RebindFrontend(NetFrontend* frontend) { frontend_ = frontend; }
   NetFrontend* frontend() { return frontend_; }
 
   // --- UDP ---

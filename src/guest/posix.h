@@ -61,8 +61,6 @@ class PosixShim {
   Status SendTo(GuestContext& ctx, int fd, Ipv4Addr dst_ip, std::uint16_t dst_port,
                 std::vector<std::uint8_t> payload);
 
-  std::size_t OpenDescriptors() const { return fds_.size(); }
-
  private:
   struct FileFd {
     std::uint32_t fid = 0;

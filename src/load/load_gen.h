@@ -31,8 +31,7 @@ class LoadGenerator {
   using Sink = std::function<void(const LoadRequest&)>;
 
   LoadGenerator(EventLoop& loop, const LoadConfig& config, MetricsRegistry& metrics);
-  // Convenience: loop, knobs and registry from the host (or a NepheleSystem
-  // via its Host conversion).
+  // Convenience: loop, knobs and registry from the host.
   explicit LoadGenerator(Host& host)
       : LoadGenerator(host.loop(), host.config().load, host.metrics()) {}
 

@@ -1,7 +1,8 @@
 // CloneObserver: the single instrumentation/observer interface of the clone
-// path. The guest runtime, the metrics layer, tracing and benches all
-// register through CloneEngine::AddObserver() — this replaces the old
-// SetResumeHandler/AddResumeObserver dual path.
+// path. The guest runtime, the scheduler, tracing and benches all register
+// through CloneEngine::AddObserver() — this replaces the old
+// SetResumeHandler/AddResumeObserver dual path. The engine records the clone
+// lifecycle metrics itself, just before each observer loop.
 //
 // Callback order: observers run in registration order. OnCloneStart and
 // OnCloneComplete fire synchronously inside the CLONEOP handlers; OnResume is

@@ -68,7 +68,7 @@ class AlarmEngine : public TsdbObserver {
   AlarmEngine& operator=(const AlarmEngine&) = delete;
 
   void AddRule(AlarmRule rule);
-  // The stock rule set for a NepheleSystem: `warm_pool_thrash` on the
+  // The stock rule set for a host: `warm_pool_thrash` on the
   // `sched/evictions` rate and `rollback_storm` on the `clone/rolled_back`
   // rate.
   static std::vector<AlarmRule> DefaultNepheleRules();

@@ -36,9 +36,8 @@
 // path, every other observer (metrics, tracing, the guest runtime) sees
 // scheduled clones exactly like direct ones.
 //
-// Like GuestManager, the scheduler is built ON TOP of a NepheleSystem, not
-// inside it: systems that never schedule pay nothing and export unchanged
-// metrics.
+// Like GuestManager, the scheduler is built ON TOP of a Host, not inside
+// it: hosts that never schedule pay nothing and export unchanged metrics.
 
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
@@ -90,8 +89,7 @@ class CloneScheduler : public CloneObserver {
   CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack, EventLoop& loop,
                  SchedulerConfig config, const SystemServices& services);
   // Convenience wiring: knobs from host.config().sched, services from
-  // host.services(). A NepheleSystem converts to its Host implicitly, so
-  // `CloneScheduler sched(system)` keeps working.
+  // host.services().
   explicit CloneScheduler(Host& host)
       : CloneScheduler(host.hypervisor(), host.clone_engine(), host.toolstack(),
                        host.loop(), host.config().sched, host.services()) {}

@@ -52,15 +52,17 @@ void Toolstack::TeardownDom0State(DomId dom, const DomainConfig& config) {
   (void)xs_.Rm(XsDomainPath(dom));
   (void)xs_.Rm("/vm/" + std::to_string(dom));
   (void)xs_.Rm("/libxl/" + std::to_string(dom));
-  // Backend directories live under Dom0's path and must go too.
+  // Backend directories live under Dom0's path and must go too, with the
+  // per-domain directory that holds the device's node.
+  const std::string backend_root = XsDomainPath(kDom0) + "/backend/";
   if (config.with_vif) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "vif", dom, 0));
+    (void)xs_.Rm(backend_root + "vif/" + std::to_string(dom));
   }
   if (config.with_p9fs) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", dom, 0));
+    (void)xs_.Rm(backend_root + "9pfs/" + std::to_string(dom));
   }
   if (config.with_vbd) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "vbd", dom, 0));
+    (void)xs_.Rm(backend_root + "vbd/" + std::to_string(dom));
   }
   if (xs_.DomainKnown(dom)) {
     (void)xs_.ReleaseDomain(dom);

@@ -1,7 +1,5 @@
 #include "src/xenstore/store.h"
 
-#include <algorithm>
-
 #include "src/base/log.h"
 #include "src/xenstore/path.h"
 
@@ -138,7 +136,7 @@ void XenstoreDaemon::InternalWrite(const std::string& path, const std::string& v
     n->has_value = true;
     ++entries_;
   }
-  approx_bytes_ += value.size() > n->value.size() ? value.size() - n->value.size() : 0;
+  approx_bytes_ = approx_bytes_ - n->value.size() + value.size();
   n->value = value;
   if (fire_watches) {
     FireWatches(path);
@@ -177,14 +175,13 @@ Status XenstoreDaemon::Mkdir(const std::string& path) {
   return Status::Ok();
 }
 
-void XenstoreDaemon::CountRemovedSubtree(const Node& node) {
+void XenstoreDaemon::CountRemovedSubtree(const std::string& name, const Node& node) {
   if (node.has_value) {
     --entries_;
-    approx_bytes_ -= std::min(approx_bytes_, node.value.size());
   }
-  approx_bytes_ -= std::min(approx_bytes_, kPerNodeBytes);
-  for (const auto& [name, child] : node.children) {
-    CountRemovedSubtree(*child);
+  approx_bytes_ -= kPerNodeBytes + name.size() + node.value.size();
+  for (const auto& [child_name, child] : node.children) {
+    CountRemovedSubtree(child_name, *child);
   }
 }
 
@@ -205,7 +202,7 @@ Status XenstoreDaemon::Rm(const std::string& path) {
   if (it == parent->children.end()) {
     return ErrNotFound(path);
   }
-  CountRemovedSubtree(*it->second);
+  CountRemovedSubtree(it->first, *it->second);
   parent->children.erase(it);
   FireWatches(path);
   NoteCommitted(path);

@@ -146,7 +146,9 @@ class XenstoreDaemon {
   Node* LookupOrCreate(const std::string& path);
   // Writes without request accounting (used inside xs_clone: server-side).
   void InternalWrite(const std::string& path, const std::string& value, bool fire_watches);
-  void CountRemovedSubtree(const Node& node);
+  // Subtracts exactly what LookupOrCreate and InternalWrite added for the
+  // subtree `name` -> `node`: per node kPerNodeBytes, its name and its value.
+  void CountRemovedSubtree(const std::string& name, const Node& node);
   // Records a committed write or removal of `path` in every open
   // transaction, for conflict detection at its commit.
   void NoteCommitted(const std::string& path);

@@ -1,6 +1,7 @@
-// The bench JSON schema and the perf-regression gate's comparison logic
-// (bench/bench_json.h, bench/bench_gate.h) — exercised in-process, without
-// spawning bench binaries.
+// The bench JSON schema, the perf-regression gate's comparison logic and
+// the bench command line (bench/bench_json.h, bench/bench_gate.h,
+// bench/bench_args.h) — exercised in-process, without spawning bench
+// binaries.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_args.h"
 #include "bench/bench_gate.h"
 #include "bench/bench_json.h"
 #include "src/obs/json.h"
@@ -54,6 +56,31 @@ GateReport Gate(const std::string& baseline, const std::vector<std::string>& cur
     parsed.push_back(Parse(c));
   }
   return GateCompare(Parse(baseline), parsed, opt);
+}
+
+// Parses `arg` as the one positional of a bench that declares `instances`.
+long ParseInstances(const char* arg) {
+  char argv0[] = "bench";
+  std::string value = arg;
+  char* argv[] = {argv0, value.data(), nullptr};
+  BenchArgs args(2, argv, {{"instances", 1000, "instances to create"}});
+  return args.Positional("instances");
+}
+
+TEST(BenchArgsTest, PositiveCountsParse) {
+  EXPECT_EQ(ParseInstances("1"), 1);
+  EXPECT_EQ(ParseInstances("40"), 40);
+  EXPECT_EQ(ParseInstances("2147483647"), 2147483647);
+}
+
+// A bench run with 0 or a non-number would print -nan ratios; it exits 2
+// and names the parameter instead.
+TEST(BenchArgsTest, NonPositiveOrNonNumericCountExitsNamingTheParameter) {
+  for (const char* bad : {"0", "-3", "abc", "12x", "", "2147483648"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseInstances(bad), ::testing::ExitedWithCode(2),
+                "instances must be a positive count");
+  }
 }
 
 TEST(BenchJsonTest, SchemaIsExactAndSorted) {

@@ -45,15 +45,11 @@ class CloneEngineTest : public ::testing::Test {
 };
 
 TEST_F(CloneEngineTest, RequiresGlobalEnable) {
-  SystemConfig cfg;
-  cfg.start_xencloned = false;  // nothing enabled cloning globally
-  NepheleSystem sys(cfg);
-  DomainConfig dcfg;
-  dcfg.name = "p";
-  dcfg.max_clones = 2;
-  auto dom = sys.toolstack().CreateDomain(dcfg);
-  const Domain* d = sys.hypervisor().FindDomain(*dom);
-  auto r = sys.clone_engine().Clone({*dom, *dom, d->p2m[d->start_info_gfn].mfn, 1});
+  // xencloned enabled cloning globally when the host started; Dom0 turns it
+  // off again.
+  ASSERT_TRUE(system_.clone_engine().EnableGlobal(kDom0, false).ok());
+  DomId dom = BootCloneable(/*max_clones=*/2);
+  auto r = system_.clone_engine().Clone({dom, dom, StartInfoMfn(dom), 1});
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 

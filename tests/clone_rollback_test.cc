@@ -115,6 +115,7 @@ class CloneRollbackTest : public ::testing::Test {
     const std::size_t domains_before = system_.hypervisor().DomainIds().size();
     const std::size_t entries_before = system_.xenstore().NumEntries();
     const std::size_t backend_before = system_.devices().Dom0BackendBytes();
+    const std::size_t dom0_free_before = system_.toolstack().Dom0FreeBytes();
 
     ASSERT_TRUE(system_.fault_injector()
                     .Arm(point, FaultSpec::NthHit(1, StatusCode::kUnavailable, "boom"))
@@ -131,6 +132,7 @@ class CloneRollbackTest : public ::testing::Test {
     EXPECT_FALSE(system_.xenstore().Read(XsDomainPath(child) + "/name").ok());
     EXPECT_EQ(system_.xenstore().NumEntries(), entries_before);
     EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
+    EXPECT_EQ(system_.toolstack().Dom0FreeBytes(), dom0_free_before);
     EXPECT_EQ(system_.toolstack().FindConfig(child), nullptr);
 
     // Pool back to the pre-clone value (child private pages, page tables and
@@ -645,6 +647,7 @@ TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
     const std::size_t domains_before = system_.hypervisor().DomainIds().size();
     const std::size_t entries_before = system_.xenstore().NumEntries();
     const std::size_t backend_before = system_.devices().Dom0BackendBytes();
+    const std::size_t dom0_free_before = system_.toolstack().Dom0FreeBytes();
     ASSERT_TRUE(system_.fault_injector()
                     .Arm("hypervisor/frame_alloc", FaultSpec::NthHit(nth))
                     .ok());
@@ -662,6 +665,7 @@ TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
     EXPECT_EQ(system_.hypervisor().DomainIds().size(), domains_before);
     EXPECT_EQ(system_.xenstore().NumEntries(), entries_before);
     EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
+    EXPECT_EQ(system_.toolstack().Dom0FreeBytes(), dom0_free_before);
   }
   EXPECT_GE(boots_failed, 1u) << "no nth-hit value made the boot fail";
 
@@ -716,6 +720,7 @@ TEST_P(DestroyBeforeStage2Test, CountsAsAnAbortAndLeavesNoTrace) {
   const std::size_t free_before = sys.hypervisor().FreePoolFrames();
   const std::size_t entries_before = sys.xenstore().NumEntries();
   const std::size_t backend_before = sys.devices().Dom0BackendBytes();
+  const std::size_t dom0_free_before = sys.toolstack().Dom0FreeBytes();
   const std::uint64_t rolled_back_before = sys.metrics().CounterValue("clone/rolled_back");
   const std::uint64_t completed_before =
       sys.metrics().CounterValue("xencloned/clones_completed");
@@ -775,6 +780,7 @@ TEST_P(DestroyBeforeStage2Test, CountsAsAnAbortAndLeavesNoTrace) {
   EXPECT_EQ(sys.devices().netback().FindVif(child_vif), nullptr);
   EXPECT_EQ(sys.xenstore().NumEntries(), entries_before);
   EXPECT_EQ(sys.devices().Dom0BackendBytes(), backend_before);
+  EXPECT_EQ(sys.toolstack().Dom0FreeBytes(), dom0_free_before);
   EXPECT_EQ(sys.hypervisor().FreePoolFrames(), free_before);
   EXPECT_EQ(sys.metrics().CounterValue("clone/rolled_back"), rolled_back_before + 1);
   if (c.window == Stage2Window::kQueued) {

@@ -2,11 +2,11 @@
 // Image replication to peers, first-class cross-host migration with typed
 // errors and clean rollback under link faults/partitions (frame conservation
 // asserted on both hosts via src/hypervisor/invariants.h), cross-host
-// Acquire through each placement policy, cross-host warm pools, the
-// NepheleSystem facade, per-host clocks and their hand-offs (parallel
-// waves, grant timestamps, migration into a busy host, no dead timers),
-// and byte-determinism of the merged cluster exports across reruns and
-// clone worker counts.
+// Acquire through each placement policy, cross-host warm pools, a
+// standalone host against a fabric peer, per-host clocks and their
+// hand-offs (parallel waves, grant timestamps, migration into a busy host,
+// no dead timers), and byte-determinism of the merged cluster exports
+// across reruns and clone worker counts.
 
 #include <map>
 #include <memory>
@@ -55,24 +55,47 @@ void ExpectClean(ClusterFabric& fabric) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade
+// A single host is a Host
 // ---------------------------------------------------------------------------
 
-TEST(ClusterFacadeTest, NepheleSystemIsASingleHostFabric) {
-  NepheleSystem sys;
-  EXPECT_EQ(sys.fabric().num_hosts(), 1u);
-  EXPECT_EQ(&sys.host(), &sys.fabric().host(0));
-  EXPECT_EQ(&sys.metrics(), &sys.host().metrics());
-  // Components run on the host's lane, the fabric keeps its own.
-  EXPECT_EQ(&sys.loop(), &sys.host().loop());
-  EXPECT_EQ(sys.host().metrics_prefix(), "host0/");
+struct HostRun {
+  std::string metrics;
+  std::string trace;
+  SimTime now;
+};
 
-  // The facade still boots guests exactly as before, on the host's clock.
-  DomId dom = Boot(sys, GuestConfig("facade"));
-  EXPECT_NE(sys.hypervisor().FindDomain(dom), nullptr);
-  sys.Settle();
-  EXPECT_GT(sys.Now(), SimTime());
-  EXPECT_EQ(sys.Now(), sys.host().Now());
+// One boot -> clone -> destroy scenario on `host`, read back through the
+// host's own exports and clock.
+HostRun BootCloneDestroy(Host& host) {
+  DomainConfig cfg = GuestConfig("solo");
+  cfg.with_vif = true;
+  DomId parent = Boot(host, cfg);
+  const Domain* p = host.hypervisor().FindDomain(parent);
+  auto children =
+      host.clone_engine().Clone({parent, parent, p->p2m[p->start_info_gfn].mfn, 2});
+  EXPECT_TRUE(children.ok()) << children.status().ToString();
+  host.Settle();
+  for (DomId child : *children) {
+    EXPECT_TRUE(host.toolstack().DestroyDomain(child).ok());
+  }
+  EXPECT_TRUE(host.toolstack().DestroyDomain(parent).ok());
+  host.Settle();
+  return {host.metrics().ExportJson(), host.trace().ExportJson(), host.Now()};
+}
+
+TEST(SingleHostTest, StandaloneHostEqualsHostZeroOfAOneHostFabric) {
+  const ClusterConfig cfg = SmallCluster(1);
+  Host alone(cfg.host);
+  ClusterFabric fabric(cfg);
+  EXPECT_EQ(alone.index(), 0u);
+  EXPECT_EQ(alone.metrics_prefix(), fabric.host(0).metrics_prefix());
+
+  const HostRun solo = BootCloneDestroy(alone);
+  const HostRun peer = BootCloneDestroy(fabric.host(0));
+  EXPECT_GT(solo.now, SimTime());
+  EXPECT_EQ(solo.metrics, peer.metrics);
+  EXPECT_EQ(solo.trace, peer.trace);
+  EXPECT_EQ(solo.now, peer.now);
 }
 
 TEST(ClusterFacadeTest, MergedExportOfOneUnprefixedPartEqualsPlainExport) {

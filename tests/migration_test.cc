@@ -9,6 +9,7 @@
 
 #include "src/apps/redis_app.h"
 #include "src/apps/udp_ready_app.h"
+#include "src/core/fabric.h"
 #include "src/guest/guest_manager.h"
 #include "src/xenstore/path.h"
 

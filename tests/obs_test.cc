@@ -309,7 +309,7 @@ TEST_F(ObsIntegrationTest, SubsystemGaugesTrackLiveState) {
   EXPECT_GT(m.CounterValue("hypervisor/hypercalls"), 0u);
 }
 
-TEST_F(ObsIntegrationTest, CloneMetricsObserverAggregatesResumeLatency) {
+TEST_F(ObsIntegrationTest, CloneEngineAggregatesResumeLatency) {
   NepheleSystem system(SmallSystem());
   DomId parent = BootCloneable(system);
   CloneAndSettle(system, parent, 3);

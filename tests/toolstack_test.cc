@@ -217,6 +217,75 @@ TEST_F(ToolstackTest, IdleP9BackendsAreReaped) {
   EXPECT_EQ(system_.devices().Dom0BackendBytes(), backend_before);
 }
 
+// Boot/destroy and clone/destroy cycles hand every byte of Dom0 back:
+// Xenstore's node, name and value bytes, the backend directories and the
+// device backends, with and without a vif.
+class Dom0CycleTest : public ToolstackTest, public ::testing::WithParamInterface<bool> {
+ protected:
+  DomainConfig CycleConfig(const std::string& name) {
+    DomainConfig cfg = GuestConfig(name);
+    cfg.with_vif = GetParam();
+    return cfg;
+  }
+  void BootAndDestroy(const std::string& name) {
+    auto dom = system_.toolstack().CreateDomain(CycleConfig(name));
+    ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+    system_.Settle();
+    ASSERT_TRUE(system_.toolstack().DestroyDomain(*dom).ok());
+    system_.Settle();
+  }
+  void RecordDom0() {
+    xs_bytes_before_ = system_.xenstore().ApproxMemoryBytes();
+    entries_before_ = system_.xenstore().NumEntries();
+    dom0_free_before_ = system_.toolstack().Dom0FreeBytes();
+  }
+  void ExpectDom0AsRecorded() {
+    EXPECT_EQ(system_.xenstore().ApproxMemoryBytes(), xs_bytes_before_);
+    EXPECT_EQ(system_.xenstore().NumEntries(), entries_before_);
+    EXPECT_EQ(system_.toolstack().Dom0FreeBytes(), dom0_free_before_);
+  }
+
+  std::size_t xs_bytes_before_ = 0;
+  std::size_t entries_before_ = 0;
+  std::size_t dom0_free_before_ = 0;
+};
+
+TEST_P(Dom0CycleTest, BootDestroyReturnsEveryByte) {
+  // The first guest creates the directories every guest shares (/vm,
+  // /libxl, Dom0's backend/<type>); they stay.
+  BootAndDestroy("first");
+  RecordDom0();
+  for (int i = 0; i < 10; ++i) {
+    BootAndDestroy("cycle" + std::to_string(i));
+    ExpectDom0AsRecorded();
+  }
+}
+
+TEST_P(Dom0CycleTest, CloneDestroyReturnsEveryByte) {
+  DomainConfig cfg = CycleConfig("parent");
+  cfg.max_clones = 16;
+  auto parent = system_.toolstack().CreateDomain(cfg);
+  ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+  system_.Settle();
+  RecordDom0();
+  const Domain* p = system_.hypervisor().FindDomain(*parent);
+  const Mfn start_info = p->p2m[p->start_info_gfn].mfn;
+  for (int i = 0; i < 10; ++i) {
+    auto children = system_.clone_engine().Clone({*parent, *parent, start_info, 1});
+    ASSERT_TRUE(children.ok()) << children.status().ToString();
+    system_.Settle();
+    ASSERT_NE(system_.toolstack().FindConfig(children->front()), nullptr);
+    ASSERT_TRUE(system_.toolstack().DestroyDomain(children->front()).ok());
+    system_.Settle();
+    ExpectDom0AsRecorded();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, Dom0CycleTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& vif) {
+                           return vif.param ? "Vif" : "NoVif";
+                         });
+
 TEST_F(ToolstackTest, Dom0MemoryDecreasesPerGuest) {
   std::size_t free0 = system_.toolstack().Dom0FreeBytes();
   ASSERT_TRUE(system_.toolstack().CreateDomain(GuestConfig("a")).ok());

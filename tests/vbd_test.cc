@@ -56,12 +56,12 @@ TEST(BlockStore, CowWriteSemantics) {
 
 class VbdBackendTest : public ::testing::Test {
  protected:
-  VbdBackendTest() : backend_(loop_, DefaultCostModel()) {}
-
   DeviceId Disk(DomId dom) { return DeviceId{dom, DeviceType::kVbd, 0}; }
 
   EventLoop loop_;
-  VbdBackend backend_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
+  VbdBackend backend_{loop_, DefaultCostModel(), *faults_.GetPoint("devices/vbd_clone")};
 };
 
 TEST_F(VbdBackendTest, CreateReadWrite) {

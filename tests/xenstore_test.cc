@@ -81,6 +81,29 @@ TEST_F(XenstoreTest, RmRemovesSubtree) {
   EXPECT_EQ(xs_.Rm("/d/x").code(), StatusCode::kNotFound);
 }
 
+// ApproxMemoryBytes counts every node's overhead, name and value, so a
+// removal returns exactly what the writes that built the subtree added.
+TEST_F(XenstoreTest, RmReturnsEveryByteTheSubtreeAdded) {
+  ASSERT_TRUE(xs_.Write("/keep", "1").ok());
+  const std::size_t before = xs_.ApproxMemoryBytes();
+  ASSERT_TRUE(xs_.Write("/a/bb/ccc", "value").ok());
+  ASSERT_TRUE(xs_.Mkdir("/a/dddd").ok());
+  EXPECT_GT(xs_.ApproxMemoryBytes(), before);
+  ASSERT_TRUE(xs_.Rm("/a").ok());
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), before);
+}
+
+TEST_F(XenstoreTest, WriteResizesTheValueBytes) {
+  ASSERT_TRUE(xs_.Write("/k", "short").ok());
+  const std::size_t short_bytes = xs_.ApproxMemoryBytes();
+  ASSERT_TRUE(xs_.Write("/k", "a longer value").ok());
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), short_bytes + 9);
+  ASSERT_TRUE(xs_.Write("/k", "short").ok());
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), short_bytes);
+  ASSERT_TRUE(xs_.Rm("/k").ok());
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), 0u);
+}
+
 TEST_F(XenstoreTest, WatchFiresOnSubtreeChange) {
   std::vector<std::string> fired;
   ASSERT_TRUE(xs_.Watch("/w", "tok", "owner1",
