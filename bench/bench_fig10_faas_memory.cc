@@ -24,7 +24,7 @@ constexpr double kDemandRps = 65.0;  // 10 RPS threshold -> scales to ~6 instanc
 
 GatewayRunResult RunContainers(int seconds) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   OpenFaasGateway gateway(loop, backend, GatewayConfig{});
   return gateway.Run(SimDuration::Seconds(seconds), [](double) { return kDemandRps; });
 }
@@ -35,7 +35,7 @@ GatewayRunResult RunUnikernels(int seconds) {
   static NepheleSystem* system = new NepheleSystem(scfg);
   GuestManager* guests = new GuestManager(*system);
   (void)system->devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend backend(*guests, UnikernelBackend::Config{});
+  UnikernelBackend backend(*guests);
   OpenFaasGateway gateway(system->loop(), backend, GatewayConfig{});
   return gateway.Run(SimDuration::Seconds(seconds), [](double) { return kDemandRps; });
 }

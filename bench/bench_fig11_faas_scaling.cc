@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   auto demand = [](double) { return kSaturationRps; };
 
   EventLoop closs;
-  ContainerBackend containers(closs, ContainerBackend::Config{});
+  ContainerBackend containers(closs);
   OpenFaasGateway cgw(closs, containers, GatewayConfig{});
   GatewayRunResult cres = cgw.Run(SimDuration::Seconds(seconds), demand);
 
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   NepheleSystem system(scfg);
   GuestManager guests(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend unikernels(guests, UnikernelBackend::Config{});
+  UnikernelBackend unikernels(guests);
   OpenFaasGateway ugw(system.loop(), unikernels, GatewayConfig{});
   GatewayRunResult ures = ugw.Run(SimDuration::Seconds(seconds), demand);
 
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   NepheleSystem wsys(wcfg);
   GuestManager wguests(wsys);
   (void)wsys.devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend wuni(wguests, UnikernelBackend::Config{});
+  UnikernelBackend wuni(wguests);
   CloneScheduler wsched(wsys);
   wuni.AttachScheduler(&wsched);
   GatewayConfig wgcfg;

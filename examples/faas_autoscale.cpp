@@ -18,7 +18,7 @@ int main() {
   GuestManager guests(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
 
-  UnikernelBackend unikernels(guests, UnikernelBackend::Config{});
+  UnikernelBackend unikernels(guests);
   OpenFaasGateway gateway(system.loop(), unikernels, GatewayConfig{});
 
   std::printf("driving 65 req/s against a 10-RPS-per-instance scaling threshold...\n");

@@ -285,6 +285,9 @@ Status CloneEngine::DemandFault(StreamMap::iterator it, Gfn gfn) {
 }
 
 void CloneEngine::OnDomainDestroy(DomId dom) {
+  for (CloneObserver* obs : observers_) {
+    obs->OnDestroy(dom);
+  }
   // A child still owed its second stage (queued for xencloned, waiting for
   // its vif's udev event, or unwound by a failed second stage) dies as an
   // abort: it retires its outstanding slot like a completion would, so the

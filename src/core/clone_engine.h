@@ -258,11 +258,13 @@ class CloneEngine {
   // retires a stream that owes nothing more (invalidating `it`).
   Status DemandFault(StreamMap::iterator it, Gfn gfn);
 
-  // Hypervisor::DomainDestroyHook, the one place a dying clone is handled.
-  // A child still waiting for its second stage is retired as an abort
-  // (OnCloneAborted, clone/rolled_back, its outstanding slot returned, the
-  // parent resumed after its last child), whoever destroys it: xencloned's
-  // failed second stage or a destroy before the second stage completed.
+  // Hypervisor::DomainDestroyHook, the one place a dying domain is handled.
+  // Observers hear of every death first (OnDestroy, while the domain can
+  // still be looked up). A child still waiting for its second stage is
+  // retired as an abort (OnCloneAborted, clone/rolled_back, its outstanding
+  // slot returned, the parent resumed after its last child), whoever
+  // destroys it: xencloned's failed second stage or a destroy before the
+  // second stage completed.
   // Tearing down a streaming parent force-finishes its children's streams
   // (no fault pokes — the destroy is already committed); tearing down a
   // streaming child cancels its stream.

@@ -24,7 +24,7 @@ Result<IdcRegion> IdcRegion::Create(Hypervisor& hv, DomId owner, std::size_t pag
     }
     granted.push_back(*ref);
   }
-  return IdcRegion(hv, owner, first, pages, granted.front());
+  return IdcRegion(hv, owner, first, pages);
 }
 
 Status IdcRegion::CheckAccess(DomId accessor) const {

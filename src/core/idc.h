@@ -29,7 +29,6 @@ class IdcRegion {
   DomId owner() const { return owner_; }
   Gfn first_gfn() const { return first_gfn_; }
   std::size_t pages() const { return pages_; }
-  GrantRef first_grant_ref() const { return first_ref_; }
 
   // Byte access for any family member. Bounds are region-relative.
   Status Write(DomId accessor, std::size_t offset, const void* src, std::size_t len);
@@ -40,8 +39,8 @@ class IdcRegion {
   Status StoreU32(DomId accessor, std::size_t offset, std::uint32_t value);
 
  private:
-  IdcRegion(Hypervisor& hv, DomId owner, Gfn first_gfn, std::size_t pages, GrantRef ref)
-      : hv_(&hv), owner_(owner), first_gfn_(first_gfn), pages_(pages), first_ref_(ref) {}
+  IdcRegion(Hypervisor& hv, DomId owner, Gfn first_gfn, std::size_t pages)
+      : hv_(&hv), owner_(owner), first_gfn_(first_gfn), pages_(pages) {}
 
   Status CheckAccess(DomId accessor) const;
 
@@ -49,7 +48,6 @@ class IdcRegion {
   DomId owner_;
   Gfn first_gfn_;
   std::size_t pages_;
-  GrantRef first_ref_;
 };
 
 class IdcChannel {

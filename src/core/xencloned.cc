@@ -199,12 +199,10 @@ Status Xencloned::RunSecondStage(const CloneNotification& n) {
   (void)hv_.SetDomainName(n.child, child_cfg.name);
 
   GuestDevices child_devices;
-  const Domain* child_dom = hv_.FindDomain(n.child);
 
   // Console: Xenstore watch wakes the QEMU console process, which builds the
   // clone state internally; the ring is NOT copied (Sec. 4.2).
-  NEPHELE_RETURN_IF_ERROR(devices_.console().CloneConsole(
-      n.parent, n.child, child_dom != nullptr ? child_dom->console_ring_gfn : kInvalidGfn));
+  NEPHELE_RETURN_IF_ERROR(devices_.console().CloneConsole(n.parent, n.child));
 
   bool wait_for_udev = false;
   if (parent_cfg.with_vif) {

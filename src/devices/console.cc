@@ -2,17 +2,15 @@
 
 namespace nephele {
 
-Status ConsoleBackend::CreateConsole(DomId dom, Gfn ring_gfn) {
+Status ConsoleBackend::CreateConsole(DomId dom) {
   if (consoles_.contains(dom)) {
     return ErrAlreadyExists("console exists");
   }
-  ConsoleState state;
-  state.ring.AttachFrame(ring_gfn);
-  consoles_.emplace(dom, std::move(state));
+  consoles_.emplace(dom, ConsoleState{});
   return Status::Ok();
 }
 
-Status ConsoleBackend::CloneConsole(DomId parent, DomId child, Gfn child_ring_gfn) {
+Status ConsoleBackend::CloneConsole(DomId parent, DomId child) {
   NEPHELE_RETURN_IF_ERROR(f_clone_.Poke());
   if (!consoles_.contains(parent)) {
     return ErrNotFound("parent console missing");
@@ -20,9 +18,8 @@ Status ConsoleBackend::CloneConsole(DomId parent, DomId child, Gfn child_ring_gf
   if (consoles_.contains(child)) {
     return ErrAlreadyExists("child console exists");
   }
-  ConsoleState state;  // fresh ring, empty output: deliberately not copied
-  state.ring.AttachFrame(child_ring_gfn);
-  consoles_.emplace(child, std::move(state));
+  // Fresh ring, empty output: deliberately not copied.
+  consoles_.emplace(child, ConsoleState{});
   return Status::Ok();
 }
 

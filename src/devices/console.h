@@ -26,12 +26,12 @@ class ConsoleBackend {
       : loop_(loop), costs_(costs), f_clone_(clone_fault) {}
 
   // Boot path: creates the console state for a new domain.
-  Status CreateConsole(DomId dom, Gfn ring_gfn);
+  Status CreateConsole(DomId dom);
 
   // Clone path: the child console starts with an EMPTY ring; only the
   // backend bookkeeping is created. No QEMU code changes were needed in the
   // paper — Xenstore watch delivery triggers this.
-  Status CloneConsole(DomId parent, DomId child, Gfn child_ring_gfn);
+  Status CloneConsole(DomId parent, DomId child);
 
   Status DestroyConsole(DomId dom);
 

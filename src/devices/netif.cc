@@ -18,8 +18,6 @@ Status NetFrontend::AllocateRings() {
                            hv_.PopulatePhysmap(dom_, kRxBufferPages, PageRole::kIoBuffer));
   NEPHELE_ASSIGN_OR_RETURN(tx_buffer_gfn_,
                            hv_.PopulatePhysmap(dom_, kTxBufferPages, PageRole::kIoBuffer));
-  tx_ring_.AttachFrame(tx_ring_gfn_);
-  rx_ring_.AttachFrame(rx_ring_gfn_);
   // Grant the whole region to the backend domain; one batched hypercall.
   hv_.ChargeHypercall();
   NEPHELE_RETURN_IF_ERROR(hv_.GrantAccess(dom_, kDom0, tx_ring_gfn_, false).status());
@@ -42,8 +40,6 @@ Status NetFrontend::AdoptLayoutFrom(const NetFrontend& parent) {
   rx_ring_gfn_ = parent.rx_ring_gfn_;
   rx_buffer_gfn_ = parent.rx_buffer_gfn_;
   tx_buffer_gfn_ = parent.tx_buffer_gfn_;
-  tx_ring_.AttachFrame(tx_ring_gfn_);
-  rx_ring_.AttachFrame(rx_ring_gfn_);
   return Status::Ok();
 }
 

@@ -67,7 +67,6 @@ class NetFrontend {
   Gfn tx_ring_gfn() const { return tx_ring_gfn_; }
   Gfn rx_ring_gfn() const { return rx_ring_gfn_; }
   Gfn rx_buffer_gfn() const { return rx_buffer_gfn_; }
-  Gfn tx_buffer_gfn() const { return tx_buffer_gfn_; }
 
   // Backend-facing: pulls received packets out of the RX ring into the
   // guest stack.
@@ -141,7 +140,6 @@ class NetBackend {
   Status DestroyDevice(const DeviceId& id);
 
   Vif* FindVif(const DeviceId& id);
-  std::size_t num_vifs() const { return vifs_.size(); }
 
   // Datapath entry from the frontend TX notify.
   void ProcessTx(NetFrontend* frontend);

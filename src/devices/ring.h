@@ -1,8 +1,8 @@
 // Shared I/O ring between a frontend and its backend. The classic Xen ring
 // holds fixed-size request/response slots inside one granted page; we model
-// the two directions as bounded queues attached to the guest frame that
-// backs them, so clone-time copy-vs-share decisions (Sec. 4.2) are explicit
-// and testable.
+// each direction as a bounded queue (the device allocates and grants the
+// backing frame), so clone-time copy-vs-share decisions (Sec. 4.2) are
+// explicit and testable.
 
 #ifndef SRC_DEVICES_RING_H_
 #define SRC_DEVICES_RING_H_
@@ -11,7 +11,6 @@
 #include <deque>
 
 #include "src/base/result.h"
-#include "src/hypervisor/types.h"
 
 namespace nephele {
 
@@ -19,10 +18,6 @@ template <typename Slot>
 class SharedRing {
  public:
   explicit SharedRing(std::size_t capacity = 256) : capacity_(capacity) {}
-
-  // Binds the ring to the guest frame that backs it.
-  void AttachFrame(Gfn gfn) { ring_gfn_ = gfn; }
-  Gfn ring_gfn() const { return ring_gfn_; }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return slots_.size(); }
@@ -34,7 +29,6 @@ class SharedRing {
       return ErrUnavailable("ring full");
     }
     slots_.push_back(std::move(slot));
-    ++total_pushed_;
     return Status::Ok();
   }
 
@@ -47,8 +41,6 @@ class SharedRing {
     return s;
   }
 
-  const Slot& Peek() const { return slots_.front(); }
-
   // Clone-time duplication: the child ring starts with the exact pending
   // contents of the parent (network devices; Sec. 4.2 "packets in the TX
   // ring are created based on some pending requests that need to be
@@ -58,15 +50,9 @@ class SharedRing {
     capacity_ = other.capacity_;
   }
 
-  void Clear() { slots_.clear(); }
-
-  std::uint64_t total_pushed() const { return total_pushed_; }
-
  private:
   std::size_t capacity_;
   std::deque<Slot> slots_;
-  Gfn ring_gfn_ = kInvalidGfn;
-  std::uint64_t total_pushed_ = 0;
 };
 
 }  // namespace nephele

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 
 #include "src/core/system.h"
 #include "src/hypervisor/invariants.h"
@@ -24,6 +25,64 @@ Result<std::uint64_t> ParseU64(std::string_view text) {
     return ErrInvalidArgument("bad integer: " + std::string(text));
   }
   return value;
+}
+
+Status ReadFields(const std::vector<std::string>& operands,
+                  std::initializer_list<CodecKey> keys) {
+  for (const std::string& operand : operands) {
+    const std::size_t eq = operand.find('=');
+    if (eq == std::string::npos) {
+      return ErrInvalidArgument("operand without '=': " + operand);
+    }
+    const std::string_view name = std::string_view(operand).substr(0, eq);
+    const auto* key =
+        std::find_if(keys.begin(), keys.end(), [name](const auto& k) { return k.name == name; });
+    if (key == keys.end()) {
+      return ErrInvalidArgument("unknown key '" + std::string(name) + "'");
+    }
+    const std::string value = operand.substr(eq + 1);
+    if (auto* text = std::get_if<std::string*>(&key->field)) {
+      **text = value;
+    } else if (auto* real = std::get_if<double*>(&key->field)) {
+      // std::from_chars<double> is still spotty across libstdc++ versions in
+      // minor modes; strtod is equivalent here.
+      char* end = nullptr;
+      **real = std::strtod(value.c_str(), &end);
+      if (value.empty() || end != value.c_str() + value.size()) {
+        return ErrInvalidArgument("bad float: " + value);
+      }
+    } else {
+      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(value));
+      if (auto* narrow = std::get_if<std::uint32_t*>(&key->field)) {
+        **narrow = static_cast<std::uint32_t>(v);
+      } else {
+        *std::get<std::uint64_t*>(key->field) = v;
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+Status ForEachCodecLine(const std::string& text, const CodecLineFn& fn) {
+  std::istringstream lines(text);
+  std::string line;
+  for (int line_no = 1; std::getline(lines, line); ++line_no) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    std::istringstream tokens(line);
+    std::string head;
+    tokens >> head;
+    std::vector<std::string> operands;
+    for (std::string operand; tokens >> operand;) {
+      operands.push_back(std::move(operand));
+    }
+    if (Status status = fn(head, operands); !status.ok()) {
+      return Status(status.code(),
+                    "line " + std::to_string(line_no) + ": " + std::string(status.message()));
+    }
+  }
+  return Status::Ok();
 }
 
 DomainConfig HarnessGuestConfig(std::string name) {

@@ -25,10 +25,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/base/result.h"
@@ -80,6 +82,24 @@ std::uint64_t Hash64(std::string_view data, std::uint64_t basis = kFnvBasis);
 
 // Strict unsigned decimal field of the text codecs.
 Result<std::uint64_t> ParseU64(std::string_view text);
+
+// A key of a text codec and the field its value lands in: an integer
+// (ParseU64, truncated to the field's width), a string (verbatim) or a float.
+struct CodecKey {
+  std::string_view name;
+  std::variant<std::uint32_t*, std::uint64_t*, std::string*, double*> field;
+};
+
+// Stores each "key=value" operand in the field its key names. An operand
+// without '=', an unknown key or a malformed value fails.
+Status ReadFields(const std::vector<std::string>& operands, std::initializer_list<CodecKey> keys);
+
+// The line reader of both text codecs: splits each line of `text` that is
+// neither blank nor a `#` comment into its head token and operands, calls
+// `fn` on them and returns the first error, prefixed with its line number.
+using CodecLineFn =
+    std::function<Status(const std::string& head, const std::vector<std::string>& operands)>;
+Status ForEachCodecLine(const std::string& text, const CodecLineFn& fn);
 
 // The fixed configuration every harness guest boots with; only the name
 // differs between vocabularies. Exposed so tests can recompute the guest

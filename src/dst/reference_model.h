@@ -80,7 +80,6 @@ class ReferenceModel {
 
   const std::map<DomId, DomainModel>& domains() const { return domains_; }
   const DomainModel* Find(DomId dom) const;
-  std::size_t num_streams() const { return streams_.size(); }
   const StreamModel& stream(std::size_t i) const { return streams_[i]; }
 
   static std::size_t SlotPage(std::uint32_t slot) { return slot % kCells / kSlotsPerPage; }

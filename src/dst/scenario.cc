@@ -20,18 +20,6 @@ bool SpecEquals(const FaultSpec& a, const FaultSpec& b) {
          a.seed == b.seed && a.code == b.code;
 }
 
-Status ParseDouble(std::string_view text, double& out) {
-  // std::from_chars<double> is still spotty across libstdc++ versions in
-  // minor modes; strtod on a bounded copy is equivalent here.
-  std::string copy(text);
-  char* end = nullptr;
-  out = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size() || copy.empty()) {
-    return ErrInvalidArgument("bad float: " + copy);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 const char* OpKindName(OpKind kind) { return kOpNames[static_cast<std::size_t>(kind)]; }
@@ -109,39 +97,21 @@ std::string Scenario::ToText() const {
 
 Result<Scenario> Scenario::FromText(const std::string& text) {
   Scenario scenario;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string head;
-    fields >> head;
-    auto fail = [&](std::string_view why) -> Result<Scenario> {
-      return ErrInvalidArgument("scenario line " + std::to_string(line_no) + ": " +
-                                std::string(why));
-    };
-
+  auto parse_line = [&scenario](const std::string& head,
+                                const std::vector<std::string>& operands) -> Status {
     if (head == "seed" || head == "pool_frames") {
-      std::string value;
-      if (!(fields >> value)) {
-        return fail("missing value for " + head);
-      }
-      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(value));
+      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(operands.empty() ? "" : operands[0]));
       if (head == "seed") {
         scenario.seed = v;
       } else {
         scenario.pool_frames = static_cast<std::size_t>(v);
       }
-      continue;
+      return Status::Ok();
     }
 
     const auto* name = std::find(std::begin(kOpNames), std::end(kOpNames), head);
     if (name == std::end(kOpNames)) {
-      return fail("unknown op '" + head + "'");
+      return ErrInvalidArgument("unknown op '" + head + "'");
     }
     Op op;
     op.kind = static_cast<OpKind>(name - std::begin(kOpNames));
@@ -150,48 +120,14 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
     double probability = -1.0;
     std::uint64_t nth = 0;
     std::uint64_t pseed = 0;
-
-    std::string operand;
-    while (fields >> operand) {
-      std::size_t eq = operand.find('=');
-      if (eq == std::string::npos) {
-        return fail("operand without '=': " + operand);
-      }
-      std::string key = operand.substr(0, eq);
-      std::string value = operand.substr(eq + 1);
-      if (key == "point") {
-        op.point = value;
-        continue;
-      }
-      if (key == "p") {
-        NEPHELE_RETURN_IF_ERROR(ParseDouble(value, probability));
-        continue;
-      }
-      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(value));
-      if (key == "dom") {
-        op.dom = static_cast<std::uint32_t>(v);
-      } else if (key == "n") {
-        op.n = static_cast<std::uint32_t>(v);
-      } else if (key == "workers") {
-        op.workers = static_cast<std::uint32_t>(v);
-      } else if (key == "slot" || key == "key" || key == "stream") {
-        op.slot = static_cast<std::uint32_t>(v);
-      } else if (key == "val") {
-        op.value = static_cast<std::uint32_t>(v);
-      } else if (key == "ns") {
-        op.amount = v;
-      } else if (key == "nth") {
-        nth = v;
-      } else if (key == "pseed") {
-        pseed = v;
-      } else {
-        return fail("unknown key '" + key + "'");
-      }
-    }
-
+    NEPHELE_RETURN_IF_ERROR(ReadFields(
+        operands, {{"dom", &op.dom}, {"n", &op.n}, {"workers", &op.workers}, {"slot", &op.slot},
+                   {"key", &op.slot}, {"stream", &op.slot}, {"val", &op.value},
+                   {"ns", &op.amount}, {"point", &op.point}, {"p", &probability},
+                   {"nth", &nth}, {"pseed", &pseed}}));
     if (op.kind == OpKind::kArmFault) {
       if (op.point.empty()) {
-        return fail("arm needs point=");
+        return ErrInvalidArgument("arm needs point=");
       }
       if (probability >= 0.0) {
         op.spec = FaultSpec::WithProbability(probability, pseed);
@@ -200,7 +136,9 @@ Result<Scenario> Scenario::FromText(const std::string& text) {
       }
     }
     scenario.ops.push_back(std::move(op));
-  }
+    return Status::Ok();
+  };
+  NEPHELE_RETURN_IF_ERROR(ForEachCodecLine(text, parse_line));
   return scenario;
 }
 

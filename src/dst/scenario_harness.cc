@@ -7,6 +7,7 @@
 #include "src/core/system.h"
 #include "src/dst/reference_model.h"
 #include "src/dst/scenario.h"
+#include "src/obs/clone_observer.h"
 #include "src/sched/scheduler.h"
 #include "src/xenstore/path.h"
 
@@ -44,10 +45,19 @@ std::string DevioPath(DomId dom, std::uint32_t key) {
   return XsDomainPath(dom) + "/data/dst/" + std::string(1, static_cast<char>('a' + key));
 }
 
-class ScenarioHarness : public Harness {
+// The harness also observes the engine: OnDestroy mirrors a domain the
+// scheduler destroys inside Release (an eviction or a reset fallback) into
+// the model and the lists. Any other destroy the harness did not make goes
+// unmirrored, so the live-set, topology and counter checks catch it.
+class ScenarioHarness : public Harness, public CloneObserver {
  public:
   ScenarioHarness(const Scenario& scenario, const RunOptions& options)
       : Harness(options, scenario.ops.size(), "dst", "op"), scenario_(scenario) {}
+  ~ScenarioHarness() override {
+    if (sys_ != nullptr) {
+      sys_->clone_engine().RemoveObserver(this);
+    }
+  }
 
  private:
   void Configure(SystemConfig& config) const override {
@@ -67,9 +77,11 @@ class ScenarioHarness : public Harness {
   }
   void AddServices() override {
     sched_ = std::make_unique<CloneScheduler>(*sys_);
+    sys_->clone_engine().AddObserver(this);
     WireScheduler();
     ResyncCounters();
   }
+  void OnDestroy(DomId dom) override;
   const char* OpName(std::size_t i) const override { return OpKindName(scenario_.ops[i].kind); }
   std::uint32_t OpKindIndex(std::size_t i) const override {
     return static_cast<std::uint32_t>(scenario_.ops[i].kind);
@@ -166,6 +178,7 @@ class ScenarioHarness : public Harness {
   std::vector<DomId> granted_;  // scheduler grants eligible for release
   std::vector<MigrationStream> streams_;
   std::map<std::string, std::uint64_t> expected_;
+  bool in_release_ = false;  // true only across sched_->Release (see OnDestroy)
 };
 
 bool ScenarioHarness::Skips(const Op& op) const {
@@ -407,7 +420,6 @@ void ScenarioHarness::DestroyDom(DomId dom) {
   Record(status);
   log_ << " dom=" << dom;
   if (sys_->hypervisor().FindDomain(dom) == nullptr) {
-    sched_->Forget(dom);  // the scheduler must not serve a destroyed child warm
     Destroyed(dom, stream_pending);
   } else if (!faults_armed_) {
     Fail("op-status", "destroy left the domain alive: " + status.ToString());
@@ -491,18 +503,16 @@ void ScenarioHarness::WireScheduler() {
     }
     return children;
   });
-  // Evictions and fallback destroys tear the child down behind the op
-  // stream's back; mirror them into the model and the live/dead lists.
-  sched_->SetEvictFn([this](DomId dom) {
-    const std::size_t stream_pending = PendingChildStreamPages(dom);
-    (void)sys_->toolstack().DestroyDomain(dom);
-    log_ << " E" << dom;
-    if (sys_->hypervisor().FindDomain(dom) == nullptr) {
-      Destroyed(dom, stream_pending);
-    } else {
-      ResyncCounters();
-    }
-  });
+}
+
+void ScenarioHarness::OnDestroy(DomId dom) {
+  if (!in_release_) {
+    return;
+  }
+  // The destroy is committed and nothing has been released yet, so the
+  // streams this destroy force-finishes are still pending.
+  log_ << " E" << dom;
+  Destroyed(dom, PendingChildStreamPages(dom));
 }
 
 void ScenarioHarness::OpSchedAcquire(const Op& op) {
@@ -569,7 +579,9 @@ void ScenarioHarness::OpSchedRelease(const Op& op) {
   // it also finishes any streams of the child's own lazy children.
   const std::size_t stream_pending =
       sys_->clone_engine().PendingStreamPages(child) + PendingChildStreamPages(child);
+  in_release_ = true;
   auto outcome = sched_->Release(child);
+  in_release_ = false;
   Settle();
   Record(outcome.status());
   log_ << " dom=" << child;
@@ -600,7 +612,7 @@ void ScenarioHarness::OpSchedRelease(const Op& op) {
     // Parked children leave the grant list; they come back via a warm hit.
     granted_.erase(std::remove(granted_.begin(), granted_.end(), child), granted_.end());
   }
-  // Non-parked outcomes were destroyed through the evict hook, which already
+  // Non-parked outcomes were destroyed inside Release; OnDestroy already
   // scrubbed every list.
 }
 

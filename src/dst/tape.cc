@@ -171,24 +171,15 @@ std::string TapeToText(const HvTape& tape) {
 Result<HvTape> ParseTape(const std::string& text) {
   HvTape tape;
   bool saw_seed = false;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream tokens(line);
-    std::string head;
-    tokens >> head;
+  auto parse_line = [&tape, &saw_seed](const std::string& head,
+                                       const std::vector<std::string>& operands) -> Status {
     if (!saw_seed) {
       if (head != "seed") {
         return ErrInvalidArgument("tape must start with a seed line");
       }
-      std::string value;
-      tokens >> value;
-      NEPHELE_ASSIGN_OR_RETURN(tape.seed, ParseU64(value));
+      NEPHELE_ASSIGN_OR_RETURN(tape.seed, ParseU64(operands.empty() ? "" : operands[0]));
       saw_seed = true;
-      continue;
+      return Status::Ok();
     }
     const auto* name = std::find(std::begin(kKindNames), std::end(kKindNames), head);
     if (name == std::end(kKindNames)) {
@@ -196,41 +187,14 @@ Result<HvTape> ParseTape(const std::string& text) {
     }
     HvOp op;
     op.kind = static_cast<HvOpKind>(name - std::begin(kKindNames));
-    std::string field;
-    while (tokens >> field) {
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos) {
-        return ErrInvalidArgument("bad field (want key=value): " + field);
-      }
-      const std::string key = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      if (key == "point") {
-        op.point = value;
-        continue;
-      }
-      NEPHELE_ASSIGN_OR_RETURN(std::uint64_t num, ParseU64(value));
-      if (key == "a") {
-        op.a = static_cast<std::uint32_t>(num);
-      } else if (key == "b") {
-        op.b = static_cast<std::uint32_t>(num);
-      } else if (key == "c") {
-        op.c = static_cast<std::uint32_t>(num);
-      } else if (key == "n") {
-        op.n = static_cast<std::uint32_t>(num);
-      } else if (key == "v") {
-        op.v = static_cast<std::uint32_t>(num);
-      } else if (key == "flags") {
-        op.flags = static_cast<std::uint32_t>(num);
-      } else if (key == "amount") {
-        op.amount = num;
-      } else if (key == "nth") {
-        op.nth = num;
-      } else {
-        return ErrInvalidArgument("unknown field: " + key);
-      }
-    }
+    NEPHELE_RETURN_IF_ERROR(ReadFields(
+        operands, {{"a", &op.a}, {"b", &op.b}, {"c", &op.c}, {"n", &op.n}, {"v", &op.v},
+                   {"flags", &op.flags}, {"amount", &op.amount}, {"nth", &op.nth},
+                   {"point", &op.point}}));
     tape.ops.push_back(std::move(op));
-  }
+    return Status::Ok();
+  };
+  NEPHELE_RETURN_IF_ERROR(ForEachCodecLine(text, parse_line));
   if (!saw_seed) {
     return ErrInvalidArgument("tape must start with a seed line");
   }

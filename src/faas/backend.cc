@@ -30,8 +30,8 @@ Status ContainerBackend::Deploy() {
   if (total_ != 0) {
     return ErrFailedPrecondition("already deployed");
   }
-  image_pulled_at_ = loop_.Now() + config_.first_start_latency;
-  LaunchOne(config_.first_start_latency);
+  image_pulled_at_ = loop_.Now() + kFirstStartLatency;
+  LaunchOne(kFirstStartLatency);
   return Status::Ok();
 }
 
@@ -39,7 +39,7 @@ Status ContainerBackend::ScaleUp() {
   if (total_ == 0) {
     return ErrFailedPrecondition("not deployed");
   }
-  LaunchOne(config_.start_latency);
+  LaunchOne(kStartLatency);
   return Status::Ok();
 }
 
@@ -47,7 +47,7 @@ std::size_t ContainerBackend::MemoryBytes() const {
   if (total_ == 0) {
     return 0;
   }
-  return config_.first_instance_bytes + (total_ - 1) * config_.instance_bytes;
+  return kFirstInstanceBytes + (total_ - 1) * kInstanceBytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ Status UnikernelBackend::Deploy() {
   }
   DomainConfig cfg;
   cfg.name = "faas-fn";
-  cfg.memory_mb = config_.memory_mb;
+  cfg.memory_mb = kMemoryMb;
   // Unikraft + Python 3.7 + newlib + lwip: ~6 MB binary (Sec. 7.3).
   cfg.image_text_pages = 1400;
   cfg.image_data_pages = 260;
@@ -76,19 +76,19 @@ Status UnikernelBackend::Deploy() {
       WarmUp(*ctx);
     }
   });
-  PostReport(dom, config_.first_report_latency);
+  PostReport(dom, kFirstReportLatency);
   return Status::Ok();
 }
 
 void UnikernelBackend::WarmUp(GuestContext& ctx) {
-  (void)ctx.arena().Allocate(config_.warmup_pages * kPageSize, /*resident=*/true);
+  (void)ctx.arena().Allocate(kWarmupPages * kPageSize, /*resident=*/true);
 }
 
 void UnikernelBackend::OnInstanceGranted(DomId dom, bool warm) {
   instances_.push_back(dom);
   // A warm child's interpreter state survived CloneReset-then-park; it skips
   // pod creation and re-warming entirely.
-  PostReport(dom, warm ? config_.warm_report_latency : config_.k8s_report_latency);
+  PostReport(dom, warm ? kWarmReportLatency : kK8sReportLatency);
 }
 
 void UnikernelBackend::PostReport(DomId dom, SimDuration latency) {
@@ -118,9 +118,6 @@ void UnikernelBackend::AttachScheduler(CloneScheduler* sched) {
         },
         req.caller);
   });
-  // Evicted pool children are full guests; tear them down through the
-  // manager so their runtime state goes too.
-  sched->SetEvictFn([this](DomId dom) { (void)manager_.Destroy(dom); });
 }
 
 Status UnikernelBackend::ScaleDown() {
@@ -193,7 +190,7 @@ Status UnikernelBackend::ScaleUp() {
 }
 
 std::size_t UnikernelBackend::MemoryBytes() const {
-  std::size_t bytes = instances_.size() * config_.services_bytes_per_instance;
+  std::size_t bytes = instances_.size() * kServicesBytesPerInstance;
   Hypervisor& hv = manager_.system().hypervisor();
   for (DomId dom : instances_) {
     bytes += hv.DomainOwnedFrames(dom) * kPageSize;

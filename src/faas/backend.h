@@ -46,23 +46,21 @@ class FunctionBackend {
 // The vanilla setup: Kubernetes pods running the function container.
 class ContainerBackend : public FunctionBackend {
  public:
-  struct Config {
-    // First instance includes the image pull (Fig. 10: ready at ~33 s).
-    SimDuration first_start_latency = SimDuration::Seconds(33);
-    // Subsequent instances: scheduling + container start.
-    SimDuration start_latency = SimDuration::Seconds(12);
-    std::size_t first_instance_bytes = 90 * kMiB;
-    std::size_t instance_bytes = 220 * kMiB;  // "hundreds of megabytes"
-    double capacity_rps = 600;                // native Linux stack
-  };
+  // First instance includes the image pull (Fig. 10: ready at ~33 s).
+  static constexpr SimDuration kFirstStartLatency = SimDuration::Seconds(33);
+  // Subsequent instances: scheduling + container start.
+  static constexpr SimDuration kStartLatency = SimDuration::Seconds(12);
+  static constexpr std::size_t kFirstInstanceBytes = 90 * kMiB;
+  static constexpr std::size_t kInstanceBytes = 220 * kMiB;  // "hundreds of megabytes"
+  static constexpr double kCapacityRps = 600;                // native Linux stack
 
-  ContainerBackend(EventLoop& loop, Config config) : loop_(loop), config_(config) {}
+  explicit ContainerBackend(EventLoop& loop) : loop_(loop) {}
 
   Status Deploy() override;
   Status ScaleUp() override;
   std::size_t ReadyInstances() const override { return ready_; }
   std::size_t TotalInstances() const override { return total_; }
-  double CapacityPerInstance() const override { return config_.capacity_rps; }
+  double CapacityPerInstance() const override { return kCapacityRps; }
   std::size_t MemoryBytes() const override;
   const std::vector<double>& ReadinessTimes() const override { return readiness_; }
 
@@ -70,7 +68,6 @@ class ContainerBackend : public FunctionBackend {
   void LaunchOne(SimDuration latency);
 
   EventLoop& loop_;
-  Config config_;
   std::size_t ready_ = 0;
   std::size_t total_ = 0;
   SimTime image_pulled_at_;
@@ -81,30 +78,29 @@ class ContainerBackend : public FunctionBackend {
 // further instance is a clone of it (KubeKraft-style packaging).
 class UnikernelBackend : public FunctionBackend {
  public:
-  struct Config {
-    std::size_t memory_mb = 64;
-    // Kubernetes-side pod bookkeeping until the instance is *reported*
-    // ready; dominates over the ~25 ms clone itself.
-    SimDuration k8s_report_latency = SimDuration::Seconds(2);
-    SimDuration first_report_latency = SimDuration::Seconds(3);
-    // Dom0-side services per instance (pod wrapper, kubelet bookkeeping):
-    // part of the "85 MB first / 35 MB subsequent" split of Sec. 7.3.
-    std::size_t services_bytes_per_instance = 21 * kMiB;
-    // Python interpreter warm-up after the clone: pages the child dirties.
-    std::size_t warmup_pages = 2600;
-    double capacity_rps = 300;  // lwip stack (Sec. 7.3)
-    // Reporting latency for an instance served from the scheduler's warm
-    // pool: no pod creation, just marking the endpoint ready again.
-    SimDuration warm_report_latency = SimDuration::Millis(200);
-  };
+  static constexpr std::size_t kMemoryMb = 64;
+  // Kubernetes-side pod bookkeeping until the instance is *reported* ready;
+  // dominates over the ~25 ms clone itself.
+  static constexpr SimDuration kK8sReportLatency = SimDuration::Seconds(2);
+  static constexpr SimDuration kFirstReportLatency = SimDuration::Seconds(3);
+  // Dom0-side services per instance (pod wrapper, kubelet bookkeeping): part
+  // of the "85 MB first / 35 MB subsequent" split of Sec. 7.3.
+  static constexpr std::size_t kServicesBytesPerInstance = 21 * kMiB;
+  // Python interpreter warm-up after the clone: pages the child dirties.
+  static constexpr std::size_t kWarmupPages = 2600;
+  static constexpr double kCapacityRps = 300;  // lwip stack (Sec. 7.3)
+  // Reporting latency for an instance served from the scheduler's warm
+  // pool: no pod creation, just marking the endpoint ready again.
+  static constexpr SimDuration kWarmReportLatency = SimDuration::Millis(200);
 
-  UnikernelBackend(GuestManager& manager, Config config)
-      : manager_(manager), config_(config) {}
+  explicit UnikernelBackend(GuestManager& manager) : manager_(manager) {}
 
   // Routes scale-up through `sched` (batching + warm pool) instead of
   // calling Fork directly, and enables ScaleDown: it retires the youngest
   // non-root instance to the scheduler, which resets and parks it. Installs
-  // the scheduler's clone executor and evict hook; pass nullptr to detach.
+  // only the scheduler's clone executor: a child the scheduler evicts is
+  // destroyed through the toolstack, and its guest ends with the domain.
+  // Pass nullptr to detach.
   void AttachScheduler(CloneScheduler* sched);
 
   Status Deploy() override;
@@ -114,7 +110,7 @@ class UnikernelBackend : public FunctionBackend {
     return instances_.size() - unreported_.size();
   }
   std::size_t TotalInstances() const override { return instances_.size(); }
-  double CapacityPerInstance() const override { return config_.capacity_rps; }
+  double CapacityPerInstance() const override { return kCapacityRps; }
   std::size_t MemoryBytes() const override;
   const std::vector<double>& ReadinessTimes() const override { return readiness_; }
 
@@ -129,7 +125,6 @@ class UnikernelBackend : public FunctionBackend {
   void PostReport(DomId dom, SimDuration latency);
 
   GuestManager& manager_;
-  Config config_;
   CloneScheduler* sched_ = nullptr;
   std::vector<DomId> instances_;
   // Instances whose readiness report is still in flight, with the report's

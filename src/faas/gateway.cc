@@ -28,14 +28,8 @@ GatewayRunResult OpenFaasGateway::Run(SimDuration duration,
       std::size_t total = backend_.TotalInstances();
       double unmet = demand - served;
       double per_instance = total > 0 ? (served + unmet) / static_cast<double>(total) : demand;
-      if (per_instance > config_.rps_threshold_per_instance &&
-          total < config_.max_instances) {
-        for (unsigned i = 0; i < config_.instances_per_scale_up; ++i) {
-          if (backend_.TotalInstances() >= config_.max_instances) {
-            break;
-          }
-          (void)backend_.ScaleUp();
-        }
+      if (per_instance > kRpsThresholdPerInstance && total < config_.max_instances) {
+        (void)backend_.ScaleUp();
       } else if (config_.scale_down_threshold_per_instance > 0 && total > 1 &&
                  per_instance < config_.scale_down_threshold_per_instance) {
         (void)backend_.ScaleDown();

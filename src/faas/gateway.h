@@ -1,6 +1,6 @@
 // OpenFaaS-like gateway with RPS autoscaling (Sec. 7.3): periodically
 // queries the load per instance and launches one instance whenever it
-// exceeds the threshold. Traffic is modelled at flow level (ab-style load
+// exceeds the threshold (kRpsThresholdPerInstance). Traffic is modelled at flow level (ab-style load
 // generator saturating the deployment), sampled once per second by Run, the
 // one autoscaler loop.
 
@@ -20,9 +20,6 @@ struct GatewayConfig {
   // default is shorter so the readiness staircase of Figs. 10-11 lands at
   // comparable times (see EXPERIMENTS.md).
   SimDuration query_interval = SimDuration::Seconds(10);
-  // Default requests-per-second scaling threshold (Sec. 7.3).
-  double rps_threshold_per_instance = 10.0;
-  unsigned instances_per_scale_up = 1;
   std::size_t max_instances = 20;
   // Scale-down rule: retire one instance when the per-instance load drops
   // below this. 0 (the default) disables it — the paper's experiment only
@@ -47,6 +44,9 @@ struct GatewayRunResult {
 
 class OpenFaasGateway {
  public:
+  // The requests-per-second scaling threshold (Sec. 7.3).
+  static constexpr double kRpsThresholdPerInstance = 10.0;
+
   OpenFaasGateway(EventLoop& loop, FunctionBackend& backend, GatewayConfig config)
       : loop_(loop), backend_(backend), config_(config) {}
 

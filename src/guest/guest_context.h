@@ -57,8 +57,8 @@ class GuestContext {
 
   // --- Time ---
   SimTime Now() const;
-  // One-shot guest timer; the callback is skipped if the domain is gone or
-  // paused-forever by then.
+  // One-shot guest timer; the callback is skipped if the guest is gone by
+  // then.
   void Post(SimDuration delay, std::function<void(GuestContext&)> fn);
 
   // Terminates this guest (exit() analogue): the toolstack destroys the

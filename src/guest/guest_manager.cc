@@ -57,16 +57,18 @@ GuestManager::GuestManager(Host& system) : system_(system) {
 
 GuestManager::~GuestManager() { system_.clone_engine().RemoveObserver(this); }
 
-void GuestManager::OnResume(DomId dom, bool is_child) { OnCloneResume(dom, is_child); }
-
-void GuestManager::OnCloneAborted(DomId parent, DomId child) {
-  pending_child_parent_.erase(child);
-  auto fit = pending_forks_.find(parent);
-  if (fit == pending_forks_.end()) {
+void GuestManager::OnDestroy(DomId dom) {
+  guests_.erase(dom);
+  auto pit = pending_child_parent_.find(dom);
+  if (pit == pending_child_parent_.end()) {
     return;
   }
-  fit->second.snapshots.erase(child);
-  std::erase(fit->second.children, child);
+  auto fit = pending_forks_.find(pit->second);
+  pending_child_parent_.erase(pit);
+  if (fit != pending_forks_.end()) {
+    fit->second.snapshots.erase(dom);
+    std::erase(fit->second.children, dom);
+  }
 }
 
 std::unique_ptr<GuestContext> GuestManager::BuildContext(DomId dom, const DomainConfig& config,
@@ -190,12 +192,11 @@ Result<std::vector<DomId>> GuestManager::ForkChildren(DomId parent, unsigned num
   return children;
 }
 
-void GuestManager::MaterialiseChild(DomId child, PendingFork& pending) {
+void GuestManager::MaterialiseChild(DomId child, DomId parent, PendingFork& pending) {
   auto sit = pending.snapshots.find(child);
   if (sit == pending.snapshots.end()) {
     return;
   }
-  DomId parent = pending_child_parent_[child];
   const DomainConfig* cfg = system_.toolstack().FindConfig(child);
   GuestContext* parent_ctx = ContextOf(parent);
   GuestInstance instance;
@@ -212,18 +213,18 @@ void GuestManager::MaterialiseChild(DomId child, PendingFork& pending) {
   }
 }
 
-void GuestManager::OnCloneResume(DomId dom, bool is_child) {
+void GuestManager::OnResume(DomId dom, bool is_child) {
   if (is_child) {
     auto pit = pending_child_parent_.find(dom);
     if (pit == pending_child_parent_.end()) {
       return;
     }
-    DomId parent = pit->second;
+    const DomId parent = pit->second;
+    pending_child_parent_.erase(pit);
     auto fit = pending_forks_.find(parent);
     if (fit != pending_forks_.end()) {
-      MaterialiseChild(dom, fit->second);
+      MaterialiseChild(dom, parent, fit->second);
     }
-    pending_child_parent_.erase(pit);
     return;
   }
   // Parent resumed: every child completed its second stage.
@@ -232,11 +233,12 @@ void GuestManager::OnCloneResume(DomId dom, bool is_child) {
     return;
   }
   // Children configured to start paused were not resumed; materialise them
-  // now so they exist (paused) for the host to drive (fuzzing).
-  for (DomId child : fit->second.children) {
-    if (pending_child_parent_.contains(child)) {
-      MaterialiseChild(child, fit->second);
-      pending_child_parent_.erase(child);
+  // now so they exist (paused) for the host to drive (fuzzing). Iterate a
+  // copy: a continuation that destroys a sibling edits the list.
+  const std::vector<DomId> children = fit->second.children;
+  for (DomId child : children) {
+    if (pending_child_parent_.erase(child) > 0) {
+      MaterialiseChild(child, dom, fit->second);
     }
   }
   PendingFork pending = std::move(fit->second);
@@ -266,9 +268,9 @@ Result<DomId> GuestManager::MigrateTo(ClusterFabric& fabric, GuestManager& targe
   MiniStack stack_snapshot(nullptr);
   stack_snapshot.CopyStateFrom(it->second.ctx->net());
   GuestArena arena_snapshot(it->second.ctx->arena());
+  // The source's teardown ends its guest (OnDestroy).
   NEPHELE_ASSIGN_OR_RETURN(DomId new_dom,
                            fabric.Migrate(dom, system_.index(), target.system_.index()));
-  guests_.erase(dom);
 
   GuestInstance& instance =
       target.Adopt(new_dom, *target.system_.toolstack().FindConfig(new_dom), std::move(app));
@@ -278,11 +280,9 @@ Result<DomId> GuestManager::MigrateTo(ClusterFabric& fabric, GuestManager& targe
 }
 
 Status GuestManager::Destroy(DomId dom) {
-  auto it = guests_.find(dom);
-  if (it == guests_.end()) {
+  if (!Alive(dom)) {
     return ErrNotFound("no such guest");
   }
-  guests_.erase(it);
   return system_.toolstack().DestroyDomain(dom);
 }
 

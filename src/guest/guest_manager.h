@@ -2,7 +2,8 @@
 // pair per domain — and implements fork semantics on top of the clone
 // engine: app snapshot at CLONEOP time, child materialisation when the
 // second stage completes, and continuation dispatch on both sides. Guests
-// move between hosts only through their ClusterFabric (MigrateTo).
+// move between hosts only through their ClusterFabric (MigrateTo). A guest
+// lives exactly as long as its domain, whoever destroys the domain.
 
 #ifndef SRC_GUEST_GUEST_MANAGER_H_
 #define SRC_GUEST_GUEST_MANAGER_H_
@@ -21,7 +22,8 @@ namespace nephele {
 class ClusterFabric;
 
 // The guest runtime registers on the clone engine like any other observer:
-// OnResume drives fork continuation dispatch on both sides.
+// OnResume drives fork continuation dispatch on both sides, OnDestroy ends a
+// guest.
 class GuestManager : public CloneObserver {
  public:
   explicit GuestManager(Host& system);
@@ -50,7 +52,8 @@ class GuestManager : public CloneObserver {
                                           ForkContinuation continuation,
                                           DomId caller = kDomInvalid);
 
-  // Destroys a guest (and its domain).
+  // Destroys a guest's domain through the toolstack; the guest goes with it
+  // (OnDestroy). kNotFound when `dom` is not a guest.
   Status Destroy(DomId dom);
 
   // Moves a guest to the host `target` runs on: ClusterFabric::Migrate
@@ -66,13 +69,13 @@ class GuestManager : public CloneObserver {
   std::size_t NumGuests() const { return guests_.size(); }
 
   // CloneObserver: delivered through the event loop when a domain really
-  // resumes after cloning.
+  // resumes after cloning. A child materialises; a parent's batch is over.
   void OnResume(DomId dom, bool is_child) override;
 
-  // CloneObserver: a child of an in-flight fork was rolled back. Drops its
-  // snapshot so it is never materialised; the parent-side continuation still
-  // runs (with the aborted child absent) once the batch settles.
-  void OnCloneAborted(DomId parent, DomId child) override;
+  // CloneObserver: the guest of a dying domain ends. A fork child still
+  // waiting to materialise drops its snapshot instead; the parent-side
+  // continuation still runs (with that child absent) once the batch settles.
+  void OnDestroy(DomId dom) override;
 
  private:
   friend class GuestContext;
@@ -92,8 +95,9 @@ class GuestManager : public CloneObserver {
   GuestInstance& Adopt(DomId dom, const DomainConfig& config, std::unique_ptr<GuestApp> app);
   // Schedules app->OnBoot() after the guest boot delay.
   void ScheduleBoot(DomId dom);
-  void OnCloneResume(DomId dom, bool is_child);
-  void MaterialiseChild(DomId child, PendingFork& pending);
+  // Builds a child's guest from its snapshot and runs the child-side
+  // continuation; the caller already dropped it from pending_child_parent_.
+  void MaterialiseChild(DomId child, DomId parent, PendingFork& pending);
   // Builds the runtime plumbing (stack, arena, fs) for a domain.
   std::unique_ptr<GuestContext> BuildContext(DomId dom, const DomainConfig& config,
                                              const GuestContext* parent_ctx);

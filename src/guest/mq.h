@@ -42,7 +42,6 @@ class IdcMessageQueue {
   Result<std::size_t> MessagesQueued(DomId accessor) const;
   std::size_t capacity_messages() const { return slots_ - 1; }
   DomId owner() const { return region_.owner(); }
-  EvtchnPort notify_port() const { return channel_.port(); }
 
  private:
   static constexpr std::size_t kHeadOffset = 0;

@@ -8,7 +8,8 @@
 // OnCloneComplete fire synchronously inside the CLONEOP handlers; OnResume is
 // delivered through the event loop (the domain really runs again at that
 // simulated instant); OnCowFault fires synchronously when a COW fault
-// un-shares a page of any family member.
+// un-shares a page of any family member; OnDestroy fires synchronously
+// inside the hypervisor's destroy of any domain.
 
 #ifndef SRC_OBS_CLONE_OBSERVER_H_
 #define SRC_OBS_CLONE_OBSERVER_H_
@@ -43,6 +44,11 @@ class CloneObserver {
   // A COW fault resolved for `dom`. `copied` is true when a fresh frame was
   // allocated (refcount > 1), false when ownership moved in place.
   virtual void OnCowFault(DomId /*dom*/, Gfn /*gfn*/, bool /*copied*/) {}
+
+  // `dom` is being destroyed, by whoever: fires once per domain, first in
+  // the destroy, while it can still be looked up and before any frame is
+  // released. Every layer that tracks domains learns of a death here.
+  virtual void OnDestroy(DomId /*dom*/) {}
 };
 
 }  // namespace nephele

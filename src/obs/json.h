@@ -28,7 +28,6 @@ struct JsonValue {
   std::vector<JsonValue> elements;                         // kArray
 
   bool is_object() const { return kind == Kind::kObject; }
-  bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }
 
   // First member with this key (null when absent or not an object).

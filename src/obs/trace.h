@@ -68,10 +68,6 @@ class TraceRecorder {
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::uint64_t dropped_events() const { return dropped_; }
-  void Clear() {
-    events_.clear();
-    dropped_ = 0;
-  }
 
   // {"spans": [{"name": ..., "start_ns": ..., "end_ns": ..., "args": {...}},
   // ...]} in recording order — deterministic for a deterministic scenario.

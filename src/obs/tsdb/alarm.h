@@ -73,7 +73,6 @@ class AlarmEngine : public TsdbObserver {
   // rate.
   static std::vector<AlarmRule> DefaultNepheleRules();
 
-  std::size_t rule_count() const { return rules_.size(); }
   // kClear for unknown names (an alarm that does not exist is not firing).
   AlarmState StateOf(std::string_view name) const;
 

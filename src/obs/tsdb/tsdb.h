@@ -96,7 +96,6 @@ class TsdbCollector {
 
   // Null when the metric was never sampled.
   const RingSeries* FindSeries(std::string_view name) const;
-  std::size_t series_count() const { return series_.size(); }
 
   // Aggregates the last `window` ticks of `name` (clamped to retained
   // history). Zero-filled stats when the series is absent or empty.

@@ -99,7 +99,6 @@ class ClusterScheduler {
   // that host failed.
   DomId replica(std::size_t family, std::size_t host) const;
   std::size_t active_on(std::size_t host) const { return active_.at(host); }
-  std::size_t num_families() const { return families_.size(); }
 
  private:
   struct Family {

@@ -27,7 +27,6 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
       m_evictions_(services.metrics.GetCounter("sched/evictions")),
       m_evictions_pressure_(services.metrics.GetCounter("sched/evictions_pressure")),
       m_reset_fallback_(services.metrics.GetCounter("sched/reset_fallback_destroys")),
-      m_stale_drops_(services.metrics.GetCounter("sched/stale_pool_drops")),
       m_feedback_transitions_(services.metrics.GetCounter("sched/feedback_transitions")),
       m_lazy_stream_finishes_(services.metrics.GetCounter("sched/lazy_stream_finishes")),
       m_lazy_streamed_pages_(services.metrics.GetCounter("sched/lazy_streamed_pages")),
@@ -46,7 +45,6 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
     config_.max_batch = 1;
   }
   executor_ = [this](const CloneRequest& req) { return engine_.Clone(req); };
-  evict_ = [this](DomId dom) { (void)toolstack_.DestroyDomain(dom); };
   engine_.AddObserver(this);
 }
 
@@ -55,8 +53,6 @@ CloneScheduler::~CloneScheduler() { engine_.RemoveObserver(this); }
 void CloneScheduler::SetCloneExecutor(CloneExecutor executor) {
   executor_ = std::move(executor);
 }
-
-void CloneScheduler::SetEvictFn(EvictFn evict) { evict_ = std::move(evict); }
 
 void CloneScheduler::SetBatchWindowScale(double scale) {
   window_scale_ = scale < 1.0 ? 1.0 : scale;
@@ -122,11 +118,6 @@ Status CloneScheduler::Acquire(const CloneRequest& req, GrantCallback cb) {
     DomId child = ps.pool.back();
     ps.pool.pop_back();
     --total_parked_;
-    if (hv_.FindDomain(child) == nullptr) {
-      // Destroyed behind our back without Forget(); drop the stale entry.
-      m_stale_drops_.Increment();
-      continue;
-    }
     m_warm_hits_.Increment();
     --remaining;
     loop_.Post(SimDuration::Nanos(0), [this, cb, child, issued] {
@@ -311,14 +302,24 @@ void CloneScheduler::OnResume(DomId dom, bool is_child) {
   }
 }
 
-void CloneScheduler::OnCloneAborted(DomId /*parent*/, DomId child) {
-  auto it = awaiting_resume_.find(child);
-  if (it == awaiting_resume_.end()) {
+void CloneScheduler::OnDestroy(DomId dom) {
+  if (auto it = awaiting_resume_.find(dom); it != awaiting_resume_.end()) {
+    Ticket ticket = std::move(it->second);
+    awaiting_resume_.erase(it);
+    FailTicket(ticket, ErrAborted("clone aborted before the child resumed"));
     return;
   }
-  Ticket ticket = std::move(it->second);
-  awaiting_resume_.erase(it);
-  FailTicket(ticket, ErrAborted("clone aborted before the child resumed"));
+  // A parked child stays in the pool of the parent it was parked under,
+  // even if that parent died since and the child was re-parented.
+  for (auto& [parent, ps] : parents_) {
+    auto it = std::find(ps.pool.begin(), ps.pool.end(), dom);
+    if (it != ps.pool.end()) {
+      ps.pool.erase(it);
+      --total_parked_;
+      UpdateGauges();
+      return;
+    }
+  }
 }
 
 Result<ReleaseOutcome> CloneScheduler::Release(DomId child) {
@@ -358,7 +359,7 @@ Result<ReleaseOutcome> CloneScheduler::Release(DomId child) {
   if (!restored.ok()) {
     // A child we cannot scrub must not serve another request: destroy it.
     m_reset_fallback_.Increment();
-    DestroyChild(child);
+    (void)toolstack_.DestroyDomain(child);
     outcome.parked = false;
     UpdateGauges();
     return outcome;
@@ -394,7 +395,7 @@ void CloneScheduler::EvictToCapacity(ParentState& ps, DomId released,
     ps.pool.erase(ps.pool.begin());
     --total_parked_;
     m_evictions_.Increment();
-    DestroyChild(victim);
+    (void)toolstack_.DestroyDomain(victim);
     if (victim == released && released_evicted != nullptr) {
       *released_evicted = true;
     }
@@ -412,7 +413,7 @@ void CloneScheduler::EvictForPressure(DomId released, bool* released_evicted) {
     }
     m_evictions_.Increment();
     m_evictions_pressure_.Increment();
-    DestroyChild(victim);
+    (void)toolstack_.DestroyDomain(victim);
     if (victim == released && released_evicted != nullptr) {
       *released_evicted = true;
     }
@@ -431,31 +432,13 @@ DomId CloneScheduler::PopGlobalLru() {
   return kDomInvalid;
 }
 
-void CloneScheduler::DestroyChild(DomId child) {
-  if (evict_) {
-    evict_(child);
-  }
-}
-
-void CloneScheduler::Forget(DomId dom) {
-  awaiting_resume_.erase(dom);
-  for (auto& [parent, ps] : parents_) {
-    auto it = std::find(ps.pool.begin(), ps.pool.end(), dom);
-    if (it != ps.pool.end()) {
-      ps.pool.erase(it);
-      --total_parked_;
-    }
-  }
-  UpdateGauges();
-}
-
 void CloneScheduler::DrainAll() {
   for (auto& [parent, ps] : parents_) {
     while (!ps.pool.empty()) {
       DomId victim = ps.pool.back();
       ps.pool.pop_back();
       --total_parked_;
-      DestroyChild(victim);
+      (void)toolstack_.DestroyDomain(victim);
     }
     while (!ps.queue.empty()) {
       Ticket t = PopTicket(ps);

@@ -31,10 +31,13 @@
 // Every decision runs on the deterministic EventLoop (window timers, grant
 // delivery, timeouts), so scheduled runs stay byte-identical across reruns
 // and clone-engine worker counts. The scheduler registers itself as a
-// CloneObserver on the engine — batch completion and per-child resumes drive
-// grant delivery — and since its batches go through the ordinary CLONEOP
-// path, every other observer (metrics, tracing, the guest runtime) sees
-// scheduled clones exactly like direct ones.
+// CloneObserver on the engine: batch completion and per-child resumes drive
+// grant delivery, and every domain death reaches it through OnDestroy. Since
+// its batches go through the ordinary CLONEOP path, every other observer
+// (metrics, tracing, the guest runtime) sees scheduled clones exactly like
+// direct ones. The scheduler destroys children (evictions, reset fallbacks,
+// DrainAll) with Toolstack::DestroyDomain; a parked child that anyone else
+// destroys leaves its pool in OnDestroy, so a pool only holds live domains.
 //
 // Like GuestManager, the scheduler is built ON TOP of a Host, not inside
 // it: hosts that never schedule pay nothing and export unchanged metrics.
@@ -82,9 +85,6 @@ class CloneScheduler : public CloneObserver {
   // consumers whose children need runtime plumbing substitute their own
   // (the FaaS backend uses GuestManager::ForkChildren).
   using CloneExecutor = std::function<Result<std::vector<DomId>>(const CloneRequest&)>;
-  // How an evicted (or fallback-destroyed) child is torn down. Defaults to
-  // Toolstack::DestroyDomain.
-  using EvictFn = std::function<void(DomId)>;
 
   CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack, EventLoop& loop,
                  SchedulerConfig config, const SystemServices& services);
@@ -111,17 +111,11 @@ class CloneScheduler : public CloneObserver {
   // Release still succeeds, with outcome.parked == false.
   Result<ReleaseOutcome> Release(DomId child);
 
-  // Drops `dom` from every pool and in-flight map without touching the
-  // domain. For callers that destroy domains behind the scheduler's back
-  // (the DST scenario harness's destroy op and teardown).
-  void Forget(DomId dom);
-
   // Teardown: destroys every parked child and fails every queued request
   // with kAborted.
   void DrainAll();
 
   void SetCloneExecutor(CloneExecutor executor);
-  void SetEvictFn(EvictFn evict);
 
   // ---------------------------------------------------------------------
   // Telemetry feedback (driven by SchedulerAlarmFeedback, src/sched/
@@ -152,9 +146,11 @@ class CloneScheduler : public CloneObserver {
   std::size_t TotalQueued() const { return total_queued_; }
 
   // CloneObserver: batch completion (parent resume) re-arms dispatch;
-  // per-child resumes deliver grants; stage-2 aborts retire their request.
+  // per-child resumes deliver grants. A destroyed child leaves its warm
+  // pool, and a dispatched child destroyed before its grant (a stage-2
+  // abort or any other destroy) fails its request with kAborted.
   void OnResume(DomId dom, bool is_child) override;
-  void OnCloneAborted(DomId parent, DomId child) override;
+  void OnDestroy(DomId dom) override;
 
  private:
   struct Ticket {
@@ -176,7 +172,6 @@ class CloneScheduler : public CloneObserver {
   // Pops the oldest queued ticket of `ps` and cancels its timeout timer.
   Ticket PopTicket(ParentState& ps);
   void FailTicket(Ticket& ticket, const Status& why);
-  void DestroyChild(DomId child);
   // Capacity (one pool) and watermark (all pools) eviction passes.
   // `released_evicted` is set when the victim equals `released`, so Release
   // can tell whether the just-parked child was reclaimed before it
@@ -207,7 +202,6 @@ class CloneScheduler : public CloneObserver {
   Counter& m_evictions_;
   Counter& m_evictions_pressure_;
   Counter& m_reset_fallback_;
-  Counter& m_stale_drops_;
   Counter& m_feedback_transitions_;
   // Post-copy cloning: children whose stream Release() had to finish before
   // the park-side CloneReset, and the pages those finishes materialised.
@@ -225,7 +219,6 @@ class CloneScheduler : public CloneObserver {
   FaultPoint& f_park_;
 
   CloneExecutor executor_;
-  EvictFn evict_;
 
   std::map<DomId, ParentState> parents_;
   // Dispatched child -> the ticket it will serve once the child resumes.

@@ -264,9 +264,7 @@ Result<DomId> Toolstack::BuildDomain(const DomainConfig& config,
   (void)xs_.IntroduceDomain(dom);
   WriteBaseXenstoreEntries(dom, config);
 
-  if (Status s = devices_.console().CreateConsole(
-          dom, hv_.FindDomain(dom)->console_ring_gfn);
-      !s.ok()) {
+  if (Status s = devices_.console().CreateConsole(dom); !s.ok()) {
     return fail(s);
   }
   if (config.with_vif) {

@@ -228,13 +228,25 @@ class RecordingObserver : public CloneObserver {
   void OnCloneComplete(DomId parent, DomId child) override {
     completions.push_back({parent, child});
   }
+  void OnCloneAborted(DomId /*parent*/, DomId child) override { aborted.push_back(child); }
   void OnResume(DomId dom, bool is_child) override { resumed.push_back({dom, is_child}); }
   void OnCowFault(DomId dom, Gfn /*gfn*/, bool /*copied*/) override { cow_faults.push_back(dom); }
+  void OnDestroy(DomId dom) override {
+    destroyed.push_back(dom);
+    if (hv != nullptr && hv->FindDomain(dom) == nullptr) {
+      ++destroyed_unfindable;
+    }
+  }
 
+  // Set to check that a destroyed domain can still be looked up in OnDestroy.
+  const Hypervisor* hv = nullptr;
   std::vector<std::pair<DomId, unsigned>> starts;
   std::vector<std::pair<DomId, DomId>> completions;
+  std::vector<DomId> aborted;
   std::vector<std::pair<DomId, bool>> resumed;
   std::vector<DomId> cow_faults;
+  std::vector<DomId> destroyed;
+  int destroyed_unfindable = 0;
 };
 
 }  // namespace
@@ -286,6 +298,41 @@ TEST_F(CloneEngineTest, RemovedObserverStopsReceivingEvents) {
   CloneAndSettle(parent);
   EXPECT_EQ(obs.starts.size(), 1u);
   EXPECT_EQ(obs.resumed.size(), 2u);
+}
+
+// Every destroyed domain reaches observers exactly once through OnDestroy,
+// whoever destroys it, while it can still be looked up: a stage-1 rollback
+// child, a stage-2 abort and a toolstack destroy. Dom0's refused destroy
+// reaches nobody.
+TEST_F(CloneEngineTest, ObserverSeesEveryDestroyOnce) {
+  DomId parent = BootCloneable();
+  RecordingObserver obs;
+  obs.hv = &system_.hypervisor();
+  system_.clone_engine().AddObserver(&obs);
+
+  // The child exists when its grant-table copy faults, so it is rolled back.
+  ASSERT_TRUE(system_.fault_injector().Arm("clone/stage1/grants", FaultSpec::NthHit(1)).ok());
+  EXPECT_FALSE(system_.clone_engine().Clone({parent, parent, StartInfoMfn(parent), 1}).ok());
+  ASSERT_EQ(obs.aborted.size(), 1u);
+  const DomId rolled_back = obs.aborted[0];
+  EXPECT_EQ(obs.destroyed, std::vector<DomId>{rolled_back});
+
+  ASSERT_TRUE(system_.fault_injector().Arm("xencloned/stage2", FaultSpec::NthHit(1)).ok());
+  auto aborted = system_.clone_engine().Clone({parent, parent, StartInfoMfn(parent), 1});
+  ASSERT_TRUE(aborted.ok()) << aborted.status().ToString();
+  system_.Settle();
+  system_.fault_injector().DisarmAll();
+  const DomId stage2_abort = (*aborted)[0];
+  EXPECT_EQ(system_.hypervisor().FindDomain(stage2_abort), nullptr);
+
+  const std::vector<DomId> children = CloneAndSettle(parent);
+  ASSERT_EQ(children.size(), 1u);
+  ASSERT_TRUE(system_.toolstack().DestroyDomain(children[0]).ok());
+  EXPECT_EQ(system_.toolstack().DestroyDomain(kDom0).code(), StatusCode::kPermissionDenied);
+  system_.clone_engine().RemoveObserver(&obs);
+
+  EXPECT_EQ(obs.destroyed, (std::vector<DomId>{rolled_back, stage2_abort, children[0]}));
+  EXPECT_EQ(obs.destroyed_unfindable, 0);
 }
 
 TEST_F(CloneEngineTest, MultiCloneBatch) {

@@ -173,7 +173,7 @@ TEST_F(CoverageTest, FuzzSessionZeroDurationIsEmpty) {
 
 TEST_F(CoverageTest, GatewayRampDemandScalesGradually) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   GatewayConfig gcfg;
   gcfg.query_interval = SimDuration::Seconds(10);
   OpenFaasGateway gateway(loop, backend, gcfg);

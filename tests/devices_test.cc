@@ -76,8 +76,8 @@ class DeviceFixture : public ::testing::Test {
 
 TEST_F(DeviceFixture, ConsoleLifecycle) {
   DomId dom = NewDomain();
-  ASSERT_TRUE(devices_.console().CreateConsole(dom, 0).ok());
-  EXPECT_EQ(devices_.console().CreateConsole(dom, 0).code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(devices_.console().CreateConsole(dom).ok());
+  EXPECT_EQ(devices_.console().CreateConsole(dom).code(), StatusCode::kAlreadyExists);
   ASSERT_TRUE(devices_.console().GuestWrite(dom, "boot ok\n").ok());
   EXPECT_EQ(*devices_.console().Output(dom), "boot ok\n");
   ASSERT_TRUE(devices_.console().DestroyConsole(dom).ok());
@@ -87,16 +87,16 @@ TEST_F(DeviceFixture, ConsoleLifecycle) {
 TEST_F(DeviceFixture, ConsoleCloneStartsEmpty) {
   DomId parent = NewDomain();
   DomId child = NewDomain();
-  ASSERT_TRUE(devices_.console().CreateConsole(parent, 0).ok());
+  ASSERT_TRUE(devices_.console().CreateConsole(parent).ok());
   ASSERT_TRUE(devices_.console().GuestWrite(parent, "parent output").ok());
-  ASSERT_TRUE(devices_.console().CloneConsole(parent, child, 0).ok());
+  ASSERT_TRUE(devices_.console().CloneConsole(parent, child).ok());
   // Sec. 4.2: the parent's console output is NOT duplicated into the child.
   EXPECT_EQ(*devices_.console().Output(child), "");
   EXPECT_EQ(*devices_.console().Output(parent), "parent output");
 }
 
 TEST_F(DeviceFixture, ConsoleCloneNeedsParent) {
-  EXPECT_EQ(devices_.console().CloneConsole(5, 6, 0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(devices_.console().CloneConsole(5, 6).code(), StatusCode::kNotFound);
 }
 
 TEST_F(DeviceFixture, NetFrontendAllocatesGuestPages) {

@@ -16,7 +16,7 @@ SystemConfig FaasSystem() {
 
 TEST(ContainerBackend, ReadinessLatencies) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   ASSERT_TRUE(backend.Deploy().ok());
   EXPECT_EQ(backend.ScaleUp().code(), StatusCode::kOk);
   EXPECT_EQ(backend.ReadyInstances(), 0u);
@@ -32,18 +32,18 @@ TEST(ContainerBackend, ReadinessLatencies) {
 
 TEST(ContainerBackend, MemoryStepsPerInstance) {
   EventLoop loop;
-  ContainerBackend::Config cfg;
-  ContainerBackend backend(loop, cfg);
+  ContainerBackend backend(loop);
   EXPECT_EQ(backend.MemoryBytes(), 0u);
   ASSERT_TRUE(backend.Deploy().ok());
-  EXPECT_EQ(backend.MemoryBytes(), cfg.first_instance_bytes);
+  EXPECT_EQ(backend.MemoryBytes(), ContainerBackend::kFirstInstanceBytes);
   ASSERT_TRUE(backend.ScaleUp().ok());
-  EXPECT_EQ(backend.MemoryBytes(), cfg.first_instance_bytes + cfg.instance_bytes);
+  EXPECT_EQ(backend.MemoryBytes(),
+            ContainerBackend::kFirstInstanceBytes + ContainerBackend::kInstanceBytes);
 }
 
 TEST(ContainerBackend, DeployTwiceRejected) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   ASSERT_TRUE(backend.Deploy().ok());
   EXPECT_EQ(backend.Deploy().code(), StatusCode::kFailedPrecondition);
 }
@@ -52,7 +52,7 @@ TEST(UnikernelBackend, DeployBootsRealGuest) {
   NepheleSystem system(FaasSystem());
   GuestManager guests(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend backend(guests, UnikernelBackend::Config{});
+  UnikernelBackend backend(guests);
   ASSERT_TRUE(backend.Deploy().ok());
   system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
   EXPECT_EQ(backend.ReadyInstances(), 1u);
@@ -67,7 +67,7 @@ TEST(UnikernelBackend, ScaleUpClonesCheaply) {
   NepheleSystem system(FaasSystem());
   GuestManager guests(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend backend(guests, UnikernelBackend::Config{});
+  UnikernelBackend backend(guests);
   ASSERT_TRUE(backend.Deploy().ok());
   system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
   double first_mb = static_cast<double>(backend.MemoryBytes()) / (1 << 20);
@@ -90,8 +90,7 @@ TEST(UnikernelBackend, ScaleUpClonesCheaply) {
 // served warm from it.
 struct ScheduledUnikernels {
   ScheduledUnikernels()
-      : system(FaasSystem()), guests(system), sched(system),
-        backend(guests, UnikernelBackend::Config{}) {
+      : system(FaasSystem()), guests(system), sched(system), backend(guests) {
     (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
     backend.AttachScheduler(&sched);
   }
@@ -123,7 +122,7 @@ TEST(UnikernelScaleDown, ParksTheYoungestAndNeverTheRoot) {
   EXPECT_EQ(u.backend.ReadyInstances(), 1u);
 
   // The next scale-up is a warm hit on the parked child: no pod creation,
-  // so it reports ready warm_report_latency after the scale-up.
+  // so it reports ready kWarmReportLatency after the scale-up.
   const std::uint64_t hits = u.system.metrics().CounterValue("sched/warm_hits");
   const double scaled_at = u.system.Now().ToSeconds();
   ASSERT_TRUE(u.backend.ScaleUp().ok());
@@ -133,14 +132,14 @@ TEST(UnikernelScaleDown, ParksTheYoungestAndNeverTheRoot) {
   EXPECT_EQ(u.backend.ReadyInstances(), 2u);
   ASSERT_EQ(u.backend.ReadinessTimes().size(), 3u);
   EXPECT_NEAR(u.backend.ReadinessTimes().back() - scaled_at,
-              UnikernelBackend::Config{}.warm_report_latency.ToSeconds(), 1e-6);
+              UnikernelBackend::kWarmReportLatency.ToSeconds(), 1e-6);
 }
 
 TEST(UnikernelScaleDown, NeedsAScheduler) {
   NepheleSystem system(FaasSystem());
   GuestManager guests(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend backend(guests, UnikernelBackend::Config{});
+  UnikernelBackend backend(guests);
   ASSERT_TRUE(backend.Deploy().ok());
   ASSERT_TRUE(backend.ScaleUp().ok());
   system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
@@ -148,6 +147,37 @@ TEST(UnikernelScaleDown, NeedsAScheduler) {
   EXPECT_EQ(backend.ScaleDown().code(), StatusCode::kUnimplemented);
   EXPECT_EQ(backend.TotalInstances(), 2u);
   EXPECT_EQ(backend.ReadyInstances(), 2u);
+}
+
+// Scale-down past warm_pool_capacity evicts the least recently parked
+// instance through the toolstack; its guest ends with its domain.
+TEST(UnikernelScaleDown, EvictionPastCapacityEndsTheGuest) {
+  SystemConfig cfg = FaasSystem();
+  cfg.sched.warm_pool_capacity = 1;
+  NepheleSystem system(cfg);
+  GuestManager guests(system);
+  CloneScheduler sched(system);
+  (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
+  UnikernelBackend backend(guests);
+  backend.AttachScheduler(&sched);
+  ASSERT_TRUE(backend.Deploy().ok());
+  system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
+  ASSERT_TRUE(backend.ScaleUp().ok());
+  ASSERT_TRUE(backend.ScaleUp().ok());
+  system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
+  ASSERT_EQ(backend.TotalInstances(), 3u);
+  const DomId root = backend.instances()[0];
+  const DomId older = backend.instances()[1];
+  const DomId younger = backend.instances()[2];
+
+  ASSERT_TRUE(backend.ScaleDown().ok());  // parks `younger`
+  ASSERT_TRUE(backend.ScaleDown().ok());  // parks `older`, evicting `younger`
+  EXPECT_EQ(system.metrics().CounterValue("sched/evictions"), 1u);
+  EXPECT_EQ(sched.WarmPoolSize(root), 1u);
+  EXPECT_EQ(system.hypervisor().FindDomain(younger), nullptr);
+  EXPECT_FALSE(guests.Alive(younger));
+  EXPECT_TRUE(guests.Alive(older));
+  EXPECT_EQ(guests.NumGuests(), 2u);
 }
 
 // Readiness counts once per grant: a report that lands after its instance
@@ -193,7 +223,7 @@ TEST(UnikernelScaleDown, RetiringAnUnreportedInstanceKeepsTheReadyCount) {
 
 TEST(Gateway, ScalesWhenLoadExceedsThreshold) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   GatewayConfig gcfg;
   gcfg.query_interval = SimDuration::Seconds(10);
   OpenFaasGateway gateway(loop, backend, gcfg);
@@ -205,7 +235,7 @@ TEST(Gateway, ScalesWhenLoadExceedsThreshold) {
 
 TEST(Gateway, NoScaleUnderThreshold) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   OpenFaasGateway gateway(loop, backend, GatewayConfig{});
   (void)gateway.Run(SimDuration::Seconds(60), [](double) { return 5.0; });
   EXPECT_EQ(backend.TotalInstances(), 1u);  // just the deployment
@@ -213,7 +243,7 @@ TEST(Gateway, NoScaleUnderThreshold) {
 
 TEST(Gateway, MaxInstancesCap) {
   EventLoop loop;
-  ContainerBackend backend(loop, ContainerBackend::Config{});
+  ContainerBackend backend(loop);
   GatewayConfig gcfg;
   gcfg.max_instances = 3;
   gcfg.query_interval = SimDuration::Seconds(5);
@@ -224,9 +254,7 @@ TEST(Gateway, MaxInstancesCap) {
 
 TEST(Gateway, ServedTracksCapacity) {
   EventLoop loop;
-  ContainerBackend::Config ccfg;
-  ccfg.capacity_rps = 600;
-  ContainerBackend backend(loop, ccfg);
+  ContainerBackend backend(loop);  // 600 requests/s per instance
   GatewayConfig gcfg;
   gcfg.max_instances = 1;  // isolate the capacity model from autoscaling
   OpenFaasGateway gateway(loop, backend, gcfg);
@@ -240,14 +268,14 @@ TEST(Gateway, ServedTracksCapacity) {
 TEST(Gateway, UnikernelsReactFasterThanContainers) {
   // The Fig. 11 headline: clones start serving much sooner.
   EventLoop closs;
-  ContainerBackend containers(closs, ContainerBackend::Config{});
+  ContainerBackend containers(closs);
   OpenFaasGateway cgw(closs, containers, GatewayConfig{});
   auto cres = cgw.Run(SimDuration::Seconds(60), [](double) { return 1450.0; });
 
   NepheleSystem system(FaasSystem());
   GuestManager guests(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-  UnikernelBackend unikernels(guests, UnikernelBackend::Config{});
+  UnikernelBackend unikernels(guests);
   OpenFaasGateway ugw(system.loop(), unikernels, GatewayConfig{});
   auto ures = ugw.Run(SimDuration::Seconds(60), [](double) { return 1450.0; });
 

@@ -23,6 +23,40 @@ class GuestTest : public ::testing::Test {
     return cfg;
   }
 
+  // Launches a guest that counts its OnBoot calls in `boots` and destroys
+  // its domain through the toolstack, not GuestManager::Destroy, before the
+  // boot event. The runtime learns of the death from the destroy itself: the
+  // guest is gone at once and its OnBoot never runs. (UdpReadyApp's OnBoot
+  // sends through the vif frontend, which the destroy has already freed.)
+  void DestroyThroughToolstackBeforeBoot(bool with_vif) {
+    DomainConfig cfg = GuestConfig("a");
+    cfg.with_vif = with_vif;
+    int boots = 0;
+    auto dom = guests_.Launch(cfg, std::make_unique<BootCountingApp>(&boots));
+    ASSERT_TRUE(dom.ok());
+    ASSERT_TRUE(system_.toolstack().DestroyDomain(*dom).ok());
+    EXPECT_FALSE(guests_.Alive(*dom));
+    EXPECT_EQ(guests_.NumGuests(), 0u);
+    system_.Settle();
+    EXPECT_EQ(boots, 0);
+    EXPECT_EQ(guests_.Destroy(*dom).code(), StatusCode::kNotFound);
+  }
+
+  class BootCountingApp : public UdpReadyApp {
+   public:
+    explicit BootCountingApp(int* boots) : UdpReadyApp(UdpReadyConfig{}), boots_(boots) {}
+    void OnBoot(GuestContext& ctx) override {
+      ++*boots_;
+      UdpReadyApp::OnBoot(ctx);
+    }
+    std::unique_ptr<GuestApp> CloneApp() const override {
+      return std::make_unique<BootCountingApp>(boots_);
+    }
+
+   private:
+    int* boots_;
+  };
+
   NepheleSystem system_;
   GuestManager guests_;
 };
@@ -286,6 +320,14 @@ TEST_F(GuestTest, DestroyRemovesGuestAndDomain) {
   EXPECT_FALSE(guests_.Alive(*dom));
   EXPECT_EQ(system_.hypervisor().FindDomain(*dom), nullptr);
   EXPECT_EQ(guests_.Destroy(*dom).code(), StatusCode::kNotFound);
+}
+
+TEST_F(GuestTest, ToolstackDestroyBeforeBootEndsTheGuest) {
+  DestroyThroughToolstackBeforeBoot(/*with_vif=*/false);
+}
+
+TEST_F(GuestTest, ToolstackDestroyBeforeBootEndsTheGuestWithVif) {
+  DestroyThroughToolstackBeforeBoot(/*with_vif=*/true);
 }
 
 TEST_F(GuestTest, GuestTimerRespectsLifetime) {

@@ -108,10 +108,9 @@ TEST(MetricNamesTest, SchedulerNameSetIsExact) {
       "sched/lazy_streamed_pages", "sched/parked_total",
       "sched/queue_depth",        "sched/rejected_queue_full",
       "sched/requests_total",     "sched/reset_fallback_destroys",
-      "sched/stale_pool_drops",   "sched/timeouts",
-      "sched/wait_ns",            "sched/warm_grant_ns",
-      "sched/warm_hits",          "sched/warm_misses",
-      "sched/warm_pool_size"};
+      "sched/timeouts",           "sched/wait_ns",
+      "sched/warm_grant_ns",      "sched/warm_hits",
+      "sched/warm_misses",        "sched/warm_pool_size"};
   EXPECT_EQ(sched_names, expected);
 }
 

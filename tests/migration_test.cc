@@ -185,6 +185,24 @@ TEST_F(MigrationTest, MigratedGuestCanCloneOnTarget) {
   EXPECT_EQ(target_.hypervisor().FindDomain(*new_dom)->children.size(), 1u);
 }
 
+// A direct fabric migration, not MigrateTo: the source's teardown alone ends
+// the source guest, app included.
+TEST_F(MigrationTest, DirectFabricMigrateEndsTheSourceGuest) {
+  auto dom = src_guests_.Launch(Guest("direct"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
+  ASSERT_TRUE(dom.ok());
+  fabric_.Settle();
+  ASSERT_TRUE(src_guests_.Alive(*dom));
+
+  auto moved = fabric_.Migrate(*dom, 0, 1);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_FALSE(src_guests_.Alive(*dom));
+  EXPECT_EQ(src_guests_.NumGuests(), 0u);
+  EXPECT_EQ(src_guests_.AppOf(*dom), nullptr);
+  EXPECT_EQ(src_guests_.ContextOf(*dom), nullptr);
+  fabric_.Settle();
+  EXPECT_EQ(source_.hypervisor().FindDomain(*dom), nullptr);
+}
+
 TEST_F(MigrationTest, SourcePoolFullyReclaimed) {
   std::size_t free_before = source_.hypervisor().FreePoolFrames();
   auto dom = src_guests_.Launch(Guest("tmp"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));

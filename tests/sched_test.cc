@@ -168,6 +168,36 @@ TEST_F(SchedTest, WarmPoolHitMissEvict) {
   EXPECT_EQ(CounterValue("sched/batches_dispatched"), 2u);
 }
 
+// A parked child destroyed by someone other than the scheduler leaves its
+// pool with the destroy: the pool and its gauge shrink at once, and the next
+// park has nothing stale to "evict".
+TEST_F(SchedTest, ParkedChildDestroyedElsewhereLeavesThePool) {
+  SchedulerConfig cfg;
+  cfg.warm_pool_capacity = 2;
+  auto sched = MakeScheduler(cfg);
+  DomId parent = BootCloneable();
+  std::vector<DomId> cold;
+  ASSERT_TRUE(AcquireInto(*sched, parent, 3, &cold).ok());
+  system_.Settle();
+  ASSERT_EQ(cold.size(), 3u);
+  ASSERT_TRUE(sched->Release(cold[0]).ok());
+  ASSERT_TRUE(sched->Release(cold[1]).ok());
+  ASSERT_EQ(sched->WarmPoolSize(parent), 2u);
+
+  ASSERT_TRUE(system_.toolstack().DestroyDomain(cold[0]).ok());
+  EXPECT_EQ(sched->WarmPoolSize(parent), 1u);
+  EXPECT_EQ(sched->TotalPooled(), 1u);
+  EXPECT_EQ(system_.metrics().GaugeValue("sched/warm_pool_size"), 1);
+
+  auto parked = sched->Release(cold[2]);
+  ASSERT_TRUE(parked.ok());
+  EXPECT_TRUE(parked->parked);
+  EXPECT_EQ(sched->WarmPoolSize(parent), 2u);
+  EXPECT_EQ(CounterValue("sched/evictions"), 0u);
+  EXPECT_NE(system_.hypervisor().FindDomain(cold[1]), nullptr);
+  EXPECT_NE(system_.hypervisor().FindDomain(cold[2]), nullptr);
+}
+
 TEST_F(SchedTest, ReleaseRefusesNonClonesAndDoubleParks) {
   auto sched = MakeScheduler({});
   DomId parent = BootCloneable();
