@@ -368,66 +368,76 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
   FrameTable& frames = hv_.frames();
 
   // The only full per-page scan of the batch: classify every parent page,
-  // poking faults and bumping counters exactly like the serial engine did,
-  // and record the batch-wide facts later children and the rollback reuse.
-  for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
-    P2mEntry& pe = parent.p2m[gfn];
-    if (IsPrivateRole(pe.role)) {
-      // Private page: duplicated (or rewritten) for the child (Sec. 4.1).
-      NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
-      cp.private_mfns.push_back(mfn);
-      batch.private_gfns.push_back(gfn);
-      SimDuration cost = costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
-                                                  ? costs.page_copy
-                                                  : costs.private_page_rewrite);
-      cp.lane += cost;
-      batch.private_cost += cost;
-      m_pages_private_copied_.Increment();
-      continue;
-    }
-    if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
-      // Deferred: every child's entry will be not-present — no share, no
-      // fault poke, no lane cost. That skipped cost is the entire
-      // time-to-first-request win. The parent pte still turns read-only
-      // NOW, so a parent write demand-pushes the page to the children
-      // before changing it (they must keep seeing the clone-time snapshot).
-      batch.deferred_gfns.push_back(gfn);
+  // poking faults in page order, and record the batch-wide facts later
+  // children and the rollback reuse. The page counts are those facts (plus
+  // the first shares) and reach the registry once, after the walk — on a
+  // failed walk too, so a fault leaves the counters at exactly the per-page
+  // prefix.
+  std::size_t first_shares = 0;
+  const Status walked = [&]() -> Status {
+    for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
+      P2mEntry& pe = parent.p2m[gfn];
+      if (IsPrivateRole(pe.role)) {
+        // Private page: duplicated (or rewritten) for the child (Sec. 4.1).
+        NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
+        cp.private_mfns.push_back(mfn);
+        batch.private_gfns.push_back(gfn);
+        SimDuration cost = costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
+                                                    ? costs.page_copy
+                                                    : costs.private_page_rewrite);
+        cp.lane += cost;
+        batch.private_cost += cost;
+        continue;
+      }
+      if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
+        // Deferred: every child's entry will be not-present — no share, no
+        // fault poke, no lane cost. That skipped cost is the entire
+        // time-to-first-request win. The parent pte still turns read-only
+        // NOW, so a parent write demand-pushes the page to the children
+        // before changing it (they must keep seeing the clone-time snapshot).
+        batch.deferred_gfns.push_back(gfn);
+        if (pe.writable) {
+          batch.writable_flips.push_back(gfn);
+          pe.writable = false;
+        }
+        continue;
+      }
+      NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
+      // The batch takes its share references only at commit, and no staging
+      // job runs during this walk, so the frame's pre-batch state decides
+      // between a first share and a re-share.
+      const bool already_shared = frames.IsShared(pe.mfn);
+      if (pe.role == PageRole::kIdcShared) {
+        // IDC regions stay writable on both sides: true sharing, no COW
+        // (Sec. 5.2.2 — ownership still moves to dom_cow like any shared
+        // page).
+        cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
+        ++batch.idc_pages;
+        continue;
+      }
+      // Regular memory: share copy-on-write. Writable pages are marked
+      // read-only and will be COWed on the next write by either side.
+      if (already_shared) {
+        cp.lane += costs.page_share_again;
+      } else {
+        cp.lane += costs.page_share_first;
+        ++first_shares;
+      }
+      ++batch.regular_pages;
       if (pe.writable) {
         batch.writable_flips.push_back(gfn);
         pe.writable = false;
       }
-      m_lazy_deferred_pages_.Increment();
-      continue;
     }
-    NEPHELE_RETURN_IF_ERROR(f_stage1_share_.Poke());
-    // The batch takes its share references only at commit, and no staging
-    // job runs during this walk, so the frame's pre-batch state decides
-    // between a first share and a re-share.
-    const bool already_shared = frames.IsShared(pe.mfn);
-    if (pe.role == PageRole::kIdcShared) {
-      // IDC regions stay writable on both sides: true sharing, no COW
-      // (Sec. 5.2.2 — ownership still moves to dom_cow like any shared page).
-      cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
-      m_pages_idc_shared_.Increment();
-      ++batch.idc_pages;
-      continue;
-    }
-    // Regular memory: share copy-on-write. Writable pages are marked
-    // read-only and will be COWed on the next write by either side.
-    if (already_shared) {
-      cp.lane += costs.page_share_again;
-      m_pages_shared_again_.Increment();
-    } else {
-      cp.lane += costs.page_share_first;
-      m_pages_shared_first_.Increment();
-    }
-    m_pages_shared_.Increment();
-    ++batch.regular_pages;
-    if (pe.writable) {
-      batch.writable_flips.push_back(gfn);
-      pe.writable = false;
-    }
-  }
+    return Status::Ok();
+  }();
+  m_pages_private_copied_.Increment(batch.private_gfns.size());
+  m_lazy_deferred_pages_.Increment(batch.deferred_gfns.size());
+  m_pages_idc_shared_.Increment(batch.idc_pages);
+  m_pages_shared_first_.Increment(first_shares);
+  m_pages_shared_again_.Increment(batch.regular_pages - first_shares);
+  m_pages_shared_.Increment(batch.regular_pages);
+  NEPHELE_RETURN_IF_ERROR(walked);
   return PlanTables(parent, cp);
 }
 

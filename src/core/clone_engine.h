@@ -202,11 +202,13 @@ class CloneEngine {
 
   // Plan phase, one plan per child position in both modes. PlanFirstChild
   // walks every parent page once: it classifies the page (copy, share or,
-  // in a lazy batch, defer), pokes faults in page order, bumps page
-  // counters and flips parent ptes. PlanNextChild replays those decisions
-  // in O(private + deferred pages) — every one of its shares is costed as a
-  // re-share of a page the first child shares first. Both leave a
-  // partially-planned child behind on failure; RollbackBatch cleans it up.
+  // in a lazy batch, defer), pokes faults in page order and flips parent
+  // ptes, and adds its page counts to the registry once per walk — on a
+  // failed walk, exactly the per-page prefix. PlanNextChild replays those
+  // decisions in O(private + deferred pages) — every one of its shares is
+  // costed as a re-share of a page the first child shares first. Both leave
+  // a partially-planned child behind on failure; RollbackBatch cleans it
+  // up.
   Status PlanChildCommon(Domain& parent, ChildPlan& cp);
   Status PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);
   Status PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);

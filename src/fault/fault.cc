@@ -24,11 +24,7 @@ FaultSpec FaultSpec::WithProbability(double p, std::uint64_t seed, StatusCode co
   return spec;
 }
 
-Status FaultPoint::Poke() {
-  ++hits_;
-  if (!armed_) {
-    return Status::Ok();
-  }
+Status FaultPoint::PokeArmed() {
   ++hits_since_armed_;
   bool fire = false;
   switch (spec_.policy) {

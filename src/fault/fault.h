@@ -60,9 +60,14 @@ class FaultPoint {
 
   const std::string& name() const { return name_; }
 
-  // Called on the guarded path. Counts the hit, evaluates the armed policy
-  // and returns the injected error when it fires.
-  Status Poke();
+  // Called on the guarded path. Counts the hit; an armed point then
+  // evaluates its policy and returns the injected error when it fires. The
+  // unarmed case (every poke outside fault tests) is inline: a counter bump
+  // and OK.
+  Status Poke() {
+    ++hits_;
+    return armed_ ? PokeArmed() : Status::Ok();
+  }
 
   // Bulk poke: exactly equivalent to calling Poke() up to `n` times,
   // stopping at the first poke that fires. `performed` reports how many
@@ -83,6 +88,8 @@ class FaultPoint {
 
   void Arm(const FaultSpec& spec);
   void Disarm();
+  // The armed policy of Poke(), after the hit is counted.
+  Status PokeArmed();
 
   std::string name_;
   FaultSpec spec_;

@@ -8,10 +8,10 @@
 // construction and update them on the hot path without any lookup.
 //
 // Threading: individual metric updates are thread-safe (atomic counters and
-// gauges, an internal mutex per histogram) so clone-engine worker threads may
-// record concurrently. Find-or-create and read paths on the registry are
-// guarded by a registry mutex. Gauge providers and the export itself are
-// still expected to run on the simulation thread.
+// gauges, an internal mutex per histogram), so any thread may record
+// concurrently. Find-or-create and read paths on the registry are guarded
+// by a registry mutex. Gauge providers and the export itself are still
+// expected to run on the simulation thread.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_

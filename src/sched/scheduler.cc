@@ -7,6 +7,11 @@
 
 namespace nephele {
 
+namespace {
+// The error of every request whose parent died before its batch ran.
+Status ParentVanished() { return ErrNotFound("parent vanished before dispatch"); }
+}  // namespace
+
 CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack,
                                EventLoop& loop, SchedulerConfig config,
                                const SystemServices& services)
@@ -211,7 +216,7 @@ void CloneScheduler::Dispatch(DomId parent) {
   Status fault = f_dispatch_.Poke();
   const Domain* d = fault.ok() ? hv_.FindDomain(parent) : nullptr;
   if (fault.ok() && (d == nullptr || d->start_info_gfn == kInvalidGfn)) {
-    fault = ErrNotFound("parent vanished before dispatch");
+    fault = ParentVanished();
   }
   if (!fault.ok()) {
     m_batch_failures_.Increment();
@@ -303,6 +308,20 @@ void CloneScheduler::OnResume(DomId dom, bool is_child) {
 }
 
 void CloneScheduler::OnDestroy(DomId dom) {
+  // A dying parent never resumes, so nothing would dispatch its queue: fail
+  // every queued request now, as a dispatch would, and forget the batch in
+  // flight and the armed window. Its pool stays keyed under it.
+  if (auto pit = parents_.find(dom); pit != parents_.end()) {
+    ParentState& ps = pit->second;
+    while (!ps.queue.empty()) {
+      Ticket t = PopTicket(ps);
+      FailTicket(t, ParentVanished());
+    }
+    ps.in_flight = false;
+    ps.window_armed = false;
+    ++ps.epoch;
+    UpdateGauges();
+  }
   if (auto it = awaiting_resume_.find(dom); it != awaiting_resume_.end()) {
     Ticket ticket = std::move(it->second);
     awaiting_resume_.erase(it);

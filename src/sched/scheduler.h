@@ -24,9 +24,10 @@
 //               kResourceExhausted status, and a queued request not served
 //               within the timeout fails with kAborted — overload degrades
 //               deterministically instead of growing unboundedly. A ticket
-//               that leaves the queue (dispatch, DrainAll) cancels its
-//               timeout timer, so served requests leave no dead timers
-//               behind to age the clock when the loop drains.
+//               that leaves the queue (dispatch, DrainAll, the parent's
+//               destroy) cancels its timeout timer, so served requests
+//               leave no dead timers behind to age the clock when the loop
+//               drains.
 //
 // Every decision runs on the deterministic EventLoop (window timers, grant
 // delivery, timeouts), so scheduled runs stay byte-identical across reruns
@@ -148,7 +149,9 @@ class CloneScheduler : public CloneObserver {
   // CloneObserver: batch completion (parent resume) re-arms dispatch;
   // per-child resumes deliver grants. A destroyed child leaves its warm
   // pool, and a dispatched child destroyed before its grant (a stage-2
-  // abort or any other destroy) fails its request with kAborted.
+  // abort or any other destroy) fails its request with kAborted. A
+  // destroyed parent fails every request still queued for it with
+  // kNotFound at once, whether or not one of its batches is in flight.
   void OnResume(DomId dom, bool is_child) override;
   void OnDestroy(DomId dom) override;
 

@@ -112,43 +112,43 @@ const XenstoreDaemon::Node* XenstoreDaemon::Lookup(const std::string& path) cons
   return const_cast<XenstoreDaemon*>(this)->Lookup(path);
 }
 
+XenstoreDaemon::Node& XenstoreDaemon::ChildOrCreate(Node& node, const std::string& name) {
+  auto [it, created] = node.children.try_emplace(name);
+  if (created) {
+    it->second = std::make_unique<Node>();
+    approx_bytes_ += kPerNodeBytes + name.size();
+  }
+  return *it->second;
+}
+
 XenstoreDaemon::Node* XenstoreDaemon::LookupOrCreate(const std::string& path) {
   Node* n = &root_;
   for (const auto& comp : SplitXsPath(path)) {
-    auto it = n->children.find(comp);
-    if (it == n->children.end()) {
-      auto child = std::make_unique<Node>();
-      Node* raw = child.get();
-      n->children.emplace(comp, std::move(child));
-      approx_bytes_ += kPerNodeBytes + comp.size();
-      n = raw;
-    } else {
-      n = it->second.get();
-    }
+    n = &ChildOrCreate(*n, comp);
   }
   return n;
 }
 
-void XenstoreDaemon::InternalWrite(const std::string& path, const std::string& value,
-                                   bool fire_watches) {
-  Node* n = LookupOrCreate(path);
-  if (!n->has_value) {
-    n->has_value = true;
+void XenstoreDaemon::SetValue(Node& node, std::string value) {
+  if (!node.has_value) {
+    node.has_value = true;
     ++entries_;
   }
-  approx_bytes_ = approx_bytes_ - n->value.size() + value.size();
-  n->value = value;
-  if (fire_watches) {
-    FireWatches(path);
-  }
+  approx_bytes_ = approx_bytes_ - node.value.size() + value.size();
+  node.value = std::move(value);
+}
+
+void XenstoreDaemon::CommitWrite(const std::string& path, const std::string& value) {
+  SetValue(*LookupOrCreate(path), value);
+  FireWatches(path);
+  NoteCommitted(path);
 }
 
 Status XenstoreDaemon::Write(const std::string& path, const std::string& value) {
   NEPHELE_RETURN_IF_ERROR(ValidateXsPath(path));
   NEPHELE_RETURN_IF_ERROR(ValidateXsValue(value));
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_write_));
-  InternalWrite(path, value, /*fire_watches=*/true);
-  NoteCommitted(path);
+  CommitWrite(path, value);
   return Status::Ok();
 }
 
@@ -294,8 +294,7 @@ Status XenstoreDaemon::TransactionEnd(XsTransactionId txn, bool commit) {
     }
   }
   for (const auto& [path, value] : t.writes) {
-    InternalWrite(path, value, /*fire_watches=*/true);
-    NoteCommitted(path);
+    CommitWrite(path, value);
   }
   return Status::Ok();
 }
@@ -379,18 +378,16 @@ std::string XenstoreDaemon::RewriteValue(const std::string& value, DomId parent,
   return out;
 }
 
-void XenstoreDaemon::CloneSubtree(const Node& src, const std::string& dst_path, DomId parent,
-                                  DomId child, XsCloneOp op) {
+void XenstoreDaemon::CloneSubtree(const Node& src, Node& dst, DomId parent, DomId child,
+                                  XsCloneOp op) {
   // Server-side per-node work is far cheaper than a client request: no
   // socket roundtrip, no log append.
   loop_.AdvanceBy(SimDuration::Micros(2));
   if (src.has_value) {
-    InternalWrite(dst_path, RewriteValue(src.value, parent, child, op), /*fire_watches=*/false);
-  } else {
-    LookupOrCreate(dst_path);
+    SetValue(dst, RewriteValue(src.value, parent, child, op));
   }
   for (const auto& [name, node] : src.children) {
-    CloneSubtree(*node, dst_path + "/" + name, parent, child, op);
+    CloneSubtree(*node, ChildOrCreate(dst, name), parent, child, op);
   }
 }
 
@@ -405,7 +402,7 @@ Status XenstoreDaemon::XsClone(DomId parent_domid, DomId child_domid, XsCloneOp 
   if (!known_domains_.contains(child_domid)) {
     return ErrFailedPrecondition("child domain not introduced");
   }
-  CloneSubtree(*src, child_path, parent_domid, child_domid, op);
+  CloneSubtree(*src, *LookupOrCreate(child_path), parent_domid, child_domid, op);
   // One watch event for the cloned directory root: backends subscribed to
   // the device root discover the new subtree from it.
   FireWatches(child_path);

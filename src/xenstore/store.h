@@ -144,10 +144,18 @@ class XenstoreDaemon {
   Node* Lookup(const std::string& path);
   const Node* Lookup(const std::string& path) const;
   Node* LookupOrCreate(const std::string& path);
-  // Writes without request accounting (used inside xs_clone: server-side).
-  void InternalWrite(const std::string& path, const std::string& value, bool fire_watches);
-  // Subtracts exactly what LookupOrCreate and InternalWrite added for the
-  // subtree `name` -> `node`: per node kPerNodeBytes, its name and its value.
+  // The child `name` of `node`, created (and counted: kPerNodeBytes plus the
+  // name) when missing. Every node creation goes through here.
+  Node& ChildOrCreate(Node& node, const std::string& name);
+  // Gives `node` a value, counting a new entry and the value-size change.
+  // Every value write goes through here.
+  void SetValue(Node& node, std::string value);
+  // Applies a committed write (a plain Write or one write of a transaction
+  // commit): sets the value, fires watches and records the path in every
+  // open transaction.
+  void CommitWrite(const std::string& path, const std::string& value);
+  // Subtracts exactly what ChildOrCreate and SetValue added for the subtree
+  // `name` -> `node`: per node kPerNodeBytes, its name and its value.
   void CountRemovedSubtree(const std::string& name, const Node& node);
   // Records a committed write or removal of `path` in every open
   // transaction, for conflict detection at its commit.
@@ -155,8 +163,13 @@ class XenstoreDaemon {
   // Rewrites parent-domid references in a value per the device heuristics.
   std::string RewriteValue(const std::string& value, DomId parent, DomId child,
                            XsCloneOp op) const;
-  void CloneSubtree(const Node& src, const std::string& dst_path, DomId parent, DomId child,
-                    XsCloneOp op);
+  // The server-side copy of xs_clone: gives `dst` the rewritten value of
+  // `src` (if it has one) and recurses on each (source child, destination
+  // child) pair, creating a missing destination child directly under `dst`
+  // — no path is built or re-walked from the root. Charges 2 us of virtual
+  // time per source node and fires no watch (XsClone fires one on the
+  // clone root).
+  void CloneSubtree(const Node& src, Node& dst, DomId parent, DomId child, XsCloneOp op);
 
   EventLoop& loop_;
   const CostModel& costs_;

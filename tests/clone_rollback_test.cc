@@ -2,8 +2,8 @@
 // stage, asserting the exact injected Status code surfaces to the caller,
 // the precise metric counters (clone/rolled_back, fault/injected,
 // clone/clones_total), and that the rollback left no trace — pool frames at
-// the pre-clone value, parent resumable and re-clonable. Faults inside a
-// later child's plan, eager and lazy, are checked against a per-page walk,
+// the pre-clone value, parent resumable and re-clonable. Faults inside
+// every child's plan, eager and lazy, are checked against a per-page walk,
 // and a clone destroyed before its second stage completed must count as an
 // abort in every window, for direct clones and scheduler grants alike.
 
@@ -420,12 +420,13 @@ TEST_F(CloneRollbackTest, CloneResetAfterAbortedCloneStaysConsistent) {
   ExpectFrameConsistency(system_);
 }
 
-// --- Faults inside a later child's plan. ---
+// --- Faults inside each child's plan. ---
 //
-// Children after the first replay the first child's page decisions in bulk:
-// one fault poke per share run, deferred pages skipped. A fault inside such
-// a plan must still leave the fault-point hits and page counters of a
-// per-page walk, which these tests recompute from the parent's p2m.
+// The first child walks every page but adds its page counts once per walk;
+// children after it replay its decisions in bulk: one fault poke per share
+// run, deferred pages skipped. A fault inside any of these plans must still
+// leave the fault-point hits and page counters of a per-page walk, which
+// these tests recompute from the parent's p2m.
 
 constexpr const char* kSharePoint = "clone/stage1/share";
 constexpr const char* kAllocPoint = "hypervisor/frame_alloc";
@@ -601,15 +602,16 @@ class LaterChildPlanRig {
   DomId parent_ = kDomInvalid;
 };
 
-// First, second, middle and last hit of `point` inside the second and the
-// third child's plans, each on a fresh rig.
+// First, second, middle and last hit of `point` inside every child's plan,
+// each on a fresh rig: the first child's per-page walk, which adds its page
+// counts once per walk, and the second and third child's replay of it.
 void ExpectLaterChildFaultsMatchWalk(bool lazy) {
   for (const char* point : {kSharePoint, kAllocPoint}) {
     LaterChildPlanRig probe(lazy);
     const std::uint64_t per_child = probe.HitsPerChild(point);
     ASSERT_GE(per_child, 4u);
     probe.ExpectCleanBatchMatchesWalk();
-    for (std::uint64_t child : {1u, 2u}) {
+    for (std::uint64_t child : {0u, 1u, 2u}) {
       const std::uint64_t base = child * per_child;
       for (std::uint64_t nth : {base + 1, base + 2, base + (per_child + 1) / 2, base + per_child}) {
         LaterChildPlanRig(lazy).ExpectFaultMatchesWalk(point, nth);

@@ -68,6 +68,37 @@ class SchedTest : public ::testing::Test {
     return system_.metrics().CounterValue(name);
   }
 
+  // A parent destroyed while its batch is in flight never resumes, so the
+  // request queued behind that batch must fail at the destroy with the
+  // vanished-parent status, not at its timeout (or, without one, never).
+  void ExpectQueueFailsAtParentDestroy(SimDuration request_timeout) {
+    SchedulerConfig cfg;
+    cfg.request_timeout = request_timeout;
+    auto sched = MakeScheduler(cfg);
+    DomId parent = BootCloneable();
+    std::vector<Result<DomId>> dispatched;
+    std::vector<Result<DomId>> queued;
+    ASSERT_TRUE(sched
+                    ->Acquire(Req(parent),
+                              [&dispatched](Result<DomId> r) { dispatched.push_back(r); })
+                    .ok());
+    system_.loop().RunUntil(system_.Now() + SimDuration::Millis(3));
+    ASSERT_EQ(CounterValue("sched/batches_dispatched"), 1u);
+    ASSERT_TRUE(
+        sched->Acquire(Req(parent), [&queued](Result<DomId> r) { queued.push_back(r); }).ok());
+    ASSERT_EQ(sched->QueueDepth(parent), 1u);
+
+    ASSERT_TRUE(system_.toolstack().DestroyDomain(parent).ok());
+    system_.Settle();
+
+    EXPECT_EQ(dispatched.size(), 1u);
+    ASSERT_EQ(queued.size(), 1u);
+    EXPECT_EQ(queued[0].status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(CounterValue("sched/timeouts"), 0u);
+    EXPECT_EQ(sched->QueueDepth(parent), 0u);
+    EXPECT_EQ(sched->TotalQueued(), 0u);
+  }
+
   NepheleSystem system_;
 };
 
@@ -250,6 +281,14 @@ TEST_F(SchedTest, TimeoutFailsQueuedRequestWithAborted) {
   EXPECT_EQ(CounterValue("sched/timeouts"), 1u);
   EXPECT_EQ(sched->QueueDepth(parent), 0u);
   EXPECT_EQ(CounterValue("sched/batches_dispatched"), 0u);
+}
+
+TEST_F(SchedTest, DyingParentFailsQueueWithoutTimeout) {
+  ExpectQueueFailsAtParentDestroy(SimDuration::Nanos(0));
+}
+
+TEST_F(SchedTest, DyingParentFailsQueueBeforeDefaultTimeout) {
+  ExpectQueueFailsAtParentDestroy(SchedulerConfig{}.request_timeout);
 }
 
 TEST_F(SchedTest, ResetFailureFallsBackToDestroy) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/obs/trace.h"
 #include "src/xenstore/path.h"
 #include "src/xenstore/store.h"
@@ -222,24 +226,32 @@ TEST_F(XenstoreTest, StatsCountRequestKinds) {
 
 // --- xs_clone ---
 
+// A store with a loop and services of its own.
+struct StandaloneStore {
+  EventLoop loop;
+  MetricsRegistry metrics;
+  TraceRecorder trace{loop};
+  FaultInjector faults{metrics};
+  XenstoreDaemon xs{loop, DefaultCostModel(), {metrics, trace, faults}};
+};
+
 class XsCloneTest : public XenstoreTest {
  protected:
-  void SeedParentDomain(DomId p) {
+  static void SeedDomain(XenstoreDaemon& xs, DomId p) {
     const std::string dp = XsDomainPath(p);
-    ASSERT_TRUE(xs_.Write(dp + "/name", "guest").ok());
-    ASSERT_TRUE(xs_.Write(dp + "/domid", std::to_string(p)).ok());
-    ASSERT_TRUE(xs_.Write(dp + "/console/ring-ref", "17").ok());
+    ASSERT_TRUE(xs.Write(dp + "/name", "guest").ok());
+    ASSERT_TRUE(xs.Write(dp + "/domid", std::to_string(p)).ok());
+    ASSERT_TRUE(xs.Write(dp + "/console/ring-ref", "17").ok());
+    ASSERT_TRUE(xs.Write(dp + "/device/vif/0/backend", XsBackendPath(0, "vif", p, 0)).ok());
+    ASSERT_TRUE(xs.Write(dp + "/device/vif/0/state", "4").ok());
     ASSERT_TRUE(
-        xs_.Write(dp + "/device/vif/0/backend", XsBackendPath(0, "vif", p, 0)).ok());
-    ASSERT_TRUE(xs_.Write(dp + "/device/vif/0/state", "4").ok());
-    ASSERT_TRUE(xs_.Write(XsBackendPath(0, "vif", p, 0) + "/frontend",
-                          XsFrontendPath(p, "vif", 0))
-                    .ok());
-    ASSERT_TRUE(xs_.Write(XsBackendPath(0, "vif", p, 0) + "/frontend-id",
-                          std::to_string(p))
-                    .ok());
-    ASSERT_TRUE(xs_.IntroduceDomain(p).ok());
+        xs.Write(XsBackendPath(0, "vif", p, 0) + "/frontend", XsFrontendPath(p, "vif", 0)).ok());
+    ASSERT_TRUE(
+        xs.Write(XsBackendPath(0, "vif", p, 0) + "/frontend-id", std::to_string(p)).ok());
+    ASSERT_TRUE(xs.IntroduceDomain(p).ok());
   }
+
+  void SeedParentDomain(DomId p) { SeedDomain(xs_, p); }
 };
 
 TEST_F(XsCloneTest, RequiresIntroducedChild) {
@@ -304,6 +316,66 @@ TEST_F(XsCloneTest, FiresWatchOnCloneRoot) {
   EXPECT_EQ(fired, 1);
 }
 
+// xs_clone accounts its nodes exactly like the client writes it replaces:
+// entries and bytes equal those of a store that wrote the same rewritten
+// values by path, into a fresh destination and into one that already holds
+// some of the nodes with other values, and removing the clone root gives
+// every entry and byte back.
+TEST_F(XsCloneTest, AccountsLikeTheWritesItReplaces) {
+  const std::string dst = XsDomainPath(8);
+  // What xs_clone of domain 7's directory writes under domain 8 (kDevVif).
+  const std::vector<std::pair<std::string, std::string>> rewritten = {
+      {dst + "/name", "guest"},
+      {dst + "/domid", "8"},
+      {dst + "/console/ring-ref", "17"},
+      {dst + "/device/vif/0/backend", XsBackendPath(0, "vif", 8, 0)},
+      {dst + "/device/vif/0/state", "4"},
+  };
+  // An occupied destination: two nodes the clone overwrites with values of
+  // another size, and one it leaves alone.
+  const std::vector<std::pair<std::string, std::string>> occupants = {
+      {dst + "/domid", "12345"},
+      {dst + "/device/vif/0/state", "1"},
+      {dst + "/extra", "kept"},
+  };
+  for (bool occupied : {false, true}) {
+    SCOPED_TRACE(occupied ? "occupied destination" : "fresh destination");
+    StandaloneStore cloned;
+    StandaloneStore written;
+    for (StandaloneStore* s : {&cloned, &written}) {
+      SeedDomain(s->xs, 7);
+      ASSERT_TRUE(s->xs.IntroduceDomain(8, 7).ok());
+    }
+    const std::size_t entries_before = cloned.xs.NumEntries();
+    const std::size_t bytes_before = cloned.xs.ApproxMemoryBytes();
+    if (occupied) {
+      for (StandaloneStore* s : {&cloned, &written}) {
+        for (const auto& [path, value] : occupants) {
+          ASSERT_TRUE(s->xs.Write(path, value).ok());
+        }
+      }
+    }
+
+    ASSERT_TRUE(cloned.xs.XsClone(7, 8, XsCloneOp::kDevVif, XsDomainPath(7), dst).ok());
+    for (const auto& [path, value] : rewritten) {
+      ASSERT_TRUE(written.xs.Write(path, value).ok());
+      const std::string* got = cloned.xs.PeekValue(path);
+      ASSERT_NE(got, nullptr) << path;
+      EXPECT_EQ(*got, value) << path;
+    }
+    if (occupied) {
+      ASSERT_NE(cloned.xs.PeekValue(dst + "/extra"), nullptr);
+      EXPECT_EQ(*cloned.xs.PeekValue(dst + "/extra"), "kept");
+    }
+    EXPECT_EQ(cloned.xs.NumEntries(), written.xs.NumEntries());
+    EXPECT_EQ(cloned.xs.ApproxMemoryBytes(), written.xs.ApproxMemoryBytes());
+
+    ASSERT_TRUE(cloned.xs.Rm(dst).ok());
+    EXPECT_EQ(cloned.xs.NumEntries(), entries_before);
+    EXPECT_EQ(cloned.xs.ApproxMemoryBytes(), bytes_before);
+  }
+}
+
 TEST_F(XsCloneTest, MissingParentPathFails) {
   ASSERT_TRUE(xs_.IntroduceDomain(8).ok());
   EXPECT_EQ(xs_.XsClone(7, 8, XsCloneOp::kBasic, "/nope", "/dst").code(),
@@ -315,11 +387,8 @@ TEST_F(XsCloneTest, MissingParentPathFails) {
 class XsCloneEquivalence : public ::testing::TestWithParam<XsCloneOp> {};
 
 TEST_P(XsCloneEquivalence, MatchesRewrittenDeepCopy) {
-  EventLoop loop;
-  MetricsRegistry metrics;
-  TraceRecorder trace(loop);
-  FaultInjector faults(metrics);
-  XenstoreDaemon xs(loop, DefaultCostModel(), {metrics, trace, faults});
+  StandaloneStore store;
+  XenstoreDaemon& xs = store.xs;
   const DomId p = 11, c = 12;
   const std::string dp = XsDomainPath(p);
   ASSERT_TRUE(xs.Write(dp + "/domid", std::to_string(p)).ok());
