@@ -84,7 +84,7 @@ void CowWriteOverhead() {
   cfg.with_vif = false;
   auto dom = guests.Launch(cfg, std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
   system.Settle();
-  GuestMemoryLayout layout = ComputeGuestLayout(cfg, 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(cfg);
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   const int kPages = 512;
 

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   (void)wsys.devices().hostfs().CreateFile("/srv/guest-root/python3");
   UnikernelBackend wuni(wguests);
   CloneScheduler wsched(wsys);
-  wuni.AttachScheduler(&wsched);
+  wuni.AttachScheduler(wsched);
   GatewayConfig wgcfg;
   wgcfg.scale_down_threshold_per_instance = 3.0;
   OpenFaasGateway wgw(wsys.loop(), wuni, wgcfg);

@@ -74,8 +74,8 @@ CellResult RunCell(unsigned clone_factor, double target_util, long run_ms) {
   // consumes ~E[S] of total server time regardless of d), so the target
   // utilization carries across the d sweep.
   const double mean_service_s =
-      RequestCloneDispatcher::MeanServiceTime(cfg.load, cfg.costs).ToSeconds();
-  cfg.load.arrival.rate_rps = target_util * kServers / mean_service_s;
+      RequestCloneDispatcher::MeanServiceTime(cfg.load, DefaultCostModel()).ToSeconds();
+  cfg.load.rate_rps = target_util * kServers / mean_service_s;
 
   NepheleSystem sys(cfg);
   CloneScheduler sched(sys);

@@ -1,4 +1,10 @@
-// Shared types of the CLONEOP hypercall interface (Sec. 5.1).
+// Shared types of the CLONEOP hypercall interface (Sec. 5.1), plus the
+// config structs SystemConfig (src/core/host.h) carries for the layers
+// built on the core: post-copy cloning, the clone scheduler and the request
+// layer. Each field is a value some bench, example, the DST harness or the
+// repo benchmark varies; values nothing varies are constants beside the
+// code that uses them (kLazyStreamInterval here, kTailWindow in
+// src/load/dispatch.h).
 
 #ifndef SRC_CORE_CLONE_TYPES_H_
 #define SRC_CORE_CLONE_TYPES_H_
@@ -96,36 +102,6 @@ struct SchedulerConfig {
   // A queued request not dispatched within this duration fails with
   // kAborted instead of waiting forever.
   SimDuration request_timeout = SimDuration::Seconds(5);
-  // Memory-pressure watermark: after every park, warm children are evicted
-  // LRU-first until Toolstack::Dom0FreeBytes() is back above this. 0
-  // disables pressure eviction.
-  std::size_t dom0_low_watermark_bytes = 0;
-  // Dispatch cold batches as lazy (post-copy) clones: children are granted
-  // as soon as their hot working set is mapped and stream the rest in the
-  // background. Release() finishes a child's stream before parking it, so
-  // warm hits always hand out fully-mapped domains.
-  bool lazy_dispatch = false;
-};
-
-// Arrival processes of the open-loop load generator (src/load/arrival.h).
-enum class ArrivalKind : int {
-  kPoisson = 0,  // homogeneous: i.i.d. exponential inter-arrival gaps
-  kBursty = 1,   // two-state MMPP: calm/burst rates with exponential dwells
-  kDiurnal = 2,  // nonhomogeneous Poisson, sinusoidal rate, sampled by thinning
-};
-
-struct ArrivalConfig {
-  ArrivalKind kind = ArrivalKind::kPoisson;
-  // Mean arrival rate (requests/s): the Poisson rate, the MMPP calm-state
-  // rate, and the baseline the diurnal sinusoid swings around. Must be > 0.
-  double rate_rps = 200.0;
-  // kBursty only: burst-state rate and the mean exponential dwell times.
-  double burst_rate_rps = 2000.0;
-  SimDuration calm_dwell_mean = SimDuration::Seconds(2);
-  SimDuration burst_dwell_mean = SimDuration::Millis(250);
-  // kDiurnal only: rate(t) = rate_rps * (1 + amplitude * sin(2*pi*t/period)).
-  double diurnal_amplitude = 0.8;  // in [0, 1)
-  SimDuration diurnal_period = SimDuration::Seconds(120);
 };
 
 // Knobs of the heavy-traffic request layer (src/load): the open-loop load
@@ -133,7 +109,9 @@ struct ArrivalConfig {
 // SchedulerConfig — so SystemConfig carries the whole knob surface without
 // the core layer depending on the request layer built on top of it.
 struct LoadConfig {
-  ArrivalConfig arrival;
+  // Poisson arrival rate (requests/s): the generator draws i.i.d.
+  // exponential inter-arrival gaps. Must be > 0.
+  double rate_rps = 200.0;
   // Seed of the whole request layer (arrival gaps, user-id draws, service
   // times): one (config, seed) pair reproduces a run byte for byte.
   std::uint64_t seed = 1;
@@ -158,9 +136,6 @@ struct LoadConfig {
   std::size_t service_pages = 512;
   std::size_t service_p9_rpcs = 4;
   std::size_t service_net_packets = 8;
-  // Recent win latencies backing the req/latency_p99_ns gauge (the series
-  // the req_tail alarm watches).
-  std::size_t tail_window = 256;
 };
 
 // One entry of the hypervisor -> xencloned notification ring. "A

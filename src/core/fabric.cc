@@ -32,7 +32,6 @@ ClusterFabric::ClusterFabric(ClusterConfig config)
       // A transfer occupies the sender: it charges the source host's lane.
       links_.emplace(std::make_pair(s, d),
                      std::make_unique<FabricLink>(hosts_[s]->loop(), std::move(name),
-                                                  config_.link,
                                                   SystemServices{metrics_, trace_, faults_}));
     }
   }

@@ -56,9 +56,9 @@ struct ClusterConfig {
   // Number of hosts in the fabric.
   std::size_t hosts = 1;
   // Per-host configuration; every host is built from this one template.
+  // The hosts form a full mesh, one FabricLink per ordered pair, all with
+  // the link constants of src/net/link.h.
   SystemConfig host;
-  // Every inter-host link (full mesh, one FabricLink per ordered pair).
-  LinkConfig link;
   // Default placement policy consumed by ClusterScheduler.
   PlacementPolicy placement = PlacementPolicy::kSpread;
 };

@@ -4,18 +4,17 @@ namespace nephele {
 
 Host::Host(SystemConfig config, EventLoop* peer, std::size_t index)
     : config_(std::move(config)),
-      costs_(config_.costs),
       loop_(peer == nullptr ? EventLoop() : EventLoop(*peer)),
       index_(index),
       metrics_prefix_("host" + std::to_string(index) + "/") {
-  hv_ = std::make_unique<Hypervisor>(loop_, costs_, config_.hypervisor, services());
-  xs_ = std::make_unique<XenstoreDaemon>(loop_, costs_, services());
-  devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs_, services());
-  toolstack_ = std::make_unique<Toolstack>(*hv_, *xs_, *devices_, loop_, costs_, services());
+  hv_ = std::make_unique<Hypervisor>(loop_, costs(), config_.hypervisor, services());
+  xs_ = std::make_unique<XenstoreDaemon>(loop_, costs(), services());
+  devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs(), services());
+  toolstack_ = std::make_unique<Toolstack>(*hv_, *xs_, *devices_, loop_, costs(), services());
   engine_ = std::make_unique<CloneEngine>(*hv_, services(), config_.lazy_clone);
   engine_->SetWorkerThreads(config_.clone_worker_threads);
   xencloned_ = std::make_unique<Xencloned>(*hv_, *engine_, *xs_, *devices_, *toolstack_, loop_,
-                                           costs_, services());
+                                           costs(), services());
 
   // Route udev events: devices of clones are completed by xencloned, freshly
   // booted ones by the toolstack hotplug scripts.

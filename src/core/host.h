@@ -10,10 +10,11 @@
 // from another lane (the fabric, the cluster scheduler) first hands its time
 // over with loop().AdvanceTo().
 //
-// Every host keeps its own MetricsRegistry, TraceRecorder and FaultInjector,
-// so a host's observable behaviour (metric names, golden exports,
-// fault-point sets) is identical whether it runs alone or as one of N fabric
-// peers; cluster-level exports tag each host's metrics with its
+// Every host charges the one calibrated cost model, DefaultCostModel()
+// (src/sim/cost_model.h), and keeps its own MetricsRegistry, TraceRecorder
+// and FaultInjector, so a host's observable behaviour (metric names, golden
+// exports, fault-point sets) is identical whether it runs alone or as one
+// of N fabric peers; cluster-level exports tag each host's metrics with its
 // `metrics_prefix()` ("hostN/") instead of renaming them in place.
 
 #ifndef SRC_CORE_HOST_H_
@@ -40,12 +41,14 @@ namespace nephele {
 
 // Every host-side knob, read at construction by the component that
 // consumes it (a Host subsystem, or a component built on top such as
-// CloneScheduler(Host&)). The one runtime knob is
+// CloneScheduler(Host&)). A value is a knob only where the benches,
+// examples, the DST harness or the repo benchmark vary it (20 settable
+// values); the cost model, Xen's minimum domain size (kMinDomainPages) and
+// the link and tail-window constants are fixed. The one runtime knob is
 // CloneEngine::SetWorkerThreads (staging threads never change results);
 // Host::config() stays the construction-time config.
 struct SystemConfig {
   HypervisorConfig hypervisor;
-  CostModel costs;
   // Host threads staging clone batches. 1 = serial; results are identical
   // at any setting. CloneEngine::SetWorkerThreads retunes it at runtime.
   unsigned clone_worker_threads = 1;
@@ -79,7 +82,7 @@ class Host {
   Host& operator=(const Host&) = delete;
 
   EventLoop& loop() { return loop_; }
-  const CostModel& costs() const { return costs_; }
+  const CostModel& costs() const { return DefaultCostModel(); }
   Hypervisor& hypervisor() { return *hv_; }
   const Hypervisor& hypervisor() const { return *hv_; }
   XenstoreDaemon& xenstore() { return *xs_; }
@@ -123,7 +126,6 @@ class Host {
 
  private:
   SystemConfig config_;
-  CostModel costs_;
   EventLoop loop_;  // this host's lane
   std::size_t index_;
   std::string metrics_prefix_;

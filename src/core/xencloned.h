@@ -50,16 +50,15 @@ class Xencloned {
   // Figs. 6 and 8.
   SimDuration last_second_stage() const { return last_second_stage_; }
 
-  // Drains any pending notifications immediately (normally driven by
-  // VIRQ_CLONED through the event loop).
-  void DrainNotifications();
-
  private:
   struct ParentInfoCache {
     DomainConfig config;
     bool valid = false;
   };
 
+  // The VIRQ_CLONED handler: runs the second stage of every pending
+  // notification.
+  void DrainNotifications();
   void HandleNotification(const CloneNotification& n);
   // The fallible body of the second stage. Any error aborts the clone:
   // HandleNotification then calls AbortSecondStage to unwind.

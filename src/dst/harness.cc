@@ -129,8 +129,7 @@ RunResult Harness::Run() {
   AddServices();
   Settle();
   initial_free_ = sys_->hypervisor().FreePoolFrames();
-  GuestMemoryLayout layout =
-      ComputeGuestLayout(guest_, sys_->hypervisor().config().min_domain_pages);
+  GuestMemoryLayout layout = ComputeGuestLayout(guest_);
   heap0_ = static_cast<Gfn>(layout.heap_first_gfn);
   guest_pages_ = layout.total_pages;
 

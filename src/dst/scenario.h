@@ -108,6 +108,8 @@ RunResult RunScenario(const Scenario& scenario, const RunOptions& options = {});
 struct DstVocabulary {
   using Op = nephele::Op;
   using Input = Scenario;
+  // Names the harness guest and the vocabulary in digest dumps.
+  static constexpr const char* kName = "dst";
 
   // Pure tape decoder: the tape drives a weighted-op random walk.
   static Scenario FromBytes(std::uint64_t seed, const std::vector<std::uint8_t>& bytes);

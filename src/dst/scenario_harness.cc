@@ -52,7 +52,7 @@ std::string DevioPath(DomId dom, std::uint32_t key) {
 class ScenarioHarness : public Harness, public CloneObserver {
  public:
   ScenarioHarness(const Scenario& scenario, const RunOptions& options)
-      : Harness(options, scenario.ops.size(), "dst", "op"), scenario_(scenario) {}
+      : Harness(options, scenario.ops.size(), DstVocabulary::kName, "op"), scenario_(scenario) {}
   ~ScenarioHarness() override {
     if (sys_ != nullptr) {
       sys_->clone_engine().RemoveObserver(this);

@@ -115,6 +115,8 @@ RunResult RunTape(const HvTape& tape, const RunOptions& options = {});
 struct HvVocabulary {
   using Op = HvOp;
   using Input = HvTape;
+  // Names the harness guest and the vocabulary in digest dumps.
+  static constexpr const char* kName = "hvfuzz";
 
   // Total decoder: bytes drive the choices first, then a deterministic
   // fallback stream derived from everything consumed so far.

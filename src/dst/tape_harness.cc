@@ -20,7 +20,7 @@ constexpr std::uint32_t kCells = 8;
 class TapeHarness : public Harness {
  public:
   TapeHarness(const HvTape& tape, const RunOptions& options)
-      : Harness(options, tape.ops.size(), "hvfuzz", "hvop"), tape_(tape) {}
+      : Harness(options, tape.ops.size(), HvVocabulary::kName, "hvop"), tape_(tape) {}
 
  private:
   void Configure(SystemConfig& config) const override {

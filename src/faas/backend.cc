@@ -99,15 +99,12 @@ void UnikernelBackend::PostReport(DomId dom, SimDuration latency) {
   });
 }
 
-void UnikernelBackend::AttachScheduler(CloneScheduler* sched) {
-  sched_ = sched;
-  if (sched == nullptr) {
-    return;
-  }
+void UnikernelBackend::AttachScheduler(CloneScheduler& sched) {
+  sched_ = &sched;
   // Scheduled batches still go through GuestManager so children get their
   // runtime plumbing; the continuation only warms the interpreter — instance
   // bookkeeping happens per grant, in OnInstanceGranted.
-  sched->SetCloneExecutor([this](const CloneRequest& req) {
+  sched.SetCloneExecutor([this](const CloneRequest& req) {
     return manager_.ForkChildren(
         req.parent, req.num_children,
         [this](GuestContext& ctx, GuestApp& app, const ForkResult& r) {

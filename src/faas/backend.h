@@ -100,8 +100,7 @@ class UnikernelBackend : public FunctionBackend {
   // non-root instance to the scheduler, which resets and parks it. Installs
   // only the scheduler's clone executor: a child the scheduler evicts is
   // destroyed through the toolstack, and its guest ends with the domain.
-  // Pass nullptr to detach.
-  void AttachScheduler(CloneScheduler* sched);
+  void AttachScheduler(CloneScheduler& sched);
 
   Status Deploy() override;
   Status ScaleUp() override;

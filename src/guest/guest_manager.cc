@@ -83,8 +83,7 @@ std::unique_ptr<GuestContext> GuestManager::BuildContext(DomId dom, const Domain
   }
   ctx->AttachNet(std::move(stack));
 
-  const GuestMemoryLayout layout =
-      ComputeGuestLayout(config, system_.hypervisor().config().min_domain_pages);
+  const GuestMemoryLayout layout = ComputeGuestLayout(config);
   if (parent_ctx != nullptr && parent_ctx->arena_ != nullptr) {
     // The child's heap has the same layout and allocation metadata as the
     // parent's (it lives in cloned pages); only the p2m it operates on

@@ -58,8 +58,8 @@ class GrantTable {
   Status EndAccess(GrantRef ref);
 
   // Checks that `mapper` may map `ref`; increments the map count.
-  // `granter_children_ok` tells whether `mapper` is a clone of the granting
-  // domain, which validates kDomChild wildcard entries.
+  // `mapper_is_child_of_granter` tells whether `mapper` is a clone of the
+  // granting domain, which validates kDomChild wildcard entries.
   Result<Gfn> Map(GrantRef ref, DomId mapper, bool mapper_is_child_of_granter);
 
   // Drops one of `mapper`'s mappings of `ref`. A caller holding no mapping

@@ -33,8 +33,6 @@ struct HypervisorConfig {
   // Machine memory managed by the hypervisor for guests (the paper's setup:
   // 16 GiB machine, 4 GiB to Dom0, 12 GiB to the hypervisor pool — Sec. 6.2).
   std::size_t pool_frames = 12 * kGiB / kPageSize;
-  // Xen enforces a minimum domain size of 4 MiB (Sec. 6.2).
-  std::size_t min_domain_pages = 4 * kMiB / kPageSize;
 };
 
 class Hypervisor {

@@ -1,9 +1,10 @@
 #include "src/hypervisor/invariants.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <tuple>
-#include <unordered_map>
+#include <vector>
 
 namespace nephele {
 
@@ -20,27 +21,52 @@ std::string CheckFrameInvariants(const Hypervisor& hv) {
            " + allocated " + std::to_string(ft.allocated_frames()) + " != total " +
            std::to_string(ft.total_frames());
   }
-  std::unordered_map<Mfn, std::uint64_t> refs;
-  refs.reserve(ft.allocated_frames());
-  for (DomId id : hv.DomainIds()) {
-    const Domain* d = hv.FindDomain(id);
-    for (const P2mEntry& e : d->p2m) {
-      if (e.mfn != kInvalidMfn) {
-        ++refs[e.mfn];
+  // Calls fn(domain, mfn) for every frame reference: present p2m entries,
+  // page-table frames and p2m frames.
+  auto for_each_ref = [&hv](const auto& fn) {
+    for (DomId id : hv.DomainIds()) {
+      const Domain* d = hv.FindDomain(id);
+      for (const P2mEntry& e : d->p2m) {
+        if (e.mfn != kInvalidMfn) {
+          fn(id, e.mfn);
+        }
+      }
+      for (Mfn m : d->page_table_frames) {
+        fn(id, m);
+      }
+      for (Mfn m : d->p2m_frames) {
+        fn(id, m);
       }
     }
-    for (Mfn m : d->page_table_frames) {
-      ++refs[m];
+  };
+  // First pass: every reference must index the frame table. Frames are
+  // handed out lowest mfn first, so the highest one referenced bounds the
+  // count vector by the allocation high-water mark, not the pool size.
+  std::size_t limit = 0;
+  std::string out_of_pool;
+  for_each_ref([&](DomId id, Mfn m) {
+    if (m < ft.total_frames()) {
+      limit = std::max<std::size_t>(limit, std::size_t{m} + 1);
+    } else if (out_of_pool.empty()) {
+      out_of_pool = "dom " + DomStr(id) + " references mfn " + std::to_string(m) +
+                    " outside the pool of " + std::to_string(ft.total_frames()) + " frames";
     }
-    for (Mfn m : d->p2m_frames) {
-      ++refs[m];
-    }
+  });
+  if (!out_of_pool.empty()) {
+    return out_of_pool;
   }
-  if (ft.allocated_frames() != refs.size()) {
+  std::vector<std::uint32_t> refs(limit, 0);
+  std::size_t mapped = 0;
+  for_each_ref([&](DomId, Mfn m) { mapped += refs[m]++ == 0 ? 1 : 0; });
+  if (ft.allocated_frames() != mapped) {
     return "frame leak: " + std::to_string(ft.allocated_frames()) + " allocated, " +
-           std::to_string(refs.size()) + " mapped";
+           std::to_string(mapped) + " mapped";
   }
-  for (const auto& [mfn, count] : refs) {
+  for (Mfn mfn = 0; mfn < refs.size(); ++mfn) {
+    const std::uint32_t count = refs[mfn];
+    if (count == 0) {
+      continue;
+    }
     const FrameInfo& fi = ft.info(mfn);
     if (!fi.allocated) {
       return "freed frame still mapped: mfn " + std::to_string(mfn);

@@ -4,10 +4,11 @@
 // check walks live hypervisor state and returns "" when the invariant holds,
 // else a human-readable violation.
 //
-//   frames   free + allocated == total; every allocated frame is referenced
-//            by exactly the mappings the frame table thinks it has (shared
-//            refcount == number of p2m references, unshared frames mapped
-//            exactly once); no freed frame is still mapped.
+//   frames   free + allocated == total; every referenced mfn lies inside
+//            the pool; every allocated frame is referenced by exactly the
+//            mappings the frame table thinks it has (shared refcount ==
+//            number of p2m references, unshared frames mapped exactly
+//            once); no freed frame is still mapped.
 //   p2m      every mapped gfn names an allocated in-range frame owned by the
 //            domain itself (private) or by dom_cow (shared); a writable pte
 //            over a shared frame is only legal for IDC regions; the special

@@ -229,8 +229,7 @@ void RequestCloneDispatcher::DrainPending() {
 }
 
 void RequestCloneDispatcher::PushTailLatency(std::int64_t latency_ns) {
-  const std::size_t window = std::max<std::size_t>(1, config_.tail_window);
-  if (tail_.size() < window) {
+  if (tail_.size() < kTailWindow) {
     tail_.push_back(latency_ns);
   } else {
     std::int64_t& evicted = tail_[tail_pos_];
@@ -239,7 +238,7 @@ void RequestCloneDispatcher::PushTailLatency(std::int64_t latency_ns) {
   }
   tail_sorted_.insert(std::upper_bound(tail_sorted_.begin(), tail_sorted_.end(), latency_ns),
                       latency_ns);
-  tail_pos_ = (tail_pos_ + 1) % window;
+  tail_pos_ = (tail_pos_ + 1) % kTailWindow;
   // Nearest-rank p99 over the recent-wins window; this gauge is the series
   // the req_tail alarm evaluates.
   std::size_t rank = (tail_sorted_.size() * 99 + 99) / 100;  // ceil

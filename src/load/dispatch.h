@@ -11,7 +11,8 @@
 // Acquires a fresh clone of the parent from the CloneScheduler and
 // Releases it to the warm pool on resolution — the literal two-level-cloning
 // policy. `max_concurrent` bounds duplicates holding instances at once,
-// which makes the dispatcher a c-server queueing system with a FIFO.
+// which makes the dispatcher a c-server queueing system with a FIFO. The
+// req/latency_p99_ns gauge covers the last kTailWindow wins.
 
 #ifndef SRC_LOAD_DISPATCH_H_
 #define SRC_LOAD_DISPATCH_H_
@@ -31,6 +32,9 @@ namespace nephele {
 // Duplicates the dispatcher's FIFO holds while every service slot is busy;
 // overflow rejects.
 inline constexpr std::size_t kMaxPendingDuplicates = 4096;
+// Recent win latencies backing the req/latency_p99_ns gauge (the series the
+// req_tail alarm watches).
+inline constexpr std::size_t kTailWindow = 256;
 
 class RequestCloneDispatcher {
  public:

@@ -4,6 +4,12 @@
 // per-user state. Open loop means arrivals never wait for responses: the
 // generator holds its configured rate even when the dispatcher saturates,
 // which is what keeps tail latencies honest under overload.
+//
+// Arrivals are homogeneous Poisson: i.i.d. exponential gaps at
+// LoadConfig::rate_rps, drawn from one SplitMix64 stream seeded with
+// LoadConfig::seed, so a (config, seed) pair reproduces the arrival
+// sequence exactly — the statistical oracle in tests/load_test.cc relies on
+// that.
 
 #ifndef SRC_LOAD_LOAD_GEN_H_
 #define SRC_LOAD_LOAD_GEN_H_
@@ -12,9 +18,9 @@
 #include <functional>
 
 #include "src/core/system.h"
-#include "src/load/arrival.h"
 #include "src/obs/metrics.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/rng.h"
 
 namespace nephele {
 
@@ -41,24 +47,24 @@ class LoadGenerator {
   void Stop() { running_ = false; }
 
   std::uint64_t generated() const { return generated_; }
-  const ArrivalProcess& arrivals() const { return arrivals_; }
 
  private:
+  // The gap from the previous arrival to the next one. Always >= 1 ns, so
+  // two arrivals never collapse onto the same loop instant.
+  SimDuration NextGap();
   void ScheduleNext();
 
   EventLoop& loop_;
   LoadConfig config_;
-  ArrivalProcess arrivals_;
+  Rng arrival_rng_;
   Rng user_rng_;
   Counter& c_generated_;
-  Counter& c_state_switches_;
   Histogram& h_interarrival_;
   Sink sink_;
   SimTime next_;
   SimTime end_;
   bool running_ = false;
   std::uint64_t generated_ = 0;
-  std::uint64_t reported_switches_ = 0;
 };
 
 }  // namespace nephele

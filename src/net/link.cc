@@ -2,19 +2,16 @@
 
 namespace nephele {
 
-FabricLink::FabricLink(EventLoop& loop, std::string name, LinkConfig config,
-                       const SystemServices& services)
+FabricLink::FabricLink(EventLoop& loop, std::string name, const SystemServices& services)
     : loop_(loop),
       name_(std::move(name)),
-      config_(config),
       c_bytes_(services.metrics.GetCounter("fabric/link_tx_bytes")),
       c_packets_(services.metrics.GetCounter("fabric/link_tx_packets")),
       c_down_drops_(services.metrics.GetCounter("fabric/link_down_drops")),
       f_link_(*services.faults.GetPoint("fabric/link")) {}
 
 std::size_t FabricLink::PacketCount(std::size_t payload_bytes) const {
-  const std::size_t mtu = config_.mtu_bytes == 0 ? 1500 : config_.mtu_bytes;
-  return payload_bytes == 0 ? 1 : (payload_bytes + mtu - 1) / mtu;
+  return payload_bytes == 0 ? 1 : (payload_bytes + kLinkMtuBytes - 1) / kLinkMtuBytes;
 }
 
 std::size_t FabricLink::WireBytes(std::size_t payload_bytes) const {
@@ -34,9 +31,9 @@ Status FabricLink::Transfer(std::size_t payload_bytes) {
   }
   const std::size_t wire = WireBytes(payload_bytes);
   const std::size_t packets = PacketCount(payload_bytes);
-  const double gbps = config_.bandwidth_gbps <= 0.0 ? 10.0 : config_.bandwidth_gbps;
-  const double serialize_ns = static_cast<double>(wire) * 8.0 / gbps;  // bits / (Gbps) = ns
-  loop_.AdvanceBy(config_.latency + SimDuration::Nanos(static_cast<std::int64_t>(serialize_ns)));
+  const double serialize_ns =
+      static_cast<double>(wire) * 8.0 / kLinkBandwidthGbps;  // bits / (Gbps) = ns
+  loop_.AdvanceBy(kLinkLatency + SimDuration::Nanos(static_cast<std::int64_t>(serialize_ns)));
   c_bytes_.Increment(wire);
   c_packets_.Increment(packets);
   return Status::Ok();

@@ -3,7 +3,10 @@
 // model reuses the packet framing of src/net (Packet::wire_size() charges a
 // 54-byte L2+L3+L4 header per frame), so a stream's virtual-time cost is
 //
-//   latency + (payload + ceil(payload/mtu) * 54 bytes) * 8 / bandwidth
+//   kLinkLatency + (payload + ceil(payload/kLinkMtuBytes) * 54 bytes) * 8
+//                  / kLinkBandwidthGbps
+//
+// Every link of every fabric has these same three constants.
 //
 // charged synchronously to the sending host's lane of the cluster event loop
 // (src/sim/event_loop.h): a stream occupies its source, and the receiver
@@ -28,26 +31,22 @@
 
 namespace nephele {
 
-struct LinkConfig {
-  // One-way propagation delay, charged once per Transfer.
-  SimDuration latency = SimDuration::Micros(50);
-  // Serialization rate. 10 Gbps is the paper's testbed NIC class.
-  double bandwidth_gbps = 10.0;
-  // Payload bytes per frame; each frame pays the 54-byte wire header.
-  std::size_t mtu_bytes = 1500;
-};
+// One-way propagation delay, charged once per Transfer.
+inline constexpr SimDuration kLinkLatency = SimDuration::Micros(50);
+// Serialization rate. 10 Gbps is the paper's testbed NIC class.
+inline constexpr double kLinkBandwidthGbps = 10.0;
+// Payload bytes per frame; each frame pays the 54-byte wire header.
+inline constexpr std::size_t kLinkMtuBytes = 1500;
 
 class FabricLink {
  public:
   // `loop` is the sending host's lane.
-  FabricLink(EventLoop& loop, std::string name, LinkConfig config,
-             const SystemServices& services);
+  FabricLink(EventLoop& loop, std::string name, const SystemServices& services);
 
   FabricLink(const FabricLink&) = delete;
   FabricLink& operator=(const FabricLink&) = delete;
 
   const std::string& name() const { return name_; }
-  const LinkConfig& config() const { return config_; }
 
   // Partition injection: a down link refuses every Transfer with
   // kUnavailable until brought back up.
@@ -67,7 +66,6 @@ class FabricLink {
  private:
   EventLoop& loop_;
   std::string name_;
-  LinkConfig config_;
   Counter& c_bytes_;
   Counter& c_packets_;
   Counter& c_down_drops_;

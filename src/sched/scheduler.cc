@@ -30,11 +30,8 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
       m_timeouts_(services.metrics.GetCounter("sched/timeouts")),
       m_parked_(services.metrics.GetCounter("sched/parked_total")),
       m_evictions_(services.metrics.GetCounter("sched/evictions")),
-      m_evictions_pressure_(services.metrics.GetCounter("sched/evictions_pressure")),
       m_reset_fallback_(services.metrics.GetCounter("sched/reset_fallback_destroys")),
       m_feedback_transitions_(services.metrics.GetCounter("sched/feedback_transitions")),
-      m_lazy_stream_finishes_(services.metrics.GetCounter("sched/lazy_stream_finishes")),
-      m_lazy_streamed_pages_(services.metrics.GetCounter("sched/lazy_streamed_pages")),
       m_batch_size_(services.metrics.GetHistogram("sched/batch_size", {1, 2, 4, 8, 16, 32, 64})),
       m_wait_ns_(services.metrics.GetHistogram("sched/wait_ns",
                                                Histogram::DefaultLatencyBoundsNs())),
@@ -71,12 +68,11 @@ void CloneScheduler::SetEvictionFrozen(bool frozen) {
   g_eviction_frozen_.Set(frozen ? 1 : 0);
   m_feedback_transitions_.Increment();
   if (!frozen) {
-    // Catch-up sweep: restore the capacity cap on every pool, then the Dom0
-    // watermark, exactly as if the parks had happened unfrozen.
+    // Catch-up sweep: restore the capacity cap on every pool, exactly as if
+    // the parks had happened unfrozen.
     for (auto& [parent, ps] : parents_) {
-      EvictToCapacity(ps, kDomInvalid, nullptr);
+      EvictToCapacity(ps);
     }
-    EvictForPressure(kDomInvalid, nullptr);
     UpdateGauges();
   }
 }
@@ -235,7 +231,6 @@ void CloneScheduler::Dispatch(DomId parent) {
   req.parent = parent;
   req.start_info_mfn = d->p2m[d->start_info_gfn].mfn;
   req.num_children = n;
-  req.lazy = config_.lazy_dispatch;
 
   TraceSpan span = trace_.BeginSpan("sched/dispatch");
   span.AddArg("parent", static_cast<std::int64_t>(parent));
@@ -360,18 +355,8 @@ Result<ReleaseOutcome> CloneScheduler::Release(DomId child) {
   }
 
   Status fault = f_park_.Poke();
-  // A half-streamed lazy child finishes its stream before it is scrubbed
-  // and parked: a warm hit must hand out a fully-mapped domain, never one
-  // that still demand-faults against its parent. (CloneReset would force
-  // the same finish; doing it here makes the work visible in sched/lazy_*.)
-  if (fault.ok() && engine_.IsStreaming(child)) {
-    const std::size_t pending = engine_.PendingStreamPages(child);
-    fault = engine_.FinishStreaming(child);
-    if (fault.ok()) {
-      m_lazy_stream_finishes_.Increment();
-      m_lazy_streamed_pages_.Increment(pending);
-    }
-  }
+  // CloneReset finishes a half-streamed lazy child's stream before it
+  // scrubs it, so a warm hit always hands out a fully-mapped domain.
   Result<std::size_t> restored =
       fault.ok() ? engine_.CloneReset(kDom0, child) : Result<std::size_t>(fault);
   ReleaseOutcome outcome;
@@ -392,63 +377,25 @@ Result<ReleaseOutcome> CloneScheduler::Release(DomId child) {
   m_parked_.Increment();
   outcome.parked = true;
 
-  // Eviction passes, unless telemetry feedback froze them (thrash alarm):
-  // LRU beyond the per-parent cap, then LRU across every pool until Dom0's
-  // free memory is back above the watermark.
+  // Capacity eviction (LRU beyond the per-parent cap), unless telemetry
+  // feedback froze it (thrash alarm). The child just parked is the most
+  // recent, so it goes only when the cap is 0.
   if (!eviction_frozen_) {
-    bool released_evicted = false;
-    EvictToCapacity(ps, child, &released_evicted);
-    EvictForPressure(child, &released_evicted);
-    if (released_evicted) {
-      outcome.parked = false;
-    }
+    EvictToCapacity(ps);
+    outcome.parked = !ps.pool.empty() && ps.pool.back() == child;
   }
   UpdateGauges();
   return outcome;
 }
 
-void CloneScheduler::EvictToCapacity(ParentState& ps, DomId released,
-                                     bool* released_evicted) {
+void CloneScheduler::EvictToCapacity(ParentState& ps) {
   while (ps.pool.size() > config_.warm_pool_capacity) {
     DomId victim = ps.pool.front();
     ps.pool.erase(ps.pool.begin());
     --total_parked_;
     m_evictions_.Increment();
     (void)toolstack_.DestroyDomain(victim);
-    if (victim == released && released_evicted != nullptr) {
-      *released_evicted = true;
-    }
   }
-}
-
-void CloneScheduler::EvictForPressure(DomId released, bool* released_evicted) {
-  if (config_.dom0_low_watermark_bytes == 0) {
-    return;
-  }
-  while (toolstack_.Dom0FreeBytes() < config_.dom0_low_watermark_bytes) {
-    DomId victim = PopGlobalLru();
-    if (victim == kDomInvalid) {
-      break;
-    }
-    m_evictions_.Increment();
-    m_evictions_pressure_.Increment();
-    (void)toolstack_.DestroyDomain(victim);
-    if (victim == released && released_evicted != nullptr) {
-      *released_evicted = true;
-    }
-  }
-}
-
-DomId CloneScheduler::PopGlobalLru() {
-  for (auto& [parent, ps] : parents_) {
-    if (!ps.pool.empty()) {
-      DomId victim = ps.pool.front();
-      ps.pool.erase(ps.pool.begin());
-      --total_parked_;
-      return victim;
-    }
-  }
-  return kDomInvalid;
 }
 
 void CloneScheduler::DrainAll() {

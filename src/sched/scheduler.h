@@ -17,8 +17,7 @@
 //               next request is served from the pool in O(reset) rather than
 //               O(clone) — the SnowFlock / Firecracker microVM-pool
 //               economics. Pools are per parent, most-recently-parked first;
-//               eviction is LRU, driven by a per-parent capacity cap and a
-//               Dom0 free-memory watermark.
+//               eviction is LRU, driven by a per-parent capacity cap.
 //   admission   The per-parent queue is bounded: a request that would push
 //               it past the limit is rejected synchronously with a typed
 //               kResourceExhausted status, and a queued request not served
@@ -68,7 +67,7 @@ namespace nephele {
 
 // What happened to a released child. `parked` is false when the child was
 // destroyed instead — either the CloneReset failed (fallback destroy,
-// `reset_applied` false) or an eviction pass reclaimed it before Release
+// `reset_applied` false) or capacity eviction reclaimed it before Release
 // returned (`reset_applied` still true).
 struct ReleaseOutcome {
   bool parked = false;
@@ -106,10 +105,11 @@ class CloneScheduler : public CloneObserver {
   // `cb` fires once per requested child, always through the event loop.
   Status Acquire(const CloneRequest& req, GrantCallback cb);
 
-  // An invocation finished with `child`: CloneReset it and park it in the
-  // parent's warm pool (evicting LRU children past the capacity cap or the
-  // Dom0 watermark). A failed reset falls back to destroying the child —
-  // Release still succeeds, with outcome.parked == false.
+  // An invocation finished with `child`: CloneReset it (which first
+  // finishes a lazy child's stream) and park it in the parent's warm pool,
+  // evicting LRU children past the capacity cap. A failed reset falls back
+  // to destroying the child — Release still succeeds, with
+  // outcome.parked == false.
   Result<ReleaseOutcome> Release(DomId child);
 
   // Teardown: destroys every parked child and fails every queued request
@@ -132,11 +132,11 @@ class CloneScheduler : public CloneObserver {
     return config_.batch_window * window_scale_;
   }
 
-  // While frozen, Release parks unconditionally: capacity and
-  // memory-pressure eviction are suspended (pools may exceed
-  // warm_pool_capacity). Unfreezing runs a catch-up sweep that restores
-  // both limits. Transitions are counted in sched/feedback_transitions and
-  // mirrored by the sched/eviction_frozen gauge.
+  // While frozen, Release parks unconditionally: capacity eviction is
+  // suspended (pools may exceed warm_pool_capacity). Unfreezing runs a
+  // catch-up sweep that restores the cap. Transitions are counted in
+  // sched/feedback_transitions and mirrored by the sched/eviction_frozen
+  // gauge.
   void SetEvictionFrozen(bool frozen);
   bool eviction_frozen() const { return eviction_frozen_; }
 
@@ -175,15 +175,9 @@ class CloneScheduler : public CloneObserver {
   // Pops the oldest queued ticket of `ps` and cancels its timeout timer.
   Ticket PopTicket(ParentState& ps);
   void FailTicket(Ticket& ticket, const Status& why);
-  // Capacity (one pool) and watermark (all pools) eviction passes.
-  // `released_evicted` is set when the victim equals `released`, so Release
-  // can tell whether the just-parked child was reclaimed before it
-  // returned.
-  void EvictToCapacity(ParentState& ps, DomId released, bool* released_evicted);
-  void EvictForPressure(DomId released, bool* released_evicted);
-  // LRU across every parent pool: the front of the first non-empty pool in
-  // parent-id order. kDomInvalid when all pools are empty.
-  DomId PopGlobalLru();
+  // Destroys the least recently parked children of one pool until it is
+  // back within warm_pool_capacity.
+  void EvictToCapacity(ParentState& ps);
   void UpdateGauges();
 
   Hypervisor& hv_;
@@ -203,13 +197,8 @@ class CloneScheduler : public CloneObserver {
   Counter& m_timeouts_;
   Counter& m_parked_;
   Counter& m_evictions_;
-  Counter& m_evictions_pressure_;
   Counter& m_reset_fallback_;
   Counter& m_feedback_transitions_;
-  // Post-copy cloning: children whose stream Release() had to finish before
-  // the park-side CloneReset, and the pages those finishes materialised.
-  Counter& m_lazy_stream_finishes_;
-  Counter& m_lazy_streamed_pages_;
   Histogram& m_batch_size_;
   Histogram& m_wait_ns_;        // acquire -> cold grant
   Histogram& m_warm_grant_ns_;  // acquire -> warm grant

@@ -9,6 +9,10 @@
 // changes the counts and therefore the curves — the model is causal.
 //
 // All durations are virtual time (src/sim/time.h); no wall clock is used.
+//
+// There is one model: every Host charges DefaultCostModel(), so a figure's
+// virtual times depend only on its workload. Components still take a
+// `const CostModel&`, so a unit test can hand one its own.
 
 #ifndef SRC_SIM_COST_MODEL_H_
 #define SRC_SIM_COST_MODEL_H_

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 
-#include "src/base/units.h"
 #include "src/devices/netif.h"
 
 namespace nephele {
 
-GuestMemoryLayout ComputeGuestLayout(const DomainConfig& config, std::size_t min_domain_pages) {
+GuestMemoryLayout ComputeGuestLayout(const DomainConfig& config) {
   GuestMemoryLayout layout;
-  layout.total_pages = std::max(MiBToPages(config.memory_mb), min_domain_pages);
+  layout.total_pages = std::max(MiBToPages(config.memory_mb), kMinDomainPages);
   layout.text_pages = config.image_text_pages;
   layout.data_pages = config.image_data_pages;
   if (config.with_vif) {

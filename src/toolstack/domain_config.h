@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/base/units.h"
 #include "src/net/packet.h"
 
 namespace nephele {
@@ -56,7 +57,11 @@ struct GuestMemoryLayout {
   std::size_t io_pages = 0;
 };
 
-GuestMemoryLayout ComputeGuestLayout(const DomainConfig& config, std::size_t min_domain_pages);
+// Xen enforces a minimum domain size of 4 MiB (Sec. 6.2): a smaller
+// memory_mb still gets this many pages.
+inline constexpr std::size_t kMinDomainPages = 4 * kMiB / kPageSize;
+
+GuestMemoryLayout ComputeGuestLayout(const DomainConfig& config);
 
 }  // namespace nephele
 

@@ -85,7 +85,7 @@ void Toolstack::WriteBaseXenstoreEntries(DomId dom, const DomainConfig& config) 
 }
 
 Status Toolstack::PopulateGuestMemory(DomId dom, const DomainConfig& config) {
-  const GuestMemoryLayout layout = ComputeGuestLayout(config, hv_.config().min_domain_pages);
+  const GuestMemoryLayout layout = ComputeGuestLayout(config);
   if (layout.heap_pages == 0 &&
       layout.total_pages <
           layout.text_pages + layout.data_pages + layout.io_pages + layout.special_pages) {

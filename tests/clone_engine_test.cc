@@ -130,8 +130,7 @@ TEST_F(CloneEngineTest, VcpuAffinityReplicated) {
 TEST_F(CloneEngineTest, DataPagesAreSharedCow) {
   DomId parent = BootCloneable();
   const Domain* p = system_.hypervisor().FindDomain(parent);
-  GuestMemoryLayout layout =
-      ComputeGuestLayout(*system_.toolstack().FindConfig(parent), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(*system_.toolstack().FindConfig(parent));
   Gfn heap_gfn = static_cast<Gfn>(layout.heap_first_gfn);
   Mfn parent_mfn_before = p->p2m[heap_gfn].mfn;
 
@@ -160,8 +159,7 @@ TEST_F(CloneEngineTest, PrivatePagesAreDuplicated) {
 
 TEST_F(CloneEngineTest, CowIsolationAfterClone) {
   DomId parent = BootCloneable();
-  GuestMemoryLayout layout =
-      ComputeGuestLayout(*system_.toolstack().FindConfig(parent), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(*system_.toolstack().FindConfig(parent));
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   const char before[] = "original";
   ASSERT_TRUE(system_.hypervisor().WriteGuestPage(parent, gfn, 0, before, sizeof(before)).ok());
@@ -187,8 +185,7 @@ TEST_F(CloneEngineTest, CowIsolationAfterClone) {
 
 TEST_F(CloneEngineTest, LastSharerReclaimsOwnershipWithoutCopy) {
   DomId parent = BootCloneable();
-  GuestMemoryLayout layout =
-      ComputeGuestLayout(*system_.toolstack().FindConfig(parent), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(*system_.toolstack().FindConfig(parent));
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   auto children = CloneAndSettle(parent);
   Mfn shared_mfn = system_.hypervisor().FindDomain(parent)->p2m[gfn].mfn;
@@ -418,8 +415,7 @@ TEST_F(CloneEngineTest, CloneCowPermissionChecked) {
 
 TEST_F(CloneEngineTest, CloneResetRestoresDirtyPages) {
   DomId parent = BootCloneable();
-  GuestMemoryLayout layout =
-      ComputeGuestLayout(*system_.toolstack().FindConfig(parent), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(*system_.toolstack().FindConfig(parent));
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   const char original[] = "pristine";
   ASSERT_TRUE(
@@ -485,7 +481,7 @@ TEST_P(CloneTransparency, MemorySizeSweep) {
   cfg.max_clones = 1;
   auto parent = system.toolstack().CreateDomain(cfg);
   ASSERT_TRUE(parent.ok());
-  GuestMemoryLayout layout = ComputeGuestLayout(cfg, 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(cfg);
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn + layout.heap_pages / 2);
   std::uint32_t tag = static_cast<std::uint32_t>(0xC0FFEE00 + GetParam());
   ASSERT_TRUE(system.hypervisor().WriteGuestPage(*parent, gfn, 8, &tag, sizeof(tag)).ok());

@@ -197,7 +197,7 @@ TEST_F(CoverageTest, CloneBatchSharesSnapshotConsistently) {
   // though their second stages complete one after another.
   auto dom = guests_.Launch(FullConfig("batch"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
   system_.Settle();
-  GuestMemoryLayout layout = ComputeGuestLayout(FullConfig("batch"), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(FullConfig("batch"));
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   std::uint8_t stamp = 0x77;
   ASSERT_TRUE(system_.hypervisor().WriteGuestPage(*dom, gfn, 0, &stamp, 1).ok());

@@ -221,8 +221,7 @@ RunOptions SeededBugOptions() {
       if (*it == kDom0) {
         continue;
       }
-      const GuestMemoryLayout layout = ComputeGuestLayout(
-          HarnessGuestConfig("dst"), sys.hypervisor().config().min_domain_pages);
+      const GuestMemoryLayout layout = ComputeGuestLayout(HarnessGuestConfig("dst"));
       const std::uint8_t rogue = 0x5a;
       (void)sys.hypervisor().WriteGuestPage(*it, static_cast<Gfn>(layout.heap_first_gfn), 0,
                                             &rogue, 1);

@@ -92,7 +92,7 @@ struct ScheduledUnikernels {
   ScheduledUnikernels()
       : system(FaasSystem()), guests(system), sched(system), backend(guests) {
     (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
-    backend.AttachScheduler(&sched);
+    backend.AttachScheduler(sched);
   }
 
   void RunFor(SimDuration d) { system.loop().RunUntil(system.Now() + d); }
@@ -159,7 +159,7 @@ TEST(UnikernelScaleDown, EvictionPastCapacityEndsTheGuest) {
   CloneScheduler sched(system);
   (void)system.devices().hostfs().CreateFile("/srv/guest-root/python3");
   UnikernelBackend backend(guests);
-  backend.AttachScheduler(&sched);
+  backend.AttachScheduler(sched);
   ASSERT_TRUE(backend.Deploy().ok());
   system.loop().RunUntil(system.Now() + SimDuration::Seconds(5));
   ASSERT_TRUE(backend.ScaleUp().ok());

@@ -74,8 +74,7 @@ void RunGoldenWorkload(NepheleSystem& sys) {
   ASSERT_TRUE(children.ok());
   sys.Settle();
 
-  const GuestMemoryLayout layout =
-      ComputeGuestLayout(cfg, sys.hypervisor().config().min_domain_pages);
+  const GuestMemoryLayout layout = ComputeGuestLayout(cfg);
   const std::uint8_t value = 7;
   ASSERT_TRUE(sys.hypervisor()
                   .WriteGuestPage(children->front(), static_cast<Gfn>(layout.heap_first_gfn),

@@ -10,6 +10,14 @@
 // dst_test.cc and hvfuzz_test.cc instantiate them under their own test
 // names, so `ctest -L dst` and `ctest -L hvfuzz` each run the whole suite
 // for their vocabulary.
+//
+// Digest dump: with NEPHELE_DST_DIGEST_DUMP=<file> set, every corpus
+// replay, stable-digest run (at 1 and 4 workers) and generated round
+// appends one tab-separated line to <file>: vocabulary, input label,
+// workers (0: the input's own), verdict, fail op, and the hashes of the
+// coverage edges, the op log and the digest's metrics, trace and simtime
+// lines. ctest runs tests in parallel, so compare two builds' dumps sorted:
+//   sort a.txt | diff - <(sort b.txt)
 
 #ifndef TESTS_HARNESS_SUITE_H_
 #define TESTS_HARNESS_SUITE_H_
@@ -18,16 +26,52 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/dst/harness.h"
 
 namespace nephele {
+
+// Appends `result`'s dump line when NEPHELE_DST_DIGEST_DUMP names a file.
+template <typename S>
+void DumpRun(const std::string& label, unsigned workers, const RunResult& result) {
+  const char* path = std::getenv("NEPHELE_DST_DIGEST_DUMP");
+  if (path == nullptr || *path == '\0') {
+    return;
+  }
+  std::string op_log;
+  std::string metrics = "-";
+  std::string trace = "-";
+  std::string simtime = "-";
+  std::istringstream lines(result.digest);
+  for (std::string line; std::getline(lines, line);) {
+    const std::string hash = std::to_string(Hash64(line));
+    if (line.rfind("metrics ", 0) == 0) {
+      metrics = hash;
+    } else if (line.rfind("trace ", 0) == 0) {
+      trace = hash;
+    } else if (line.rfind("simtime ", 0) == 0) {
+      simtime = hash;
+    } else {
+      op_log += line + '\n';
+    }
+  }
+  const std::string_view edges(reinterpret_cast<const char*>(result.edges.data()),
+                               result.edges.size() * sizeof(result.edges[0]));
+  std::ofstream(path, std::ios::app)
+      << S::kName << '\t' << label << "\tworkers=" << workers
+      << "\tverdict=" << (result.ok() ? "ok" : result.fail_kind)
+      << "\tfail_op=" << (result.ok() ? "-" : std::to_string(result.fail_op))
+      << "\tedges=" << Hash64(edges) << "\tlog=" << Hash64(op_log) << "\tmetrics=" << metrics
+      << "\ttrace=" << trace << "\tsimtime=" << simtime << '\n';
+}
 
 template <typename S>
 std::vector<std::pair<std::string, typename S::Input>> LoadCorpus() {
@@ -59,10 +103,12 @@ RunResult ExpectStableDigest(const typename S::Input& input, const std::string& 
   RunOptions four;
   four.force_workers = 4;
   RunResult first = S::Run(input, one);
+  const RunResult parallel = S::Run(input, four);
+  DumpRun<S>(label, 1, first);
+  DumpRun<S>(label, 4, parallel);
   EXPECT_TRUE(first.ok()) << label << " failed " << first.fail_kind << ": " << first.message;
   EXPECT_EQ(first.digest, S::Run(input, one).digest) << label << ": rerun diverged";
-  EXPECT_EQ(first.digest, S::Run(input, four).digest)
-      << label << ": worker count leaked into the digest";
+  EXPECT_EQ(first.digest, parallel.digest) << label << ": worker count leaked into the digest";
   return first;
 }
 
@@ -72,6 +118,7 @@ void CorpusReplaysOracleClean() {
   EXPECT_GE(corpus.size(), 8u) << "shrunk corpus went missing from " << S::kCorpusDir;
   for (const auto& [name, input] : corpus) {
     RunResult r = S::Run(input, {});
+    DumpRun<S>(name, 0, r);
     EXPECT_TRUE(r.ok()) << name << " failed oracle '" << r.fail_kind << "' at op " << r.fail_op
                         << ": " << r.message << "\ndigest:\n"
                         << r.digest;
@@ -100,6 +147,7 @@ void GeneratedInputsSatisfyTheOracle() {
     for (int i = 0; i < per_seed; ++i) {
       auto input = fuzzer.Next();
       RunResult r = S::Run(input, {});
+      DumpRun<S>("seed " + std::to_string(seed) + " round " + std::to_string(i), 0, r);
       fuzzer.Report(r);
       ++executed;
       if (!r.ok()) {
@@ -126,7 +174,9 @@ void GeneratedDigestsAreStable() {
     Fuzzer<S> fuzzer(seed);
     for (int i = 0; i < 4; ++i) {
       auto input = fuzzer.Next();
-      fuzzer.Report(ExpectStableDigest<S>(input, S::ToText(input)));
+      SCOPED_TRACE(S::ToText(input));
+      fuzzer.Report(ExpectStableDigest<S>(
+          input, "stable seed " + std::to_string(seed) + " input " + std::to_string(i)));
     }
   }
   // The pure fallback stream: an empty tape decodes at every seed.

@@ -123,9 +123,7 @@ TEST(HvFuzzSeededBugTest, CowIsolationBugIsCaughtAndShrinksToMinimalTape) {
       if (id == kDom0) {
         continue;
       }
-      const std::size_t heap0 = ComputeGuestLayout(HarnessGuestConfig("hvfuzz"),
-                                                   sys.hypervisor().config().min_domain_pages)
-                                    .heap_first_gfn;
+      const std::size_t heap0 = ComputeGuestLayout(HarnessGuestConfig("hvfuzz")).heap_first_gfn;
       const std::uint8_t evil = 0x5A;
       // Cell 0 lives at (heap_first_gfn, offset 17) — see tape_harness.cc.
       (void)sys.hypervisor().WriteGuestPage(id, static_cast<Gfn>(heap0), 17, &evil, 1);

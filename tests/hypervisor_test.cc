@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/hypervisor/hypervisor.h"
+#include "src/hypervisor/invariants.h"
 #include "src/obs/trace.h"
 
 namespace nephele {
@@ -111,6 +114,25 @@ TEST_F(HypervisorTest, BuildPageTablesChargesPrivateFrames) {
   std::size_t free_mid = hv_.FreePoolFrames();
   ASSERT_TRUE(hv_.BuildPageTables(*dom).ok());
   EXPECT_EQ(hv_.FreePoolFrames(), free_mid);
+}
+
+// An mfn past the end of the pool is a frames violation, found before the
+// frames layer reads the frame table at it.
+TEST_F(HypervisorTest, FrameOracleNamesAnMfnOutsideThePool) {
+  auto dom = hv_.CreateDomain("a", 1);
+  ASSERT_TRUE(hv_.PopulatePhysmap(*dom, 64, PageRole::kData).ok());
+  ASSERT_TRUE(hv_.BuildPageTables(*dom).ok());
+  ASSERT_EQ(CheckFrameInvariants(hv_), "");
+  Domain* d = hv_.FindDomain(*dom);
+  const Mfn kept = d->page_table_frames[0];
+  const Mfn outside = static_cast<Mfn>(hv_.frames().total_frames());
+  d->page_table_frames[0] = outside;
+  const std::string violation = CheckFrameInvariants(hv_);
+  EXPECT_NE(violation.find("mfn " + std::to_string(outside) + " outside the pool"),
+            std::string::npos)
+      << violation;
+  d->page_table_frames[0] = kept;
+  EXPECT_EQ(CheckFrameInvariants(hv_), "");
 }
 
 TEST_F(HypervisorTest, DestroyReleasesEverything) {

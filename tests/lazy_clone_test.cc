@@ -283,35 +283,27 @@ TEST(LazyCloneInvariants, OracleFlagsWritableHoleAndLedgerDrift) {
 // --- Scheduler: streams finish before a child parks. ---
 
 TEST(LazySchedDispatch, ReleaseFinishesTheStreamBeforeParking) {
-  SystemConfig cfg = LazySystem(1, /*manual_stream=*/true);
-  cfg.sched.lazy_dispatch = true;
-  NepheleSystem sys(cfg);
+  NepheleSystem sys(LazySystem(1, /*manual_stream=*/true));
   CloneScheduler sched(sys);
   const DomId parent = BootStampedParent(sys);
 
-  std::vector<DomId> granted;
-  ASSERT_TRUE(sched
-                  .Acquire({kDom0, parent, kInvalidMfn, 1},
-                           [&granted](Result<DomId> r) {
-                             ASSERT_TRUE(r.ok()) << r.status().ToString();
-                             granted.push_back(*r);
-                           })
-                  .ok());
-  sys.Settle();
-  ASSERT_EQ(granted.size(), 1u);
-  const DomId child = granted.front();
-  ASSERT_TRUE(sys.clone_engine().IsStreaming(child))
-      << "lazy_dispatch did not produce a streaming child";
+  // A direct lazy clone, handed to the scheduler as if it had served a
+  // request.
+  auto children = CloneBatch(sys, parent, 1, /*lazy=*/true);
+  ASSERT_TRUE(children.ok()) << children.status().ToString();
+  const DomId child = children->front();
+  ASSERT_TRUE(sys.clone_engine().IsStreaming(child)) << "lazy clone came fully mapped";
   const std::size_t pending = sys.clone_engine().PendingStreamPages(child);
+  const std::uint64_t streamed_before = sys.metrics().CounterValue("clone/streamed_pages");
 
   auto outcome = sched.Release(child);
   sys.Settle();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_TRUE(outcome->parked);
+  EXPECT_EQ(sched.WarmPoolSize(parent), 1u);
   EXPECT_FALSE(sys.clone_engine().IsStreaming(child))
       << "a parked child must never be half-mapped";
-  EXPECT_EQ(sys.metrics().CounterValue("sched/lazy_stream_finishes"), 1u);
-  EXPECT_EQ(sys.metrics().CounterValue("sched/lazy_streamed_pages"), pending);
+  EXPECT_EQ(sys.metrics().CounterValue("clone/streamed_pages") - streamed_before, pending);
   EXPECT_EQ(CheckHypervisorInvariants(sys.hypervisor()), "");
 
   sched.DrainAll();

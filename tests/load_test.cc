@@ -1,5 +1,5 @@
-// The heavy-traffic request layer (ctest label `load`): seeded arrival
-// processes with statistical oracles, the open-loop generator, and the
+// The heavy-traffic request layer (ctest label `load`): the seeded Poisson
+// arrival stream with a statistical oracle, the open-loop generator, and the
 // request-cloning first-response-wins dispatcher with its exact accounting
 // identity
 //
@@ -21,7 +21,6 @@
 
 #include "src/core/system.h"
 #include "src/fault/fault.h"
-#include "src/load/arrival.h"
 #include "src/load/dispatch.h"
 #include "src/load/load_gen.h"
 #include "src/obs/tsdb/alarm.h"
@@ -34,90 +33,43 @@ namespace nephele {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Arrival-process statistical oracles. These draw gaps straight from
-// ArrivalProcess (no event loop), so long simulated windows cost nothing:
-// the tolerances below sit at >= 3 sigma of the sample statistics.
+// Arrival-process statistical oracle. The gaps are the differences of the
+// generator's arrival times (no work besides the arrivals, so long simulated
+// windows cost little); the tolerances sit at >= 3 sigma of the sample
+// statistics.
 // ---------------------------------------------------------------------------
 
-struct GapStats {
-  double mean_s = 0;
-  double cv = 0;  // coefficient of variation of the inter-arrival gaps
-};
-
-GapStats DrawGaps(ArrivalProcess& process, std::size_t n) {
+TEST(ArrivalOracleTest, PoissonRateAndCvWithinBand) {
+  EventLoop loop;
+  MetricsRegistry metrics;
+  LoadConfig cfg;
+  cfg.rate_rps = 500.0;
+  cfg.seed = 11;
+  LoadGenerator generator(loop, cfg, metrics);
+  constexpr std::size_t kGaps = 100000;
+  std::size_t n = 0;
   double sum = 0;
   double sum_sq = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double gap = process.NextGap().ToSeconds();
+  SimTime prev = loop.Now();
+  // ~200 s of arrivals at 500/s; the sink stops the generator at kGaps.
+  generator.Start(SimDuration::Seconds(1000), [&](const LoadRequest& r) {
+    const double gap = (r.arrival - prev).ToSeconds();
+    prev = r.arrival;
     sum += gap;
     sum_sq += gap * gap;
-  }
-  GapStats stats;
-  stats.mean_s = sum / static_cast<double>(n);
-  const double var = sum_sq / static_cast<double>(n) - stats.mean_s * stats.mean_s;
-  stats.cv = std::sqrt(std::max(var, 0.0)) / stats.mean_s;
-  return stats;
-}
-
-TEST(ArrivalOracleTest, PoissonRateAndCvWithinBand) {
-  ArrivalConfig cfg;
-  cfg.kind = ArrivalKind::kPoisson;
-  cfg.rate_rps = 500.0;
-  ArrivalProcess process(cfg, /*seed=*/11);
-  GapStats stats = DrawGaps(process, 100000);
-  // Empirical rate within 2% (sample sd ~0.3%); exponential gaps have CV 1.
-  EXPECT_NEAR(1.0 / stats.mean_s, process.MeanRate(), 0.02 * process.MeanRate());
-  EXPECT_GT(stats.cv, 0.95);
-  EXPECT_LT(stats.cv, 1.05);
-}
-
-TEST(ArrivalOracleTest, BurstyRateMatchesDwellWeightedMixAndOverdisperses) {
-  ArrivalConfig cfg;
-  cfg.kind = ArrivalKind::kBursty;
-  cfg.rate_rps = 200.0;
-  cfg.burst_rate_rps = 2000.0;
-  cfg.calm_dwell_mean = SimDuration::Seconds(2);
-  cfg.burst_dwell_mean = SimDuration::Millis(250);
-  ArrivalProcess process(cfg, /*seed=*/12);
-  // MeanRate: (200*2 + 2000*0.25) / 2.25 = 400 req/s.
-  EXPECT_NEAR(process.MeanRate(), 400.0, 1e-9);
-  // ~2000 simulated seconds: the dwell-cycle noise is down to ~2%.
-  GapStats stats = DrawGaps(process, 800000);
-  EXPECT_NEAR(1.0 / stats.mean_s, process.MeanRate(), 0.10 * process.MeanRate());
-  // Mixing two exponential regimes overdisperses the gaps well past CV 1.
-  EXPECT_GT(stats.cv, 1.2);
-  EXPECT_GT(process.state_switches(), 100u);
-}
-
-TEST(ArrivalOracleTest, DiurnalPeakTroughRatioAndMean) {
-  ArrivalConfig cfg;
-  cfg.kind = ArrivalKind::kDiurnal;
-  cfg.rate_rps = 200.0;
-  cfg.diurnal_amplitude = 0.8;
-  cfg.diurnal_period = SimDuration::Seconds(120);
-  ArrivalProcess process(cfg, /*seed=*/13);
-  const double period_s = cfg.diurnal_period.ToSeconds();
-  const double horizon_s = 10 * period_s;
-  // Bin arrivals by phase across exactly 10 periods.
-  constexpr int kBins = 8;
-  std::vector<double> bins(kBins, 0);
-  double t = 0;
-  double total = 0;
-  for (;;) {
-    t += process.NextGap().ToSeconds();
-    if (t >= horizon_s) {
-      break;
+    if (++n == kGaps) {
+      generator.Stop();
     }
-    const double phase = std::fmod(t, period_s) / period_s;
-    bins[static_cast<int>(phase * kBins) % kBins] += 1;
-    total += 1;
-  }
-  // The sinusoid integrates to zero over whole periods: the overall rate is
-  // the configured baseline.
-  EXPECT_NEAR(total / horizon_s, cfg.rate_rps, 0.05 * cfg.rate_rps);
-  // Peak phase bin (sin ~ +1, bin 2 of 8) vs trough bin (sin ~ -1, bin 6):
-  // with amplitude 0.8 the expected ratio is ~6; demand a conservative 3x.
-  EXPECT_GT(bins[2], 3.0 * std::max(bins[6], 1.0));
+  });
+  loop.Run();
+  ASSERT_EQ(n, kGaps);
+  const double mean_s = sum / static_cast<double>(kGaps);
+  const double var = sum_sq / static_cast<double>(kGaps) - mean_s * mean_s;
+  const double cv = std::sqrt(std::max(var, 0.0)) / mean_s;
+  // Empirical rate within 2% (sample sd ~0.3%); exponential gaps have CV 1.
+  EXPECT_NEAR(1.0 / mean_s, cfg.rate_rps, 0.02 * cfg.rate_rps);
+  EXPECT_GT(cv, 0.95);
+  EXPECT_LT(cv, 1.05);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +80,7 @@ TEST(LoadGeneratorTest, OpenLoopEmitsSeededMonotonicRequests) {
   EventLoop loop;
   MetricsRegistry metrics;
   LoadConfig cfg;
-  cfg.arrival.rate_rps = 1000.0;
+  cfg.rate_rps = 1000.0;
   cfg.user_population = 10'000'000;
   cfg.seed = 21;
   LoadGenerator generator(loop, cfg, metrics);
@@ -146,20 +98,6 @@ TEST(LoadGeneratorTest, OpenLoopEmitsSeededMonotonicRequests) {
       EXPECT_GT(seen[i].arrival.ns(), seen[i - 1].arrival.ns());
     }
   }
-}
-
-TEST(LoadGeneratorTest, BurstyRunRecordsStateSwitches) {
-  EventLoop loop;
-  MetricsRegistry metrics;
-  LoadConfig cfg;
-  cfg.arrival.kind = ArrivalKind::kBursty;
-  cfg.arrival.calm_dwell_mean = SimDuration::Millis(100);
-  cfg.arrival.burst_dwell_mean = SimDuration::Millis(50);
-  cfg.seed = 22;
-  LoadGenerator generator(loop, cfg, metrics);
-  generator.Start(SimDuration::Seconds(2), [](const LoadRequest&) {});
-  loop.Run();
-  EXPECT_GT(metrics.CounterValue("load/state_switches"), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +153,7 @@ SystemConfig ScheduledConfig() {
   cfg.hypervisor.pool_frames = 256 * 1024;
   cfg.sched.warm_pool_capacity = 8;
   cfg.sched.max_queue_depth = 64;
-  cfg.load.arrival.rate_rps = 1000.0;
+  cfg.load.rate_rps = 1000.0;
   cfg.load.clone_factor = 2;
   cfg.load.max_concurrent = 8;
   return cfg;
@@ -240,7 +178,7 @@ TEST(DispatchAccountingTest, FirstResponseWinsExactAccounting) {
 
 TEST(DispatchAccountingTest, DispatchFaultDoesNotStrandOrLeak) {
   SystemConfig cfg = ScheduledConfig();
-  cfg.load.arrival.rate_rps = 2000.0;
+  cfg.load.rate_rps = 2000.0;
   cfg.load.max_concurrent = 4;
   ScheduledLoadRun run(cfg);
   // Fail the first cold batch dispatch: its tickets come back as errors and
@@ -258,9 +196,9 @@ TEST(DispatchAccountingTest, DispatchFaultDoesNotStrandOrLeak) {
 }
 
 // The req/latency_p99_ns gauge (the series the req_tail alarm watches) is a
-// nearest-rank p99 over the last tail_window wins. With a window far
-// smaller than the run it wraps many times, so at every checkpoint the
-// gauge must equal a brute-force p99 of the last tail_window recorded wins.
+// nearest-rank p99 over the last kTailWindow wins. The run wraps the window
+// at least twice, so at every checkpoint the gauge must equal a brute-force
+// p99 of the last kTailWindow recorded wins.
 std::int64_t NearestRankP99(std::vector<std::int64_t> values) {
   std::sort(values.begin(), values.end());
   const std::size_t rank = (values.size() * 99 + 99) / 100;  // ceil(0.99 n)
@@ -268,36 +206,34 @@ std::int64_t NearestRankP99(std::vector<std::int64_t> values) {
 }
 
 TEST(DispatchTailGaugeTest, P99GaugeIsTheLastWindowsNearestRankAcrossWraps) {
-  for (const std::size_t window : {std::size_t{16}, std::size_t{150}}) {
-    SystemConfig cfg = ScheduledConfig();
-    cfg.load.tail_window = window;
-    ScheduledLoadRun run(cfg);
-    std::vector<std::int64_t> latencies;
-    run.dispatcher_.RecordLatenciesTo(&latencies);
-    run.generator_.Start(SimDuration::Millis(500),
-                         [&run](const LoadRequest& r) { run.dispatcher_.Submit(r); });
-    std::size_t checked = 0;
-    for (int step = 1; step <= 12; ++step) {
-      EventLoop& loop = run.system_.loop();
-      loop.RunUntil(loop.Now() + SimDuration::Millis(45));
-      if (latencies.empty()) {
-        continue;
-      }
-      const std::size_t n = std::min(window, latencies.size());
-      const std::vector<std::int64_t> last(latencies.end() - static_cast<std::ptrdiff_t>(n),
-                                           latencies.end());
-      EXPECT_EQ(run.system_.metrics().GaugeValue("req/latency_p99_ns"), NearestRankP99(last))
-          << "window " << window << " after " << latencies.size() << " wins";
-      ++checked;
+  SystemConfig cfg = ScheduledConfig();
+  cfg.load.rate_rps = 2000.0;
+  ScheduledLoadRun run(cfg);
+  std::vector<std::int64_t> latencies;
+  run.dispatcher_.RecordLatenciesTo(&latencies);
+  run.generator_.Start(SimDuration::Millis(500),
+                       [&run](const LoadRequest& r) { run.dispatcher_.Submit(r); });
+  std::size_t checked = 0;
+  for (int step = 1; step <= 12; ++step) {
+    EventLoop& loop = run.system_.loop();
+    loop.RunUntil(loop.Now() + SimDuration::Millis(45));
+    if (latencies.empty()) {
+      continue;
     }
-    run.system_.Settle();
-    EXPECT_GE(checked, 10u);
-    EXPECT_GE(latencies.size(), 200u);
-    EXPECT_EQ(run.system_.metrics().GaugeValue("req/latency_p99_ns"),
-              NearestRankP99({latencies.end() - static_cast<std::ptrdiff_t>(window),
-                              latencies.end()}));
-    run.ExpectQuiescentAccounting();
+    const std::size_t n = std::min(kTailWindow, latencies.size());
+    const std::vector<std::int64_t> last(latencies.end() - static_cast<std::ptrdiff_t>(n),
+                                         latencies.end());
+    EXPECT_EQ(run.system_.metrics().GaugeValue("req/latency_p99_ns"), NearestRankP99(last))
+        << "after " << latencies.size() << " wins";
+    ++checked;
   }
+  run.system_.Settle();
+  EXPECT_GE(checked, 10u);
+  EXPECT_GE(latencies.size(), 3 * kTailWindow);
+  EXPECT_EQ(run.system_.metrics().GaugeValue("req/latency_p99_ns"),
+            NearestRankP99({latencies.end() - static_cast<std::ptrdiff_t>(kTailWindow),
+                            latencies.end()}));
+  run.ExpectQuiescentAccounting();
 }
 
 // Identical config + seed must produce a byte-identical metrics export —
@@ -306,7 +242,7 @@ TEST(DispatchTailGaugeTest, P99GaugeIsTheLastWindowsNearestRankAcrossWraps) {
 std::string RunDigest(unsigned workers) {
   SystemConfig cfg = ScheduledConfig();
   cfg.clone_worker_threads = workers;
-  cfg.load.arrival.rate_rps = 2000.0;
+  cfg.load.rate_rps = 2000.0;
   cfg.load.seed = 7;
   ScheduledLoadRun run(cfg);
   run.Run(SimDuration::Millis(400));
@@ -342,8 +278,8 @@ std::vector<std::int64_t> WinLatencies(unsigned clone_factor, std::uint64_t seed
   cfg.load.service_net_packets = 50;
   // ~0.4 utilization of the 4 servers, priced off the cost model.
   const double mean_service_s =
-      RequestCloneDispatcher::MeanServiceTime(cfg.load, cfg.costs).ToSeconds();
-  cfg.load.arrival.rate_rps = 0.4 * 4 / mean_service_s;
+      RequestCloneDispatcher::MeanServiceTime(cfg.load, DefaultCostModel()).ToSeconds();
+  cfg.load.rate_rps = 0.4 * 4 / mean_service_s;
   ScheduledLoadRun run(cfg);
   std::vector<std::int64_t> latencies;
   run.dispatcher_.RecordLatenciesTo(&latencies);
@@ -388,7 +324,7 @@ TEST(RequestCloningDominanceTest, D2DominatesD1AtEveryQuantile) {
 
 TEST(ReqTailAlarmTest, RaisesUnderSustainedOverload) {
   SystemConfig cfg = ScheduledConfig();
-  cfg.load.arrival.rate_rps = 20000.0;  // far past one server's ~4k/s
+  cfg.load.rate_rps = 20000.0;  // far past one server's ~4k/s
   cfg.load.clone_factor = 1;
   cfg.load.max_concurrent = 1;
   cfg.tsdb.tick_interval = SimDuration::Millis(5);

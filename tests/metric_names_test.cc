@@ -103,14 +103,13 @@ TEST(MetricNamesTest, SchedulerNameSetIsExact) {
   const std::set<std::string> expected = {
       "sched/batch_failures",     "sched/batch_size",
       "sched/batches_dispatched", "sched/eviction_frozen",
-      "sched/evictions",          "sched/evictions_pressure",
-      "sched/feedback_transitions", "sched/lazy_stream_finishes",
-      "sched/lazy_streamed_pages", "sched/parked_total",
-      "sched/queue_depth",        "sched/rejected_queue_full",
-      "sched/requests_total",     "sched/reset_fallback_destroys",
-      "sched/timeouts",           "sched/wait_ns",
-      "sched/warm_grant_ns",      "sched/warm_hits",
-      "sched/warm_misses",        "sched/warm_pool_size"};
+      "sched/evictions",          "sched/feedback_transitions",
+      "sched/parked_total",       "sched/queue_depth",
+      "sched/rejected_queue_full", "sched/requests_total",
+      "sched/reset_fallback_destroys", "sched/timeouts",
+      "sched/wait_ns",            "sched/warm_grant_ns",
+      "sched/warm_hits",          "sched/warm_misses",
+      "sched/warm_pool_size"};
   EXPECT_EQ(sched_names, expected);
 }
 
@@ -128,8 +127,7 @@ TEST(MetricNamesTest, RequestLayerNameSetsAreExact) {
       req_names.insert(name);
     }
   }
-  const std::set<std::string> expected_load = {
-      "load/generated", "load/interarrival_ns", "load/state_switches"};
+  const std::set<std::string> expected_load = {"load/generated", "load/interarrival_ns"};
   const std::set<std::string> expected_req = {
       "req/cancelled",  "req/dispatched",     "req/failed",
       "req/in_flight",  "req/latency_ns",     "req/latency_p99_ns",

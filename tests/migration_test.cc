@@ -93,7 +93,7 @@ TEST_F(MigrationTest, PageContentsSurviveMigration) {
   auto dom = src_guests_.Launch(Guest("mig"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
   ASSERT_TRUE(dom.ok());
   fabric_.Settle();
-  GuestMemoryLayout layout = ComputeGuestLayout(Guest("mig"), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(Guest("mig"));
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
   const char payload[] = "travels-with-me";
   ASSERT_TRUE(source_.hypervisor().WriteGuestPage(*dom, gfn, 16, payload, sizeof(payload)).ok());

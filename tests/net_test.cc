@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "src/fault/fault.h"
+#include "src/net/link.h"
 #include "src/net/packet.h"
 #include "src/net/switch.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
+#include "src/sim/event_loop.h"
 
 namespace nephele {
 namespace {
@@ -54,6 +61,68 @@ TEST(Packet, Layer34HashIsDeterministic) {
   EXPECT_EQ(Layer34Hash(p), Layer34Hash(p));
   Packet q = MakeUdp(1, 11, 2, 20);
   EXPECT_NE(Layer34Hash(p), Layer34Hash(q));  // overwhelmingly likely
+}
+
+// --- FabricLink: one set of link constants for every fabric. ---
+
+struct LinkRig {
+  EventLoop loop;
+  MetricsRegistry metrics;
+  TraceRecorder trace{loop};
+  FaultInjector faults{metrics};
+  FabricLink link{loop, "host0->host1", {metrics, trace, faults}};
+
+  std::uint64_t Count(const char* name) const { return metrics.CounterValue(name); }
+};
+
+TEST(FabricLinkTest, TransferChargesLatencyPlusSerializationOfTheFramedPayload) {
+  EXPECT_EQ(kLinkLatency, SimDuration::Micros(50));
+  EXPECT_EQ(kLinkBandwidthGbps, 10.0);
+  EXPECT_EQ(kLinkMtuBytes, 1500u);
+  LinkRig rig;
+  std::uint64_t bytes = 0;
+  std::uint64_t packets = 0;
+  // 0 and 1501 leave a fraction of a nanosecond, which is truncated.
+  for (std::size_t payload : {std::size_t{0}, std::size_t{1}, std::size_t{1500},
+                              std::size_t{1501}, std::size_t{4} << 20}) {
+    const std::size_t frames = payload == 0 ? 1 : (payload + 1499) / 1500;
+    const std::size_t wire = payload + frames * 54;
+    EXPECT_EQ(rig.link.WireBytes(payload), wire) << payload;
+    EXPECT_EQ(rig.link.PacketCount(payload), frames) << payload;
+    const SimTime before = rig.loop.Now();
+    ASSERT_TRUE(rig.link.Transfer(payload).ok()) << payload;
+    const auto serialize_ns =
+        static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / kLinkBandwidthGbps);
+    EXPECT_EQ(rig.loop.Now() - before, kLinkLatency + SimDuration::Nanos(serialize_ns))
+        << payload;
+    bytes += wire;
+    packets += frames;
+    EXPECT_EQ(rig.Count("fabric/link_tx_bytes"), bytes);
+    EXPECT_EQ(rig.Count("fabric/link_tx_packets"), packets);
+  }
+  EXPECT_EQ(rig.Count("fabric/link_down_drops"), 0u);
+}
+
+TEST(FabricLinkTest, DownLinkOrArmedPointFailsWithoutChargingTime) {
+  LinkRig rig;
+  const SimTime start = rig.loop.Now();
+  rig.link.SetDown(true);
+  EXPECT_EQ(rig.link.Transfer(4096).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(rig.loop.Now(), start);
+  EXPECT_EQ(rig.Count("fabric/link_down_drops"), 1u);
+
+  rig.link.SetDown(false);
+  ASSERT_TRUE(
+      rig.faults.Arm("fabric/link", FaultSpec::NthHit(1, StatusCode::kAborted, "cut")).ok());
+  EXPECT_EQ(rig.link.Transfer(4096).code(), StatusCode::kAborted);
+  EXPECT_EQ(rig.loop.Now(), start);
+  EXPECT_EQ(rig.Count("fabric/link_down_drops"), 2u);
+  EXPECT_EQ(rig.Count("fabric/link_tx_bytes"), 0u);
+  EXPECT_EQ(rig.Count("fabric/link_tx_packets"), 0u);
+
+  // The nth-hit spec fired once; the link carries traffic again.
+  EXPECT_TRUE(rig.link.Transfer(4096).ok());
+  EXPECT_GT(rig.loop.Now(), start);
 }
 
 TEST(Bridge, ForwardsByLearnedMac) {

@@ -45,7 +45,7 @@ TEST_P(FamilyCowProperty, RandomClonesAndWrites) {
   ASSERT_TRUE(root.ok());
   system.Settle();
 
-  GuestMemoryLayout layout = ComputeGuestLayout(PropertyGuest("root"), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(PropertyGuest("root"));
   const Gfn heap0 = static_cast<Gfn>(layout.heap_first_gfn);
   const int kSlots = 24;  // distinct (gfn, offset) cells we operate on
 
@@ -184,7 +184,7 @@ TEST_P(ChainProperty, DeepCloneChain) {
   auto root = guests.Launch(PropertyGuest("chain"), std::make_unique<UdpReadyApp>(UdpReadyConfig{}));
   ASSERT_TRUE(root.ok());
   system.Settle();
-  GuestMemoryLayout layout = ComputeGuestLayout(PropertyGuest("chain"), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(PropertyGuest("chain"));
   Gfn gfn = static_cast<Gfn>(layout.heap_first_gfn);
 
   int depth = GetParam();
@@ -234,7 +234,7 @@ TEST_P(FaultInterleavingProperty, CowModelHoldsUnderInjectedFaults) {
   ASSERT_TRUE(root.ok());
   system.Settle();
 
-  GuestMemoryLayout layout = ComputeGuestLayout(PropertyGuest("root"), 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(PropertyGuest("root"));
   const Gfn heap0 = static_cast<Gfn>(layout.heap_first_gfn);
   const int kSlots = 24;
 

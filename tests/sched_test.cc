@@ -312,23 +312,25 @@ TEST_F(SchedTest, ResetFailureFallsBackToDestroy) {
   EXPECT_EQ(system_.hypervisor().FindDomain(granted[0]), nullptr);
 }
 
-TEST_F(SchedTest, PressureWatermarkEvicts) {
+// With a zero cap, capacity eviction reclaims the child Release just reset
+// and parked, and the outcome says so.
+TEST_F(SchedTest, ZeroCapacityEvictsTheReleasedChild) {
   SchedulerConfig cfg;
-  // Dom0 can never be this free while guests are running, so every park is
-  // immediately reclaimed by the pressure sweep.
-  cfg.dom0_low_watermark_bytes = Toolstack::kDom0TotalBytes;
+  cfg.warm_pool_capacity = 0;
   auto sched = MakeScheduler(cfg);
   DomId parent = BootCloneable();
   std::vector<DomId> granted;
   ASSERT_TRUE(AcquireInto(*sched, parent, 1, &granted).ok());
   system_.Settle();
+  ASSERT_EQ(granted.size(), 1u);
 
   auto outcome = sched->Release(granted[0]);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->reset_applied);  // reset ran before the sweep
-  EXPECT_FALSE(outcome->parked);        // ... but the sweep took it back
-  EXPECT_GE(CounterValue("sched/evictions_pressure"), 1u);
+  EXPECT_TRUE(outcome->reset_applied);  // reset ran before the eviction
+  EXPECT_FALSE(outcome->parked);        // ... but the eviction took it back
+  EXPECT_EQ(CounterValue("sched/evictions"), 1u);
   EXPECT_EQ(sched->TotalPooled(), 0u);
+  EXPECT_EQ(system_.hypervisor().FindDomain(granted[0]), nullptr);
 }
 
 TEST_F(SchedTest, AcquireValidatesRequest) {
@@ -472,7 +474,7 @@ TEST_F(SchedTest, DigestIdenticalAcrossWorkerCounts) {
       "sched_acquire dom=0 n=3\n";
   auto scenario = Scenario::FromText(text);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-  ExpectStableDigest<DstVocabulary>(*scenario, text);
+  ExpectStableDigest<DstVocabulary>(*scenario, "SchedTest.DigestIdenticalAcrossWorkerCounts");
 }
 
 }  // namespace

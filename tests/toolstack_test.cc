@@ -28,13 +28,13 @@ class ToolstackTest : public ::testing::Test {
 
 TEST_F(ToolstackTest, LayoutAccountsForEverything) {
   DomainConfig cfg = GuestConfig("a");
-  GuestMemoryLayout layout = ComputeGuestLayout(cfg, 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(cfg);
   EXPECT_EQ(layout.total_pages, 1024u);
   EXPECT_EQ(layout.total_pages, layout.text_pages + layout.data_pages + layout.heap_pages +
                                     layout.special_pages + layout.io_pages);
   // Without a vif there are no I/O pages; heap grows accordingly.
   cfg.with_vif = false;
-  GuestMemoryLayout no_vif = ComputeGuestLayout(cfg, 1024);
+  GuestMemoryLayout no_vif = ComputeGuestLayout(cfg);
   EXPECT_EQ(no_vif.io_pages, 0u);
   EXPECT_GT(no_vif.heap_pages, layout.heap_pages);
 }
@@ -42,7 +42,7 @@ TEST_F(ToolstackTest, LayoutAccountsForEverything) {
 TEST_F(ToolstackTest, MinDomainSizeEnforced) {
   DomainConfig cfg = GuestConfig("a");
   cfg.memory_mb = 1;  // below Xen's 4 MiB minimum
-  GuestMemoryLayout layout = ComputeGuestLayout(cfg, 1024);
+  GuestMemoryLayout layout = ComputeGuestLayout(cfg);
   EXPECT_EQ(layout.total_pages, 1024u);  // clamped up
 }
 
