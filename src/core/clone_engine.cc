@@ -382,9 +382,10 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
         NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
         cp.private_mfns.push_back(mfn);
         batch.private_gfns.push_back(gfn);
-        SimDuration cost = costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
-                                                    ? costs.page_copy
-                                                    : costs.private_page_rewrite);
+        const bool written = frames.info(pe.mfn).data != nullptr;
+        batch.private_written.push_back(written);
+        SimDuration cost =
+            costs.frame_alloc + (written ? costs.page_copy : costs.private_page_rewrite);
         cp.lane += cost;
         batch.private_cost += cost;
         continue;
@@ -572,8 +573,8 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
     const P2mEntry& pe = parent.p2m[gfn];
     if (IsPrivateRole(pe.role)) {
-      Mfn mfn = cp.private_mfns[pi++];
-      if (frames.info(pe.mfn).data != nullptr) {
+      const Mfn mfn = cp.private_mfns[pi];
+      if (batch.private_written[pi++]) {
         frames.CopyPage(pe.mfn, mfn);
       }
       child.p2m.push_back(P2mEntry{mfn, pe.role, /*writable=*/true});

@@ -170,6 +170,10 @@ class CloneEngine {
   struct BatchPlan {
     // Parent gfns holding private-role pages, ascending.
     std::vector<Gfn> private_gfns;
+    // Per private_gfns entry: whether the parent page holds contents to
+    // copy. Staging reads this, not the frame table, whose high-water mark
+    // later plans keep raising while workers stage.
+    std::vector<bool> private_written;
     // Parent ptes flipped writable->read-only by this batch, for rollback.
     std::vector<Gfn> writable_flips;
     // Shared-page counts; with deferred_gfns they cover every non-private

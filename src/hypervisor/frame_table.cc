@@ -1,26 +1,87 @@
 #include "src/hypervisor/frame_table.h"
 
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <new>
+#include <utility>
 
 namespace nephele {
+namespace {
 
-FrameTable::FrameTable(std::size_t total_frames) {
-  frames_.resize(total_frames);
-  free_list_.reserve(total_frames);
-  // Hand out low mfns first (reverse free list order).
-  for (std::size_t i = total_frames; i > 0; --i) {
-    free_list_.push_back(static_cast<Mfn>(i - 1));
+// Record storage is never handed back to the allocator: a destroyed table's
+// block waits here for the next table of the same pool size. So no other
+// allocation is ever placed in a block's untouched rest (a heap that keeps
+// its pages, as perfbench's does, would hand it out, and peak RSS would
+// depend on where), a block's footprint is the high-water mark of the
+// tables built in it, and a process that rebuilds its hosts finds the
+// records' pages already resident instead of faulting them in again.
+struct SpareStorage {
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, void*>> blocks;  // (bytes, address)
+};
+
+SpareStorage& Spares() {
+  static auto* spares = new SpareStorage;  // never destroyed: tables may outlive statics
+  return *spares;
+}
+
+void* TakeStorage(std::size_t bytes) {
+  SpareStorage& spares = Spares();
+  {
+    std::lock_guard<std::mutex> lock(spares.mu);
+    for (auto it = spares.blocks.rbegin(); it != spares.blocks.rend(); ++it) {
+      if (it->first == bytes) {
+        void* storage = it->second;
+        spares.blocks.erase(std::next(it).base());
+        return storage;
+      }
+    }
   }
-  free_count_ = total_frames;
+  return ::operator new(bytes);
+}
+
+// Called from ~FrameTable, so it must not throw: a block the spare list
+// cannot take is freed instead.
+void ReturnStorage(void* storage, std::size_t bytes) {
+  SpareStorage& spares = Spares();
+  std::lock_guard<std::mutex> lock(spares.mu);
+  try {
+    spares.blocks.emplace_back(bytes, storage);
+  } catch (const std::bad_alloc&) {
+    ::operator delete(storage);
+  }
+}
+
+}  // namespace
+
+const FrameInfo FrameTable::kNeverUsed{};
+
+FrameTable::FrameTable(std::size_t total_frames) : total_(total_frames) {
+  if (total_ != 0) {
+    frames_ = static_cast<FrameInfo*>(TakeStorage(total_ * sizeof(FrameInfo)));
+  }
+}
+
+FrameTable::~FrameTable() {
+  std::destroy_n(frames_, used_);
+  if (frames_ != nullptr) {
+    ReturnStorage(frames_, total_ * sizeof(FrameInfo));
+  }
 }
 
 Result<Mfn> FrameTable::Alloc(DomId owner) {
   if (free_list_.empty()) {
-    return ErrResourceExhausted("machine memory pool empty");
+    // No released frame waiting: the lowest never-used one gets its record,
+    // built already owned.
+    if (used_ == total_) {
+      return ErrResourceExhausted("machine memory pool empty");
+    }
+    ::new (static_cast<void*>(frames_ + used_)) FrameInfo{owner, false, true, 1, nullptr};
+    return static_cast<Mfn>(used_++);
   }
-  Mfn mfn = free_list_.back();
+  const Mfn mfn = free_list_.back();
   free_list_.pop_back();
-  --free_count_;
   FrameInfo& f = frames_[mfn];
   f.owner = owner;
   f.refcount = 1;
@@ -31,7 +92,7 @@ Result<Mfn> FrameTable::Alloc(DomId owner) {
 }
 
 Status FrameTable::CheckAllocated(Mfn mfn) const {
-  if (mfn >= frames_.size() || !frames_[mfn].allocated) {
+  if (mfn >= used_ || !frames_[mfn].allocated) {
     return ErrInvalidArgument("mfn not allocated");
   }
   return Status::Ok();
@@ -50,7 +111,6 @@ Status FrameTable::Release(Mfn mfn) {
   }
   f = FrameInfo{};
   free_list_.push_back(mfn);
-  ++free_count_;
   return Status::Ok();
 }
 
@@ -93,7 +153,7 @@ Result<FrameTable::CowResolution> FrameTable::ResolveCowWrite(Mfn mfn, DomId wri
 
 void FrameTable::ReadBytes(Mfn mfn, std::size_t offset, std::uint8_t* out,
                            std::size_t len) const {
-  const FrameInfo& f = frames_[mfn];
+  const FrameInfo& f = info(mfn);
   if (f.data == nullptr) {
     std::memset(out, 0, len);
     return;

@@ -6,10 +6,24 @@
 // 4 MiB guests in a 12 GiB pool) cheap while preserving exact accounting and
 // observable COW semantics for frames that are actually used.
 //
+// Records exist only up to the allocation high-water mark. The table takes
+// storage for the whole pool once but constructs a frame's record the first
+// time the frame is handed out, so a host pays for the frames it uses, not
+// for its pool size (Fig. 5's 12 GiB pool is 3 Mi records). The storage is
+// never freed, only reused by the next table of the same pool size, so no
+// other allocation lands in its untouched rest and a rebuilt host does not
+// fault its records in again. Alloc returns the most recently released
+// frame first and otherwise the lowest mfn never handed out: the order of a
+// free list pre-filled lowest mfn on top, without building one. info() of a
+// never-used mfn reads a free record.
+//
 // Threading model: every mutating operation runs on the simulation thread.
 // Clone-engine workers touch the table only through CopyPage, into frames
 // the plan allocated for their own child; the share references of a clone
-// batch are taken serially at commit. Nothing here needs a lock.
+// batch are taken serially at commit. Records never move: the plan keeps
+// allocating (constructing records past the high-water mark) while workers
+// copy into earlier children's frames, and ResolveCowWrite holds a record
+// across Alloc. Nothing here needs a lock.
 
 #ifndef SRC_HYPERVISOR_FRAME_TABLE_H_
 #define SRC_HYPERVISOR_FRAME_TABLE_H_
@@ -48,13 +62,14 @@ class FrameTable {
  public:
   // Creates a pool of `total_frames` free frames.
   explicit FrameTable(std::size_t total_frames);
+  ~FrameTable();
 
   FrameTable(const FrameTable&) = delete;
   FrameTable& operator=(const FrameTable&) = delete;
 
-  std::size_t total_frames() const { return frames_.size(); }
-  std::size_t free_frames() const { return free_count_; }
-  std::size_t allocated_frames() const { return frames_.size() - free_count_; }
+  std::size_t total_frames() const { return total_; }
+  std::size_t free_frames() const { return free_list_.size() + (total_ - used_); }
+  std::size_t allocated_frames() const { return used_ - free_list_.size(); }
   // Number of frames currently in COW sharing (owned by dom_cow).
   std::size_t shared_frames() const { return shared_count_; }
   // Sum of refcounts of shared frames minus the frames themselves: how many
@@ -91,10 +106,11 @@ class FrameTable {
   };
   Result<CowResolution> ResolveCowWrite(Mfn mfn, DomId writer);
 
-  // Raw accessors.
-  const FrameInfo& info(Mfn mfn) const { return frames_[mfn]; }
-  bool IsShared(Mfn mfn) const { return frames_[mfn].shared; }
-  DomId OwnerOf(Mfn mfn) const { return frames_[mfn].owner; }
+  // Raw accessors; any mfn below total_frames() is valid. Simulation thread
+  // only: a worker reading the high-water mark would race the plan's Alloc.
+  const FrameInfo& info(Mfn mfn) const { return mfn < used_ ? frames_[mfn] : kNeverUsed; }
+  bool IsShared(Mfn mfn) const { return info(mfn).shared; }
+  DomId OwnerOf(Mfn mfn) const { return info(mfn).owner; }
 
   // Reads `len` bytes at `offset` within the frame. Unwritten frames read as
   // zeroes.
@@ -111,11 +127,17 @@ class FrameTable {
   void CopyPage(Mfn src, Mfn dst);
 
  private:
+  static const FrameInfo kNeverUsed;
+
   Status CheckAllocated(Mfn mfn) const;
 
-  std::vector<FrameInfo> frames_;
+  // Storage for total_ records, taken once and never moved; records
+  // [0, used_) are constructed.
+  FrameInfo* frames_ = nullptr;
+  std::size_t total_;
+  std::size_t used_ = 0;
+  // Released frames, reused last-released first before used_ grows.
   std::vector<Mfn> free_list_;
-  std::size_t free_count_ = 0;
   std::size_t shared_count_ = 0;
   std::size_t saved_by_sharing_ = 0;
 };

@@ -229,15 +229,27 @@ void RequestCloneDispatcher::DrainPending() {
 }
 
 void RequestCloneDispatcher::PushTailLatency(std::int64_t latency_ns) {
+  const auto sorted_begin = tail_sorted_.begin();
+  const auto sorted_end = tail_sorted_.end();
   if (tail_.size() < kTailWindow) {
     tail_.push_back(latency_ns);
+    tail_sorted_.insert(std::upper_bound(sorted_begin, sorted_end, latency_ns), latency_ns);
   } else {
+    // The new value takes the evicted one's place: only the entries between
+    // the two positions shift, by one, towards the evicted slot.
     std::int64_t& evicted = tail_[tail_pos_];
-    tail_sorted_.erase(std::lower_bound(tail_sorted_.begin(), tail_sorted_.end(), evicted));
+    const auto old_pos = std::lower_bound(sorted_begin, sorted_end, evicted);
+    if (evicted < latency_ns) {
+      const auto new_pos = std::upper_bound(old_pos + 1, sorted_end, latency_ns);
+      std::move(old_pos + 1, new_pos, old_pos);
+      *(new_pos - 1) = latency_ns;
+    } else if (latency_ns < evicted) {
+      const auto new_pos = std::upper_bound(sorted_begin, old_pos, latency_ns);
+      std::move_backward(new_pos, old_pos, old_pos + 1);
+      *new_pos = latency_ns;
+    }
     evicted = latency_ns;
   }
-  tail_sorted_.insert(std::upper_bound(tail_sorted_.begin(), tail_sorted_.end(), latency_ns),
-                      latency_ns);
   tail_pos_ = (tail_pos_ + 1) % kTailWindow;
   // Nearest-rank p99 over the recent-wins window; this gauge is the series
   // the req_tail alarm evaluates.

@@ -121,7 +121,9 @@ Status CloneScheduler::Acquire(const CloneRequest& req, GrantCallback cb) {
     --total_parked_;
     m_warm_hits_.Increment();
     --remaining;
-    loop_.Post(SimDuration::Nanos(0), [this, cb, child, issued] {
+    // The last grant of the request takes the callback; earlier ones copy.
+    loop_.Post(SimDuration::Nanos(0), [this, cb = remaining == 0 ? std::move(cb) : cb, child,
+                                       issued] {
       m_warm_grant_ns_.Observe((loop_.Now() - issued).ns());
       cb(Result<DomId>(child));
     });
@@ -134,7 +136,7 @@ Status CloneScheduler::Acquire(const CloneRequest& req, GrantCallback cb) {
       Ticket t;
       t.id = next_ticket_id_++;
       t.enqueued_at = issued;
-      t.cb = cb;
+      t.cb = i + 1 == remaining ? std::move(cb) : cb;
       if (config_.request_timeout.ns() > 0) {
         // Fires only for a ticket still queued: leaving the queue cancels it.
         t.timeout = loop_.Post(config_.request_timeout, [this, parent, id = t.id] {

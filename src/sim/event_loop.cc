@@ -6,34 +6,99 @@
 
 namespace nephele {
 
-// The queue every lane of a group shares: a binary heap on (when, seq)
-// whose events are moved out exactly once when popped. Cancel() leaves a
-// tombstone (no lane, no callback) that the pop skips.
+// The queue every lane of a group shares, in two parts:
+//   - `heap`: a 4-ary min-heap of trivially copyable keys on (when, seq), so
+//     a push or pop moves 24-byte keys and never a callback;
+//   - `slots`: a slab of {seq, lane, fn} that the keys point into, reused
+//     through `free_slots`.
+// A slot is freed only when its key pops, cancelled or not, so a reused
+// slot never runs under a stale key. Cancel() clears the slot's lane and
+// callback and leaves the key as a tombstone that the pop skips.
 struct EventLoop::Group {
-  struct Event {
+  struct Key {
     SimTime when;
     std::uint64_t seq;
-    EventLoop* lane;  // null: cancelled
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Key) == 24);
+
+  struct Slot {
+    std::uint64_t seq = 0;      // 0: free
+    EventLoop* lane = nullptr;  // null: free or cancelled
     std::function<void()> fn;
   };
-  // std::*_heap build a max-heap; "later" sorts the earliest event on top.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return b.when < a.when;
-      }
-      return b.seq < a.seq;
-    }
-  };
 
-  std::vector<Event> heap;
+  static constexpr std::size_t kArity = 4;
+
+  std::vector<Key> heap;
+  std::vector<Slot> slots;
+  std::vector<std::uint32_t> free_slots;
   std::vector<EventLoop*> lanes;
   std::uint64_t next_seq = 1;  // 0 names no event
   std::size_t cancelled = 0;   // tombstones still in the heap
 
-  void Drop(Event& ev) {
-    ev.lane = nullptr;
-    ev.fn = nullptr;
+  static bool Before(const Key& a, const Key& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
+
+  void Push(const Key& key) {
+    std::size_t i = heap.size();
+    heap.push_back(key);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!Before(key, heap[parent])) {
+        break;
+      }
+      heap[i] = heap[parent];
+      i = parent;
+    }
+    heap[i] = key;
+  }
+
+  Key PopTop() {
+    const Key top = heap.front();
+    const Key last = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
+    if (n == 0) {
+      return top;
+    }
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) {
+        break;
+      }
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (Before(heap[c], heap[best])) {
+          best = c;
+        }
+      }
+      if (!Before(heap[best], last)) {
+        break;
+      }
+      heap[i] = heap[best];
+      i = best;
+    }
+    heap[i] = last;
+    return top;
+  }
+
+  std::uint32_t TakeSlot() {
+    if (free_slots.empty()) {
+      slots.emplace_back();
+      return static_cast<std::uint32_t>(slots.size() - 1);
+    }
+    const std::uint32_t slot = free_slots.back();
+    free_slots.pop_back();
+    return slot;
+  }
+
+  void Drop(Slot& s) {
+    s.lane = nullptr;
+    s.fn = nullptr;
     ++cancelled;
   }
 };
@@ -47,9 +112,9 @@ EventLoop::EventLoop(EventLoop& peer) : group_(peer.group_), now_(peer.now_) {
 EventLoop::~EventLoop() {
   Group& g = *group_;
   g.lanes.erase(std::find(g.lanes.begin(), g.lanes.end(), this));
-  for (Group::Event& ev : g.heap) {
-    if (ev.lane == this) {
-      g.Drop(ev);
+  for (Group::Slot& s : g.slots) {
+    if (s.lane == this) {
+      g.Drop(s);
     }
   }
 }
@@ -67,26 +132,26 @@ EventId EventLoop::PostAt(SimTime when, std::function<void()> fn) {
   }
   Group& g = *group_;
   const std::uint64_t seq = g.next_seq++;
-  g.heap.push_back(Group::Event{when, seq, this, std::move(fn)});
-  std::push_heap(g.heap.begin(), g.heap.end(), Group::Later{});
-  return EventId{seq};
+  const std::uint32_t slot = g.TakeSlot();
+  Group::Slot& s = g.slots[slot];
+  s.seq = seq;
+  s.lane = this;
+  s.fn = std::move(fn);
+  g.Push(Group::Key{when, seq, slot});
+  return EventId{seq, slot};
 }
 
 bool EventLoop::Cancel(EventId id) {
   Group& g = *group_;
-  if (id.seq == 0) {
+  if (id.seq == 0 || id.slot >= g.slots.size()) {
     return false;  // a timer that was never armed
   }
-  for (Group::Event& ev : g.heap) {
-    if (ev.seq == id.seq) {
-      if (ev.lane == nullptr) {
-        return false;
-      }
-      g.Drop(ev);
-      return true;
-    }
+  Group::Slot& s = g.slots[id.slot];
+  if (s.seq != id.seq || s.lane == nullptr) {
+    return false;  // already ran (the slot is free or reused) or cancelled
   }
-  return false;
+  g.Drop(s);
+  return true;
 }
 
 std::size_t EventLoop::pending_events() const {
@@ -97,15 +162,22 @@ std::size_t EventLoop::RunGroup(SimTime deadline) {
   Group& g = *group_;
   std::size_t count = 0;
   while (!g.heap.empty() && g.heap.front().when <= deadline) {
-    std::pop_heap(g.heap.begin(), g.heap.end(), Group::Later{});
-    Group::Event ev = std::move(g.heap.back());
-    g.heap.pop_back();
-    if (ev.lane == nullptr) {
+    const Group::Key key = g.PopTop();
+    // Empty the slot before the callback runs: it may post (growing the
+    // slab), cancel, or destroy lanes.
+    Group::Slot& s = g.slots[key.slot];
+    EventLoop* lane = s.lane;
+    std::function<void()> fn;
+    fn.swap(s.fn);
+    s.seq = 0;
+    s.lane = nullptr;
+    g.free_slots.push_back(key.slot);
+    if (lane == nullptr) {
       --g.cancelled;
       continue;
     }
-    ev.lane->AdvanceTo(ev.when);
-    ev.fn();
+    lane->AdvanceTo(key.when);
+    fn();
     ++count;
   }
   return count;

@@ -26,6 +26,16 @@
 // Cancel. Post/PostAt return an EventId; after Cancel(id) the event never
 // runs, moves no clock, and counts neither in Run()'s result nor in
 // pending_events(). Destroying a lane cancels its queued events.
+//
+// Layout. The queue is a heap of trivially copyable 24-byte keys
+// {when, seq, slot}; each key points at a slot {seq, lane, fn} of a slab
+// that a free list recycles. A push or pop therefore moves keys, never a
+// callback, and a callback moves out of its slot exactly once, just before
+// it runs (it may post, cancel or destroy lanes). Cancel(id) is O(1): the
+// id carries its slot, and the slot's seq must still match. A slot is freed
+// only when its key pops, cancelled or not, so a slot is never reused while
+// a key still names it, and a stale id whose slot was reused cancels
+// nothing.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
@@ -40,9 +50,11 @@
 namespace nephele {
 
 // Names one posted event for EventLoop::Cancel by its group-wide sequence
-// number. A default-constructed id names no event; cancelling it is a no-op.
+// number and the queue slot that holds it. A default-constructed id names no
+// event; cancelling it is a no-op.
 struct EventId {
   std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
 };
 
 class EventLoop {
@@ -91,9 +103,8 @@ class EventLoop {
   // Schedules `fn` on this lane at an absolute time (clamped to Now()).
   EventId PostAt(SimTime when, std::function<void()> fn);
 
-  // Drops a queued event. Returns false when `id` already ran, was already
-  // cancelled, or names no event. Costs one scan of the queued events: the
-  // heap keeps no index beside it, which keeps Post and the pop cheap.
+  // Drops a queued event in O(1). Returns false when `id` already ran, was
+  // already cancelled, or names no event.
   bool Cancel(EventId id);
 
   // Runs the group's events until the queue drains. Returns the number of

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,6 +143,64 @@ TEST_P(ParallelCloneDeterminism, ByteIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, ParallelCloneDeterminism,
                          ::testing::Values(1u, 8u, 64u));
+
+// Planning a child allocates its frames, and so builds their records, while
+// pool workers copy pages into earlier children's frames. On a fresh host
+// the pool has released nothing, so every frame of the batch is one never
+// handed out before: records are built past the high-water mark throughout
+// staging. The copies must come out as the serial engine's, and the table
+// exact. The TSan build runs this on four workers.
+TEST(ParallelClone, ChildrenOnNeverUsedFramesStageLikeSerial) {
+  auto run = [](unsigned threads) {
+    SystemConfig cfg;
+    cfg.hypervisor.pool_frames = 64 * 1024;
+    cfg.clone_worker_threads = threads;
+    NepheleSystem sys(cfg);
+    DomainConfig dcfg;
+    dcfg.name = "parent";
+    dcfg.memory_mb = 4;
+    dcfg.max_clones = 64;
+    dcfg.with_vif = true;
+    auto parent = sys.toolstack().CreateDomain(dcfg);
+    EXPECT_TRUE(parent.ok());
+    sys.Settle();
+    const Domain* p = sys.hypervisor().FindDomain(*parent);
+    // Stamp every private page, so staging copies real bytes.
+    for (Gfn gfn = 0; gfn < p->p2m.size(); ++gfn) {
+      if (IsPrivateRole(p->p2m[gfn].role)) {
+        EXPECT_TRUE(
+            sys.hypervisor().WriteGuestPage(*parent, gfn, 64, kStamp, sizeof(kStamp)).ok());
+      }
+    }
+    const FrameTable& frames = sys.hypervisor().frames();
+    // Nothing released so far: the allocated frames are exactly mfns
+    // [0, high), and every later Alloc hands out a never-used mfn.
+    const Mfn high = static_cast<Mfn>(frames.allocated_frames());
+    for (Mfn m = 0; m < high; ++m) {
+      EXPECT_TRUE(frames.info(m).allocated) << "mfn " << m;
+    }
+    auto children =
+        sys.clone_engine().Clone({*parent, *parent, p->p2m[p->start_info_gfn].mfn, 32});
+    EXPECT_TRUE(children.ok()) << children.status().ToString();
+    if (children.ok()) {
+      for (DomId child : *children) {
+        for (const P2mEntry& e : sys.hypervisor().FindDomain(child)->p2m) {
+          if (IsPrivateRole(e.role)) {
+            EXPECT_GE(e.mfn, high);
+            std::uint8_t copy[sizeof(kStamp)] = {};
+            frames.ReadBytes(e.mfn, 64, copy, sizeof(copy));
+            EXPECT_EQ(std::memcmp(copy, kStamp, sizeof(kStamp)), 0) << "mfn " << e.mfn;
+          }
+        }
+      }
+    }
+    ExpectFrameConsistency(sys);
+    sys.Settle();
+    ExpectFrameConsistency(sys);
+    return MemoryDigest(sys);
+  };
+  EXPECT_EQ(run(4), run(1));
+}
 
 // Repeating the identical workload at the same thread count reproduces
 // itself — the baseline the cross-thread comparison relies on.

@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -196,6 +201,303 @@ TEST(EventLoopLanes, DestroyedLaneRunsNoEvents) {
   EXPECT_EQ(a.pending_events(), 1u);
   EXPECT_EQ(a.Run(), 1u);
   EXPECT_FALSE(ran);
+}
+
+// A cancelled event keeps its slot until its key pops, and an event that
+// ran frees its slot for the next Post: an old id whose slot now holds a
+// newer event cancels nothing, and the newer event still runs.
+TEST(EventLoop, StaleIdDoesNotCancelTheEventThatReusedItsSlot) {
+  EventLoop loop;
+  const EventId ran_id = loop.Post(SimDuration::Millis(1), [] {});
+  EXPECT_EQ(loop.Run(), 1u);
+  int runs = 0;
+  const EventId reused = loop.Post(SimDuration::Millis(1), [&] { ++runs; });
+  ASSERT_EQ(reused.slot, ran_id.slot);
+  EXPECT_FALSE(loop.Cancel(ran_id));
+  EXPECT_EQ(loop.pending_events(), 1u);
+
+  const EventId cancelled = loop.Post(SimDuration::Millis(2), [&] { ++runs; });
+  EXPECT_TRUE(loop.Cancel(cancelled));
+  const EventId after = loop.Post(SimDuration::Millis(3), [&] { ++runs; });
+  EXPECT_NE(after.slot, cancelled.slot);  // the tombstone's key is still queued
+  EXPECT_EQ(loop.Run(), 2u);
+  const EventId late = loop.Post(SimDuration::Millis(1), [&] { ++runs; });
+  EXPECT_FALSE(loop.Cancel(cancelled));
+  EXPECT_FALSE(loop.Cancel(after));
+  EXPECT_EQ(loop.Run(), 1u);
+  EXPECT_FALSE(loop.Cancel(late));
+  EXPECT_EQ(runs, 3);
+}
+
+// ---------------------------------------------------------------------------
+// The event queue against a model: seeded random programs over three lanes
+// ---------------------------------------------------------------------------
+
+constexpr int kModelLanes = 3;
+
+// One event queue of up to kModelLanes lanes, named by index. Lane 0 always
+// exists; lanes 1 and 2 come and go.
+class LaneQueue {
+ public:
+  virtual ~LaneQueue() = default;
+  virtual void AddLane(int lane) = 0;
+  virtual void DestroyLane(int lane) = 0;
+  virtual SimTime Now(int lane) const = 0;
+  virtual void AdvanceBy(int lane, SimDuration d) = 0;
+  virtual EventId Post(int lane, SimDuration delay, std::function<void()> fn) = 0;
+  virtual EventId PostAt(int lane, SimTime when, std::function<void()> fn) = 0;
+  virtual bool Cancel(EventId id) = 0;
+  virtual std::size_t Run(int lane) = 0;
+  virtual std::size_t RunUntil(int lane, SimTime deadline) = 0;
+  virtual std::size_t pending_events() const = 0;
+};
+
+class RealQueue final : public LaneQueue {
+ public:
+  RealQueue() { lanes_[0] = std::make_unique<EventLoop>(); }
+  void AddLane(int lane) override { lanes_[lane] = std::make_unique<EventLoop>(*lanes_[0]); }
+  void DestroyLane(int lane) override { lanes_[lane].reset(); }
+  SimTime Now(int lane) const override { return lanes_[lane]->Now(); }
+  void AdvanceBy(int lane, SimDuration d) override { lanes_[lane]->AdvanceBy(d); }
+  EventId Post(int lane, SimDuration delay, std::function<void()> fn) override {
+    return lanes_[lane]->Post(delay, std::move(fn));
+  }
+  EventId PostAt(int lane, SimTime when, std::function<void()> fn) override {
+    return lanes_[lane]->PostAt(when, std::move(fn));
+  }
+  bool Cancel(EventId id) override { return lanes_[0]->Cancel(id); }
+  std::size_t Run(int lane) override { return lanes_[lane]->Run(); }
+  std::size_t RunUntil(int lane, SimTime deadline) override {
+    return lanes_[lane]->RunUntil(deadline);
+  }
+  std::size_t pending_events() const override { return lanes_[0]->pending_events(); }
+
+ private:
+  std::array<std::unique_ptr<EventLoop>, kModelLanes> lanes_;
+};
+
+// The reference: a plain list of queued events; each step runs the least
+// (when, seq) by a linear scan, and Cancel erases by seq.
+class ModelQueue final : public LaneQueue {
+ public:
+  ModelQueue() { live_[0] = true; }
+  void AddLane(int lane) override {
+    live_[lane] = true;
+    now_[lane] = now_[0];
+  }
+  void DestroyLane(int lane) override {
+    live_[lane] = false;
+    std::erase_if(queued_, [lane](const Event& ev) { return ev.lane == lane; });
+  }
+  SimTime Now(int lane) const override { return now_[lane]; }
+  void AdvanceBy(int lane, SimDuration d) override { now_[lane] = now_[lane] + d; }
+  EventId Post(int lane, SimDuration delay, std::function<void()> fn) override {
+    return PostAt(lane, now_[lane] + std::max(delay, SimDuration(0)), std::move(fn));
+  }
+  EventId PostAt(int lane, SimTime when, std::function<void()> fn) override {
+    queued_.push_back(Event{std::max(when, now_[lane]), next_seq_, lane, std::move(fn)});
+    return EventId{next_seq_++, 0};
+  }
+  bool Cancel(EventId id) override {
+    return std::erase_if(queued_, [id](const Event& ev) { return ev.seq == id.seq; }) != 0;
+  }
+  std::size_t Run(int lane) override { return RunTo(SimTime(std::numeric_limits<std::int64_t>::max()), now_[lane]); }
+  std::size_t RunUntil(int, SimTime deadline) override { return RunTo(deadline, deadline); }
+  std::size_t pending_events() const override { return queued_.size(); }
+
+ private:
+  struct Event {
+    SimTime when;
+    std::uint64_t seq;
+    int lane;
+    std::function<void()> fn;
+  };
+
+  std::size_t RunTo(SimTime deadline, SimTime floor) {
+    std::size_t count = 0;
+    for (;;) {
+      auto next = std::min_element(queued_.begin(), queued_.end(), [](const Event& a, const Event& b) {
+        return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+      });
+      if (next == queued_.end() || deadline < next->when) {
+        break;
+      }
+      Event ev = std::move(*next);
+      queued_.erase(next);
+      now_[ev.lane] = std::max(now_[ev.lane], ev.when);
+      ev.fn();
+      ++count;
+    }
+    SimTime latest = floor;
+    for (int lane = 0; lane < kModelLanes; ++lane) {
+      if (live_[lane]) {
+        latest = std::max(latest, now_[lane]);
+      }
+    }
+    for (int lane = 0; lane < kModelLanes; ++lane) {
+      now_[lane] = latest;
+    }
+    return count;
+  }
+
+  std::vector<Event> queued_;
+  std::array<SimTime, kModelLanes> now_{};
+  std::array<bool, kModelLanes> live_{};
+  std::uint64_t next_seq_ = 1;
+};
+
+// Drives one seeded program against a queue and logs everything the queue
+// reports: every run event as (lane, when, seq, lane clock), every Cancel
+// result, Run/RunUntil counts, and after each top-level op pending_events()
+// and every live lane's Now(). Equal behaviour draws the same random
+// numbers, so two queues that behave alike produce identical logs.
+class QueueProgram {
+ public:
+  QueueProgram(LaneQueue& queue, std::uint64_t seed) : q_(queue), rng_(seed) { live_[0] = true; }
+
+  std::size_t cancels_ok() const { return cancels_ok_; }
+
+  std::vector<std::string> Run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      Step();
+      Log("pending " + std::to_string(q_.pending_events()));
+      for (int lane = 0; lane < kModelLanes; ++lane) {
+        if (live_[lane]) {
+          Log("now " + std::to_string(lane) + " " + std::to_string(q_.Now(lane).ns()));
+        }
+      }
+    }
+    Log("drain " + std::to_string(q_.Run(0)));
+    Log("pending " + std::to_string(q_.pending_events()));
+    return log_;
+  }
+
+ private:
+  void Log(std::string line) { log_.push_back(std::move(line)); }
+
+  int AnyLiveLane() {
+    for (;;) {
+      const int lane = static_cast<int>(rng_.NextBelow(kModelLanes));
+      if (live_[lane]) {
+        return lane;
+      }
+    }
+  }
+
+  void Step() {
+    const std::uint64_t r = rng_.NextBelow(100);
+    if (r < 35) {
+      PostOne();
+    } else if (r < 50) {
+      CancelOne();
+    } else if (r < 65) {
+      const int lane = AnyLiveLane();
+      const SimTime deadline = q_.Now(lane) + SimDuration(rng_.NextInRange(0, 25));
+      Log("run_until " + std::to_string(q_.RunUntil(lane, deadline)));
+    } else if (r < 70) {
+      Log("run " + std::to_string(q_.Run(AnyLiveLane())));
+    } else if (r < 80) {
+      q_.AdvanceBy(AnyLiveLane(), SimDuration(rng_.NextInRange(0, 10)));
+    } else if (r < 88) {
+      const int lane = 1 + static_cast<int>(rng_.NextBelow(kModelLanes - 1));
+      if (live_[lane]) {
+        q_.DestroyLane(lane);
+      } else {
+        q_.AddLane(lane);
+      }
+      live_[lane] = !live_[lane];
+      Log("lane " + std::to_string(lane) + (live_[lane] ? " added" : " destroyed"));
+    } else {
+      PostOne();
+      PostOne();
+    }
+  }
+
+  // Posts on a live lane, by delay (possibly negative) or at an absolute
+  // time that may lie in the lane's past.
+  void PostOne() {
+    const int lane = AnyLiveLane();
+    const std::size_t tag = ids_.size();
+    ids_.emplace_back();
+    auto fn = [this, tag, lane] { OnEvent(tag, lane); };
+    EventId id;
+    SimTime when;
+    if (rng_.NextBool(0.5)) {
+      const SimDuration delay(rng_.NextInRange(-3, 30));
+      when = q_.Now(lane) + std::max(delay, SimDuration(0));
+      id = q_.Post(lane, delay, std::move(fn));
+    } else {
+      const SimTime at = q_.Now(lane) + SimDuration(rng_.NextInRange(-20, 30));
+      when = std::max(at, q_.Now(lane));
+      id = q_.PostAt(lane, at, std::move(fn));
+    }
+    ids_[tag] = id;
+    whens_.push_back(when);
+    Log("post " + std::to_string(tag) + " lane " + std::to_string(lane) + " seq " +
+        std::to_string(id.seq));
+  }
+
+  // Cancels an id picked among everything posted so far (live, already run,
+  // already cancelled, or on a destroyed lane), or the default id.
+  void CancelOne() {
+    if (ids_.empty() || rng_.NextBool(0.1)) {
+      Log(std::string("cancel default ") + (q_.Cancel(EventId{}) ? "1" : "0"));
+      return;
+    }
+    const std::size_t tag = rng_.NextBelow(ids_.size());
+    const bool cancelled = q_.Cancel(ids_[tag]);
+    cancels_ok_ += cancelled ? 1 : 0;
+    Log("cancel " + std::to_string(tag) + (cancelled ? " 1" : " 0"));
+  }
+
+  void OnEvent(std::size_t tag, int lane) {
+    Log("ran " + std::to_string(tag) + " lane " + std::to_string(lane) + " when " +
+        std::to_string(whens_[tag].ns()) + " seq " + std::to_string(ids_[tag].seq) + " at " +
+        std::to_string(q_.Now(lane).ns()));
+    const std::uint64_t r = rng_.NextBelow(10);
+    if (r < 3) {
+      PostOne();
+    } else if (r < 5) {
+      CancelOne();
+    } else if (r < 6) {
+      q_.AdvanceBy(lane, SimDuration(rng_.NextInRange(0, 5)));
+    } else if (r < 7) {
+      Log(std::string("cancel self ") + (q_.Cancel(ids_[tag]) ? "1" : "0"));
+    }
+  }
+
+  LaneQueue& q_;
+  Rng rng_;
+  std::array<bool, kModelLanes> live_{};
+  std::vector<EventId> ids_;  // by tag
+  std::vector<SimTime> whens_;
+  std::vector<std::string> log_;
+  std::size_t cancels_ok_ = 0;
+};
+
+TEST(EventLoopModel, RandomProgramsMatchASortedReferenceList) {
+  std::size_t runs = 0;
+  std::size_t cancels_ok = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RealQueue real;
+    ModelQueue model;
+    QueueProgram real_program(real, seed);
+    QueueProgram model_program(model, seed);
+    const std::vector<std::string> got = real_program.Run(300);
+    const std::vector<std::string> want = model_program.Run(300);
+    const auto diverged = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    ASSERT_TRUE(diverged.first == got.end() && diverged.second == want.end())
+        << "line " << (diverged.first - got.begin()) << ": queue logged '"
+        << (diverged.first == got.end() ? "<end>" : *diverged.first) << "', model '"
+        << (diverged.second == want.end() ? "<end>" : *diverged.second) << "'";
+    runs += std::count_if(got.begin(), got.end(),
+                          [](const std::string& line) { return line.rfind("ran ", 0) == 0; });
+    cancels_ok += real_program.cancels_ok();
+  }
+  // The programs exercise what they claim to.
+  EXPECT_GT(runs, 10'000u);
+  EXPECT_GT(cancels_ok, 1'000u);
 }
 
 TEST(Rng, Deterministic) {
