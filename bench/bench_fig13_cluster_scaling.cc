@@ -3,7 +3,7 @@
 // The paper's evaluation stops at one host; Sec. 8 names multi-host cloning
 // as the open extension. This bench drives the ClusterFabric at that scale:
 // a 4-host fabric, one parent image replicated to every peer, and >=1024
-// instances acquired through the cluster scheduler's placement policy in
+// instances acquired through the cluster scheduler's spread placement in
 // waves, with a release/re-acquire pass exercising the cross-host warm
 // pools and a mid-migration link-fault demo proving clean rollback (frame
 // conservation checked on both ends).
@@ -58,7 +58,6 @@ ScenarioResult RunScenario(std::size_t hosts, std::size_t instances, unsigned cl
   ScenarioResult out;
   ClusterConfig cfg;
   cfg.hosts = hosts;
-  cfg.placement = PlacementPolicy::kSpread;
   cfg.host.hypervisor.pool_frames = 256 * 1024;  // 1 GiB pool per host
   cfg.host.clone_worker_threads = clone_workers;
   cfg.host.sched.max_queue_depth = 256;

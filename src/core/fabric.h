@@ -4,8 +4,9 @@
 // typed fabric operation — Migrate(dom, src, dst) ships a stop-and-copy
 // stream over the inter-host link and rolls the source back cleanly on any
 // link or immigration failure — and parent images replicate to peers so
-// cross-host clone placement (ClusterScheduler,
-// src/sched/cluster_scheduler.h) can satisfy an Acquire on any host.
+// the cluster scheduler's spread placement (ClusterScheduler,
+// src/sched/cluster_scheduler.h) can serve an Acquire on any host holding a
+// replica.
 // Migrate is the library's one emigration chain: GuestManager::MigrateTo
 // (src/guest/guest_manager.h) moves a guest's app state around it.
 //
@@ -45,12 +46,10 @@
 
 namespace nephele {
 
-// Where the cluster scheduler places the next child (DESIGN.md §15).
-enum class PlacementPolicy : int {
-  kPack = 0,        // fill the lowest-indexed host until memory pressure
-  kSpread = 1,      // least active children first (load balancing)
-  kMemoryAware = 2, // most free hypervisor-pool frames first
-};
+// Read by nothing: ClusterScheduler::Acquire always places by spread
+// (DESIGN.md §15). It stays only while the repo benchmark (perfbench/)
+// assigns it.
+enum class PlacementPolicy { kSpread };
 
 struct ClusterConfig {
   // Number of hosts in the fabric.
@@ -59,7 +58,7 @@ struct ClusterConfig {
   // The hosts form a full mesh, one FabricLink per ordered pair, all with
   // the link constants of src/net/link.h.
   SystemConfig host;
-  // Default placement policy consumed by ClusterScheduler.
+  // Unread; see PlacementPolicy.
   PlacementPolicy placement = PlacementPolicy::kSpread;
 };
 

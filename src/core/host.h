@@ -31,7 +31,6 @@
 #include "src/hypervisor/hypervisor.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/obs/tsdb/tsdb.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_loop.h"
 #include "src/toolstack/toolstack.h"
@@ -42,9 +41,11 @@ namespace nephele {
 // Every host-side knob, read at construction by the component that
 // consumes it (a Host subsystem, or a component built on top such as
 // CloneScheduler(Host&)). A value is a knob only where the benches,
-// examples, the DST harness or the repo benchmark vary it (20 settable
+// examples, the DST harness or the repo benchmark vary it (18 settable
 // values); the cost model, Xen's minimum domain size (kMinDomainPages) and
-// the link and tail-window constants are fixed. The one runtime knob is
+// the link and tail-window constants are fixed. The telemetry pipeline's
+// TsdbConfig is not among them: each caller hands its own to the
+// TsdbCollector it builds. The one runtime knob is
 // CloneEngine::SetWorkerThreads (staging threads never change results);
 // Host::config() stays the construction-time config.
 struct SystemConfig {
@@ -59,10 +60,6 @@ struct SystemConfig {
   // auto/manual streaming, hot-set cap. Handed to the CloneEngine
   // constructor and used for requests with CloneRequest::lazy set.
   LazyCloneConfig lazy_clone;
-  // Telemetry-pipeline knobs (tick interval, ring capacity). Consumed by
-  // TsdbCollector(host.metrics(), host.loop(), host.config().tsdb); like
-  // the scheduler, hosts that never collect pay nothing.
-  TsdbConfig tsdb;
   // Heavy-traffic request-layer knobs (arrival process, clone factor,
   // service model). Consumed by LoadGenerator(Host&) and
   // RequestCloneDispatcher(Host&, CloneScheduler&); hosts that never

@@ -1,6 +1,5 @@
 #include "src/obs/tsdb/alarm.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -100,18 +99,6 @@ AlarmState AlarmEngine::StateOf(std::string_view name) const {
   return it == rules_.end() ? AlarmState::kClear : it->second.state;
 }
 
-void AlarmEngine::AddObserver(TsdbObserver* observer) {
-  if (observer != nullptr &&
-      std::find(observers_.begin(), observers_.end(), observer) == observers_.end()) {
-    observers_.push_back(observer);
-  }
-}
-
-void AlarmEngine::RemoveObserver(TsdbObserver* observer) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
-}
-
 double AlarmEngine::Evaluate(const AlarmRule& rule) const {
   switch (rule.agg) {
     case WindowAgg::kMin:
@@ -145,9 +132,6 @@ void AlarmEngine::OnTick(std::uint64_t tick) {
         rs.last_transition_tick = tick;
         rs.raised_total->Increment();
         rs.state_gauge->Set(1);
-        for (TsdbObserver* observer : observers_) {
-          observer->OnAlarmRaised(rs.rule, tick);
-        }
       }
     } else {
       if (value < rs.rule.clear_below) {
@@ -162,9 +146,6 @@ void AlarmEngine::OnTick(std::uint64_t tick) {
         rs.last_transition_tick = tick;
         rs.cleared_total->Increment();
         rs.state_gauge->Set(0);
-        for (TsdbObserver* observer : observers_) {
-          observer->OnAlarmCleared(rs.rule, tick);
-        }
       }
     }
   }

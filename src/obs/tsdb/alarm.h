@@ -10,11 +10,11 @@
 //
 // Boundary values (== a threshold) advance neither streak, and the gap
 // between the two thresholds plus the streak requirement means a series
-// hovering at the limit cannot flap the alarm. Transitions fan out to
-// TsdbObservers (the scheduler feedback adapter lives on this hook) and are
-// mirrored into the registry as `alarm/<name>/{state,raised_total,
-// cleared_total}` — where the collector picks them up as series like any
-// other metric.
+// hovering at the limit cannot flap the alarm. Transitions are mirrored
+// into the registry as `alarm/<name>/{state,raised_total,cleared_total}` —
+// where the collector picks them up as series like any other metric — and
+// read back through StateOf() and ExportJson(). Alarms report; nothing in
+// the control plane acts on them.
 
 #ifndef SRC_OBS_TSDB_ALARM_H_
 #define SRC_OBS_TSDB_ALARM_H_
@@ -68,19 +68,15 @@ class AlarmEngine : public TsdbObserver {
   AlarmEngine& operator=(const AlarmEngine&) = delete;
 
   void AddRule(AlarmRule rule);
-  // The stock rule set for a host: `warm_pool_thrash` on the
-  // `sched/evictions` rate and `rollback_storm` on the `clone/rolled_back`
-  // rate.
+  // The stock rule set for a host, four rules: `warm_pool_thrash` on the
+  // `sched/evictions` rate, `rollback_storm` on the `clone/rolled_back`
+  // rate, `stream_stall` on the windowed minimum of
+  // `clone/lazy_pending_pages` and `req_tail` on the windowed minimum of
+  // `req/latency_p99_ns`.
   static std::vector<AlarmRule> DefaultNepheleRules();
 
   // kClear for unknown names (an alarm that does not exist is not firing).
   AlarmState StateOf(std::string_view name) const;
-
-  // Alarm transitions are delivered to these observers (OnAlarmRaised /
-  // OnAlarmCleared), in registration order, during the collector tick that
-  // caused them.
-  void AddObserver(TsdbObserver* observer);
-  void RemoveObserver(TsdbObserver* observer);
 
   // TsdbObserver: evaluates every rule, in rule-name order.
   void OnTick(std::uint64_t tick) override;
@@ -108,7 +104,6 @@ class AlarmEngine : public TsdbObserver {
   TsdbCollector& tsdb_;
   MetricsRegistry& registry_;
   std::map<std::string, RuleState, std::less<>> rules_;
-  std::vector<TsdbObserver*> observers_;
 };
 
 }  // namespace nephele

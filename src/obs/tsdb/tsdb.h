@@ -5,7 +5,7 @@
 // histograms as a `<name>/count` and `<name>/sum` pair) into fixed-size
 // RingSeries, discovers new metrics as they appear, and offers windowed
 // aggregation (min/max/mean/rate/percentile over the last N ticks) that the
-// AlarmEngine — and through it the clone scheduler — consumes as feedback.
+// AlarmEngine judges its rules against.
 //
 // Ticks run on simulated time and only when the owner asks for them:
 // Tick() samples immediately, ScheduleTicks(n) posts n future ticks spaced
@@ -31,10 +31,8 @@
 
 namespace nephele {
 
-struct AlarmRule;
-
-// Knobs of the telemetry pipeline; carried by SystemConfig::tsdb so the
-// whole knob surface stays on the single source of truth.
+// Knobs of the telemetry pipeline. Each caller passes its own to the
+// collector it builds; no host reads them.
 struct TsdbConfig {
   // Simulated-time spacing of ScheduleTicks() samples.
   SimDuration tick_interval = SimDuration::Millis(10);
@@ -42,23 +40,13 @@ struct TsdbConfig {
   std::size_t ring_capacity = 256;
 };
 
-// Receives collector and alarm lifecycle events. Default-no-op so observers
-// override only what they consume (the CloneObserver pattern). Observers are
+// Receives the collector's ticks (the AlarmEngine is one). Observers are
 // not owned; remove before destroying one.
 class TsdbObserver {
  public:
   virtual ~TsdbObserver() = default;
-  // After the samples of `tick` landed in the rings (and, for observers
-  // registered on an AlarmEngine, after its rules were evaluated).
-  virtual void OnTick(std::uint64_t tick) { (void)tick; }
-  virtual void OnAlarmRaised(const AlarmRule& rule, std::uint64_t tick) {
-    (void)rule;
-    (void)tick;
-  }
-  virtual void OnAlarmCleared(const AlarmRule& rule, std::uint64_t tick) {
-    (void)rule;
-    (void)tick;
-  }
+  // After the samples of `tick` landed in the rings.
+  virtual void OnTick(std::uint64_t tick) = 0;
 };
 
 // Windowed aggregate over the last N ticks of one series, clamped to what

@@ -8,99 +8,32 @@ namespace {
 
 constexpr std::size_t kNoHost = std::numeric_limits<std::size_t>::max();
 
-// Lowest-indexed eligible host satisfying `pred`; kNoHost when none does.
-template <typename Pred>
-std::size_t FirstEligible(const PlacementQuery& q, Pred pred) {
-  for (std::size_t i = 0; i < q.num_hosts; ++i) {
-    if (q.eligible[i] && pred(i)) {
-      return i;
-    }
-  }
-  return kNoHost;
-}
-
-// Eligible host minimizing `key(i)` (ties: lowest index), restricted to
-// hosts satisfying `pred`.
-template <typename Key, typename Pred>
-std::size_t BestEligible(const PlacementQuery& q, Key key, Pred pred) {
-  std::size_t best = kNoHost;
-  for (std::size_t i = 0; i < q.num_hosts; ++i) {
-    if (!q.eligible[i] || !pred(i)) {
-      continue;
-    }
-    if (best == kNoHost || key(i) < key(best)) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
-PlacementFn MakePlacementFn(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kPack:
-      return [](const PlacementQuery& q) -> std::size_t {
-        // Warm children trump packing: a parked clone is cheaper than any
-        // cold one, wherever it sits.
-        if (std::size_t h = FirstEligible(q, [&](std::size_t i) { return q.warm_children[i] > 0; });
-            h != kNoHost) {
-          return h;
-        }
-        // Fill the lowest-indexed host until its frame pool dips below the
-        // reserve, then spill to the next.
-        if (std::size_t h = FirstEligible(
-                q, [&](std::size_t i) { return q.free_frames[i] > kPackReserveFrames; });
-            h != kNoHost) {
-          return h;
-        }
-        // Every host is under reserve: take the least-pressured one.
-        return BestEligible(
-            q, [&](std::size_t i) { return std::numeric_limits<std::size_t>::max() - q.free_frames[i]; },
-            [](std::size_t) { return true; });
-      };
-    case PlacementPolicy::kSpread:
-      return [](const PlacementQuery& q) -> std::size_t {
-        // Among warm hosts, least loaded; else least loaded overall.
-        if (std::size_t h = BestEligible(
-                q, [&](std::size_t i) { return q.active_children[i]; },
-                [&](std::size_t i) { return q.warm_children[i] > 0; });
-            h != kNoHost) {
-          return h;
-        }
-        return BestEligible(
-            q, [&](std::size_t i) { return q.active_children[i]; },
-            [](std::size_t) { return true; });
-      };
-    case PlacementPolicy::kMemoryAware:
-      return [](const PlacementQuery& q) -> std::size_t {
-        const auto room = [&](std::size_t i) {
-          return std::numeric_limits<std::size_t>::max() - q.free_frames[i];
-        };
-        if (std::size_t h = BestEligible(q, room,
-                                         [&](std::size_t i) { return q.warm_children[i] > 0; });
-            h != kNoHost) {
-          return h;
-        }
-        return BestEligible(q, room, [](std::size_t) { return true; });
-      };
+ClusterScheduler::HostSlots::HostSlots(Host& host)
+    : engine(host.clone_engine()), sched(std::make_unique<CloneScheduler>(host)) {
+  engine.AddObserver(this);
+}
+
+ClusterScheduler::HostSlots::~HostSlots() { engine.RemoveObserver(this); }
+
+void ClusterScheduler::HostSlots::Free(DomId dom) {
+  if (granted.erase(dom) > 0) {
+    --active;
   }
-  return nullptr;  // unreachable: -Werror=switch covers every policy
 }
 
 ClusterScheduler::ClusterScheduler(ClusterFabric& fabric)
     : fabric_(fabric),
-      active_(fabric.num_hosts(), 0),
-      placement_(MakePlacementFn(fabric.config().placement)),
       m_acquires_(fabric.metrics().GetCounter("cluster/acquires_total")),
       m_placements_(fabric.metrics().GetCounter("cluster/placements_total")),
       m_warm_placements_(fabric.metrics().GetCounter("cluster/warm_placements")),
       m_rejected_(fabric.metrics().GetCounter("cluster/rejected_total")),
       m_released_(fabric.metrics().GetCounter("cluster/released_total")),
       m_replicas_created_(fabric.metrics().GetCounter("cluster/replicas_created")) {
-  host_scheds_.reserve(fabric.num_hosts());
+  hosts_.reserve(fabric.num_hosts());
   for (std::size_t i = 0; i < fabric.num_hosts(); ++i) {
-    host_scheds_.push_back(std::make_unique<CloneScheduler>(fabric.host(i)));
+    hosts_.push_back(std::make_unique<HostSlots>(fabric.host(i)));
   }
 }
 
@@ -130,23 +63,6 @@ Result<std::size_t> ClusterScheduler::RegisterParent(std::size_t home_host, DomI
   return families_.size() - 1;
 }
 
-PlacementQuery ClusterScheduler::BuildQuery(const Family& family) {
-  PlacementQuery q;
-  q.num_hosts = fabric_.num_hosts();
-  q.eligible.resize(q.num_hosts);
-  q.warm_children.resize(q.num_hosts);
-  q.free_frames.resize(q.num_hosts);
-  q.active_children.resize(q.num_hosts);
-  for (std::size_t i = 0; i < q.num_hosts; ++i) {
-    const DomId replica = family.replica_by_host[i];
-    q.eligible[i] = replica != kDomInvalid;
-    q.warm_children[i] = q.eligible[i] ? host_scheds_[i]->WarmPoolSize(replica) : 0;
-    q.free_frames[i] = fabric_.host(i).hypervisor().FreePoolFrames();
-    q.active_children[i] = active_[i];
-  }
-  return q;
-}
-
 Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, GrantCallback cb) {
   if (family >= families_.size()) {
     return ErrInvalidArgument("no such family");
@@ -157,9 +73,23 @@ Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, Gran
   m_acquires_.Increment();
   const Family& fam = families_[family];
   for (unsigned child = 0; child < num_children; ++child) {
-    const PlacementQuery q = BuildQuery(fam);
-    const std::size_t host = placement_(q);
-    if (host >= q.num_hosts || !q.eligible[host]) {
+    // Spread: the warm eligible host with the fewest active children, else
+    // the eligible host with the fewest; ties go to the lowest index.
+    std::size_t host = kNoHost;
+    bool warm = false;
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      const DomId replica = fam.replica_by_host[i];
+      if (replica == kDomInvalid) {
+        continue;
+      }
+      const bool warm_i = hosts_[i]->sched->WarmPoolSize(replica) > 0;
+      if (host == kNoHost || (warm_i && !warm) ||
+          (warm_i == warm && hosts_[i]->active < hosts_[host]->active)) {
+        host = i;
+        warm = warm_i;
+      }
+    }
+    if (host == kNoHost) {
       m_rejected_.Increment();
       fabric_.loop().Post(SimDuration::Nanos(0), [cb] {
         cb(ErrUnavailable("no eligible host for this family"));
@@ -167,29 +97,33 @@ Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, Gran
       continue;
     }
     m_placements_.Increment();
-    if (q.warm_children[host] > 0) {
+    if (warm) {
       m_warm_placements_.Increment();
     }
-    ++active_[host];
-    const DomId replica = fam.replica_by_host[host];
+    HostSlots& slots = *hosts_[host];
+    ++slots.active;
     EventLoop& lane = fabric_.host(host).loop();
     lane.AdvanceTo(fabric_.Now());
-    Status admitted = host_scheds_[host]->Acquire(
-        {kDom0, replica, kInvalidMfn, 1}, [this, host, cb, &lane](Result<DomId> granted) {
+    Status admitted = slots.sched->Acquire(
+        {kDom0, fam.replica_by_host[host], kInvalidMfn, 1},
+        [this, host, cb, &slots, &lane](Result<DomId> granted) {
+          if (granted.ok()) {
+            slots.granted.insert(*granted);
+          }
           // The outcome crosses back to the fabric lane at the host's time.
-          fabric_.loop().PostAt(lane.Now(), [this, host, cb, granted] {
+          fabric_.loop().PostAt(lane.Now(), [this, host, cb, &slots, granted] {
             if (granted.ok()) {
               cb(ClusterGrant{host, *granted});
               return;
             }
-            --active_[host];
+            --slots.active;
             m_rejected_.Increment();
             cb(granted.status());
           });
         });
     if (!admitted.ok()) {
       // Synchronous admission rejection: the per-host callback never fires.
-      --active_[host];
+      --slots.active;
       m_rejected_.Increment();
       fabric_.loop().PostAt(lane.Now(), [cb, admitted] { cb(admitted); });
     }
@@ -198,15 +132,16 @@ Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, Gran
 }
 
 Result<ReleaseOutcome> ClusterScheduler::Release(const ClusterGrant& grant) {
-  if (grant.host >= host_scheds_.size()) {
+  if (grant.host >= hosts_.size()) {
     return ErrInvalidArgument("no such host");
   }
+  HostSlots& slots = *hosts_[grant.host];
   fabric_.host(grant.host).loop().AdvanceTo(fabric_.Now());
-  auto outcome = host_scheds_[grant.host]->Release(grant.dom);
+  auto outcome = slots.sched->Release(grant.dom);
   if (outcome.ok()) {
-    if (active_[grant.host] > 0) {
-      --active_[grant.host];
-    }
+    // A child destroyed inside Release (reset fallback, eviction at
+    // capacity 0) already freed its slot in OnDestroy.
+    slots.Free(grant.dom);
     m_released_.Increment();
   }
   return outcome;

@@ -8,18 +8,21 @@
 //                   the fabric links (Toolstack::SnapshotDomain + MigrateIn)
 //                   and returns a family handle; each host then clones from
 //                   its local replica — no cross-host traffic per clone.
-//   Acquire         places each requested child on a host via the pluggable
-//                   PlacementFn (pack / spread / memory-pressure-aware
-//                   built-ins, warm-children-first in every policy) and
-//                   forwards to that host's CloneScheduler; grants come back
-//                   as ClusterGrant{host, dom}.
+//   Acquire         places each requested child by spread: the warm
+//                   eligible host with the fewest active children, else the
+//                   eligible host with the fewest, ties to the lowest index.
+//                   The child goes to that host's CloneScheduler; grants
+//                   come back as ClusterGrant{host, dom}.
 //   Release         returns a grant to its host's warm pool, where a later
-//                   Acquire on any policy can pick it up warm.
+//                   Acquire can pick it up warm.
 //
-// Placement runs at request time against live signals (parked warm children,
-// free hypervisor-pool frames, children this scheduler placed), entirely on
-// the deterministic cluster loop: byte-identical across reruns and clone
-// worker counts, like every other layer.
+// A host's active children are those placed there and not yet failed,
+// released or destroyed. The scheduler watches every host's clone engine
+// (CloneObserver::OnDestroy), so a granted child that anyone destroys frees
+// its slot at once. Placement reads only these counts, the replicas and
+// the host schedulers' warm pools, entirely on the deterministic cluster
+// loop: byte-identical across reruns and clone worker counts, like every
+// other layer.
 //
 // Time: the scheduler lives on the fabric lane; each CloneScheduler runs on
 // its host's lane (src/sim/event_loop.h). Acquire and Release hand the
@@ -34,10 +37,12 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/base/result.h"
 #include "src/core/fabric.h"
+#include "src/obs/clone_observer.h"
 #include "src/sched/scheduler.h"
 
 namespace nephele {
@@ -48,32 +53,12 @@ struct ClusterGrant {
   DomId dom = kDomInvalid;
 };
 
-// The per-host signals a placement decision sees. Indexed by host; a host
-// whose `eligible` bit is false (no replica of the family) must not be
-// chosen.
-struct PlacementQuery {
-  std::size_t num_hosts = 0;
-  std::vector<bool> eligible;
-  std::vector<std::size_t> warm_children;    // parked replicas of this family
-  std::vector<std::size_t> free_frames;      // hypervisor pool headroom
-  std::vector<std::size_t> active_children;  // children this scheduler placed
-};
-using PlacementFn = std::function<std::size_t(const PlacementQuery&)>;
-
-// kPack spills to the next host once the packed host's free frame pool
-// dips below this reserve.
-inline constexpr std::size_t kPackReserveFrames = 1024;
-
-// The built-in policies (DESIGN.md §15). All of them serve from a host with
-// warm children first; they differ in where cold clones land.
-PlacementFn MakePlacementFn(PlacementPolicy policy);
-
 class ClusterScheduler {
  public:
   using GrantCallback = std::function<void(Result<ClusterGrant>)>;
 
   // Builds one CloneScheduler per fabric host from each host's own config
-  // and services; the placement policy comes from fabric.config().placement.
+  // and services.
   explicit ClusterScheduler(ClusterFabric& fabric);
 
   ClusterScheduler(const ClusterScheduler&) = delete;
@@ -94,26 +79,40 @@ class ClusterScheduler {
   // Returns a granted child to its host's warm pool.
   Result<ReleaseOutcome> Release(const ClusterGrant& grant);
 
-  CloneScheduler& host_scheduler(std::size_t host) { return *host_scheds_.at(host); }
+  CloneScheduler& host_scheduler(std::size_t host) { return *hosts_.at(host)->sched; }
   // The family's clone source on `host`; kDomInvalid when replication to
   // that host failed.
   DomId replica(std::size_t family, std::size_t host) const;
-  std::size_t active_on(std::size_t host) const { return active_.at(host); }
+  std::size_t active_on(std::size_t host) const { return hosts_.at(host)->active; }
 
  private:
   struct Family {
     std::vector<DomId> replica_by_host;  // indexed by host
   };
 
-  PlacementQuery BuildQuery(const Family& family);
+  // One host's scheduler and placement slots. It watches the host's clone
+  // engine for deaths; domids repeat across hosts, so each host has its own.
+  struct HostSlots : CloneObserver {
+    explicit HostSlots(Host& host);
+    ~HostSlots() override;
+    HostSlots(const HostSlots&) = delete;
+    HostSlots& operator=(const HostSlots&) = delete;
+    // Frees the slot of `dom` if it is a granted, unreleased child; a
+    // second call for the same child frees nothing.
+    void Free(DomId dom);
+    void OnDestroy(DomId dom) override { Free(dom); }
+
+    CloneEngine& engine;
+    std::unique_ptr<CloneScheduler> sched;
+    // Children placed and not yet failed, released or destroyed. Bumped at
+    // placement time (not grant time) so a burst of Acquires spreads.
+    std::size_t active = 0;
+    std::set<DomId> granted;  // granted and not yet released or destroyed
+  };
 
   ClusterFabric& fabric_;
-  std::vector<std::unique_ptr<CloneScheduler>> host_scheds_;
+  std::vector<std::unique_ptr<HostSlots>> hosts_;
   std::vector<Family> families_;
-  // Children placed and not yet released, per host. Bumped at placement
-  // time (not grant time) so a burst of Acquires spreads correctly.
-  std::vector<std::size_t> active_;
-  const PlacementFn placement_;
   Counter& m_acquires_;
   Counter& m_placements_;
   Counter& m_warm_placements_;

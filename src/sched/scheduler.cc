@@ -31,7 +31,6 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
       m_parked_(services.metrics.GetCounter("sched/parked_total")),
       m_evictions_(services.metrics.GetCounter("sched/evictions")),
       m_reset_fallback_(services.metrics.GetCounter("sched/reset_fallback_destroys")),
-      m_feedback_transitions_(services.metrics.GetCounter("sched/feedback_transitions")),
       m_batch_size_(services.metrics.GetHistogram("sched/batch_size", {1, 2, 4, 8, 16, 32, 64})),
       m_wait_ns_(services.metrics.GetHistogram("sched/wait_ns",
                                                Histogram::DefaultLatencyBoundsNs())),
@@ -39,7 +38,6 @@ CloneScheduler::CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& t
                                                      Histogram::DefaultLatencyBoundsNs())),
       g_queue_depth_(services.metrics.GetGauge("sched/queue_depth")),
       g_pool_size_(services.metrics.GetGauge("sched/warm_pool_size")),
-      g_eviction_frozen_(services.metrics.GetGauge("sched/eviction_frozen")),
       f_admit_(*services.faults.GetPoint("sched/admit")),
       f_dispatch_(*services.faults.GetPoint("sched/dispatch")),
       f_park_(*services.faults.GetPoint("sched/park")) {
@@ -54,27 +52,6 @@ CloneScheduler::~CloneScheduler() { engine_.RemoveObserver(this); }
 
 void CloneScheduler::SetCloneExecutor(CloneExecutor executor) {
   executor_ = std::move(executor);
-}
-
-void CloneScheduler::SetBatchWindowScale(double scale) {
-  window_scale_ = scale < 1.0 ? 1.0 : scale;
-}
-
-void CloneScheduler::SetEvictionFrozen(bool frozen) {
-  if (frozen == eviction_frozen_) {
-    return;
-  }
-  eviction_frozen_ = frozen;
-  g_eviction_frozen_.Set(frozen ? 1 : 0);
-  m_feedback_transitions_.Increment();
-  if (!frozen) {
-    // Catch-up sweep: restore the capacity cap on every pool, exactly as if
-    // the parks had happened unfrozen.
-    for (auto& [parent, ps] : parents_) {
-      EvictToCapacity(ps);
-    }
-    UpdateGauges();
-  }
 }
 
 std::size_t CloneScheduler::WarmPoolSize(DomId parent) const {
@@ -181,7 +158,7 @@ void CloneScheduler::ArmWindow(DomId parent) {
   }
   ps.window_armed = true;
   const std::uint64_t epoch = ps.epoch;
-  loop_.Post(effective_batch_window(), [this, parent, epoch] {
+  loop_.Post(config_.batch_window, [this, parent, epoch] {
     auto pit = parents_.find(parent);
     if (pit == parents_.end() || pit->second.epoch != epoch) {
       return;  // a dispatch already consumed this window
@@ -377,20 +354,10 @@ Result<ReleaseOutcome> CloneScheduler::Release(DomId child) {
   ps.pool.push_back(child);
   ++total_parked_;
   m_parked_.Increment();
-  outcome.parked = true;
 
-  // Capacity eviction (LRU beyond the per-parent cap), unless telemetry
-  // feedback froze it (thrash alarm). The child just parked is the most
+  // Capacity eviction: the least recently parked children go until the
+  // pool is back within its cap. The child just parked is the most
   // recent, so it goes only when the cap is 0.
-  if (!eviction_frozen_) {
-    EvictToCapacity(ps);
-    outcome.parked = !ps.pool.empty() && ps.pool.back() == child;
-  }
-  UpdateGauges();
-  return outcome;
-}
-
-void CloneScheduler::EvictToCapacity(ParentState& ps) {
   while (ps.pool.size() > config_.warm_pool_capacity) {
     DomId victim = ps.pool.front();
     ps.pool.erase(ps.pool.begin());
@@ -398,6 +365,9 @@ void CloneScheduler::EvictToCapacity(ParentState& ps) {
     m_evictions_.Increment();
     (void)toolstack_.DestroyDomain(victim);
   }
+  outcome.parked = !ps.pool.empty() && ps.pool.back() == child;
+  UpdateGauges();
+  return outcome;
 }
 
 void CloneScheduler::DrainAll() {

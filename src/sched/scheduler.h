@@ -5,19 +5,23 @@
 // scheduler adds the policy layer a production deployment needs (ROADMAP:
 // "sharding, batching, async, caching"):
 //
-//   batching    Requests for the same parent arriving within a sim-time
-//               window (or while an earlier batch is still in flight)
-//               coalesce into one CloneEngine batch — the shape PR 3's
-//               parallel stage 1 is optimised for. Per-parent batches are
-//               serialised: the parent is paused for the whole first+second
-//               stage, so a second CLONEOP cannot overlap it anyway.
+//   batching    Requests for the same parent arriving within the
+//               config's batch_window of sim time (or while an earlier
+//               batch is still in flight) coalesce into one CloneEngine
+//               batch — the shape the parallel stage 1 is optimised for.
+//               Per-parent batches are serialised: the parent is paused
+//               for the whole first+second stage, so a second CLONEOP
+//               cannot overlap it anyway.
 //   warm pool   A completed invocation releases its child back to the
 //               scheduler: the child is CloneReset (O(dirtied pages), the
 //               Sec. 7.2 mechanism) and parked instead of destroyed, and the
 //               next request is served from the pool in O(reset) rather than
 //               O(clone) — the SnowFlock / Firecracker microVM-pool
 //               economics. Pools are per parent, most-recently-parked first;
-//               eviction is LRU, driven by a per-parent capacity cap.
+//               every Release evicts LRU children back to the per-parent
+//               capacity cap. Window and cap stay as configured: the
+//               telemetry alarms (src/obs/tsdb/alarm.h) watch the
+//               scheduler's metrics but never steer it.
 //   admission   The per-parent queue is bounded: a request that would push
 //               it past the limit is rejected synchronously with a typed
 //               kResourceExhausted status, and a queued request not served
@@ -118,28 +122,6 @@ class CloneScheduler : public CloneObserver {
 
   void SetCloneExecutor(CloneExecutor executor);
 
-  // ---------------------------------------------------------------------
-  // Telemetry feedback (driven by SchedulerAlarmFeedback, src/sched/
-  // feedback.h — or directly by tests/operators).
-  // ---------------------------------------------------------------------
-
-  // Stretches the batching window: future windows arm for
-  // config().batch_window * scale. Values below 1 clamp to 1; already-armed
-  // windows fire on their old schedule.
-  void SetBatchWindowScale(double scale);
-  double batch_window_scale() const { return window_scale_; }
-  SimDuration effective_batch_window() const {
-    return config_.batch_window * window_scale_;
-  }
-
-  // While frozen, Release parks unconditionally: capacity eviction is
-  // suspended (pools may exceed warm_pool_capacity). Unfreezing runs a
-  // catch-up sweep that restores the cap. Transitions are counted in
-  // sched/feedback_transitions and mirrored by the sched/eviction_frozen
-  // gauge.
-  void SetEvictionFrozen(bool frozen);
-  bool eviction_frozen() const { return eviction_frozen_; }
-
   const SchedulerConfig& config() const { return config_; }
   std::size_t WarmPoolSize(DomId parent) const;
   std::size_t TotalPooled() const { return total_parked_; }
@@ -175,9 +157,6 @@ class CloneScheduler : public CloneObserver {
   // Pops the oldest queued ticket of `ps` and cancels its timeout timer.
   Ticket PopTicket(ParentState& ps);
   void FailTicket(Ticket& ticket, const Status& why);
-  // Destroys the least recently parked children of one pool until it is
-  // back within warm_pool_capacity.
-  void EvictToCapacity(ParentState& ps);
   void UpdateGauges();
 
   Hypervisor& hv_;
@@ -198,13 +177,11 @@ class CloneScheduler : public CloneObserver {
   Counter& m_parked_;
   Counter& m_evictions_;
   Counter& m_reset_fallback_;
-  Counter& m_feedback_transitions_;
   Histogram& m_batch_size_;
   Histogram& m_wait_ns_;        // acquire -> cold grant
   Histogram& m_warm_grant_ns_;  // acquire -> warm grant
   Gauge& g_queue_depth_;
   Gauge& g_pool_size_;
-  Gauge& g_eviction_frozen_;
 
   FaultPoint& f_admit_;
   FaultPoint& f_dispatch_;
@@ -218,8 +195,6 @@ class CloneScheduler : public CloneObserver {
   std::uint64_t next_ticket_id_ = 1;
   std::size_t total_queued_ = 0;
   std::size_t total_parked_ = 0;
-  double window_scale_ = 1.0;
-  bool eviction_frozen_ = false;
 };
 
 }  // namespace nephele

@@ -1,9 +1,9 @@
 // Fabric-level coverage: the Host/ClusterFabric redesign (DESIGN.md §15).
 // Image replication to peers, first-class cross-host migration with typed
 // errors and clean rollback under link faults/partitions (frame conservation
-// asserted on both hosts via src/hypervisor/invariants.h), cross-host
-// Acquire through each placement policy, cross-host warm pools, a
-// standalone host against a fabric peer, per-host clocks and their
+// asserted on both hosts via src/hypervisor/invariants.h), spread placement
+// (balance, warm hosts first, lowest-index ties, slots freed by any
+// destroy), cross-host warm pools, a standalone host against a fabric peer, per-host clocks and their
 // hand-offs (parallel waves, grant timestamps, migration into a busy host,
 // no dead timers), and byte-determinism of the merged cluster exports
 // across reruns and clone worker counts.
@@ -282,9 +282,7 @@ TEST(ClusterSchedulerTest, RegisterParentReplicatesToEveryPeer) {
 }
 
 TEST(ClusterSchedulerTest, ReplicationFailureLeavesPeerIneligible) {
-  ClusterConfig cfg = SmallCluster(3);
-  cfg.placement = PlacementPolicy::kSpread;
-  ClusterFabric fabric(cfg);
+  ClusterFabric fabric(SmallCluster(3));
   ClusterScheduler sched(fabric);
   DomId parent = Boot(fabric.host(0), GuestConfig("fn"));
 
@@ -308,20 +306,10 @@ TEST(ClusterSchedulerTest, ReplicationFailureLeavesPeerIneligible) {
   ExpectClean(fabric);
 }
 
-// Runs one Acquire wave under `policy` and returns per-host active counts.
-std::vector<std::size_t> PlaceWave(PlacementPolicy policy, unsigned children,
-                                   bool fatten_host0 = false) {
-  ClusterConfig cfg = SmallCluster(3);
-  cfg.placement = policy;
-  ClusterFabric fabric(cfg);
-  if (fatten_host0) {
-    // Shrink host 0's headroom so memory-aware placement avoids it.
-    (void)Boot(fabric.host(0), [] {
-      DomainConfig fat = GuestConfig("ballast", 0);
-      fat.memory_mb = 32;
-      return fat;
-    }());
-  }
+// Runs one Acquire wave of `children` on a fresh 3-host fabric and returns
+// the per-host active counts.
+std::vector<std::size_t> PlaceWave(unsigned children) {
+  ClusterFabric fabric(SmallCluster(3));
   ClusterScheduler sched(fabric);
   DomId parent = Boot(fabric.host(0), GuestConfig("fn"));
   auto family = sched.RegisterParent(0, parent);
@@ -344,27 +332,137 @@ std::vector<std::size_t> PlaceWave(PlacementPolicy policy, unsigned children,
   return active;
 }
 
-TEST(ClusterSchedulerTest, PackPlacementFillsTheFirstHost) {
-  EXPECT_EQ(PlaceWave(PlacementPolicy::kPack, 6),
-            (std::vector<std::size_t>{6, 0, 0}));
-}
-
 TEST(ClusterSchedulerTest, SpreadPlacementBalancesHosts) {
-  EXPECT_EQ(PlaceWave(PlacementPolicy::kSpread, 6),
-            (std::vector<std::size_t>{2, 2, 2}));
+  EXPECT_EQ(PlaceWave(6), (std::vector<std::size_t>{2, 2, 2}));
 }
 
-TEST(ClusterSchedulerTest, MemoryAwarePlacementAvoidsThePressuredHost) {
-  std::vector<std::size_t> active =
-      PlaceWave(PlacementPolicy::kMemoryAware, 4, /*fatten_host0=*/true);
-  EXPECT_EQ(active[0], 0u) << "children landed on the pressured host";
-  EXPECT_EQ(active[1] + active[2], 4u);
+// Grants of `n` children of `family`, in delivery order.
+std::vector<ClusterGrant> AcquireGrants(ClusterFabric& fabric, ClusterScheduler& sched,
+                                        std::size_t family, unsigned n) {
+  std::vector<ClusterGrant> grants;
+  EXPECT_TRUE(sched.Acquire(family, n, [&grants](Result<ClusterGrant> r) {
+                     ASSERT_TRUE(r.ok()) << r.status().ToString();
+                     grants.push_back(*r);
+                   })
+                  .ok());
+  fabric.Settle();
+  EXPECT_EQ(grants.size(), n);
+  return grants;
+}
+
+// A warm host wins over a cold host with fewer active children; with no
+// warm host, the tie between the least loaded goes to the lowest index.
+TEST(ClusterSchedulerTest, SpreadServesAWarmHostBeforeAnEmptierColdOne) {
+  ClusterFabric fabric(SmallCluster(3));
+  ClusterScheduler sched(fabric);
+  DomId parent = Boot(fabric.host(0), GuestConfig("fn"));
+  auto family = sched.RegisterParent(0, parent);
+  ASSERT_TRUE(family.ok());
+  fabric.Settle();
+
+  // Two children per host; hosts 1 and 2 then release theirs and drain
+  // their pools, so they end idle and cold.
+  std::vector<ClusterGrant> on_host0;
+  for (const ClusterGrant& g : AcquireGrants(fabric, sched, *family, 6)) {
+    if (g.host == 0) {
+      on_host0.push_back(g);
+    } else {
+      ASSERT_TRUE(sched.Release(g).ok());
+    }
+  }
+  sched.host_scheduler(1).DrainAll();
+  sched.host_scheduler(2).DrainAll();
+  fabric.Settle();
+  ASSERT_EQ(on_host0.size(), 2u);
+  ASSERT_EQ(sched.active_on(1), 0u);
+  ASSERT_EQ(sched.active_on(2), 0u);
+
+  // Host 0 parks one child: warm, with one active child left.
+  ASSERT_TRUE(sched.Release(on_host0[0]).ok());
+  fabric.Settle();
+  ASSERT_EQ(sched.host_scheduler(0).WarmPoolSize(parent), 1u);
+
+  const std::uint64_t warm_before = fabric.metrics().CounterValue("cluster/warm_placements");
+  std::vector<ClusterGrant> warm = AcquireGrants(fabric, sched, *family, 1);
+  ASSERT_EQ(warm.size(), 1u);
+  EXPECT_EQ(warm[0].host, 0u) << "an emptier cold host beat the warm one";
+  EXPECT_EQ(warm[0].dom, on_host0[0].dom);
+  EXPECT_EQ(fabric.metrics().CounterValue("cluster/warm_placements"), warm_before + 1);
+
+  // No host is warm now; hosts 1 and 2 tie at zero and host 1 wins.
+  std::vector<ClusterGrant> cold = AcquireGrants(fabric, sched, *family, 1);
+  ASSERT_EQ(cold.size(), 1u);
+  EXPECT_EQ(cold[0].host, 1u);
+  EXPECT_EQ(sched.active_on(0), 2u);
+  EXPECT_EQ(sched.active_on(1), 1u);
+  EXPECT_EQ(sched.active_on(2), 0u);
+  ExpectClean(fabric);
+}
+
+// A granted child that is destroyed outside Release frees its slot once,
+// from the host engine's OnDestroy. A child destroyed inside Release (reset
+// fallback) and an evicted child (released before) count once too.
+TEST(ClusterSchedulerTest, GrantedChildDestroyedElsewhereFreesItsSlot) {
+  ClusterConfig cfg = SmallCluster(2);
+  cfg.host.sched.warm_pool_capacity = 1;
+  ClusterFabric fabric(cfg);
+  ClusterScheduler sched(fabric);
+  DomId parent = Boot(fabric.host(0), GuestConfig("fn"));
+  auto family = sched.RegisterParent(0, parent);
+  ASSERT_TRUE(family.ok());
+  fabric.Settle();
+
+  std::vector<ClusterGrant> first = AcquireGrants(fabric, sched, *family, 1);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(first[0].host, 0u);
+  ASSERT_EQ(sched.active_on(0), 1u);
+  ASSERT_TRUE(fabric.host(0).toolstack().DestroyDomain(first[0].dom).ok());
+  fabric.Settle();
+  EXPECT_EQ(sched.active_on(0), 0u) << "the dead child still holds its slot";
+  auto late = sched.Release(first[0]);
+  EXPECT_EQ(late.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(sched.active_on(0), 0u);
+  EXPECT_EQ(fabric.metrics().CounterValue("cluster/released_total"), 0u);
+
+  // The freed slot counts: both hosts are idle, so the next child lands on
+  // host 0 again, then one on host 1 and one more on host 0.
+  std::vector<ClusterGrant> next = AcquireGrants(fabric, sched, *family, 1);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].host, 0u);
+  std::vector<ClusterGrant> more = AcquireGrants(fabric, sched, *family, 2);
+  ASSERT_EQ(sched.active_on(0), 2u);
+  ASSERT_EQ(sched.active_on(1), 1u);
+  more.push_back(next[0]);
+
+  // Host 0 parks both its children; the second park evicts the first
+  // (capacity 1), which was released already and frees nothing more.
+  for (const ClusterGrant& g : more) {
+    if (g.host == 0) {
+      ASSERT_TRUE(sched.Release(g).ok());
+    }
+  }
+  fabric.Settle();
+  EXPECT_EQ(fabric.host(0).metrics().CounterValue("sched/evictions"), 1u);
+  EXPECT_EQ(sched.active_on(0), 0u);
+
+  // Host 1's child fails its reset: Release destroys it and frees one slot.
+  ASSERT_TRUE(fabric.host(1).fault_injector().Arm("sched/park", FaultSpec::NthHit(1)).ok());
+  for (const ClusterGrant& g : more) {
+    if (g.host == 1) {
+      auto outcome = sched.Release(g);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_FALSE(outcome->parked);
+      EXPECT_FALSE(outcome->reset_applied);
+    }
+  }
+  fabric.Settle();
+  EXPECT_EQ(sched.active_on(1), 0u);
+  EXPECT_EQ(fabric.metrics().CounterValue("cluster/released_total"), 3u);
+  ExpectClean(fabric);
 }
 
 TEST(ClusterSchedulerTest, WarmPoolServesAcrossAcquires) {
-  ClusterConfig cfg = SmallCluster(2);
-  cfg.placement = PlacementPolicy::kSpread;
-  ClusterFabric fabric(cfg);
+  ClusterFabric fabric(SmallCluster(2));
   ClusterScheduler sched(fabric);
   DomId parent = Boot(fabric.host(0), GuestConfig("fn"));
   auto family = sched.RegisterParent(0, parent);
@@ -428,9 +526,7 @@ struct SpreadWave {
 
 // One spread Acquire of `children` on a fresh `hosts`-host fabric.
 SpreadWave AcquireSpread(std::size_t hosts, unsigned children) {
-  ClusterConfig cfg = SmallCluster(hosts);
-  cfg.placement = PlacementPolicy::kSpread;
-  ClusterFabric fabric(cfg);
+  ClusterFabric fabric(SmallCluster(hosts));
   ClusterScheduler sched(fabric);
   std::vector<std::unique_ptr<ResumeClock>> clocks;
   for (std::size_t i = 0; i < hosts; ++i) {
@@ -540,13 +636,11 @@ struct ClusterDigest {
 // a warm wave, one migration, telemetry ticks. Returns the merged exports.
 ClusterDigest RunClusterScenario(unsigned clone_workers) {
   ClusterConfig cfg = SmallCluster(3);
-  cfg.placement = PlacementPolicy::kSpread;
   cfg.host.clone_worker_threads = clone_workers;
   ClusterFabric fabric(cfg);
   std::vector<std::unique_ptr<TsdbCollector>> tsdbs;
   for (std::size_t i = 0; i < fabric.num_hosts(); ++i) {
-    tsdbs.push_back(std::make_unique<TsdbCollector>(
-        fabric.host(i).metrics(), fabric.loop(), fabric.host(i).config().tsdb));
+    tsdbs.push_back(std::make_unique<TsdbCollector>(fabric.host(i).metrics(), fabric.loop()));
   }
   ClusterScheduler sched(fabric);
   DomId parent = Boot(fabric.host(0), GuestConfig("fn"));

@@ -313,10 +313,10 @@ TEST(LazySchedDispatch, ReleaseFinishesTheStreamBeforeParking) {
 // --- The stream_stall alarm. ---
 
 TEST(LazyStreamAlarm, StallRaisesWhileBacklogPersistsAndClearsWhenDrained) {
-  SystemConfig cfg = LazySystem(1, /*manual_stream=*/true);
-  cfg.tsdb.tick_interval = SimDuration::Millis(1);
-  NepheleSystem sys(cfg);
-  TsdbCollector tsdb(sys.metrics(), sys.loop(), sys.config().tsdb);
+  NepheleSystem sys(LazySystem(1, /*manual_stream=*/true));
+  TsdbConfig tcfg;
+  tcfg.tick_interval = SimDuration::Millis(1);
+  TsdbCollector tsdb(sys.metrics(), sys.loop(), tcfg);
   AlarmEngine alarms(tsdb, sys.metrics());
   for (AlarmRule& rule : AlarmEngine::DefaultNepheleRules()) {
     alarms.AddRule(rule);

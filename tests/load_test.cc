@@ -351,10 +351,11 @@ TEST(ReqTailAlarmTest, RaisesUnderSustainedOverload) {
   cfg.load.rate_rps = 20000.0;  // far past one server's ~4k/s
   cfg.load.clone_factor = 1;
   cfg.load.max_concurrent = 1;
-  cfg.tsdb.tick_interval = SimDuration::Millis(5);
-  cfg.tsdb.ring_capacity = 64;
   ScheduledLoadRun run(cfg);
-  TsdbCollector tsdb(run.system_.metrics(), run.system_.loop(), run.system_.config().tsdb);
+  TsdbConfig tcfg;
+  tcfg.tick_interval = SimDuration::Millis(5);
+  tcfg.ring_capacity = 64;
+  TsdbCollector tsdb(run.system_.metrics(), run.system_.loop(), tcfg);
   AlarmEngine alarms(tsdb, run.system_.metrics());
   for (const AlarmRule& rule : AlarmEngine::DefaultNepheleRules()) {
     alarms.AddRule(rule);

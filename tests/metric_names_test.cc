@@ -16,7 +16,6 @@
 #include "src/load/load_gen.h"
 #include "src/obs/tsdb/alarm.h"
 #include "src/obs/tsdb/tsdb.h"
-#include "src/sched/feedback.h"
 #include "src/sched/scheduler.h"
 #include "src/toolstack/domain_config.h"
 
@@ -25,16 +24,15 @@ namespace {
 
 // Construct and exercise every metric-registering subsystem so AllNames()
 // sees the full surface: system (hypervisor, xenstore, toolstack, clone
-// engine, xencloned, fault injector), scheduler + feedback, TSDB + alarms,
+// engine, xencloned, fault injector), scheduler, TSDB + alarms,
 // and the request layer (load generator + request-cloning dispatcher).
 void ExerciseEverything(NepheleSystem& sys) {
-  TsdbCollector tsdb(sys.metrics(), sys.loop(), sys.config().tsdb);
+  TsdbCollector tsdb(sys.metrics(), sys.loop());
   AlarmEngine alarms(tsdb, sys.metrics());
   for (const AlarmRule& rule : AlarmEngine::DefaultNepheleRules()) {
     alarms.AddRule(rule);
   }
   CloneScheduler sched(sys);
-  SchedulerAlarmFeedback feedback(alarms, sched);
   LoadGenerator generator(sys);
   RequestCloneDispatcher dispatcher(sys, sched);
 
@@ -102,8 +100,7 @@ TEST(MetricNamesTest, SchedulerNameSetIsExact) {
   }
   const std::set<std::string> expected = {
       "sched/batch_failures",     "sched/batch_size",
-      "sched/batches_dispatched", "sched/eviction_frozen",
-      "sched/evictions",          "sched/feedback_transitions",
+      "sched/batches_dispatched", "sched/evictions",
       "sched/parked_total",       "sched/queue_depth",
       "sched/rejected_queue_full", "sched/requests_total",
       "sched/reset_fallback_destroys", "sched/timeouts",

@@ -189,15 +189,12 @@ TEST(TsdbCollectorTest, ScheduledTicksRunOnSimTimeAndDrain) {
 // Alarms
 // ---------------------------------------------------------------------
 
-struct TransitionLog : TsdbObserver {
-  std::vector<std::string> events;
-  void OnAlarmRaised(const AlarmRule& rule, std::uint64_t tick) override {
-    events.push_back("raise:" + rule.name + "@" + std::to_string(tick));
-  }
-  void OnAlarmCleared(const AlarmRule& rule, std::uint64_t tick) override {
-    events.push_back("clear:" + rule.name + "@" + std::to_string(tick));
-  }
-};
+// True when the single-rule `alarms` export records its last transition at
+// `tick`.
+bool LastTransitionAt(const AlarmEngine& alarms, std::uint64_t tick) {
+  return alarms.ExportJson().find("\"last_transition_tick\": " + std::to_string(tick) + ",") !=
+         std::string::npos;
+}
 
 AlarmRule MeanRule(double raise_above, double clear_below) {
   AlarmRule rule;
@@ -218,8 +215,6 @@ TEST(AlarmEngineTest, RaisesAfterConsecutiveTicksAndClearsWithHysteresis) {
   TsdbCollector tsdb(registry, loop, {});
   AlarmEngine alarms(tsdb, registry);
   alarms.AddRule(MeanRule(10.0, 5.0));
-  TransitionLog log;
-  alarms.AddObserver(&log);
   Gauge& g = registry.GetGauge("demo/g");
 
   g.Set(20);
@@ -229,6 +224,8 @@ TEST(AlarmEngineTest, RaisesAfterConsecutiveTicksAndClearsWithHysteresis) {
   EXPECT_EQ(alarms.StateOf("demo"), AlarmState::kRaised);
   EXPECT_EQ(registry.GaugeValue("alarm/demo/state"), 1);
   EXPECT_EQ(registry.CounterValue("alarm/demo/raised_total"), 1u);
+  EXPECT_EQ(registry.CounterValue("alarm/demo/cleared_total"), 0u);
+  EXPECT_TRUE(LastTransitionAt(alarms, 1)) << alarms.ExportJson();
 
   g.Set(7);     // inside the hysteresis band: neither over nor under
   tsdb.Tick();
@@ -241,9 +238,9 @@ TEST(AlarmEngineTest, RaisesAfterConsecutiveTicksAndClearsWithHysteresis) {
   tsdb.Tick();  // under, streak 2 -> cleared
   EXPECT_EQ(alarms.StateOf("demo"), AlarmState::kClear);
   EXPECT_EQ(registry.GaugeValue("alarm/demo/state"), 0);
-  ASSERT_EQ(log.events.size(), 2u);
-  EXPECT_EQ(log.events[0], "raise:demo@1");
-  EXPECT_EQ(log.events[1], "clear:demo@5");
+  EXPECT_EQ(registry.CounterValue("alarm/demo/raised_total"), 1u);
+  EXPECT_EQ(registry.CounterValue("alarm/demo/cleared_total"), 1u);
+  EXPECT_TRUE(LastTransitionAt(alarms, 5)) << alarms.ExportJson();
 }
 
 TEST(AlarmEngineTest, BoundaryValuesAdvanceNeitherStreakSoNoFlap) {
@@ -311,10 +308,11 @@ TEST(AlarmEngineTest, DefaultRulesCoverThrashRollbacksStreamStallsAndReqTails) {
 std::pair<std::string, std::string> RunAndExport(unsigned clone_workers) {
   SystemConfig cfg;
   cfg.clone_worker_threads = clone_workers;
-  cfg.tsdb.tick_interval = SimDuration::Millis(1);
-  cfg.tsdb.ring_capacity = 16;
   NepheleSystem sys(cfg);
-  TsdbCollector tsdb(sys.metrics(), sys.loop(), sys.config().tsdb);
+  TsdbConfig tcfg;
+  tcfg.tick_interval = SimDuration::Millis(1);
+  tcfg.ring_capacity = 16;
+  TsdbCollector tsdb(sys.metrics(), sys.loop(), tcfg);
   AlarmEngine alarms(tsdb, sys.metrics());
   for (AlarmRule& rule : AlarmEngine::DefaultNepheleRules()) {
     alarms.AddRule(rule);
